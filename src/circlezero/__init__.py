@@ -67,7 +67,6 @@ from .verify import (
     oscillation_verify_Q,
     oscillation_verify_W,
     schinzel_check,
-    sign_change_count,
     simplicity_check,
     verify_family,
 )

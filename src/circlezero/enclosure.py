@@ -46,11 +46,10 @@ _ONE = from_int(1)
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision in bits, retry budget, and series cutoff override."""
+    """Working precision in bits and retry budget."""
 
     bits: int = 128
     max_retries: int = 4
-    tail_cutoff: int | None = None
 
     def __post_init__(self):
         if self.bits < 64:
@@ -341,10 +340,6 @@ def ball_acos(x: RealEnclosure) -> RealEnclosure:
     if mpf_cmp(x.lower_raw(), mpf_neg(one)) < 0 or mpf_cmp(x.upper_raw(), one) > 0:
         raise DomainError("acos argument enclosure leaves [-1, 1]")
     return _monotone(libmp.mpf_acos, x, increasing=False)
-
-
-def ball_atan(x: RealEnclosure) -> RealEnclosure:
-    return _monotone(libmp.mpf_atan, x)
 
 
 def ball_sech(x: RealEnclosure) -> RealEnclosure:

@@ -137,10 +137,6 @@ class FamilyPoly:
             return RealEnclosure.exact(0, bits)
         return lambda_k(self.k, bits)
 
-    def coefficient_balls(self, bits: int) -> list[RealEnclosure]:
-        lam = self.lam_ball(bits)
-        return [c.eval(lam) for c in self.coeffs]
-
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
         lam = self.lam_ball(bits)

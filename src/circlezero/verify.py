@@ -10,8 +10,11 @@ Three independent methods:
    coefficient-difference sum bounds the approximation error uniformly below
    the oscillation distance.
 3. Chebyshev sign counting: u = (z + 1/z)/2 maps circle zeros to real zeros
-   in [-1, 1]; certified sign alternations of the T-basis reduction are
-   counted on cos(j pi / M) grids in exact fixed-point arithmetic.
+   in [-1, 1], and the T-basis reduction factors exactly into a trig factor
+   and a real trig polynomial g; certified sign alternations of g are counted
+   on theta = j pi / M grids in exact fixed-point arithmetic.  An odd degree
+   first divides out its forced zero z = -eps exactly in Q[lam], so every
+   degree takes this one factored route.
 
 A complex root refiner (float Aberth sweep + high-precision polish + certified
 residual radii) cross-validates every certification.
@@ -37,7 +40,6 @@ from .enclosure import (
 )
 from .errors import DomainError, NumericError, PrecisionError
 from .families import (
-    ChebyshevForm,
     FamilyPoly,
     ZERO_COEFF,
     ZetaCoefficient,
@@ -45,7 +47,6 @@ from .families import (
     build_family,
     build_Q,
     build_W,
-    chebyshev_form,
     family_min_k,
 )
 
@@ -474,213 +475,6 @@ def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
     return v, e
 
 
-class _FixedEvaluator:
-    """Certified fixed-point evaluation of sum_m v_m T_m(cos(theta pi)).
-
-    Coefficients are dyadically rescaled balls frozen into integers at scale
-    2^prec; T_m(cos(theta pi)) = cos(m theta pi) comes either from a shared
-    cosine table (uniform grids) or per-point certified cosines (probes).
-    Signs are certified whenever |value| exceeds the accumulated error budget.
-    """
-
-    def __init__(self, cform: ChebyshevForm, bits: int):
-        self.prec = bits + 32
-        n = cform.degree
-        self.n = n
-        lam = cform.lam_ball(self.prec)
-        vals = [c.eval(lam) for c in cform.coeffs[:n + 1]]
-        emax = None
-        for v in vals:
-            if v.mid != libmp.fzero:
-                e = v.mid[2] + v.mid[3]  # exponent + mantissa bits ~ log2 |mid|
-                emax = e if emax is None or e > emax else e
-        if emax is None:
-            raise DomainError("zero polynomial")
-        fixed = [_fixed_from_ball(v.shift(-emax), self.prec) for v in vals]
-        self.terms = [(m, c) for m, (c, _) in enumerate(fixed) if c]
-        self.sum_abs_c = sum(abs(c) for c, _ in fixed)
-        self.sum_e = sum(e for _, e in fixed)
-        self.pi_ball = RealEnclosure.pi(self.prec)
-        self.evals = 0
-
-    def _budget(self, tab_err: int) -> int:
-        return tab_err * self.sum_abs_c + ((1 << self.prec) + tab_err) * self.sum_e
-
-    def cos_table(self, M: int) -> tuple[list[int], int]:
-        table = []
-        tab_err = 2
-        for r in range(M + 1):
-            tv, te = _fixed_from_ball(ball_cos(self.pi_ball * Fraction(r, M)), self.prec)
-            table.append(tv)
-            tab_err = max(tab_err, te)
-        return table, tab_err
-
-    def eval_grid(self, table: list[int], tab_err: int, M: int, j: int) -> tuple[int, int]:
-        two_m = 2 * M
-        acc = 0
-        for m, c in self.terms:
-            x = (m * j) % two_m
-            acc += c * table[x if x <= M else two_m - x]
-        self.evals += 1
-        return acc, self._budget(tab_err)
-
-    def eval_theta(self, theta: Fraction) -> tuple[int, int]:
-        """theta in units of pi, 0 < theta < 1."""
-        acc = 0
-        tab_err = 2
-        for m, c in self.terms:
-            xi = (m * theta) % 2
-            tv, te = _fixed_from_ball(ball_cos(self.pi_ball * xi), self.prec)
-            acc += c * tv
-            tab_err = max(tab_err, te)
-        self.evals += 1
-        return acc, self._budget(tab_err)
-
-    def sign_of(self, value: int, budget: int) -> int:
-        if value > budget:
-            return 1
-        if value < -budget:
-            return -1
-        return 0
-
-
-def _count_changes(points: dict[Fraction, tuple[int, int]],
-                   end_signs: dict[int, int | None]) -> tuple[int, list[tuple[Fraction, int, int]]]:
-    """Alternation count over certified points plus endpoint signs; returns
-    (changes, ordered certified sequence as (theta, sign, |value|))."""
-    seq: list[tuple[Fraction, int, int]] = []
-    if end_signs[1] is not None:
-        seq.append((Fraction(0), end_signs[1], 0))
-    for theta in sorted(points):
-        s, mag = points[theta]
-        if s != 0:
-            seq.append((theta, s, mag))
-    if end_signs[-1] is not None:
-        seq.append((Fraction(1), end_signs[-1], 0))
-    changes = sum(1 for i in range(len(seq) - 1) if seq[i][1] != seq[i + 1][1])
-    return changes, seq
-
-
-def sign_change_count(cform: ChebyshevForm, target: int, bits: int = 128,
-                      initial_grid: int | None = None,
-                      probe_budget: int = 60000) -> VerificationReport:
-    """Count certified sign alternations of p*(u) on [-1, 1].
-
-    A uniform Chebyshev-angle base grid (shared certified cosine table, exact
-    integer dot products) finds the well-separated alternations; remaining
-    ones hide in same-sign gaps as near-pairs of zeros, which an adaptive
-    probe resolves, deepest dips first.  Exact endpoint zeros at u = +-1 are
-    detected in Q[lam] and credited to the count.
-    """
-    n = cform.degree
-    if n == 0:
-        if cform.coeffs[0].is_zero():
-            raise DomainError("zero polynomial has no sign pattern")
-        lam = cform.lam_ball(bits)
-        certified = bool(target == 0 and cform.coeffs[0].eval(lam).sign() != 0)
-        return VerificationReport(cform.family, cform.k, "sign-count", 0, 0, None, None,
-                                  certified, detail={"grid": 0, "changes": 0})
-
-    ev = _FixedEvaluator(cform, bits)
-
-    boundary_zeros = 0
-    end_signs: dict[int, int | None] = {}
-    lam = cform.lam_ball(bits + 32)
-    for sgn in (+1, -1):
-        v = cform.eval_at_pm1(sgn)
-        if v.is_zero():
-            boundary_zeros += 1
-            end_signs[sgn] = None
-        else:
-            s = v.eval(lam).sign()
-            if s == 0:
-                raise PrecisionError(f"endpoint sign indeterminate for {cform.family}_{cform.k}")
-            end_signs[sgn] = s
-
-    points: dict[Fraction, tuple[int, int]] = {}
-
-    def fill_grid(M: int) -> None:
-        table, tab_err = ev.cos_table(M)
-        for j in range(1, M):
-            th = Fraction(j, M)
-            if th not in points:
-                val, budget = ev.eval_grid(table, tab_err, M, j)
-                points[th] = (ev.sign_of(val, budget), abs(val))
-
-    M = initial_grid or max(4 * n, 16)
-    fill_grid(M)
-    while True:
-        changes, seq = _count_changes(points, end_signs)
-        if changes + boundary_zeros >= target:
-            return VerificationReport(cform.family, cform.k, "sign-count",
-                                      n, n, None, None, True,
-                                      detail={"grid": M, "changes": changes,
-                                              "boundary_zeros": boundary_zeros,
-                                              "evaluations": ev.evals})
-        if ev.evals >= probe_budget:
-            break
-        if M < 32 * n:
-            # cheap region: shared-table refinement beats per-point probing
-            M *= 2
-            fill_grid(M)
-            continue
-        # near-pairs of zeros hide in same-sign gaps whose BOTH endpoints
-        # already sit close to a zero: rank by the larger endpoint magnitude
-        gaps = []
-        for i in range(len(seq) - 1):
-            (ta, sa, ma), (tb, sb, mb) = seq[i], seq[i + 1]
-            if sa == sb and sa != 0:
-                gaps.append((max(ma, mb), ta, tb, sa))
-        if not gaps:
-            break
-        gaps.sort(key=lambda g: g[0])
-        deficit_pairs = (target - changes - boundary_zeros + 1) // 2
-        progressed = False
-        for _, ta, tb, s in gaps[:deficit_pairs + 2]:
-            if _probe_gap(ev, points, ta, tb, s,
-                          per_gap_budget=min(224, probe_budget - ev.evals)):
-                progressed = True
-            if ev.evals >= probe_budget:
-                break
-        if progressed:
-            continue
-        if M < 512 * n and ev.evals < probe_budget:
-            M *= 2
-            fill_grid(M)
-        else:
-            break
-
-    changes, _ = _count_changes(points, end_signs)
-    return VerificationReport(cform.family, cform.k, "sign-count",
-                              changes + boundary_zeros, n, None, None, False,
-                              detail={"grid": M, "changes": changes,
-                                      "boundary_zeros": boundary_zeros,
-                                      "evaluations": ev.evals})
-
-
-def _probe_gap(ev: _FixedEvaluator, points: dict[Fraction, tuple[int, int]],
-               ta: Fraction, tb: Fraction, s: int, per_gap_budget: int,
-               max_depth: int = 256) -> bool:
-    """Search a same-sign gap for an opposite-sign window by iterative deepening."""
-    start = ev.evals
-    width = tb - ta
-    depth = 2
-    while depth <= max_depth:
-        for i in range(1, depth, 2):
-            theta = ta + width * Fraction(i, depth)
-            if theta in points:
-                continue
-            val, budget = ev.eval_theta(theta)
-            sign = ev.sign_of(val, budget)
-            points[theta] = (sign, abs(val))
-            if sign == -s:
-                return True
-            if ev.evals - start >= per_gap_budget:
-                return False
-        depth *= 2
-    return False
-
-
 class _TrigEvaluator:
     """Certified fixed-point evaluation of sum_r q_r trig(r theta) on theta grids."""
 
@@ -734,8 +528,9 @@ class _TrigEvaluator:
         return acc, budget
 
 
-def _factor_sign_count(poly: FamilyPoly, bits: int) -> VerificationReport | None:
-    """Sign counting through the exact factorization, for even nontrivial degree.
+def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
+    """Sign counting through the exact factorization of an origin-stripped
+    self-inversive p of even degree.
 
     With n = 2m and z = e^(i theta), (z^n + eps) p(z) = 2 z^n p*(u) splits as
     p*(cos theta) = cos(m theta) g(theta) (eps = +1) or -sin(m theta) g(theta)
@@ -743,14 +538,18 @@ def _factor_sign_count(poly: FamilyPoly, bits: int) -> VerificationReport | None
     circle-zero angles of p.  g's zeros have no near-pairs (those live between
     the two factors), so a uniform grid certifies them quickly.
     """
-    p = poly.strip_origin()
     n = p.degree
-    if n == 0 or n % 2:
-        return None
     m = n // 2
     eps = p.epsilon
     prec = bits + 32
     lam = p.lam_ball(prec)
+    if n == 0:
+        if p.coeffs[0].is_zero():
+            raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
+        return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None,
+                                  p.coeffs[0].eval(lam).sign() != 0,
+                                  detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
+                                          "factored": True, "evaluations": 0})
 
     boundary = 0
     for point in (Fraction(1), Fraction(-1)):
@@ -758,7 +557,7 @@ def _factor_sign_count(poly: FamilyPoly, bits: int) -> VerificationReport | None
         if v.is_zero():
             boundary += 1
         elif v.eval(lam).sign() == 0:
-            raise PrecisionError(f"boundary value indeterminate for {poly.family}_{poly.k}")
+            raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
 
@@ -766,8 +565,10 @@ def _factor_sign_count(poly: FamilyPoly, bits: int) -> VerificationReport | None
         terms = [(0, p.coeffs[m].eval(lam))]
         terms += [(r, (p.coeffs[m - r] * 2).eval(lam)) for r in range(1, m + 1)]
     else:
+        # exact self-inversive input has c_m = -c_m here
         if not p.coeffs[m].is_zero():
-            return None
+            raise DomainError(f"{p.family}_{p.k}: eps = -1 with a nonzero middle "
+                              "coefficient, not self-inversive")
         terms = [(r, (p.coeffs[m - r] * -2).eval(lam)) for r in range(1, m + 1)]
     ev = _TrigEvaluator(terms, use_sin=(eps < 0), bits=bits)
 
@@ -783,32 +584,55 @@ def _factor_sign_count(poly: FamilyPoly, bits: int) -> VerificationReport | None
         seq = [s for _, s in sorted(points.items()) if s != 0]
         changes = sum(1 for i in range(len(seq) - 1) if seq[i] != seq[i + 1])
         if changes >= target:
-            return VerificationReport(poly.family, poly.k, "sign-count", n, n, None, None,
-                                      True, origin_zeros=poly.origin_multiplicity,
+            return VerificationReport(p.family, p.k, "sign-count", n, n, None, None, True,
                                       detail={"grid": M, "changes": changes,
                                               "boundary_zeros": boundary,
                                               "factored": True, "evaluations": ev.evals})
         M *= 2
-    return VerificationReport(poly.family, poly.k, "sign-count",
+    return VerificationReport(p.family, p.k, "sign-count",
                               2 * changes + boundary, n, None, None, False,
-                              origin_zeros=poly.origin_multiplicity,
                               detail={"grid": M // 2, "changes": changes,
                                       "boundary_zeros": boundary,
                                       "factored": True, "evaluations": ev.evals})
 
 
-def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
-    """Route a family polynomial through the Chebyshev sign counter.
+def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
+    """p(z) / (z + eps) for an origin-stripped self-inversive p of odd degree.
 
-    Even nontrivial degrees go through the exact trig factorization of p*;
-    odd degrees use the direct p* counter with adaptive gap probing.
+    The pairs c_j, c_(n-j) = eps c_j cancel at z = -eps, so p(-eps) is exactly
+    0 in Q[lam]; synthetic division leaves a quotient of even degree n - 1 with
+    eps = +1.  Raises DomainError when p is not self-inversive.
     """
-    stripped = poly.strip_origin()
-    rep = _factor_sign_count(poly, bits)
-    if rep is not None:
-        return rep
-    cform = chebyshev_form(poly)
-    rep = sign_change_count(cform, stripped.degree, bits)
+    n, eps = p.degree, p.epsilon
+    if not p.eval_rational(Fraction(-eps)).is_zero():
+        raise DomainError(f"{p.family}_{p.k}: p({-eps}) != 0 at odd degree {n}, "
+                          "not self-inversive")
+    q = [p.coeffs[n]]
+    for c in reversed(p.coeffs[1:n]):
+        q.append(c - q[-1] * eps)
+    q.reverse()
+    if any(q[j] != q[n - 1 - j] for j in range(n // 2)):
+        raise DomainError(f"{p.family}_{p.k}: quotient by (z{eps:+d}) is not "
+                          "reciprocal, not self-inversive")
+    return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1,
+                      note=(p.note + f" /(z{eps:+d})").strip())
+
+
+def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
+    """Route a family polynomial through the factored Chebyshev sign counter.
+
+    Odd nontrivial degrees first divide out their forced zero z = -eps
+    exactly; the even-degree quotient is counted and the deflated zero added.
+    """
+    p = poly.strip_origin()
+    n = p.degree
+    if n % 2 == 0:
+        rep = _factor_sign_count(p, bits)
+    else:
+        rep = _factor_sign_count(deflate_forced_zero(p), bits)
+        rep.zeros_on_circle += 1
+        rep.degree_nontrivial = n
+        rep.detail["deflated"] = str(-p.epsilon)
     rep.origin_zeros = poly.origin_multiplicity
     return rep
 

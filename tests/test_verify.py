@@ -18,8 +18,6 @@ from circlezero.families import (
     build_S,
     build_W,
     build_Y,
-    chebyshev_form,
-    chebyshev_reduce,
 )
 from circlezero.verify import (
     CERTIFIED_FALSE,
@@ -28,6 +26,7 @@ from circlezero.verify import (
     alternating_verify,
     build_qk_samples,
     build_wk_samples,
+    deflate_forced_zero,
     find_roots,
     lakatos_check,
     observation_identity,
@@ -36,7 +35,6 @@ from circlezero.verify import (
     schinzel_check,
     schinzel_constant_S,
     schinzel_constant_Y,
-    sign_change_count,
     simplicity_check,
     verify_by_roots,
     verify_by_sign_count,
@@ -188,14 +186,17 @@ def test_oscillation_uniform_bounds_recorded():
 # -- sign counting -----------------------------------------------------------
 
 def test_sign_count_P2_target4():
-    rep = sign_change_count(chebyshev_reduce(2), 4)
-    assert rep.certified and rep.detail["changes"] == 4
+    # four sign changes of P_2*(u) on [-1, 1]: two of the factor g, each one a
+    # conjugate pair of circle zeros
+    rep = verify_by_sign_count(build_P(2))
+    assert rep.certified and rep.zeros_on_circle == 4
+    assert 2 * rep.detail["changes"] + rep.detail["boundary_zeros"] == 4
 
 
 def test_sign_count_constant_trivial():
-    cform = chebyshev_form(build_Y(2))
-    rep = sign_change_count(cform, 0)
+    rep = verify_by_sign_count(build_Y(2))
     assert rep.certified and rep.zeros_on_circle == 0
+    assert rep.origin_zeros == 1
 
 
 def test_sign_count_P100_target200():
@@ -213,9 +214,74 @@ def test_sign_count_all_families_small():
 
 
 def test_sign_count_generic_path_odd_degree():
-    # odd-degree reductions (S_k, odd k) take the direct p* counter
+    # odd degree: the forced zero z = -1 of S_31 is divided out exactly and
+    # the even-degree quotient takes the factored route
     rep = verify_by_sign_count(build_S(31))
-    assert rep.certified and not rep.detail.get("factored", False)
+    assert rep.certified and rep.zeros_on_circle == 31
+    assert rep.detail["deflated"] == "-1" and rep.detail["factored"]
+
+
+def _rational_poly(eps, *coeffs):
+    return FamilyPoly("S", len(coeffs) - 1, 0,
+                      tuple(ZetaCoefficient.rational(c) for c in coeffs), eps)
+
+
+def test_sign_count_deflates_eps_minus_one():
+    # z^3 - 1 (eps = -1): the forced zero is z = +1, the quotient z^2 + z + 1
+    rep = verify_by_sign_count(_rational_poly(-1, -1, 0, 0, 1))
+    assert rep.certified and rep.zeros_on_circle == 3 and rep.degree_nontrivial == 3
+    assert rep.detail["deflated"] == "1"
+
+
+def test_sign_count_uncertified_counts_deflated_zero_once():
+    # z^3 + 2z^2 - 2z - 1 = (z - 1)(z^2 + 3z + 1): one zero on the circle and
+    # two real zeros off it
+    rep = verify_by_sign_count(_rational_poly(-1, -1, -2, 2, 1))
+    assert not rep.certified and rep.zeros_on_circle == 1
+    d = rep.detail
+    assert rep.zeros_on_circle == 1 + 2 * d["changes"] + d["boundary_zeros"]
+
+
+def test_sign_count_rejects_non_self_inversive_odd_degree():
+    with pytest.raises(DomainError, match="S_3"):
+        verify_by_sign_count(_rational_poly(+1, 1, 2, 3, 1))  # p(-1) = 1
+    with pytest.raises(DomainError, match="S_3"):
+        # (z + 1)(z^2 + 2z + 3): p(-1) = 0, the quotient is not reciprocal
+        verify_by_sign_count(_rational_poly(+1, 3, 5, 3, 1))
+
+
+def test_sign_count_rejects_eps_minus_one_nonzero_middle():
+    with pytest.raises(DomainError, match="S_2"):
+        verify_by_sign_count(_rational_poly(-1, -1, 1, 1))
+
+
+def test_sign_count_detail_keys_uniform():
+    common = {"grid", "changes", "boundary_zeros", "evaluations", "factored"}
+    for poly in (build_Y(2), build_S(1), build_Y(3), build_P(2), build_S(5)):
+        rep = verify_by_sign_count(poly)
+        keys = set(rep.detail)
+        odd = poly.strip_origin().degree % 2 == 1
+        assert keys == common | ({"deflated"} if odd else set()), poly
+
+
+@pytest.mark.parametrize("fam,k", [(f, k) for f in "SY" for k in range(1, 62, 2)
+                                    if (f, k) != ("Y", 1)])
+def test_sign_count_odd_degree_deflation_exact(fam, k):
+    poly = build_family(fam, k)
+    p = poly.strip_origin()
+    q = deflate_forced_zero(p)
+    eps = p.epsilon
+    assert q.degree == p.degree - 1 and q.epsilon == 1
+    # (z + eps) q(z) == p(z) coefficientwise in Q[lam]
+    prod = [ZetaCoefficient()] * (q.degree + 2)
+    for j, c in enumerate(q.coeffs):
+        prod[j + 1] = prod[j + 1] + c
+        prod[j] = prod[j] + c * eps
+    assert tuple(prod) == p.coeffs
+    rep = verify_by_sign_count(poly)
+    assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial == p.degree
+    assert rep.origin_zeros == (1 if fam == "Y" else 0)
+    assert rep.degree_nontrivial == (k if fam == "S" else k - 2)
 
 
 def test_sign_count_R_not_certified():
