@@ -8,7 +8,7 @@ linear-combination agreement for Q and W, the coefficient-sum evaluations.
 """
 
 from circlezero import build_family, build_P, build_Q, build_S, build_W, build_Y
-from circlezero.families import s_at_one, w_combination_scalar, y_coeff_sum
+from circlezero.families import combination_identity, s_at_one, y_coeff_sum
 
 
 def show(poly, label):
@@ -39,7 +39,9 @@ for fam in "RPQYWS":
     poly = build_family(fam, 6)
     print(f"  {fam}_6 self-inversive: {poly.self_inversive_ok()} (epsilon {poly.epsilon:+d})")
 
-print(f"\n  W closed form / combination = {w_combination_scalar(9)} (exactly, every k)")
+q_match, w_scalar = combination_identity(9)
+print(f"\n  Q_9 closed form = combination: {q_match}; "
+      f"W_9 closed form / combination = {w_scalar} (exactly, every k)")
 
 lhs, rhs = s_at_one(4)
 print(f"  |S_4(1)| = {lhs} = 2^9 (2^10 - 1) |B_10| / 5 = {rhs}")

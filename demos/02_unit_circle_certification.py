@@ -17,30 +17,33 @@ import time
 
 from circlezero import build_family
 from circlezero.verify import (
+    FAMILY_SPECS,
+    criteria_check,
     find_roots,
     max_modulus_deviation,
-    oscillation_verify_Q,
-    oscillation_verify_W,
-    schinzel_check,
-    schinzel_constant_S,
-    schinzel_constant_Y,
+    oscillation_verify,
     simplicity_check,
     verify_by_roots,
     verify_by_sign_count,
 )
 
 print("== 1. coefficient criteria ==")
-for fam, k, const in (("S", 20, schinzel_constant_S(20)), ("Y", 20, schinzel_constant_Y(20))):
-    rep = schinzel_check(build_family(fam, k), const)
-    print(f"  Schinzel on {fam}_{k}: {rep.holds}, margin > {float(rep.margin.lower):.3e}")
+for fam in ("S", "Y"):
+    # FAMILY_SPECS[fam].schinzel(k) is the paper's explicit Schinzel constant
+    rep = criteria_check(build_family(fam, 20))
+    print(f"  {rep.criterion.capitalize()} on {fam}_20: {rep.holds}, "
+          f"margin > {float(rep.margin.lower):.3e}")
 
 print("\n== 2. oscillation ==")
+for fam, spec in FAMILY_SPECS.items():
+    if spec.oscillation is not None:
+        print(f"  {fam}: d = {spec.oscillation.d}, oscillation from k = {spec.oscillation.min_k}")
 for k in (12, 40):
-    rep = oscillation_verify_W(k)
+    rep = oscillation_verify(build_family("W", k))
     osc = rep.detail["oscillation"]
     print(f"  W_{k}: certified={rep.certified}, {rep.zeros_on_circle} zeros, "
           f"uniform bound {osc['bound_mid'][:8]} < 0.3, order {osc['order_achieved']}")
-rep = oscillation_verify_Q(15)
+rep = oscillation_verify(build_family("Q", 15))
 print(f"  Q_15: certified={rep.certified}, {rep.zeros_on_circle} nontrivial zeros "
       f"(plus {rep.origin_zeros} at the origin)")
 

@@ -3,7 +3,6 @@ unit-circle zero verification and zeta(3) approximation schemes."""
 
 from .enclosure import (
     ComplexEnclosure,
-    PrecisionConfig,
     RealEnclosure,
     ball_acos,
     ball_cos,
@@ -55,15 +54,17 @@ from .approx import (
     sech_identity_residual,
 )
 from .verify import (
+    FAMILY_SPECS,
     CriteriaReport,
     OscillationReport,
     VerificationReport,
     alternating_verify,
-    build_qk_samples,
-    build_wk_samples,
+    criteria_check,
     find_roots,
     lakatos_check,
     observation_identity,
+    oscillation_samples,
+    oscillation_verify,
     oscillation_verify_Q,
     oscillation_verify_W,
     schinzel_check,

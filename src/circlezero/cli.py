@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import approx as approx_mod
 from . import families as fam_mod
 from . import verify as verify_mod
+from .enclosure import MIN_BITS
 from .errors import CircleZeroError, DomainError, NumericError
 from .reports import CRITERIA_COLUMNS, VERIFY_COLUMNS, csv_text, json_document, table_text
 
@@ -50,7 +51,7 @@ class RunConfig:
         if not self.k_values:
             raise DomainError("empty k selection")
         for fam in self.families:
-            lo = fam_mod.family_min_k(fam)
+            lo = verify_mod.FAMILY_SPECS[fam].min_k
             if min(self.k_values) < lo:
                 raise DomainError(f"family {fam} needs k >= {lo}")
 
@@ -76,7 +77,7 @@ def _default_bits() -> int:
     env = os.environ.get("CIRCLEZERO_BITS")
     if env:
         try:
-            return max(64, int(env))
+            return max(MIN_BITS, int(env))
         except ValueError:
             pass
     return 128
@@ -102,7 +103,7 @@ def _parse_k_range(args) -> list[int]:
 def _parse_families(arg: str) -> list[str]:
     fams = [f.strip().upper() for f in arg.split(",") if f.strip()]
     for f in fams:
-        if f not in fam_mod.FAMILIES:
+        if f not in verify_mod.FAMILY_SPECS:
             raise DomainError(f"unknown family {f!r}")
     return fams
 
@@ -196,13 +197,7 @@ def cmd_criteria(args) -> int:
     for fam in cfg.families:
         for k in cfg.k_values:
             poly = fam_mod.build_family(fam, k)
-            if fam == "S":
-                rep = verify_mod.schinzel_check(poly, verify_mod.schinzel_constant_S(k), args.bits)
-            elif fam == "Y":
-                rep = verify_mod.schinzel_check(poly, verify_mod.schinzel_constant_Y(k), args.bits)
-            else:
-                rep = verify_mod.lakatos_check(poly, args.bits)
-            rows.append(rep.to_doc())
+            rows.append(verify_mod.criteria_check(poly, args.bits).to_doc())
     _emit(args, "criteria_report", CRITERIA_COLUMNS, rows)
     return _verdict_exit([r["holds"] for r in rows])
 
@@ -257,10 +252,9 @@ def cmd_identity(args) -> int:
             ok = ok and lhs == rhs
     elif args.which == "combination-vs-closed-form":
         for k in ks:
-            fam_mod.build_Q(k)   # raises if the forms disagree
-            scalar = fam_mod.w_combination_scalar(k)
-            rows.append({"k": k, "q_match": True, "w_scalar": str(scalar)})
-            ok = ok and scalar == 2
+            q_match, scalar = fam_mod.combination_identity(k)
+            rows.append({"k": k, "q_match": q_match, "w_scalar": str(scalar)})
+            ok = ok and q_match and scalar == 2
     columns = list(rows[0].keys()) if rows else ["k"]
     _emit(args, f"identity_{args.which}", columns, rows)
     return EXIT_OK if ok else EXIT_INDETERMINATE
@@ -324,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.bits < MIN_BITS:
+            raise DomainError(f"--bits must be at least {MIN_BITS}, got {args.bits}")
         return args.func(args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,13 +6,16 @@ transcendental functions (exp, log, sin, cos, acos) are evaluated at a guard
 precision and inflated by SLACK_ULPS units in the last place; mpmath computes
 them to ~1 ulp, so the inflated balls are sound with a wide margin.  Radii use
 a short mantissa (RAD_PREC bits) and are always rounded upward.
+
+A check that a ball cannot decide yet is retried by `escalate`, the one
+precision-escalation policy: the working precision doubles ESCALATIONS times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from mpmath import libmp, mp, mpf
 from mpmath.libmp import (
@@ -40,20 +43,25 @@ from .errors import DomainError
 RAD_PREC = 32
 GUARD = 24
 SLACK_ULPS = 8
+MIN_BITS = 64
+ESCALATIONS = 4
 
 _ONE = from_int(1)
 
+T = TypeVar("T")
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision in bits and retry budget."""
 
-    bits: int = 128
-    max_retries: int = 4
-
-    def __post_init__(self):
-        if self.bits < 64:
-            raise DomainError("precision below 64 bits not supported")
+def escalate(attempt: Callable[[int], tuple[bool, T]], bits: int) -> tuple[bool, T]:
+    """Run attempt(b) at b = bits, 2 bits, ..., 2^ESCALATIONS bits until it
+    reports (True, value); otherwise return the last attempt's (False, value).
+    """
+    if bits < MIN_BITS:
+        raise DomainError(f"precision below {MIN_BITS} bits not supported, got {bits}")
+    for i in range(ESCALATIONS + 1):
+        decided, value = attempt(bits << i)
+        if decided:
+            break
+    return decided, value
 
 
 def _up(x, y, op) -> tuple:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpmath import libmp
 
+from .enclosure import escalate
 from .errors import CapacityError, DomainError, PrecisionError
 
 DEFAULT_CAP = 4096
@@ -221,58 +222,44 @@ def pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
     return lo - ulp, hi + ulp
 
 
-def check_bernoulli_bounds(n: int, bits: int = 128, max_retries: int = 4) -> tuple[bool, bool]:
+def _pi_power_sides(value: Fraction, num: Fraction, power: int, scales: tuple,
+                    bits: int, what: str) -> list[int]:
+    """For each s in scales: +1 if value > num / (pi^power s) is certified, -1
+    if value < it, with pi bracketed by pi_bounds under the precision escalation."""
+    def attempt(prec: int) -> tuple[bool, list[int]]:
+        lo, hi = (x ** power for x in pi_bounds(prec))
+        sides = [(value > num / (lo * s)) - (value < num / (hi * s)) for s in scales]
+        return 0 not in sides, sides
+
+    decided, sides = escalate(attempt, bits)
+    if not decided:
+        raise PrecisionError(f"{what} bound comparison indeterminate")
+    return sides
+
+
+def check_bernoulli_bounds(n: int, bits: int = 128) -> tuple[bool, bool]:
     """Certify the classical sandwich and the sharper lower bound for |B_2n|.
 
     classical: 2(2n)!/(2pi)^2n < |B_2n| < 2(2n)!/((2pi)^2n (1 - 2^(1-2n)))
     sharper:   |B_2n| > 2(2n)!/((2pi)^2n (1 - 2^(-2n)))
 
     Returns (classical_holds, sharper_holds); raises PrecisionError if a
-    comparison stays indeterminate after doubling `bits` max_retries times.
+    comparison stays indeterminate after the precision escalation.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    b = abs(bernoulli(2 * n))
-    f2 = 2 * Fraction(math.factorial(2 * n))
-    for _ in range(max_retries + 1):
-        lo, hi = pi_bounds(bits)
-        p_lo = (2 * lo) ** (2 * n)
-        p_hi = (2 * hi) ** (2 * n)
-        # lower < |B|: the bound's largest possible value uses the smallest pi power
-        lower_ok = b > f2 / p_lo
-        lower_bad = b < f2 / p_hi
-        up_hi = f2 / (p_lo * (1 - Fraction(2) ** (1 - 2 * n)))
-        up_lo = f2 / (p_hi * (1 - Fraction(2) ** (1 - 2 * n)))
-        upper_ok = b < up_lo
-        upper_bad = b > up_hi
-        sh_hi = f2 / (p_lo * (1 - Fraction(2) ** (-2 * n)))
-        sh_lo = f2 / (p_hi * (1 - Fraction(2) ** (-2 * n)))
-        sharp_ok = b > sh_hi
-        sharp_bad = b < sh_lo
-        classical_det = (lower_ok or lower_bad) and (upper_ok or upper_bad)
-        sharp_det = sharp_ok or sharp_bad
-        if classical_det and sharp_det:
-            return (lower_ok and upper_ok, sharp_ok)
-        bits *= 2
-    raise PrecisionError(f"Bernoulli bound comparison indeterminate at n={n}")
+    lower, upper, sharper = _pi_power_sides(
+        abs(bernoulli(2 * n)), Fraction(2 * math.factorial(2 * n), 4 ** n), 2 * n,
+        (1, 1 - Fraction(2) ** (1 - 2 * n), 1 - Fraction(2) ** (-2 * n)), bits,
+        f"Bernoulli B_{2 * n}")
+    return lower > 0 and upper < 0, sharper > 0
 
 
-def check_euler_bounds(n: int, bits: int = 128, max_retries: int = 4) -> bool:
+def check_euler_bounds(n: int, bits: int = 128) -> bool:
     """Certify 4^(n+1)(2n)!/pi^(2n+1) > |E_2n| > same/(1 + 3^(-1-2n))."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    e = abs(euler(2 * n))
-    num = Fraction((1 << (2 * (n + 1))) * math.factorial(2 * n))
-    corr = 1 + Fraction(1, 3 ** (1 + 2 * n))
-    for _ in range(max_retries + 1):
-        lo, hi = pi_bounds(bits)
-        p_lo = lo ** (2 * n + 1)
-        p_hi = hi ** (2 * n + 1)
-        upper_ok = e < num / p_hi
-        upper_bad = e > num / p_lo
-        lower_ok = e > num / (p_lo * corr)
-        lower_bad = e < num / (p_hi * corr)
-        if (upper_ok or upper_bad) and (lower_ok or lower_bad):
-            return upper_ok and lower_ok
-        bits *= 2
-    raise PrecisionError(f"Euler bound comparison indeterminate at n={n}")
+    upper, lower = _pi_power_sides(
+        Fraction(abs(euler(2 * n))), Fraction((1 << (2 * (n + 1))) * math.factorial(2 * n)),
+        2 * n + 1, (1, 1 + Fraction(1, 3 ** (1 + 2 * n))), bits, f"Euler E_{2 * n}")
+    return upper < 0 and lower > 0

@@ -16,8 +16,6 @@ from .enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from .errors import DomainError
 from .exact import bernoulli, binomial, euler
 
-FAMILIES = ("R", "P", "Q", "Y", "W", "S")
-
 
 @dataclass(frozen=True)
 class ZetaCoefficient:
@@ -214,16 +212,9 @@ def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:
     return tuple(out)
 
 
-def _coeffs_equal(a: tuple[ZetaCoefficient, ...], b: tuple[ZetaCoefficient, ...]) -> bool:
-    n = max(len(a), len(b))
-    pad_a = a + (ZERO_COEFF,) * (n - len(a))
-    pad_b = b + (ZERO_COEFF,) * (n - len(b))
-    return all((x - y) == ZERO_COEFF for x, y in zip(pad_a, pad_b))
-
-
 def build_Q(k: int) -> FamilyPoly:
-    """Q_k via its closed-form coefficients, cross-checked exactly against the
-    linear combination (2^2k + 1) P(z) - 2^2k P(z/2) - P(2z)."""
+    """Q_k via its closed-form coefficients; `combination_identity` checks
+    them against the linear combination (2^2k + 1) P(z) - 2^2k P(z/2) - P(2z)."""
     if k < 2:
         raise DomainError(f"build_Q needs k >= 2, got {k}")
     coeffs = [ZERO_COEFF] * (2 * k)
@@ -241,16 +232,12 @@ def build_Q(k: int) -> FamilyPoly:
     odd = Fraction((1 << (2 * k - 1)) - 1)
     coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps * odd)
     coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(odd)
-    closed = FamilyPoly("Q", k, 2 * k - 1, tuple(coeffs), eps)
-    comb = _combine_P(k, Fraction((1 << (2 * k)) + 1))
-    if not _coeffs_equal(closed.coeffs, comb):
-        raise AssertionError(f"Q_{k}: closed form disagrees with the linear combination")
-    return closed
+    return FamilyPoly("Q", k, 2 * k - 1, tuple(coeffs), eps)
 
 
 def build_W(k: int) -> FamilyPoly:
     """W_k via its closed form, which equals exactly 2x the linear combination
-    (2^(2k-1) + 2) P(z) - 2^2k P(z/2) - P(2z); the scalar is asserted."""
+    (2^(2k-1) + 2) P(z) - 2^2k P(z/2) - P(2z) (see `combination_identity`)."""
     if k < 2:
         raise DomainError(f"build_W needs k >= 2, got {k}")
     coeffs = [ZERO_COEFF] * (2 * k + 1)
@@ -262,12 +249,8 @@ def build_W(k: int) -> FamilyPoly:
              * binomial(2 * k, 2 * j))
         coeffs[2 * j] = ZetaCoefficient.rational(a)
     eps = -1 if k % 2 else 1
-    closed = FamilyPoly("W", k, 2 * k - 1, tuple(coeffs), eps,
-                        note="closed form = 2 x combination")
-    comb = _combine_P(k, Fraction((1 << (2 * k - 1)) + 2))
-    if not _coeffs_equal(closed.coeffs, tuple(c * 2 for c in comb)):
-        raise AssertionError(f"W_{k}: closed form is not exactly 2x the combination")
-    return closed
+    return FamilyPoly("W", k, 2 * k - 1, tuple(coeffs), eps,
+                      note="closed form = 2 x combination")
 
 
 def build_Y(k: int) -> FamilyPoly:
@@ -301,10 +284,6 @@ def build_family(family: str, k: int) -> FamilyPoly:
     if family not in builders:
         raise DomainError(f"unknown family {family!r}")
     return builders[family](k)
-
-
-def family_min_k(family: str) -> int:
-    return 1 if family in ("R", "S") else 2
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +416,25 @@ def y_coeff_sum(k: int) -> tuple[Fraction, Fraction]:
     return total, closed
 
 
-def w_combination_scalar(k: int) -> Fraction:
-    """Exact ratio closed-form / combination for W_k (always 2)."""
-    closed = build_W(k)
+def _scaled_equal(a: tuple[ZetaCoefficient, ...], b: tuple[ZetaCoefficient, ...],
+                  scale: Fraction) -> bool:
+    """a == scale * b coefficientwise, the shorter tuple padded with zeros."""
+    n = max(len(a), len(b))
+    a, b = a + (ZERO_COEFF,) * (n - len(a)), b + (ZERO_COEFF,) * (n - len(b))
+    return all(x - y * scale == ZERO_COEFF for x, y in zip(a, b))
+
+
+def combination_identity(k: int) -> tuple[bool, Fraction | None]:
+    """Exact check of the Q_k and W_k closed forms against their P_k combinations.
+
+    Returns (Q_k == (2^2k + 1) P(z) - 2^2k P(z/2) - P(2z) coefficientwise,
+    the scalar s with W_k == s ((2^(2k-1) + 2) P(z) - 2^2k P(z/2) - P(2z)),
+    or None when no single scalar fits; s is 2 for every k).
+    """
+    q_match = _scaled_equal(build_Q(k).coeffs, _combine_P(k, Fraction((1 << (2 * k)) + 1)),
+                            Fraction(1))
+    w = build_W(k).coeffs
     comb = _combine_P(k, Fraction((1 << (2 * k - 1)) + 2))
-    for cc, cb in zip(closed.coeffs, comb):
-        if not cb.is_zero():
-            ratio_a = cc.a / cb.a if cb.a else None
-            if ratio_a is not None:
-                return ratio_a
-    raise AssertionError("combination identically zero")
+    pivot = next(j for j, c in enumerate(comb) if c.a)
+    scalar = w[pivot].a / comb[pivot].a
+    return q_match, (scalar if _scaled_equal(w, comb, scalar) else None)

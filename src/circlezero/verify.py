@@ -18,6 +18,12 @@ Three independent methods:
 
 A complex root refiner (float Aberth sweep + high-precision polish + certified
 residual radii) cross-validates every certification.
+
+What the paper proves per family lives in one table, FAMILY_SPECS: the
+smallest k, the Schinzel constant (none: Lakatos, c = 1) and, for W and Q,
+the oscillation data.  Every route takes the built polynomial and reads its
+target count and origin zeros from `strip_origin()`; every ball check that
+cannot decide yet escalates its precision through `enclosure.escalate`.
 """
 
 from __future__ import annotations
@@ -30,12 +36,12 @@ from mpmath import libmp, mp
 
 from .enclosure import (
     ComplexEnclosure,
-    PrecisionConfig,
     RealEnclosure,
     ball_acos,
     ball_cos,
     ball_cos_sin,
     ball_sin,
+    escalate,
     lambda_k,
 )
 from .errors import DomainError, NumericError, PrecisionError
@@ -45,9 +51,6 @@ from .families import (
     ZetaCoefficient,
     abs_square_coeffs,
     build_family,
-    build_Q,
-    build_W,
-    family_min_k,
 )
 
 CERTIFIED_TRUE = "certified-true"
@@ -149,7 +152,7 @@ def _margin_exact(coeffs: list[Fraction], c: Fraction) -> Fraction:
 
 def _margin_ball(poly: FamilyPoly, coeffs: list[ZetaCoefficient],
                  c: RealEnclosure, bits: int) -> RealEnclosure:
-    lam = poly.lam_ball(bits) if not all(x.is_rational() for x in coeffs) else RealEnclosure.exact(0, bits)
+    lam = poly.lam_ball(bits)
     vals = [x.eval(lam) for x in coeffs]
     top = vals[-1]
     acc = RealEnclosure.exact(0, bits)
@@ -159,56 +162,50 @@ def _margin_ball(poly: FamilyPoly, coeffs: list[ZetaCoefficient],
 
 
 def _criteria_verdict(margin: RealEnclosure) -> str:
-    s = margin.sign()
-    if s > 0:
-        return CERTIFIED_TRUE
-    if s < 0:
-        return CERTIFIED_FALSE
-    return INDETERMINATE
+    return {1: CERTIFIED_TRUE, -1: CERTIFIED_FALSE, 0: INDETERMINATE}[margin.sign()]
 
 
-def lakatos_check(poly: FamilyPoly, bits: int = 128, max_retries: int = 4) -> CriteriaReport:
+def lakatos_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
     """Lakatos condition: |A_top| >= sum |A_j - A_top| on a reciprocal polynomial."""
-    coeffs = _reciprocal_coeffs(poly)
-    one = RealEnclosure.exact(1, bits)
-    if all(x.is_rational() for x in coeffs):
-        margin = _margin_exact([x.a for x in coeffs], Fraction(1))
-        enc = RealEnclosure.exact(margin, bits)
-        return CriteriaReport(poly.family, poly.k, "lakatos", one, enc,
-                              _criteria_verdict(enc), exact=True)
-    b = bits
-    for _ in range(max_retries + 1):
-        margin = _margin_ball(poly, coeffs, RealEnclosure.exact(1, b), b)
-        verdict = _criteria_verdict(margin)
-        if verdict != INDETERMINATE:
-            return CriteriaReport(poly.family, poly.k, "lakatos", one, margin, verdict)
-        b *= 2
-    return CriteriaReport(poly.family, poly.k, "lakatos", one, margin, INDETERMINATE)
+    return _margin_check(poly, Fraction(1), bits, "lakatos")
 
 
-def schinzel_check(poly: FamilyPoly, c, bits: int = 128, max_retries: int = 4) -> CriteriaReport:
+def schinzel_check(poly: FamilyPoly, c, bits: int = 128) -> CriteriaReport:
     """Schinzel condition with d = 1: |A_top| >= sum |c A_j - A_top|.
 
     `c` may be a Fraction (exact path when the polynomial is rational) or a
     callable bits -> RealEnclosure for irrational constants.
     """
+    return _margin_check(poly, c, bits, "schinzel")
+
+
+def _margin_check(poly: FamilyPoly, c, bits: int, criterion: str) -> CriteriaReport:
     coeffs = _reciprocal_coeffs(poly)
     if isinstance(c, (int, Fraction)) and all(x.is_rational() for x in coeffs):
         cq = Fraction(c)
         margin = _margin_exact([x.a for x in coeffs], cq)
         enc = RealEnclosure.exact(margin, bits)
-        return CriteriaReport(poly.family, poly.k, "schinzel",
+        return CriteriaReport(poly.family, poly.k, criterion,
                               RealEnclosure.exact(cq, bits), enc,
                               _criteria_verdict(enc), exact=True)
-    b = bits
-    for _ in range(max_retries + 1):
+
+    def attempt(b: int) -> tuple[bool, CriteriaReport]:
         c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
         margin = _margin_ball(poly, coeffs, c_ball, b)
         verdict = _criteria_verdict(margin)
-        if verdict != INDETERMINATE:
-            return CriteriaReport(poly.family, poly.k, "schinzel", c_ball, margin, verdict)
-        b *= 2
-    return CriteriaReport(poly.family, poly.k, "schinzel", c_ball, margin, INDETERMINATE)
+        return verdict != INDETERMINATE, CriteriaReport(
+            poly.family, poly.k, criterion, c_ball, margin, verdict)
+
+    return escalate(attempt, bits)[1]
+
+
+def criteria_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
+    """The family's coefficient criterion: Schinzel with the constant from
+    FAMILY_SPECS, or Lakatos where the table gives none."""
+    constant = FAMILY_SPECS[poly.family].schinzel
+    if constant is None:
+        return lakatos_check(poly, bits)
+    return schinzel_check(poly, constant(poly.k), bits)
 
 
 def schinzel_constant_S(k: int) -> Callable[[int], RealEnclosure]:
@@ -258,52 +255,48 @@ def observation_identity(k: int, bits: int = 256) -> tuple[bool, RealEnclosure]:
 # oscillation method
 # ---------------------------------------------------------------------------
 
-def _alpha_j0(k: int, d_over: tuple[Fraction, str], bits: int = 128) -> int:
+@dataclass(frozen=True)
+class OscillationSpec:
+    """What the oscillation lemma needs for one family (W or Q)."""
+
+    d: Fraction                                   # oscillation distance
+    j0_denominator: Callable[[RealEnclosure], RealEnclosure]  # pi -> arccos denominator
+    min_k: int                                    # smaller k take the sign-count route
+    evaluator: Callable[[int], Callable[[Fraction, int], RealEnclosure]]
+    uniform_bound: Callable[[FamilyPoly, int], RealEnclosure]
+    drop_halves: bool                             # drop the two positive boundary halves
+
+
+def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
     """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos formula."""
-    d, which = d_over
-    b = bits
-    for _ in range(6):
+    def attempt(b: int) -> tuple[bool, int]:
         pi = RealEnclosure.pi(b)
-        if which == "w":
-            denom = pi * pi * Fraction(1, 3) - 2
-        else:
-            denom = RealEnclosure.exact(2, b) - 16 / (pi * pi)
-        alpha = ball_acos(RealEnclosure.exact(d, b) / denom) / pi
+        alpha = ball_acos(RealEnclosure.exact(spec.d, b) / spec.j0_denominator(pi)) / pi
         x = alpha * (k - 1)
-        lo, hi = x.lower, x.upper
-        if int(mp.floor(lo)) == int(mp.floor(hi)):
-            return int(mp.floor(lo)) + 1
-        b *= 2
-    raise PrecisionError(f"j0 indeterminate at k={k}")
+        lo, hi = int(mp.floor(x.lower)), int(mp.floor(x.upper))
+        return lo == hi, lo + 1
+
+    decided, j0 = escalate(attempt, bits)
+    if not decided:
+        raise PrecisionError(f"j0 indeterminate at k={k}")
+    return j0
 
 
-def build_wk_samples(k: int) -> list[Fraction]:
-    """The 2k+1 sample angles (as multiples of pi) for w_k, mirrored over 0."""
-    if k <= 10:
-        raise DomainError(f"w_k sample grid needs k > 10, got {k}")
-    j0 = _alpha_j0(k, (Fraction(3, 10), "w"))
-    eps = Fraction(1, 8 * k)
-    pos = [Fraction(j, k - 1) for j in range(1, j0)]
-    pos += [Fraction(2 * j - 1, 2 * (k - 1)) for j in range(j0, k - j0 + 1)]
-    pos += [Fraction(j, k - 1) for j in range(k - j0, k - 1)]
-    pos.append((k - 1 - eps) / (k - 1))
-    return [-p for p in reversed(pos)] + [Fraction(0)] + pos
-
-
-def build_qk_samples(k: int) -> list[Fraction]:
-    """Sample angles for q_k: the mirrored grid minus the two positive
+def oscillation_samples(family: str, k: int) -> list[Fraction]:
+    """The sample angles (as multiples of pi) of the family's comparison
+    function, mirrored over 0: integer points, then half-integer points from
+    j0 on, then the last point just short of pi.  Q drops the two positive
     half-integer boundary points (one point when they coincide)."""
-    if k <= 5:
-        raise DomainError(f"q_k sample grid needs k > 5, got {k}")
-    j0 = _alpha_j0(k, (Fraction(3, 100), "q"))
+    spec = _oscillation_spec(family)
+    if k < spec.min_k:
+        raise DomainError(f"{family.lower()}_k sample grid needs k >= {spec.min_k}, got {k}")
+    j0 = _alpha_j0(k, spec)
     eps = Fraction(1, 8 * k)
-    ints1 = [Fraction(j, k - 1) for j in range(1, j0)]
     halfs = [Fraction(2 * j - 1, 2 * (k - 1)) for j in range(j0, k - j0 + 1)]
-    ints2 = [Fraction(j, k - 1) for j in range(k - j0, k - 1)]
-    last = (k - 1 - eps) / (k - 1)
-    neg = ints1 + halfs + ints2 + [last]
-    drop = {halfs[0], halfs[-1]}
-    pos = ints1 + [h for h in halfs if h not in drop] + ints2 + [last]
+    neg = ([Fraction(j, k - 1) for j in range(1, j0)] + halfs
+           + [Fraction(j, k - 1) for j in range(k - j0, k - 1)] + [(k - 1 - eps) / (k - 1)])
+    drop = {halfs[0], halfs[-1]} if spec.drop_halves else set()
+    pos = [p for p in neg if p not in drop]
     return [-p for p in reversed(neg)] + [Fraction(0)] + pos
 
 
@@ -347,26 +340,28 @@ def _q_eval(k: int):
     return f
 
 
+def _point_sign(val: RealEnclosure, d: Fraction) -> tuple[bool, tuple[int, RealEnclosure]]:
+    """(decided, (sign, val)); the sign is nonzero only where |val| > d is certified."""
+    sign = val.sign()
+    above = sign != 0 and val.abs().gt(d)
+    below = sign != 0 and val.abs().lt(d)
+    return above or below, (sign if above else 0, val)
+
+
 def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
                        points: Sequence[Fraction], d: Fraction,
-                       bits: int = 128, max_retries: int = 4) -> OscillationReport:
-    """Certify signs and |f| > d at each sample angle; count alternations."""
+                       bits: int = 128) -> OscillationReport:
+    """Certify signs and |f| > d at each sample angle; count alternations.
+
+    A point gets sign 0 when |f| is certified below d or is still undecided
+    after the precision escalation.
+    """
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise DomainError("sample points must be strictly increasing")
     signs: list[int] = []
     min_abs: RealEnclosure | None = None
     for r in points:
-        b = bits
-        sign = 0
-        for _ in range(max_retries + 1):
-            val = f(r, b)
-            sign = val.sign()
-            if sign != 0 and val.abs().gt(d):
-                break
-            if sign != 0 and val.abs().lt(d):
-                sign = 0  # certified below the oscillation distance
-                break
-            b *= 2
+        _, (sign, val) = escalate(lambda b: _point_sign(f(r, b), d), bits)
         signs.append(sign)
         if sign != 0:
             a = val.abs()
@@ -377,17 +372,13 @@ def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
     return OscillationReport(k_guess, list(points), signs, min_abs, order, d)
 
 
-def _w_uniform_bound(k: int, bits: int) -> RealEnclosure:
+def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
     """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|.
 
     A_j are the even coefficients of W_k(iz); the inner sum is exact rational.
     """
-    w = build_W(k)
-    ratios = []
-    a0 = w.coeffs[0].a
-    for j in range(k + 1):
-        aj = w.coeffs[2 * j].a * (-1 if j % 2 else 1)
-        ratios.append(aj / (a0))
+    k = w.k
+    ratios = [w.coeffs[2 * j].a * (-1) ** j / w.coeffs[0].a for j in range(k + 1)]
     rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
     exact_sum = sum(abs(ratios[j] - rho) for j in range(2, k - 1))
     pi = RealEnclosure.pi(bits)
@@ -395,13 +386,11 @@ def _w_uniform_bound(k: int, bits: int) -> RealEnclosure:
     return term1 + term1 + RealEnclosure.exact(exact_sum, bits)
 
 
-def _q_uniform_bound(k: int, bits: int) -> RealEnclosure:
+def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
     """sum_{j=2}^{k-2} |A_j/A_1 - (8/pi^2) r| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|."""
-    q = build_Q(k)
+    k = q.k
     a1 = -q.coeffs[2].a  # A_1 = (-1)^1 * coeff(z^2)
-    ratios = {}
-    for j in range(1, k):
-        ratios[j] = (q.coeffs[2 * j].a * (-1 if j % 2 else 1)) / a1
+    ratios = [q.coeffs[2 * j].a * (-1) ** j / a1 for j in range(k)]
     rq = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
     pi = RealEnclosure.pi(bits)
     rho_ball = RealEnclosure.exact(rq, bits) / (pi * pi)
@@ -416,52 +405,67 @@ def _q_uniform_bound(k: int, bits: int) -> RealEnclosure:
     return acc + term + term
 
 
-def oscillation_verify_W(k: int, bits: int = 128, config: PrecisionConfig | None = None) -> VerificationReport:
-    """Certify all 2k zeros of W_k on the unit circle by the alternation of w_k."""
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    if config is not None:
-        bits = max(bits, config.bits)
-    if k <= 10:
-        rep = verify_by_sign_count(build_W(k), bits)
+def oscillation_verify(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
+    """Certify every nontrivial zero of W_k or Q_k on the unit circle by the
+    alternation of the family's comparison function; below the table's
+    cutoff k the polynomial takes the sign-count route instead."""
+    spec = _oscillation_spec(poly.family)
+    k = poly.k
+    if k < spec.min_k:
+        rep = verify_by_sign_count(poly, bits)
         rep.detail["routed_from"] = "oscillation"
         return rep
-    d = Fraction(3, 10)
-    bound = _w_uniform_bound(k, bits)
-    bound_ok = bound.lt(d)
-    samples = build_wk_samples(k)
-    retries = config.max_retries if config is not None else 4
-    osc = alternating_verify(_w_eval(k), samples, d, bits, retries)
+    target = poly.strip_origin().degree
+    bound = spec.uniform_bound(poly, bits)
+    osc = alternating_verify(spec.evaluator(k), oscillation_samples(poly.family, k), spec.d, bits)
     osc.k = k
     osc.uniform_bound = bound
-    certified = bool(bound_ok and osc.order_achieved >= 2 * k and all(s != 0 for s in osc.signs))
-    return VerificationReport("W", k, "oscillation", 2 * k if certified else 0, 2 * k,
-                              None, None, certified,
+    certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
+                     and all(s != 0 for s in osc.signs))
+    return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,
+                              None, None, certified, origin_zeros=poly.origin_multiplicity,
                               detail={"oscillation": osc.to_doc()})
 
 
-def oscillation_verify_Q(k: int, bits: int = 128, config: PrecisionConfig | None = None) -> VerificationReport:
-    """Certify the 2k-2 nontrivial zeros of Q_k on the unit circle."""
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    if config is not None:
-        bits = max(bits, config.bits)
-    if k <= 5:
-        rep = verify_by_sign_count(build_Q(k), bits)
-        rep.detail["routed_from"] = "oscillation"
-        return rep
-    d = Fraction(3, 100)
-    bound = _q_uniform_bound(k, bits)
-    bound_ok = bound.lt(d)
-    samples = build_qk_samples(k)
-    retries = config.max_retries if config is not None else 4
-    osc = alternating_verify(_q_eval(k), samples, d, bits, retries)
-    osc.k = k
-    osc.uniform_bound = bound
-    certified = bool(bound_ok and osc.order_achieved >= 2 * k - 2 and all(s != 0 for s in osc.signs))
-    return VerificationReport("Q", k, "oscillation", 2 * k - 2 if certified else 0, 2 * k - 2,
-                              None, None, certified, origin_zeros=1,
-                              detail={"oscillation": osc.to_doc()})
+# W and Q share the one routine; both names stay as entry points.
+oscillation_verify_W = oscillation_verify_Q = oscillation_verify
+
+
+def _oscillation_spec(family: str) -> OscillationSpec:
+    spec = FAMILY_SPECS[family].oscillation
+    if spec is None:
+        raise DomainError(f"oscillation method applies to W and Q, not {family}")
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# family registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """The coefficient theorem that certifies one family."""
+
+    min_k: int
+    # k -> Schinzel constant c (a bits -> ball callable); None: Lakatos, c = 1
+    schinzel: Callable[[int], Callable[[int], RealEnclosure]] | None = None
+    oscillation: OscillationSpec | None = None
+
+
+FAMILY_SPECS: dict[str, FamilySpec] = {
+    "R": FamilySpec(1),
+    "P": FamilySpec(2),
+    "Q": FamilySpec(2, oscillation=OscillationSpec(
+        d=Fraction(3, 100),
+        j0_denominator=lambda pi: RealEnclosure.exact(2, pi.prec) - 16 / (pi * pi),
+        min_k=6, evaluator=_q_eval, uniform_bound=_q_uniform_bound, drop_halves=True)),
+    "Y": FamilySpec(2, schinzel=schinzel_constant_Y),
+    "W": FamilySpec(2, oscillation=OscillationSpec(
+        d=Fraction(3, 10),
+        j0_denominator=lambda pi: pi * pi * Fraction(1, 3) - 2,
+        min_k=11, evaluator=_w_eval, uniform_bound=_w_uniform_bound, drop_halves=False)),
+    "S": FamilySpec(1, schinzel=schinzel_constant_S),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +480,28 @@ def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
 
 
 class _TrigEvaluator:
-    """Certified fixed-point evaluation of sum_r q_r trig(r theta) on theta grids."""
+    """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
+    on theta grids, for an origin-stripped self-inversive p of even degree
+    n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
+    q_r = -2 c_(m-r) with trig = sin (eps = -1)."""
 
-    def __init__(self, terms: list[tuple[int, RealEnclosure]], use_sin: bool, bits: int):
+    def __init__(self, p: FamilyPoly, lam: RealEnclosure, bits: int):
+        m = p.degree // 2
+        if p.epsilon > 0:
+            terms = [(0, p.coeffs[m].eval(lam))]
+            terms += [(r, (p.coeffs[m - r] * 2).eval(lam)) for r in range(1, m + 1)]
+        else:
+            # exact self-inversive input has c_m = -c_m here
+            if not p.coeffs[m].is_zero():
+                raise DomainError(f"{p.family}_{p.k}: eps = -1 with a nonzero middle "
+                                  "coefficient, not self-inversive")
+            terms = [(r, (p.coeffs[m - r] * -2).eval(lam)) for r in range(1, m + 1)]
         self.prec = bits + 32
         emax = None
         for _, v in terms:
             if v.mid != libmp.fzero:
                 e = v.mid[2] + v.mid[3]
-                emax = e if emax is None or e > emax else e
+                emax = e if emax is None or e > emax else emax
         if emax is None:
             raise DomainError("zero trig polynomial")
         self.terms = []
@@ -496,7 +513,7 @@ class _TrigEvaluator:
                 self.terms.append((r, c))
                 self.sum_abs_c += abs(c)
                 self.sum_e += e
-        self.use_sin = use_sin
+        self.use_sin = p.epsilon < 0
         self.pi_ball = RealEnclosure.pi(self.prec)
         self.evals = 0
 
@@ -540,7 +557,6 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
     """
     n = p.degree
     m = n // 2
-    eps = p.epsilon
     prec = bits + 32
     lam = p.lam_ball(prec)
     if n == 0:
@@ -560,18 +576,7 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
             raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
-
-    if eps > 0:
-        terms = [(0, p.coeffs[m].eval(lam))]
-        terms += [(r, (p.coeffs[m - r] * 2).eval(lam)) for r in range(1, m + 1)]
-    else:
-        # exact self-inversive input has c_m = -c_m here
-        if not p.coeffs[m].is_zero():
-            raise DomainError(f"{p.family}_{p.k}: eps = -1 with a nonzero middle "
-                              "coefficient, not self-inversive")
-        terms = [(r, (p.coeffs[m - r] * -2).eval(lam)) for r in range(1, m + 1)]
-    ev = _TrigEvaluator(terms, use_sin=(eps < 0), bits=bits)
-
+    ev = _TrigEvaluator(p, lam, bits)
     M = max(8 * m, 16)
     points: dict[Fraction, int] = {}
     for _ in range(6):
@@ -801,43 +806,34 @@ def verify_by_roots(poly: FamilyPoly, bits: int = 128,
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _criteria_route(poly: FamilyPoly, bits: int) -> VerificationReport:
+    crit = criteria_check(poly, bits)
+    n = poly.strip_origin().degree
+    certified = crit.holds == CERTIFIED_TRUE
+    return VerificationReport(poly.family, poly.k, "criteria", n if certified else 0, n,
+                              None, None, certified, origin_zeros=poly.origin_multiplicity,
+                              detail={"criteria": crit.to_doc()}, verdict=crit.holds)
+
+
 def verify_family(family: str, k: int, method: str, bits: int = 128) -> list[VerificationReport]:
-    """Run one or all applicable verification methods on a family member."""
-    if k < family_min_k(family):
-        raise DomainError(f"family {family} needs k >= {family_min_k(family)}")
+    """Build one family member and run one or all applicable verification
+    methods on it; under "all", criteria runs only where the table gives a
+    Schinzel constant and oscillation only where it gives oscillation data."""
+    if family not in FAMILY_SPECS:
+        raise DomainError(f"unknown family {family!r}")
+    spec = FAMILY_SPECS[family]
+    if k < spec.min_k:
+        raise DomainError(f"family {family} needs k >= {spec.min_k}")
     poly = build_family(family, k)
-    out: list[VerificationReport] = []
-    methods = ("criteria", "oscillation", "sign-count", "roots") if method == "all" else (method,)
-    for m in methods:
-        if m == "criteria":
-            if family == "S":
-                crit = schinzel_check(poly, schinzel_constant_S(k), bits)
-            elif family == "Y":
-                crit = schinzel_check(poly.strip_origin(), schinzel_constant_Y(k), bits)
-            elif method == "all":
-                continue
-            else:
-                crit = lakatos_check(poly, bits)
-            stripped = poly.strip_origin()
-            certified = crit.holds == CERTIFIED_TRUE
-            out.append(VerificationReport(
-                family, k, "criteria", stripped.degree if certified else 0,
-                stripped.degree, None, None, certified,
-                origin_zeros=poly.origin_multiplicity,
-                detail={"criteria": crit.to_doc()}, verdict=crit.holds))
-        elif m == "oscillation":
-            if family == "W":
-                out.append(oscillation_verify_W(k, bits))
-            elif family == "Q":
-                out.append(oscillation_verify_Q(k, bits))
-            elif method == "all":
-                continue
-            else:
-                raise DomainError(f"oscillation method applies to W and Q, not {family}")
-        elif m == "sign-count":
-            out.append(verify_by_sign_count(poly, bits))
-        elif m == "roots":
-            out.append(verify_by_roots(poly, bits))
-        else:
-            raise DomainError(f"unknown method {m!r}")
-    return out
+    # looked up at call time, so rebinding a module-level route reaches here
+    routes = {"criteria": _criteria_route, "oscillation": oscillation_verify,
+              "sign-count": verify_by_sign_count, "roots": verify_by_roots}
+    if method == "all":
+        applies = {"criteria": spec.schinzel is not None,
+                   "oscillation": spec.oscillation is not None}
+        methods = [m for m in routes if applies.get(m, True)]
+    elif method in routes:
+        methods = [method]
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return [routes[m](poly, bits) for m in methods]

@@ -20,9 +20,10 @@ from circlezero.families import (
     build_P,
     build_Q,
     build_S,
+    build_W,
     build_Y,
+    combination_identity,
     s_at_one,
-    w_combination_scalar,
     y_coeff_sum,
 )
 from circlezero.verify import (
@@ -96,24 +97,24 @@ def test_criterion_3_oscillation():
     t0 = time.time()
     ok = True
     for k in range(11, 61):
-        rep = oscillation_verify_W(k)
+        rep = oscillation_verify_W(build_W(k))
         if not (rep.certified and rep.method == "oscillation" and rep.zeros_on_circle == 2 * k):
             ok = False
             break
     if ok:
         for k in range(7, 61):
-            rep = oscillation_verify_Q(k)
+            rep = oscillation_verify_Q(build_Q(k))
             if not (rep.certified and rep.method == "oscillation"
                     and rep.zeros_on_circle == 2 * k - 2):
                 ok = False
                 break
     if ok:
         for k in range(2, 11):
-            if not oscillation_verify_W(k).certified:
+            if not oscillation_verify_W(build_W(k)).certified:
                 ok = False
                 break
         for k in range(2, 7):
-            if not oscillation_verify_Q(k).certified:
+            if not oscillation_verify_Q(build_Q(k)).certified:
                 ok = False
                 break
     report("oscillation: W 11..60, Q 7..60 (+ small k sign-count)", ok, t0)
@@ -159,24 +160,24 @@ def test_criterion_5_zeta3_approximations():
 
 
 def test_criterion_6_exact_identities():
-    """Exact rational identities for k <= 50: |S_k(1)| closed form, the
-    Y_k/z coefficient-sum evaluation, Q closed = combination, W closed =
-    2 x combination, self-inversive symmetry for all six families."""
+    """Exact rational identities for k <= 60 (every k that criterion 3
+    certifies): |S_k(1)| closed form, the Y_k/z coefficient-sum evaluation,
+    Q closed = combination, W closed = 2 x combination, self-inversive
+    symmetry for all six families."""
     t0 = time.time()
     ok = True
-    for k in range(1, 51):
+    for k in range(1, 61):
         lhs, rhs = s_at_one(k)
         ok = ok and lhs == rhs
-    for k in range(2, 51):
+    for k in range(2, 61):
         lhs, rhs = y_coeff_sum(k)
         ok = ok and lhs == rhs
-        build_Q(k)  # raises if closed form != combination
-        ok = ok and w_combination_scalar(k) == 2
+        ok = ok and combination_identity(k) == (True, 2)
         for fam in "RPQYWS":
             ok = ok and build_family(fam, k).self_inversive_ok()
         if not ok:
             break
-    report("exact identities k<=50 (S(1), Y sums, Q/W forms, symmetry)", ok, t0)
+    report("exact identities k<=60 (S(1), Y sums, Q/W forms, symmetry)", ok, t0)
 
 
 def test_criterion_7_observation():

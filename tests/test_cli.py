@@ -152,6 +152,20 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["kind"] == "family_poly"
 
 
+def test_bits_below_floor_usage_exit(capsys):
+    # doubling from 0 never raises the precision: reject it up front
+    for argv in (["criteria", "--family", "S", "--k", "5"],
+                 ["verify", "--family", "P", "--k", "3"],
+                 ["gen", "--family", "S", "--k", "1"],
+                 ["identity", "qk-sum", "--k", "2"],
+                 ["zeta", "approx1"]):
+        for bits in ("0", "-5", "63"):
+            code, out, err = run_cli(capsys, *argv, "--bits", bits)
+            assert code == EXIT_USAGE and out == "" and "--bits" in err, (argv, bits)
+    code, _, _ = run_cli(capsys, "criteria", "--family", "S", "--k", "5", "--bits", "64")
+    assert code == EXIT_OK
+
+
 def test_env_bits_default(capsys, monkeypatch):
     monkeypatch.setenv("CIRCLEZERO_BITS", "192")
     code, out, _ = run_cli(capsys, "gen", "--family", "S", "--k", "1", "--format", "json")

@@ -10,7 +10,6 @@ from mpmath import mp
 
 from circlezero.enclosure import (
     ComplexEnclosure,
-    PrecisionConfig,
     RealEnclosure,
     ball_acos,
     ball_cos,
@@ -19,6 +18,7 @@ from circlezero.enclosure import (
     ball_log,
     ball_sech,
     ball_sin,
+    escalate,
     exp_complex,
     lambda_k,
     zeta_int,
@@ -193,10 +193,13 @@ def test_log_domain():
     assert lg.contains(Fraction(1))
 
 
-def test_precision_config_floor():
+def test_escalate_doubles_from_bits_to_16x():
+    seen = []
+    assert escalate(lambda b: (seen.append(b) or False, b), 128) == (False, 2048)
+    assert seen == [128, 256, 512, 1024, 2048]
+    assert escalate(lambda b: (b >= 512, b), 128) == (True, 512)
     with pytest.raises(DomainError):
-        PrecisionConfig(bits=32)
-    assert PrecisionConfig().bits == 128
+        escalate(lambda b: (True, b), 32)
 
 
 def test_zeta_even_rational_agrees_with_summation():

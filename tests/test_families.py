@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from circlezero import families
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
 from circlezero.families import (
@@ -23,8 +24,8 @@ from circlezero.families import (
     build_Y,
     chebyshev_form,
     chebyshev_reduce,
+    combination_identity,
     s_at_one,
-    w_combination_scalar,
     y_coeff_sum,
 )
 
@@ -95,7 +96,7 @@ def test_W2_golden():
     r0 = w2.coeffs[0].a
     assert [c.a / r0 for c in w2.coeffs[::2]] == [1, F(-10, 7), 1]
     assert all(c.is_rational() for c in w2.coeffs)
-    assert w_combination_scalar(2) == 2
+    assert combination_identity(2) == (True, 2)
 
 
 def test_Y_golden():
@@ -148,8 +149,22 @@ def test_self_inversive_symmetry_all_families():
 
 def test_combination_vs_closed_form_exact():
     for k in range(2, 61, 6):
-        build_Q(k)  # raises on mismatch
-        assert w_combination_scalar(k) == 2
+        assert combination_identity(k) == (True, 2), k
+
+
+def test_combination_identity_detects_mismatch(monkeypatch):
+    def perturbed(build):
+        def wrapped(k):
+            p = build(k)
+            coeffs = list(p.coeffs)
+            coeffs[2] = coeffs[2] + ZetaCoefficient.rational(F(1, 7))
+            return type(p)(p.family, p.k, p.pi_power, tuple(coeffs), p.epsilon, p.note)
+        return wrapped
+
+    monkeypatch.setattr(families, "build_Q", perturbed(build_Q))
+    assert combination_identity(5) == (False, 2)
+    monkeypatch.setattr(families, "build_W", perturbed(build_W))
+    assert combination_identity(5) == (False, None)
 
 
 def test_y_coeff_sum_identity():

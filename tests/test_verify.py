@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from circlezero import families
 from circlezero.enclosure import RealEnclosure
 from circlezero.errors import DomainError, NumericError
 from circlezero.families import (
@@ -22,14 +23,15 @@ from circlezero.families import (
 from circlezero.verify import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
+    FAMILY_SPECS,
+    _TrigEvaluator,
     abs_square_poly,
     alternating_verify,
-    build_qk_samples,
-    build_wk_samples,
     deflate_forced_zero,
     find_roots,
     lakatos_check,
     observation_identity,
+    oscillation_samples,
     oscillation_verify_Q,
     oscillation_verify_W,
     schinzel_check,
@@ -39,6 +41,7 @@ from circlezero.verify import (
     verify_by_roots,
     verify_by_sign_count,
     verify_family,
+    _q_eval,
     _w_eval,
 )
 
@@ -104,7 +107,7 @@ def test_observation_identity_examples():
 # -- sample grids and oscillation --------------------------------------------
 
 def test_wk_samples_k12():
-    pts = build_wk_samples(12)
+    pts = oscillation_samples("W", 12)
     assert len(pts) == 25  # 2k + 1
     assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
     assert pts[12] == 0
@@ -115,18 +118,18 @@ def test_wk_samples_k12():
 
 
 def test_wk_samples_domain():
-    build_wk_samples(11)
+    oscillation_samples("W", 11)
     with pytest.raises(DomainError):
-        build_wk_samples(10)
+        oscillation_samples("W", 10)
 
 
 def test_qk_samples():
-    pts = build_qk_samples(12)
+    pts = oscillation_samples("Q", 12)
     # k = 2 j0 makes the two excluded points coincide: 2k points retained
     assert len(pts) in (23, 24)
     assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
     with pytest.raises(DomainError):
-        build_qk_samples(5)
+        oscillation_samples("Q", 5)
 
 
 def test_w_eval_examples():
@@ -139,7 +142,7 @@ def test_w_eval_examples():
 
 
 def test_alternating_verify_w12():
-    pts = build_wk_samples(12)
+    pts = oscillation_samples("W", 12)
     rep = alternating_verify(_w_eval(12), pts, F(3, 10))
     assert rep.order_achieved >= 24
     assert all(s != 0 for s in rep.signs)
@@ -151,9 +154,20 @@ def test_alternating_rejects_unsorted():
         alternating_verify(_w_eval(12), [F(1, 2), F(1, 4)], F(1, 10))
 
 
+def test_alternating_undecided_point_gets_sign_zero():
+    # |f| = 3/10 exactly: no precision separates it from d = 3/10, so no point
+    # may count toward the alternation order
+    def f(r, bits):
+        return RealEnclosure.exact(F(3, 10), bits) * (1 if r == 0 else -1)
+
+    rep = alternating_verify(f, [F(-1, 2), F(0), F(1, 2)], F(3, 10))
+    assert rep.signs == [0, 0, 0]
+    assert rep.order_achieved == 0 and rep.min_abs is None
+
+
 def test_oscillation_W():
     for k in (11, 12, 35):
-        rep = oscillation_verify_W(k)
+        rep = oscillation_verify_W(build_W(k))
         assert rep.certified and rep.zeros_on_circle == 2 * k, k
         assert rep.method == "oscillation"
     # the exact closed-form limit bound: -3 + (2(1-2^-2k)/(1-2^(3-2k)) - 1) pi^2/3 < 0.3
@@ -166,20 +180,24 @@ def test_oscillation_W():
 
 def test_oscillation_Q():
     for k in (7, 8, 35):
-        rep = oscillation_verify_Q(k)
+        rep = oscillation_verify_Q(build_Q(k))
         assert rep.certified and rep.zeros_on_circle == 2 * k - 2, k
 
 
 def test_oscillation_routing_small_k():
-    rep = oscillation_verify_Q(2)
+    rep = oscillation_verify_Q(build_Q(2))
     assert rep.method == "sign-count" and rep.certified
     assert rep.detail.get("routed_from") == "oscillation"
-    rep = oscillation_verify_W(7)
+    rep = oscillation_verify_W(build_W(7))
     assert rep.method == "sign-count" and rep.certified
+    # the table's cutoffs: Q from k = 6, W from k = 11
+    assert oscillation_verify_Q(build_Q(6)).method == "oscillation"
+    assert oscillation_verify_W(build_W(10)).method == "sign-count"
+    assert oscillation_verify_W(build_W(11)).method == "oscillation"
 
 
 def test_oscillation_uniform_bounds_recorded():
-    rep = oscillation_verify_W(12)
+    rep = oscillation_verify_W(build_W(12))
     assert "bound_mid" in rep.detail["oscillation"]
 
 
@@ -284,6 +302,14 @@ def test_sign_count_odd_degree_deflation_exact(fam, k):
     assert rep.degree_nontrivial == (k if fam == "S" else k - 2)
 
 
+@pytest.mark.parametrize("k", [20, 200])
+def test_trig_evaluator_scaled_coefficients_fit_prec(k):
+    # coefficients are scaled by the largest exponent, so none exceeds 2^prec
+    p = build_P(k)
+    ev = _TrigEvaluator(p, p.lam_ball(128 + 32), 128)
+    assert max(abs(c).bit_length() for _, c in ev.terms) <= ev.prec
+
+
 def test_sign_count_R_not_certified():
     # the symmetric R family keeps 4 zeros off the circle; counting stalls
     rep = verify_by_sign_count(build_R(5), bits=96)
@@ -374,17 +400,39 @@ def test_verify_family_domain_checks():
         verify_family("S", 3, "bogus")
 
 
+def test_family_specs_min_k_matches_builders():
+    assert list(FAMILY_SPECS) == ["R", "P", "Q", "Y", "W", "S"]
+    for fam, spec in FAMILY_SPECS.items():
+        assert build_family(fam, spec.min_k).k == spec.min_k
+        with pytest.raises(DomainError):
+            build_family(fam, spec.min_k - 1)
+
+
+def test_verify_family_builds_once(monkeypatch):
+    calls = {"P": 0, "Q": 0}
+    for fam in calls:
+        original = getattr(families, f"build_{fam}")
+
+        def counted(k, fam=fam, original=original):
+            calls[fam] += 1
+            return original(k)
+
+        monkeypatch.setattr(families, f"build_{fam}", counted)
+    (rep,) = verify_family("Q", 12, "oscillation")
+    assert rep.certified and rep.method == "oscillation"
+    assert calls == {"P": 0, "Q": 1}
+
+
 def test_oscillation_sign_tables_sampled():
     # w_k: strictly alternating signs over the whole mirrored grid; q_k:
     # strictly alternating except one documented repeated-sign pair when the
     # two excluded half-integer points coincide (k = 2 j0)
     for k in (12, 17, 23, 29, 34, 38, 41, 47, 53, 60):
-        w_rep = alternating_verify(_w_eval(k), build_wk_samples(k), F(3, 10))
+        w_rep = alternating_verify(_w_eval(k), oscillation_samples("W", k), F(3, 10))
         assert all(s != 0 for s in w_rep.signs), k
         assert w_rep.order_achieved == len(w_rep.signs) - 1 == 2 * k, k
 
-        from circlezero.verify import _q_eval
-        pts = build_qk_samples(k)
+        pts = oscillation_samples("Q", k)
         q_rep = alternating_verify(_q_eval(k), pts, F(3, 100))
         assert all(s != 0 for s in q_rep.signs), k
         repeats = [i for i in range(len(q_rep.signs) - 1)
