@@ -6,8 +6,9 @@
 2. The oscillation method for W_k and Q_k: an explicit trigonometric
    comparison function alternates on a certified sample grid while the exact
    coefficient sum bounds the approximation error.
-3. Chebyshev sign counting for P_k, where no criterion applies: u = (z+1/z)/2
-   turns circle zeros into real zeros in [-1, 1].
+3. Sign counting for P_k, where no criterion applies: on |z| = 1,
+   e^(-ikt) P_k(e^(it)) is a real (k even) or imaginary (k odd) trig
+   polynomial whose sign changes on (0, pi) are the circle zeros.
 
 Each certificate is then cross-checked by locating all roots with certified
 residual radii.
@@ -19,10 +20,7 @@ from circlezero import build_family
 from circlezero.verify import (
     FAMILY_SPECS,
     criteria_check,
-    find_roots,
-    max_modulus_deviation,
     oscillation_verify,
-    simplicity_check,
     verify_by_roots,
     verify_by_sign_count,
 )
@@ -47,7 +45,7 @@ rep = oscillation_verify(build_family("Q", 15))
 print(f"  Q_15: certified={rep.certified}, {rep.zeros_on_circle} nontrivial zeros "
       f"(plus {rep.origin_zeros} at the origin)")
 
-print("\n== 3. Chebyshev sign counting ==")
+print("\n== 3. sign counting ==")
 for k in (2, 50, 150):
     t0 = time.time()
     rep = verify_by_sign_count(build_family("P", k))
@@ -56,11 +54,10 @@ for k in (2, 50, 150):
 
 print("\n== cross-validation by certified root finding ==")
 for fam, k in (("P", 12), ("Q", 12), ("W", 12), ("Y", 12), ("S", 12)):
-    roots = find_roots(build_family(fam, k))
-    dev = max_modulus_deviation(roots)
-    sep = simplicity_check(roots)
-    print(f"  {fam}_{k}: {len(roots)} roots, max | |z|-1 | < {float(dev.upper):.2e}, "
-          f"min separation > {float(sep.lower):.3f}")
+    rep = verify_by_roots(build_family(fam, k))
+    print(f"  {fam}_{k}: {rep.detail['n_roots']} roots, "
+          f"max | |z|-1 | < {float(rep.max_mod_dev.upper):.2e}, "
+          f"min separation > {float(rep.min_root_sep.lower):.3f}")
 
 print("\n== a family that is NOT all on the circle ==")
 rep = verify_by_roots(build_family("R", 5))

@@ -30,7 +30,6 @@ from .exact import (
     zeta_even_rational,
 )
 from .families import (
-    ChebyshevForm,
     FamilyPoly,
     ZetaCoefficient,
     abs_square_coeffs,
@@ -41,8 +40,6 @@ from .families import (
     build_S,
     build_W,
     build_Y,
-    chebyshev_form,
-    chebyshev_reduce,
 )
 from .approx import (
     ApproxResult,

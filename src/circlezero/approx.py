@@ -101,14 +101,8 @@ def ramanujan_identity_residual(k: int, z, n_terms: int | None = None,
     one = ComplexEnclosure.exact(1, 0, prec)
 
     if n_terms is None:
-        target = RealEnclosure.exact(Fraction(1, 2 ** (bits // 2)), prec)
-        n_terms = 4
-        while n_terms < 8192:
-            t1 = _tail_sum(a_inv, n_terms, z_pow.abs(), 2 * k - 1, prec)
-            t2 = _tail_sum(a_dir, n_terms, zc.abs(), 2 * k - 1, prec)
-            if (t1 + t2).lt(Fraction(1, 2 ** (bits // 2))):
-                break
-            n_terms += max(2, n_terms // 3)
+        n_terms = _terms_for_tail(lambda n: _tail_sum(a_inv, n, z_pow.abs(), 2 * k - 1, prec)
+                                  + _tail_sum(a_dir, n, zc.abs(), 2 * k - 1, prec), 4, bits)
 
     sum1 = ComplexEnclosure.exact(0, 0, prec)
     sum2 = ComplexEnclosure.exact(0, 0, prec)
@@ -125,6 +119,13 @@ def ramanujan_identity_residual(k: int, z, n_terms: int | None = None,
     rhs = ComplexEnclosure(rhs.re + pad, rhs.im + pad)
     residual = lhs - rhs
     return SeriesEvaluation(k, zc, n_terms, lhs, rhs, tail, residual)
+
+
+def _terms_for_tail(tail, n: int, bits: int) -> int:
+    """Grow n by max(2, n // 3) until tail(n) < 2^-(bits // 2) or n reaches 8192."""
+    while n < 8192 and not tail(n).lt(Fraction(1, 2 ** (bits // 2))):
+        n += max(2, n // 3)
+    return n
 
 
 def _tail_sum(rate: RealEnclosure, n_from: int, scale: RealEnclosure,
@@ -173,12 +174,8 @@ def sech_identity_residual(k: int, z: Fraction, n_terms: int | None = None,
     c_inv = pi / (2 * z)   # pi/(2z): rate for sech(pi n / (2 z))
     c_dir = pi * (z / 2)
     if n_terms is None:
-        n_terms = 8
-        while n_terms < 8192:
-            t = _sech_tail(c_inv, n_terms, 2 * k + 1, prec) + _sech_tail(c_dir, n_terms, 2 * k + 1, prec)
-            if t.lt(Fraction(1, 2 ** (bits // 2))):
-                break
-            n_terms += max(2, n_terms // 3)
+        n_terms = _terms_for_tail(lambda n: _sech_tail(c_inv, n, 2 * k + 1, prec)
+                                  + _sech_tail(c_dir, n, 2 * k + 1, prec), 8, bits)
 
     sum1 = RealEnclosure.exact(0, prec)
     sum2 = RealEnclosure.exact(0, prec)

@@ -73,16 +73,6 @@ def _run_config(args, method: str = "all") -> RunConfig:
     )
 
 
-def _default_bits() -> int:
-    env = os.environ.get("CIRCLEZERO_BITS")
-    if env:
-        try:
-            return max(MIN_BITS, int(env))
-        except ValueError:
-            pass
-    return 128
-
-
 def _parse_k_range(args) -> list[int]:
     if args.k is not None and args.k_range is not None:
         raise DomainError("give either --k or --k-range, not both")
@@ -268,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_k=True):
-        p.add_argument("--bits", type=int, default=_default_bits(),
+        # a string default is parsed by `type` like a command-line value
+        p.add_argument("--bits", type=int, default=os.environ.get("CIRCLEZERO_BITS") or "128",
                        help="working precision in bits (env CIRCLEZERO_BITS)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")

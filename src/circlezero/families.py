@@ -9,8 +9,9 @@ certified enclosure at evaluation time, so coefficient identities stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 from .enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from .errors import DomainError
@@ -82,6 +83,15 @@ class ZetaCoefficient:
 ZERO_COEFF = ZetaCoefficient()
 
 
+def ball_horner(coeffs: Sequence[RealEnclosure], z: ComplexEnclosure,
+                bits: int) -> ComplexEnclosure:
+    """sum coeffs[j] z^j by Horner's rule in ball arithmetic at `bits`."""
+    acc = ComplexEnclosure.exact(0, 0, bits)
+    for c in reversed(coeffs):
+        acc = acc * z + ComplexEnclosure.from_real(c)
+    return acc
+
+
 @dataclass(frozen=True)
 class FamilyPoly:
     """A family polynomial: tag, index, pi normalization, coefficients, signature."""
@@ -107,10 +117,6 @@ class FamilyPoly:
                 return j
         return 0
 
-    @property
-    def nontrivial_degree(self) -> int:
-        return self.degree - self.origin_multiplicity
-
     def strip_origin(self) -> "FamilyPoly":
         m = self.origin_multiplicity
         if m == 0:
@@ -135,13 +141,18 @@ class FamilyPoly:
             return RealEnclosure.exact(0, bits)
         return lambda_k(self.k, bits)
 
+    def coefficient_balls(self, bits: int) -> list[RealEnclosure]:
+        """The coefficients as balls, with lam bound once for all of them."""
+        lam = self.lam_ball(bits)
+        return [c.eval(lam) for c in self.coeffs]
+
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
-        lam = self.lam_ball(bits)
-        acc = ComplexEnclosure.exact(0, 0, bits)
-        for c in reversed(self.coeffs):
-            acc = acc * z + ComplexEnclosure.from_real(c.eval(lam))
-        return acc
+        return ball_horner(self.coefficient_balls(bits), z, bits)
+
+    def derivative(self) -> "FamilyPoly":
+        """p' with its coefficients formed exactly in Q[lam]."""
+        return replace(self, coeffs=tuple(c * j for j, c in enumerate(self.coeffs))[1:])
 
     def eval_rational(self, z: Fraction) -> ZetaCoefficient:
         """Exact Horner evaluation at a rational point, in Q[lam]."""
@@ -284,86 +295,6 @@ def build_family(family: str, k: int) -> FamilyPoly:
     if family not in builders:
         raise DomainError(f"unknown family {family!r}")
     return builders[family](k)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev reduction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChebyshevForm:
-    """p*(u) = sum coeffs[m] T_m(u), satisfying (z^n + eps) p(z) = 2 z^n p*(u)
-    with u = (z + 1/z)/2 for the source self-inversive polynomial p of degree n."""
-
-    family: str
-    k: int
-    pi_power: int
-    coeffs: tuple[ZetaCoefficient, ...]
-    source_epsilon: int
-    lam_index: int  # family index whose lambda binds the generator
-
-    @property
-    def degree(self) -> int:
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[j].is_zero():
-                return j
-        return 0
-
-    def lam_ball(self, bits: int) -> RealEnclosure:
-        if all(c.is_rational() for c in self.coeffs):
-            return RealEnclosure.exact(0, bits)
-        return lambda_k(self.lam_index, bits)
-
-    def eval_ball(self, u: RealEnclosure, bits: int) -> RealEnclosure:
-        """Clenshaw recurrence in ball arithmetic."""
-        lam = self.lam_ball(bits)
-        b1 = RealEnclosure.exact(0, bits)
-        b2 = RealEnclosure.exact(0, bits)
-        two_u = u + u
-        for c in reversed(self.coeffs[1:]):
-            b1, b2 = c.eval(lam) + two_u * b1 - b2, b1
-        return self.coeffs[0].eval(lam) + u * b1 - b2
-
-    def eval_at_pm1(self, sign: int) -> ZetaCoefficient:
-        """Exact value at u = +1 or u = -1 in Q[lam] (T_m(+-1) = (+-1)^m)."""
-        acc = ZERO_COEFF
-        for m, c in enumerate(self.coeffs):
-            acc = acc + (c if (sign > 0 or m % 2 == 0) else -c)
-        return acc
-
-    def to_power_basis(self) -> tuple[ZetaCoefficient, ...]:
-        """Exact conversion to the power basis via the integer T-recurrence."""
-        n = len(self.coeffs)
-        out = [ZERO_COEFF] * n
-        t_prev = [1]          # T_0
-        t_cur = [0, 1]        # T_1
-        for m, c in enumerate(self.coeffs):
-            t_m = t_prev if m == 0 else t_cur
-            if not c.is_zero():
-                for i, ti in enumerate(t_m):
-                    if ti:
-                        out[i] = out[i] + c * ti
-            if m >= 1:
-                nxt = [0] * (m + 2)
-                for i, ti in enumerate(t_cur):
-                    nxt[i + 1] += 2 * ti
-                for i, ti in enumerate(t_prev):
-                    nxt[i] -= ti
-                t_prev, t_cur = t_cur, nxt
-        return tuple(out)
-
-
-def chebyshev_form(poly: FamilyPoly) -> ChebyshevForm:
-    """T-basis reduction of any (origin-stripped) self-inversive family member."""
-    p = poly.strip_origin()
-    d = p.degree
-    return ChebyshevForm(poly.family, poly.k, poly.pi_power,
-                         tuple(p.coeffs[:d + 1]), p.epsilon, poly.k)
-
-
-def chebyshev_reduce(k: int) -> ChebyshevForm:
-    """P*_k: T-coefficients of the unit-circle reduction of P_k."""
-    return chebyshev_form(build_P(k))
 
 
 # ---------------------------------------------------------------------------

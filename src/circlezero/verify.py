@@ -9,12 +9,13 @@ Three independent methods:
    certified alternating on an explicit sample grid while the exact
    coefficient-difference sum bounds the approximation error uniformly below
    the oscillation distance.
-3. Chebyshev sign counting: u = (z + 1/z)/2 maps circle zeros to real zeros
-   in [-1, 1], and the T-basis reduction factors exactly into a trig factor
-   and a real trig polynomial g; certified sign alternations of g are counted
-   on theta = j pi / M grids in exact fixed-point arithmetic.  An odd degree
+3. Sign counting: for a self-inversive p of even degree 2m,
+   g(theta) = e^(-i m theta) p(e^(i theta)) is a real cosine sum (eps = +1)
+   or i times a real sine sum (eps = -1) whose zeros in (0, pi) are the
+   circle-zero angles of p; certified sign alternations of g are counted on
+   theta = j pi / M grids in exact fixed-point arithmetic.  An odd degree
    first divides out its forced zero z = -eps exactly in Q[lam], so every
-   degree takes this one factored route.
+   degree takes this one route.
 
 A complex root refiner (float Aberth sweep + high-precision polish + certified
 residual radii) cross-validates every certification.
@@ -24,11 +25,13 @@ smallest k, the Schinzel constant (none: Lakatos, c = 1) and, for W and Q,
 the oscillation data.  Every route takes the built polynomial and reads its
 target count and origin zeros from `strip_origin()`; every ball check that
 cannot decide yet escalates its precision through `enclosure.escalate`.
+Coefficients become balls only through `FamilyPoly.coefficient_balls`, which
+binds lam once per polynomial, and `families.ball_horner` evaluates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -50,6 +53,7 @@ from .families import (
     ZERO_COEFF,
     ZetaCoefficient,
     abs_square_coeffs,
+    ball_horner,
     build_family,
 )
 
@@ -78,7 +82,6 @@ class CriteriaReport:
 
 @dataclass
 class OscillationReport:
-    k: int
     points: list[Fraction]          # angles as multiples of pi
     signs: list[int]                # certified signs, 0 where indeterminate
     min_abs: RealEnclosure | None
@@ -87,7 +90,7 @@ class OscillationReport:
     uniform_bound: RealEnclosure | None = None
 
     def to_doc(self) -> dict:
-        doc = {"k": self.k, "points": [str(p) for p in self.points],
+        doc = {"points": [str(p) for p in self.points],
                "signs": self.signs, "order_achieved": self.order_achieved,
                "d": str(self.d)}
         if self.min_abs is not None:
@@ -135,14 +138,13 @@ class VerificationReport:
 # coefficient criteria
 # ---------------------------------------------------------------------------
 
-def _reciprocal_coeffs(poly: FamilyPoly) -> list[ZetaCoefficient]:
+def _reciprocal(poly: FamilyPoly) -> FamilyPoly:
+    """The origin-stripped polynomial, checked reciprocal."""
     p = poly.strip_origin()
     d = p.degree
-    coeffs = list(p.coeffs[:d + 1])
-    for j in range(d + 1):
-        if coeffs[d - j] - coeffs[j] != ZERO_COEFF:
-            raise DomainError(f"{poly.family}_{poly.k}: not reciprocal, criteria do not apply")
-    return coeffs
+    if any(p.coeffs[d - j] != p.coeffs[j] for j in range(d + 1)):
+        raise DomainError(f"{poly.family}_{poly.k}: not reciprocal, criteria do not apply")
+    return p
 
 
 def _margin_exact(coeffs: list[Fraction], c: Fraction) -> Fraction:
@@ -150,10 +152,7 @@ def _margin_exact(coeffs: list[Fraction], c: Fraction) -> Fraction:
     return abs(top) - sum(abs(c * a - top) for a in coeffs)
 
 
-def _margin_ball(poly: FamilyPoly, coeffs: list[ZetaCoefficient],
-                 c: RealEnclosure, bits: int) -> RealEnclosure:
-    lam = poly.lam_ball(bits)
-    vals = [x.eval(lam) for x in coeffs]
+def _margin_ball(vals: list[RealEnclosure], c: RealEnclosure, bits: int) -> RealEnclosure:
     top = vals[-1]
     acc = RealEnclosure.exact(0, bits)
     for v in vals:
@@ -180,18 +179,19 @@ def schinzel_check(poly: FamilyPoly, c, bits: int = 128) -> CriteriaReport:
 
 
 def _margin_check(poly: FamilyPoly, c, bits: int, criterion: str) -> CriteriaReport:
-    coeffs = _reciprocal_coeffs(poly)
-    if isinstance(c, (int, Fraction)) and all(x.is_rational() for x in coeffs):
-        cq = Fraction(c)
-        margin = _margin_exact([x.a for x in coeffs], cq)
-        enc = RealEnclosure.exact(margin, bits)
-        return CriteriaReport(poly.family, poly.k, criterion,
-                              RealEnclosure.exact(cq, bits), enc,
-                              _criteria_verdict(enc), exact=True)
+    p = _reciprocal(poly)
+    n = p.degree + 1
+    exact = isinstance(c, (int, Fraction)) and p.is_rational()
 
     def attempt(b: int) -> tuple[bool, CriteriaReport]:
+        # the exact margin always decides, so it is the first and only attempt
+        if exact:
+            enc = RealEnclosure.exact(_margin_exact([x.a for x in p.coeffs[:n]], Fraction(c)), b)
+            return True, CriteriaReport(poly.family, poly.k, criterion,
+                                        RealEnclosure.exact(Fraction(c), b), enc,
+                                        _criteria_verdict(enc), exact=True)
         c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
-        margin = _margin_ball(poly, coeffs, c_ball, b)
+        margin = _margin_ball(p.coefficient_balls(b)[:n], c_ball, b)
         verdict = _criteria_verdict(margin)
         return verdict != INDETERMINATE, CriteriaReport(
             poly.family, poly.k, criterion, c_ball, margin, verdict)
@@ -368,8 +368,7 @@ def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
             min_abs = a if min_abs is None or a.upper < min_abs.upper else min_abs
     certified = [s for s in signs if s != 0]
     order = sum(1 for i in range(len(certified) - 1) if certified[i] != certified[i + 1])
-    k_guess = (len(points) - 1) // 2
-    return OscillationReport(k_guess, list(points), signs, min_abs, order, d)
+    return OscillationReport(list(points), signs, min_abs, order, d)
 
 
 def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
@@ -418,13 +417,12 @@ def oscillation_verify(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
     target = poly.strip_origin().degree
     bound = spec.uniform_bound(poly, bits)
     osc = alternating_verify(spec.evaluator(k), oscillation_samples(poly.family, k), spec.d, bits)
-    osc.k = k
     osc.uniform_bound = bound
     certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
                      and all(s != 0 for s in osc.signs))
     return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,
                               None, None, certified, origin_zeros=poly.origin_multiplicity,
-                              detail={"oscillation": osc.to_doc()})
+                              detail={"oscillation": {"k": k, **osc.to_doc()}})
 
 
 # W and Q share the one routine; both names stay as entry points.
@@ -469,7 +467,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev sign counting
+# sign counting
 # ---------------------------------------------------------------------------
 
 def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
@@ -483,19 +481,19 @@ class _TrigEvaluator:
     """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
     on theta grids, for an origin-stripped self-inversive p of even degree
     n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
-    q_r = -2 c_(m-r) with trig = sin (eps = -1)."""
+    q_r = -2 c_(m-r) with trig = sin (eps = -1).  `balls` are p's coefficient
+    balls; the exact factor 2 is a shift."""
 
-    def __init__(self, p: FamilyPoly, lam: RealEnclosure, bits: int):
+    def __init__(self, p: FamilyPoly, balls: Sequence[RealEnclosure], bits: int):
         m = p.degree // 2
         if p.epsilon > 0:
-            terms = [(0, p.coeffs[m].eval(lam))]
-            terms += [(r, (p.coeffs[m - r] * 2).eval(lam)) for r in range(1, m + 1)]
+            terms = [(0, balls[m])] + [(r, balls[m - r].shift(1)) for r in range(1, m + 1)]
         else:
             # exact self-inversive input has c_m = -c_m here
             if not p.coeffs[m].is_zero():
                 raise DomainError(f"{p.family}_{p.k}: eps = -1 with a nonzero middle "
                                   "coefficient, not self-inversive")
-            terms = [(r, (p.coeffs[m - r] * -2).eval(lam)) for r in range(1, m + 1)]
+            terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
         self.prec = bits + 32
         emax = None
         for _, v in terms:
@@ -504,6 +502,7 @@ class _TrigEvaluator:
                 emax = e if emax is None or e > emax else emax
         if emax is None:
             raise DomainError("zero trig polynomial")
+        self.emax = emax  # g(theta) = 2^(emax - 2 prec) * (eval_grid value +- budget)
         self.terms = []
         self.sum_abs_c = 0
         self.sum_e = 0
@@ -546,27 +545,27 @@ class _TrigEvaluator:
 
 
 def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
-    """Sign counting through the exact factorization of an origin-stripped
-    self-inversive p of even degree.
+    """Sign counting for an origin-stripped self-inversive p of even degree.
 
-    With n = 2m and z = e^(i theta), (z^n + eps) p(z) = 2 z^n p*(u) splits as
-    p*(cos theta) = cos(m theta) g(theta) (eps = +1) or -sin(m theta) g(theta)
-    (eps = -1), where g is a real trig polynomial vanishing exactly at the
-    circle-zero angles of p.  g's zeros have no near-pairs (those live between
-    the two factors), so a uniform grid certifies them quickly.
+    With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
+    i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
+    which vanishes exactly at the circle-zero angles of p; each certified sign
+    change of g on (0, pi) is one conjugate pair of zeros.
     """
     n = p.degree
     m = n // 2
     prec = bits + 32
-    lam = p.lam_ball(prec)
+    # g's coefficients come from c_0..c_m; the upper half mirrors them
+    balls = replace(p, coeffs=p.coeffs[:m + 1]).coefficient_balls(prec)
     if n == 0:
         if p.coeffs[0].is_zero():
             raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
         return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None,
-                                  p.coeffs[0].eval(lam).sign() != 0,
+                                  balls[0].sign() != 0,
                                   detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
                                           "factored": True, "evaluations": 0})
 
+    lam = p.lam_ball(prec)
     boundary = 0
     for point in (Fraction(1), Fraction(-1)):
         v = p.eval_rational(point)
@@ -576,7 +575,7 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
             raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
-    ev = _TrigEvaluator(p, lam, bits)
+    ev = _TrigEvaluator(p, balls, bits)
     M = max(8 * m, 16)
     points: dict[Fraction, int] = {}
     for _ in range(6):
@@ -624,7 +623,7 @@ def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
 
 
 def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
-    """Route a family polynomial through the factored Chebyshev sign counter.
+    """Route a family polynomial through the sign counter.
 
     Odd nontrivial degrees first divide out their forced zero z = -eps
     exactly; the even-degree quotient is counted and the deflated zero added.
@@ -646,26 +645,19 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
 # root refinement and simplicity
 # ---------------------------------------------------------------------------
 
-def _poly_derivative(coeffs: Sequence[ZetaCoefficient]) -> list[ZetaCoefficient]:
-    return [c * j for j, c in enumerate(coeffs)][1:]
+ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
+POLISH_SWEEPS = 8        # high-precision Aberth sweeps
+ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
 
 
-def _eval_ball_coeffs(coeffs: Sequence[ZetaCoefficient], lam: RealEnclosure,
-                      z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
-    acc = ComplexEnclosure.exact(0, 0, bits)
-    for c in reversed(coeffs):
-        acc = acc * z + ComplexEnclosure.from_real(c.eval(lam))
-    return acc
-
-
-def _aberth_float(coeffs: list[complex], n: int, budget: int = 200):
+def _aberth_float(coeffs: list[complex], n: int):
     import numpy as np
 
     c = np.array(coeffs, dtype=np.complex128)
     dc = c[1:] * np.arange(1, n + 1)
     ang = 2.0 * np.pi * np.arange(n) / n + 0.37
     z = 1.01 * np.exp(1j * ang)
-    for _ in range(budget):
+    for _ in range(ABERTH_SWEEPS):
         pv = np.polyval(c[::-1], z)
         pdv = np.polyval(dc[::-1], z)
         with np.errstate(all="ignore"):
@@ -681,8 +673,7 @@ def _aberth_float(coeffs: list[complex], n: int, budget: int = 200):
     return z
 
 
-def find_roots(poly: FamilyPoly, bits: int = 128, polish_sweeps: int = 8,
-               budget: int = 200) -> list[ComplexEnclosure]:
+def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     """All roots of the origin-stripped polynomial, as certified complex balls.
 
     Float Aberth--Ehrlich (deterministic start: 1.01 * roots of unity rotated
@@ -707,7 +698,7 @@ def find_roots(poly: FamilyPoly, bits: int = 128, polish_sweeps: int = 8,
             coeffs_mp.append(v)
         scale = max(abs(v) for v in coeffs_mp)
         coeffs_mp = [v / scale for v in coeffs_mp]
-        z = [mp.mpc(w) for w in _aberth_float([complex(v) for v in coeffs_mp], n, budget)]
+        z = [mp.mpc(w) for w in _aberth_float([complex(v) for v in coeffs_mp], n)]
         dcoeffs = [coeffs_mp[j] * j for j in range(1, n + 1)]
 
         def horner(cs, x):
@@ -717,7 +708,7 @@ def find_roots(poly: FamilyPoly, bits: int = 128, polish_sweeps: int = 8,
             return acc
 
         tol = mp.mpf(2) ** (-bits - 16)
-        for _ in range(polish_sweeps):
+        for _ in range(POLISH_SWEEPS):
             moved = mp.mpf(0)
             for i in range(n):
                 pv = horner(coeffs_mp, z[i])
@@ -740,16 +731,16 @@ def find_roots(poly: FamilyPoly, bits: int = 128, polish_sweeps: int = 8,
                                    family=poly.family, k=poly.k, last_move=float(moved))
         z.sort(key=lambda w: (mp.atan2(w.imag, w.real), w.real))
 
-    # certification pass in ball arithmetic
-    dcoeffs_exact = _poly_derivative(p.coeffs[:n + 1])
-    lam_ball = p.lam_ball(wp)
+    # certification pass in ball arithmetic, p and p' bound once
+    balls = p.coefficient_balls(wp)[:n + 1]
+    dballs = p.derivative().coefficient_balls(wp)[:n]
     roots = []
     for x in z:
         xb = ComplexEnclosure(
             RealEnclosure(x.real._mpf_, libmp.fzero, wp),
             RealEnclosure(x.imag._mpf_, libmp.fzero, wp))
-        pv = _eval_ball_coeffs(p.coeffs[:n + 1], lam_ball, xb, wp)
-        pdv = _eval_ball_coeffs(dcoeffs_exact, lam_ball, xb, wp)
+        pv = ball_horner(balls, xb, wp)
+        pdv = ball_horner(dballs, xb, wp)
         pd_abs = pdv.abs()
         if pd_abs.sign() <= 0:
             raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
@@ -760,16 +751,6 @@ def find_roots(poly: FamilyPoly, bits: int = 128, polish_sweeps: int = 8,
             RealEnclosure(xb.re.mid, rad_raw, wp),
             RealEnclosure(xb.im.mid, rad_raw, wp)))
     return roots
-
-
-def max_modulus_deviation(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
-    """Enclosure of max over roots of | |z| - 1 |."""
-    best = None
-    for r in roots:
-        dev = (r.abs() - 1).abs()
-        if best is None or dev.upper > best.upper:
-            best = dev
-    return best
 
 
 def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
@@ -783,18 +764,16 @@ def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
     return best
 
 
-def verify_by_roots(poly: FamilyPoly, bits: int = 128,
-                    tol: Fraction = Fraction(1, 10 ** 20)) -> VerificationReport:
-    """Cross-validation report: every certified root ball within tol of |z| = 1."""
+def verify_by_roots(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
+    """Cross-validation report: every certified root ball within ROOT_TOL of
+    |z| = 1; max_mod_dev is the largest | |z| - 1 | (the first on ties)."""
     roots = find_roots(poly, bits)
-    dev = max_modulus_deviation(roots)
+    devs = [(r.abs() - 1).abs() for r in roots]
+    dev = max(devs, key=lambda d: d.upper, default=None)
     sep = simplicity_check(roots)
     stripped = poly.strip_origin()
-    on_circle = 0
-    for r in roots:
-        if (r.abs() - 1).abs().lt(tol):
-            on_circle += 1
-    refuted = any((r.abs() - 1).abs().gt(tol) for r in roots)
+    on_circle = sum(1 for d in devs if d.lt(ROOT_TOL))
+    refuted = any(d.gt(ROOT_TOL) for d in devs)
     certified = on_circle == stripped.degree and (sep is None or sep.sign() > 0)
     verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
     return VerificationReport(poly.family, poly.k, "roots", on_circle, stripped.degree,

@@ -1,7 +1,10 @@
 """CLI surface: flags, formats, determinism, exit-code contract."""
 
+import hashlib
 import json
 import os
+
+import pytest
 
 from circlezero.cli import (
     EXIT_INDETERMINATE,
@@ -170,6 +173,42 @@ def test_env_bits_default(capsys, monkeypatch):
     monkeypatch.setenv("CIRCLEZERO_BITS", "192")
     code, out, _ = run_cli(capsys, "gen", "--family", "S", "--k", "1", "--format", "json")
     assert json.loads(out)["meta"]["bits"] == 192
+
+
+@pytest.mark.parametrize("value", ["0", "63", "abc"])
+def test_env_bits_validated_like_flag(capsys, monkeypatch, value):
+    # the environment value is parsed and floored exactly like --bits
+    monkeypatch.setenv("CIRCLEZERO_BITS", value)
+    try:
+        code = main(["criteria", "--family", "S", "--k", "5"])
+    except SystemExit as exc:  # argparse rejects a non-integer
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+# SHA-256 of the JSON output of fixed runs, pinned when the format was last
+# changed on purpose; a differing digest means the report contract moved
+JSON_DIGESTS = [
+    ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
+     "28e19569432408e36aa537d329528f28b05ea0002226585be3ff461d52e25a2f"),
+    ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
+     "cd7ab9fc505e6cda1550659f382303047e85b70d96fae2b16d81492fd30370bb"),
+    ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
+     "3427aae291666c94175417a30caf38728fe816005b30bfdf37c5370c814d0913"),
+    ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
+     "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
+    ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
+     "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", JSON_DIGESTS, ids=[a for a, _, _ in JSON_DIGESTS])
+def test_json_output_pinned(capsys, monkeypatch, argv, exit_code, digest):
+    monkeypatch.delenv("CIRCLEZERO_BITS", raising=False)
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parse_fraction_complex():

@@ -1,5 +1,5 @@
 """Family constructions: golden coefficients, symmetry, exact identities,
-Chebyshev reduction, |P(iz)|^2 expansion, serialization."""
+ball evaluation, |P(iz)|^2 expansion, serialization."""
 
 import json
 import math
@@ -22,8 +22,6 @@ from circlezero.families import (
     build_S,
     build_W,
     build_Y,
-    chebyshev_form,
-    chebyshev_reduce,
     combination_identity,
     s_at_one,
     y_coeff_sum,
@@ -190,68 +188,6 @@ def test_origin_structure():
     assert build_Y(2).strip_origin().degree == 0  # degenerate constant
 
 
-def test_chebyshev_reduce_golden():
-    cf = chebyshev_reduce(2)
-    assert [c.a for c in cf.coeffs[::2]] == [F(-1, 90), F(-1, 18), F(-1, 90)]
-    assert cf.coeffs[1].b == 1 and cf.coeffs[3].b == 1
-    # 2 P*_k(1) = (1 + (-1)^k) P_k(1): for odd k both sides vanish exactly
-    assert chebyshev_reduce(3).eval_at_pm1(1).is_zero()
-    assert chebyshev_reduce(3).eval_at_pm1(-1).is_zero()
-    assert not chebyshev_reduce(2).eval_at_pm1(1).is_zero()
-
-
-def test_chebyshev_identity_at_angle():
-    # (z^2k + (-1)^k) P_k(z) = 2 z^2k P*_k(u) at z = e^(i theta), theta = 0.7
-    from circlezero.enclosure import ball_cos_sin
-    for k in (2, 5):
-        bits = 160
-        p = build_P(k)
-        cf = chebyshev_reduce(k)
-        pi = RealEnclosure.pi(bits)
-        theta = RealEnclosure.exact(F(7, 10), bits)
-        c, s = ball_cos_sin(theta)
-        z = ComplexEnclosure(c, s)
-        lhs = (z.pow_int(2 * k) + (-1) ** k) * p.eval_ball(z, bits)
-        ustar = cf.eval_ball(c, bits)
-        rhs = z.pow_int(2 * k) * ComplexEnclosure.from_real(ustar + ustar)
-        assert (lhs - rhs).contains_zero(), k
-
-
-def test_chebyshev_round_trip_random_circle_points():
-    from circlezero.enclosure import ball_cos_sin
-    rng = random.Random(42)
-    for k in (2, 5, 10, 25):
-        p = build_P(k)
-        cf = chebyshev_reduce(k)
-        bits = 160
-        pi = RealEnclosure.pi(bits)
-        for _ in range(50 if k == 2 else 12):
-            r = F(rng.randrange(1, 1999), 1999)
-            c, s = ball_cos_sin(pi * r)
-            z = ComplexEnclosure(c, s)
-            lhs = (z.pow_int(2 * k) + (-1) ** k) * p.eval_ball(z, bits)
-            ustar = cf.eval_ball(c, bits)
-            rhs = z.pow_int(2 * k) * ComplexEnclosure.from_real(ustar + ustar)
-            assert (lhs - rhs).contains_zero(), (k, r)
-
-
-def test_chebyshev_power_basis_round_trip():
-    # T-basis -> power basis conversion agrees with direct evaluation
-    cf = chebyshev_reduce(2)
-    power = cf.to_power_basis()
-    # P*_2(u) = sum over T: compare at u = 1/3 exactly in Q[lam]
-    u = F(1, 3)
-    acc = ZetaCoefficient()
-    for j, c in enumerate(power):
-        acc = acc + c * u ** j
-    # Clenshaw with exact rationals via eval_at: emulate with balls
-    bits = 160
-    ub = RealEnclosure.exact(u, bits)
-    direct = cf.eval_ball(ub, bits)
-    lam = lambda_k(2, bits)
-    assert (acc.eval(lam) - direct).contains_zero()
-
-
 def test_abs_square_structure():
     for k in (2, 3):
         A = abs_square_coeffs(k)
@@ -298,15 +234,3 @@ def test_family_domain_errors():
         build_family("Z", 3)
     with pytest.raises(DomainError):
         build_S(0)
-
-
-def test_chebyshev_endpoint_identity_even_k():
-    # 2 P*_k(1) = (1 + (-1)^k) P_k(1) checked for even k in enclosure arithmetic
-    bits = 160
-    k = 4
-    cf = chebyshev_reduce(k)
-    p = build_P(k)
-    lam = lambda_k(k, bits)
-    lhs = cf.eval_at_pm1(1).eval(lam) * 2
-    rhs = p.eval_ball(ComplexEnclosure.exact(1, 0, bits), bits).re * 2
-    assert (lhs - rhs).contains_zero()

@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from circlezero import families
-from circlezero.enclosure import RealEnclosure
+from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin
 from circlezero.errors import DomainError, NumericError
 from circlezero.families import (
     FamilyPoly,
@@ -96,6 +96,17 @@ def test_schinzel_c_zero_certified_false():
     assert rep.holds == CERTIFIED_FALSE and rep.exact
 
 
+def test_criteria_exact_path_bits_floor():
+    # the exact margin decides at any precision, but the floor still applies
+    for bits in (0, -5, 63):
+        with pytest.raises(DomainError):
+            lakatos_check(build_S(2), bits=bits)
+        with pytest.raises(DomainError):
+            schinzel_check(build_S(2), F(1), bits=bits)
+    assert lakatos_check(build_S(2), bits=64).holds == CERTIFIED_TRUE
+    assert schinzel_check(build_S(2), F(1), bits=64).holds == CERTIFIED_TRUE
+
+
 def test_observation_identity_examples():
     for k in (2, 3, 10, 25):
         exact_ok, residual = observation_identity(k)
@@ -182,6 +193,13 @@ def test_oscillation_Q():
     for k in (7, 8, 35):
         rep = oscillation_verify_Q(build_Q(k))
         assert rep.certified and rep.zeros_on_circle == 2 * k - 2, k
+
+
+def test_oscillation_detail_names_k():
+    # Q_k grids have 2k - 1 points, so k cannot be read off the grid size
+    for k in (12, 13):
+        rep = oscillation_verify_Q(build_Q(k))
+        assert rep.detail["oscillation"]["k"] == k
 
 
 def test_oscillation_routing_small_k():
@@ -306,8 +324,33 @@ def test_sign_count_odd_degree_deflation_exact(fam, k):
 def test_trig_evaluator_scaled_coefficients_fit_prec(k):
     # coefficients are scaled by the largest exponent, so none exceeds 2^prec
     p = build_P(k)
-    ev = _TrigEvaluator(p, p.lam_ball(128 + 32), 128)
+    ev = _TrigEvaluator(p, p.coefficient_balls(128 + 32), 128)
     assert max(abs(c).bit_length() for _, c in ev.terms) <= ev.prec
+
+
+@pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10),
+                               deflate_forced_zero(build_S(31))],
+                         ids=["P2", "P5", "P10", "S31-deflated"])
+def test_trig_evaluator_matches_power_basis(p):
+    # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
+    # i g(theta) for eps = -1, with g the evaluator's trig polynomial
+    bits = 128
+    prec = bits + 32
+    ev = _TrigEvaluator(p, p.coefficient_balls(prec), bits)
+    m = p.degree // 2
+    M = max(8 * m, 16)
+    cos_t, sin_t, err = ev.tables(M)
+    pi = RealEnclosure.pi(prec)
+    for j in range(1, M):
+        acc, budget = ev.eval_grid(cos_t, sin_t, err, M, j)
+        e = ev.emax - 2 * ev.prec
+        g = RealEnclosure(libmp.from_man_exp(acc, e), libmp.from_man_exp(budget, e), prec)
+        c, s = ball_cos_sin(pi * F(j, M))
+        cm, sm = ball_cos_sin(pi * F(m * j, M))
+        val = ComplexEnclosure(cm, -sm) * p.eval_ball(ComplexEnclosure(c, s), prec)
+        part, other = (val.re, val.im) if p.epsilon > 0 else (val.im, val.re)
+        assert (g - part).contains_zero(), j
+        assert other.contains_zero(), j
 
 
 def test_sign_count_R_not_certified():
@@ -353,6 +396,17 @@ def test_find_roots_repeated_root_fails():
         roots = find_roots(dbl)
         sep = simplicity_check(roots)
         assert sep is None or sep.sign() == 0  # overlapping disks if no raise
+
+
+def test_find_roots_binds_coefficients_once_per_call(monkeypatch):
+    # p and p' are bound to balls once per call, not once per root
+    calls = []
+    orig = ZetaCoefficient.eval
+    monkeypatch.setattr(ZetaCoefficient, "eval", lambda c, lam: calls.append(1) or orig(c, lam))
+    p = build_P(10)
+    roots = find_roots(p)
+    assert len(roots) == 20
+    assert len(calls) <= 2 * p.degree + 1
 
 
 def test_verify_by_roots_W2():
