@@ -82,6 +82,8 @@ def ramanujan_identity_residual(k: int, z, n_terms: int | None = None,
     """
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
+    if n_terms is not None and n_terms < 1:
+        raise DomainError(f"need n_terms >= 1, got {n_terms}")
     prec = bits + 16
     zc = _as_complex(z, prec)
     if zc.re.sign() <= 0:
@@ -161,6 +163,8 @@ def sech_identity_residual(k: int, z: Fraction, n_terms: int | None = None,
     """Residual of the sech-series evaluation of S_k at -z^2, z rational > 0."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    if n_terms is not None and n_terms < 1:
+        raise DomainError(f"need n_terms >= 1, got {n_terms}")
     z = Fraction(z)
     if z <= 0:
         raise DomainError("sech identity evaluated at real z > 0 only")

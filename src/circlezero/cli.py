@@ -34,14 +34,12 @@ IDENTITY_KINDS = ("ramanujan", "sech", "observation", "qk-sum", "sk-at-1",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated batch request: families x k values, method, precision, output."""
+    """A validated batch request: families x k values, method, precision, workers."""
 
     families: tuple[str, ...]
     k_values: tuple[int, ...]
     method: str
     bits: int
-    out_format: str
-    out_path: str | None
     workers: int = 1
     keep_going: bool = False
 
@@ -66,8 +64,6 @@ def _run_config(args, method: str = "all") -> RunConfig:
         k_values=tuple(_parse_k_range(args)),
         method=method,
         bits=args.bits,
-        out_format=args.format,
-        out_path=args.out,
         workers=getattr(args, "workers", 1),
         keep_going=getattr(args, "keep_going", False),
     )
@@ -98,6 +94,13 @@ def _parse_families(arg: str) -> list[str]:
     return fams
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad rational number {text!r}") from None
+
+
 def _parse_fraction(text: str) -> tuple[Fraction, Fraction]:
     """Real or complex rational: '1/2', '1', '0.3+0.7i'."""
     text = text.strip()
@@ -105,9 +108,9 @@ def _parse_fraction(text: str) -> tuple[Fraction, Fraction]:
         body = text[:-1]
         for sep_pos in range(len(body) - 1, 0, -1):
             if body[sep_pos] in "+-" and body[sep_pos - 1] not in "eE/":
-                return Fraction(body[:sep_pos]), Fraction(body[sep_pos:] or "1")
-        return Fraction(0), Fraction(body or "1")
-    return Fraction(text), Fraction(0)
+                return _rational(body[:sep_pos]), _rational(body[sep_pos:] or "1")
+        return Fraction(0), _rational(body or "1")
+    return _rational(text), Fraction(0)
 
 
 def _emit(args, kind: str, columns: list[str], rows: list[dict]) -> None:
@@ -139,7 +142,7 @@ def cmd_gen(args) -> int:
         for k in cfg.k_values:
             poly = fam_mod.build_family(fam, k)
             doc = poly.to_doc()
-            if cfg.out_format != "json":
+            if args.format != "json":
                 doc["coeffs"] = ";".join(",".join(t) for t in doc["coeffs"])
             rows.append(doc)
     _emit(args, "family_poly", ["family", "k", "degree", "pi_power", "epsilon", "coeffs", "note"], rows)
@@ -163,7 +166,8 @@ def cmd_verify(args) -> int:
     rows: list[dict] = []
     failures: list[str] = []
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             results = list(pool.map(_verify_task, tasks, chunksize=1))
     else:
         results = [_verify_task(t) for t in tasks]
@@ -215,7 +219,7 @@ def cmd_identity(args) -> int:
                 rows.append(doc)
                 ok = ok and doc["encloses_zero"]
     elif args.which == "sech":
-        zs = [Fraction(z) for z in (args.z or ["1/2", "1", "2"])]
+        zs = [_rational(z) for z in (args.z or ["1/2", "1", "2"])]
         for k in ks:
             for z in zs:
                 se = approx_mod.sech_identity_residual(k, z, args.n_terms, args.bits)

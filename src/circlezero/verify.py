@@ -13,9 +13,10 @@ Three independent methods:
    g(theta) = e^(-i m theta) p(e^(i theta)) is a real cosine sum (eps = +1)
    or i times a real sine sum (eps = -1) whose zeros in (0, pi) are the
    circle-zero angles of p; certified sign alternations of g are counted on
-   theta = j pi / M grids in exact fixed-point arithmetic.  An odd degree
-   first divides out its forced zero z = -eps exactly in Q[lam], so every
-   degree takes this one route.
+   theta = j pi / M grids in exact fixed-point arithmetic, against one table
+   per grid of the one trig function g uses, computed on a quarter period
+   and mirrored.  An odd degree first divides out its forced zero z = -eps
+   exactly in Q[lam], so every degree takes this one route.
 
 A complex root refiner (float Aberth sweep + high-precision polish + certified
 residual radii) cross-validates every certification.
@@ -479,8 +480,8 @@ def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
 
 class _TrigEvaluator:
     """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
-    on theta grids, for an origin-stripped self-inversive p of even degree
-    n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
+    on theta = j pi / M grids, for an origin-stripped self-inversive p of even
+    degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
     q_r = -2 c_(m-r) with trig = sin (eps = -1).  `balls` are p's coefficient
     balls; the exact factor 2 is a shift."""
 
@@ -495,53 +496,43 @@ class _TrigEvaluator:
                                   "coefficient, not self-inversive")
             terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
         self.prec = bits + 32
-        emax = None
-        for _, v in terms:
-            if v.mid != libmp.fzero:
-                e = v.mid[2] + v.mid[3]
-                emax = e if emax is None or e > emax else emax
-        if emax is None:
+        exps = [v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero]
+        if not exps:
             raise DomainError("zero trig polynomial")
-        self.emax = emax  # g(theta) = 2^(emax - 2 prec) * (eval_grid value +- budget)
-        self.terms = []
-        self.sum_abs_c = 0
-        self.sum_e = 0
-        for r, v in terms:
-            c, e = _fixed_from_ball(v.shift(-emax), self.prec)
-            if c or e:
-                self.terms.append((r, c))
-                self.sum_abs_c += abs(c)
-                self.sum_e += e
+        self.emax = max(exps)  # g(theta) = 2^(emax - 2 prec) * (eval_grid value +- budget)
+        fixed = [(r, *_fixed_from_ball(v.shift(-self.emax), self.prec)) for r, v in terms]
+        self.terms = [(r, c) for r, c, _ in fixed if c]
+        self.sum_abs_c = sum(abs(c) for _, c, _ in fixed)
+        self.sum_e = sum(e for _, _, e in fixed)
         self.use_sin = p.epsilon < 0
         self.pi_ball = RealEnclosure.pi(self.prec)
-        self.evals = 0
 
-    def tables(self, M: int) -> tuple[list[int], list[int], int]:
-        cos_t, sin_t = [], []
-        err = 2
-        for r in range(M + 1):
-            cb, sb = ball_cos_sin(self.pi_ball * Fraction(r, M))
-            cv, ce = _fixed_from_ball(cb, self.prec)
-            sv, se = _fixed_from_ball(sb, self.prec)
-            cos_t.append(cv)
-            sin_t.append(sv)
-            err = max(err, ce, se)
-        return cos_t, sin_t, err
+    def table(self, M: int) -> tuple[list[int], int]:
+        """2^prec trig(pi t / M) for t = 0 .. 2M - 1 (M even), each entry within
+        the returned error.  Only t <= M/2 is computed; the rest is mirrored by
+        exact negation and copying, so a copied entry keeps its source's bound:
+        cos(pi - x) = -cos x, cos(2 pi - x) = cos x, sin(pi - x) = sin x,
+        sin(2 pi - x) = -sin x."""
+        quarter, err = [], 2
+        for t in range(M // 2 + 1):
+            v, e = _fixed_from_ball(ball_cos_sin(self.pi_ball * Fraction(t, M))[self.use_sin],
+                                    self.prec)
+            quarter.append(v)
+            err = max(err, e)
+        at_pi, at_2pi = (1, -1) if self.use_sin else (-1, 1)
+        half = quarter + [at_pi * v for v in quarter[M // 2 - 1::-1]]   # t = 0 .. M
+        return half + [at_2pi * v for v in half[M - 1:0:-1]], err
 
-    def eval_grid(self, cos_t: list[int], sin_t: list[int], err: int, M: int, j: int) -> tuple[int, int]:
-        two_m = 2 * M
-        acc = 0
-        if self.use_sin:
-            for r, c in self.terms:
-                t = (r * j) % two_m
-                acc += c * (sin_t[t] if t <= M else -sin_t[two_m - t])
-        else:
-            for r, c in self.terms:
-                t = (r * j) % two_m
-                acc += c * (cos_t[t] if t <= M else cos_t[two_m - t])
-        self.evals += 1
-        budget = err * self.sum_abs_c + ((1 << self.prec) + err) * self.sum_e
-        return acc, budget
+    def eval_grid(self, table: list[int], err: int, j: int) -> tuple[int, int]:
+        """(value, budget) of g(j pi / M) on the grid of `table`, in the units
+        of `emax`; the true value lies within budget of value."""
+        acc = sum(c * table[r * j % len(table)] for r, c in self.terms)
+        return acc, err * self.sum_abs_c + ((1 << self.prec) + err) * self.sum_e
+
+    def sign(self, table: list[int], err: int, j: int) -> int:
+        """The certified sign of g(j pi / M), 0 when undecided."""
+        val, budget = self.eval_grid(table, err, j)
+        return 1 if val > budget else (-1 if val < -budget else 0)
 
 
 def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
@@ -550,7 +541,12 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
     With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
     i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
     which vanishes exactly at the circle-zero angles of p; each certified sign
-    change of g on (0, pi) is one conjugate pair of zeros.
+    change of g on (0, pi) is one conjugate pair of zeros.  p(+-1) is tested
+    for zero exactly in Q[lam] (always zero when eps = -1); a nonzero value
+    gets its certified sign from p(1) = g(0) and p(-1) = (-1)^m g(pi) on the
+    first grid, outside the evaluation count.  The grid theta = j pi / M
+    starts at M = max(8m, 16) and doubles up to five times; a doubled grid
+    evaluates only its odd j, so the evaluations are M - 1.
     """
     n = p.degree
     m = n // 2
@@ -565,39 +561,33 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
                                   detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
                                           "factored": True, "evaluations": 0})
 
-    lam = p.lam_ball(prec)
+    ev = _TrigEvaluator(p, balls, bits)
+    M = max(8 * m, 16)
+    table, err = ev.table(M)
     boundary = 0
-    for point in (Fraction(1), Fraction(-1)):
-        v = p.eval_rational(point)
-        if v.is_zero():
+    for point, j in ((1, 0), (-1, M)):
+        if p.eval_rational(Fraction(point)).is_zero():
             boundary += 1
-        elif v.eval(lam).sign() == 0:
+        elif ev.sign(table, err, j) == 0:
             raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
-    ev = _TrigEvaluator(p, balls, bits)
-    M = max(8 * m, 16)
-    points: dict[Fraction, int] = {}
-    for _ in range(6):
-        cos_t, sin_t, err = ev.tables(M)
-        for j in range(1, M):
-            th = Fraction(j, M)
-            if th not in points:
-                val, budget = ev.eval_grid(cos_t, sin_t, err, M, j)
-                points[th] = 1 if val > budget else (-1 if val < -budget else 0)
-        seq = [s for _, s in sorted(points.items()) if s != 0]
-        changes = sum(1 for i in range(len(seq) - 1) if seq[i] != seq[i + 1])
-        if changes >= target:
-            return VerificationReport(p.family, p.k, "sign-count", n, n, None, None, True,
-                                      detail={"grid": M, "changes": changes,
-                                              "boundary_zeros": boundary,
-                                              "factored": True, "evaluations": ev.evals})
+    signs = [0] + [ev.sign(table, err, j) for j in range(1, M)]   # signs[j]: g(j pi / M)
+    for grids in range(1, 7):
+        seq = [s for s in signs if s]
+        changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+        if changes >= target or grids == 6:
+            break
         M *= 2
+        table, err = ev.table(M)
+        odd = [ev.sign(table, err, j) for j in range(1, M, 2)]
+        signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
+    certified = changes >= target
     return VerificationReport(p.family, p.k, "sign-count",
-                              2 * changes + boundary, n, None, None, False,
-                              detail={"grid": M // 2, "changes": changes,
-                                      "boundary_zeros": boundary,
-                                      "factored": True, "evaluations": ev.evals})
+                              n if certified else 2 * changes + boundary, n, None, None,
+                              certified,
+                              detail={"grid": M, "changes": changes, "boundary_zeros": boundary,
+                                      "factored": True, "evaluations": M - 1})
 
 
 def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:

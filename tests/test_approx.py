@@ -49,6 +49,9 @@ def test_ramanujan_domain():
         ramanujan_identity_residual(2, (F(0), F(1)), 10)  # Re z = 0
     with pytest.raises(DomainError):
         ramanujan_identity_residual(1, (F(1), F(0)), 10)
+    for n_terms in (0, -1):  # a truncation below one term is no truncation
+        with pytest.raises(DomainError):
+            ramanujan_identity_residual(2, (F(1), F(0)), n_terms)
 
 
 def test_ramanujan_tail_soundness_under_truncation():
@@ -77,6 +80,9 @@ def test_sech_domain():
         sech_identity_residual(2, F(-1))
     with pytest.raises(DomainError):
         sech_identity_residual(0, F(1))
+    for n_terms in (0, -3):
+        with pytest.raises(DomainError):
+            sech_identity_residual(2, F(1), n_terms)
 
 
 def test_approx1_six_decimals():

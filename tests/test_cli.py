@@ -85,6 +85,31 @@ def test_verify_json_deterministic_and_worker_invariant(capsys):
     assert out1 == out3
 
 
+def test_verify_workers_capped_by_tasks(capsys, monkeypatch):
+    # the fork start method launches all max_workers processes at the first submit
+    import circlezero.cli as cli
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    recorded = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    args = ["verify", "--family", "P", "--k-range", "2..3", "--format", "json"]
+    _, serial, _ = run_cli(capsys, *args, "--workers", "1")
+    code, pooled, _ = run_cli(capsys, *args, "--workers", "8")
+    assert code == EXIT_OK and recorded == [2] and pooled == serial
+
+
 def test_verify_csv_projection(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "W", "--k", "2",
                            "--method", "roots", "--format", "csv")
@@ -169,6 +194,20 @@ def test_bits_below_floor_usage_exit(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    "identity ramanujan --k 2 --z 1/0",
+    "identity ramanujan --k 2 --z abc",
+    "identity ramanujan --k 2 --z 1+abci",
+    "identity sech --k 2 --z 1/0",
+    "identity ramanujan --k 2 --z 1 --n-terms -1",
+    "identity sech --k 2 --z 1 --n-terms -3",
+])
+def test_identity_malformed_input_usage_exit(capsys, argv):
+    # exit 1 means certified-false, so bad input must not crash into it
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE and out == "" and "usage error" in err
+
+
 def test_env_bits_default(capsys, monkeypatch):
     monkeypatch.setenv("CIRCLEZERO_BITS", "192")
     code, out, _ = run_cli(capsys, "gen", "--family", "S", "--k", "1", "--format", "json")
@@ -200,6 +239,9 @@ JSON_DIGESTS = [
      "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
+    # R never certifies, so every grid doubles and carries its signs over
+    ("verify --family R --k-range 1..12 --method sign-count", EXIT_INDETERMINATE,
+     "02e112236557618e40dcefd4f14339846ffc1f10fcca5c0bceb5f3125dd4eb34"),
 ]
 
 
@@ -235,9 +277,9 @@ def test_run_config_invariants():
     from circlezero.cli import RunConfig
     from circlezero.errors import DomainError
     import pytest
-    cfg = RunConfig(("S",), (1, 2), "criteria", 128, "text", None)
+    cfg = RunConfig(("S",), (1, 2), "criteria", 128)
     assert len(cfg.tasks()) == 2
     with pytest.raises(DomainError):
-        RunConfig(("P",), (1, 2), "all", 128, "text", None)  # P needs k >= 2
+        RunConfig(("P",), (1, 2), "all", 128)  # P needs k >= 2
     with pytest.raises(DomainError):
-        RunConfig(("S",), (1,), "all", 128, "text", None, workers=0)
+        RunConfig(("S",), (1,), "all", 128, workers=0)

@@ -339,10 +339,10 @@ def test_trig_evaluator_matches_power_basis(p):
     ev = _TrigEvaluator(p, p.coefficient_balls(prec), bits)
     m = p.degree // 2
     M = max(8 * m, 16)
-    cos_t, sin_t, err = ev.tables(M)
+    table, err = ev.table(M)
     pi = RealEnclosure.pi(prec)
-    for j in range(1, M):
-        acc, budget = ev.eval_grid(cos_t, sin_t, err, M, j)
+    for j in range(0, M + 1):
+        acc, budget = ev.eval_grid(table, err, j)
         e = ev.emax - 2 * ev.prec
         g = RealEnclosure(libmp.from_man_exp(acc, e), libmp.from_man_exp(budget, e), prec)
         c, s = ball_cos_sin(pi * F(j, M))
@@ -351,6 +351,23 @@ def test_trig_evaluator_matches_power_basis(p):
         part, other = (val.re, val.im) if p.epsilon > 0 else (val.im, val.re)
         assert (g - part).contains_zero(), j
         assert other.contains_zero(), j
+
+
+@pytest.mark.parametrize("k", [5, 6], ids=["P5-sin", "P6-cos"])
+def test_trig_table_mirrored_quarters_within_err(k):
+    # only t <= M/2 is computed; a sign slip in any mirrored quarter is caught
+    p = build_P(k)
+    bits = 128
+    ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
+    assert ev.use_sin == (p.epsilon < 0) == (k == 5)
+    M = 8 * (p.degree // 2)
+    table, err = ev.table(M)
+    assert len(table) == 2 * M
+    # a reference 64 bits finer, so its own radius is negligible against err
+    pi = RealEnclosure.pi(ev.prec + 64)
+    for t, v in enumerate(table):
+        ref = ball_cos_sin(pi * F(t, M))[ev.use_sin].shift(ev.prec)
+        assert (ref - v).abs().lt(err), t
 
 
 def test_sign_count_R_not_certified():
