@@ -9,6 +9,7 @@ certified enclosure at evaluation time, so coefficient identities stay exact.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -132,9 +133,9 @@ class FamilyPoly:
         """Exact coefficient symmetry coeffs[deg-j] = eps*coeffs[j], checked
         on the origin-stripped polynomial."""
         p = self.strip_origin()
-        d = p.degree
-        eps = Fraction(p.epsilon)
-        return all(p.coeffs[d - j] - eps * p.coeffs[j] == ZERO_COEFF for j in range(d + 1))
+        c, d = p.coeffs, p.degree
+        # Fractions are kept in lowest terms, so == needs no gcd
+        return all(c[d - j] == (c[j] if p.epsilon > 0 else -c[j]) for j in range(d // 2 + 1))
 
     def lam_ball(self, bits: int) -> RealEnclosure:
         if all(c.is_rational() for c in self.coeffs):
@@ -173,11 +174,27 @@ class FamilyPoly:
         }
 
 
+_B_OVER_FACTORIAL: list[Fraction] = []  # b_i = B_2i / (2i)!, grown per process
+_B_OVER_FACTORIAL_LOCK = threading.Lock()
+
+
+def _b_over_factorial(i: int) -> Fraction:
+    """b_i = B_2i / (2i)!, cached for the process."""
+    cache = _B_OVER_FACTORIAL
+    if i >= len(cache):
+        with _B_OVER_FACTORIAL_LOCK:
+            fact = math.factorial(2 * len(cache))
+            for j in range(len(cache), i + 1):
+                cache.append(bernoulli(2 * j) / fact)
+                fact *= (2 * j + 1) * (2 * j + 2)
+    return cache[i]
+
+
 def _p_even_rational(k: int, j: int) -> Fraction:
-    """Normalized even coefficient of P_k at z^(2j)."""
-    sign = -1 if j % 2 else 1
-    return (Fraction(1 << (2 * k - 1), math.factorial(2 * k)) * sign
-            * bernoulli(2 * j) * bernoulli(2 * k - 2 * j) * binomial(2 * k, 2 * j))
+    """Normalized even coefficient of P_k at z^(2j):
+    (-1)^j 2^(2k-1) B_2j B_(2k-2j) C(2k, 2j) / (2k)! = (-1)^j 2^(2k-1) b_j b_(k-j)."""
+    scale = -(1 << (2 * k - 1)) if j % 2 else 1 << (2 * k - 1)
+    return _b_over_factorial(j) * _b_over_factorial(k - j) * scale
 
 
 def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
@@ -204,10 +221,13 @@ def build_P(k: int) -> FamilyPoly:
     """P_k, pi-normalized by pi^(2k-1); degree 2k; epsilon = (-1)^k."""
     if k < 2:
         raise DomainError(f"build_P needs k >= 2, got {k}")
-    coeffs = [ZERO_COEFF] * (2 * k + 1)
-    for j in range(k + 1):
-        coeffs[2 * j] = ZetaCoefficient.rational(_p_even_rational(k, j))
     eps = -1 if k % 2 else 1
+    coeffs = [ZERO_COEFF] * (2 * k + 1)
+    # c_(2k-2j) = (-1)^k c_2j: compute the lower half, mirror the rest
+    for j in range(k // 2 + 1):
+        c = ZetaCoefficient.rational(_p_even_rational(k, j))
+        coeffs[2 * j] = c
+        coeffs[2 * k - 2 * j] = c if eps > 0 else -c
     coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
     coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
     return FamilyPoly("P", k, 2 * k - 1, tuple(coeffs), eps)

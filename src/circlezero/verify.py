@@ -13,10 +13,12 @@ Three independent methods:
    g(theta) = e^(-i m theta) p(e^(i theta)) is a real cosine sum (eps = +1)
    or i times a real sine sum (eps = -1) whose zeros in (0, pi) are the
    circle-zero angles of p; certified sign alternations of g are counted on
-   theta = j pi / M grids in exact fixed-point arithmetic, against one table
-   per grid of the one trig function g uses, computed on a quarter period
-   and mirrored.  An odd degree first divides out its forced zero z = -eps
-   exactly in Q[lam], so every degree takes this one route.
+   power-of-two grids theta = j pi / M in exact fixed-point arithmetic,
+   against one cosine table per working precision kept for the process
+   (read by stride, shifted a quarter period for sin).  The symmetry
+   c_(n-j) = eps c_j is checked exactly at the entry; an odd degree then
+   divides out its forced zero z = -eps exactly in Q[lam], so every degree
+   takes this one route.
 
 A complex root refiner (float Aberth sweep + high-precision polish + certified
 residual radii) cross-validates every certification.
@@ -32,6 +34,7 @@ binds lam once per polynomial, and `families.ball_horner` evaluates them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -478,22 +481,68 @@ def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
     return v, e
 
 
+# Every cosine table entry is within TABLE_ERR units of 2^-prec of the true
+# value, whatever the table's size, so a count never depends on which grids
+# the process built before.
+TABLE_ERR = 5
+
+# prec -> (S, [2^prec cos(pi t / S) for t = 0 .. 2S - 1]): one table per
+# working precision for the process; S is a power of two and only grows.
+_COS_TABLES: dict[int, tuple[int, list[int]]] = {}
+_COS_TABLES_LOCK = threading.Lock()
+
+
+def _first_grid(m: int) -> int:
+    """The first grid of a degree-2m count: the smallest power of two >= max(3m, 32)."""
+    return 1 << (max(3 * m, 32) - 1).bit_length()
+
+
+def _cos_table(prec: int, M: int) -> list[int]:
+    """2^prec cos(pi t / M) for t = 0 .. 2M - 1 (M a power of two >= 4), each
+    entry within TABLE_ERR units: the process table read with stride S / M."""
+    S, table = _COS_TABLES.get(prec, (0, []))
+    if S < M:
+        with _COS_TABLES_LOCK:
+            S, table = _COS_TABLES.get(prec, (0, []))
+            if S < M:
+                S, table = M, _grow_cos_table(prec, S, table, M)
+                _COS_TABLES[prec] = (S, table)
+    return table[::S // M]
+
+
+def _grow_cos_table(prec: int, S: int, table: list[int], M: int) -> list[int]:
+    """The size-M table from the size-S one (S = 0: none).  Entries the old
+    table holds are kept (t / M reduces to the same fraction, so the same
+    ball), only t <= M/2 is computed, and the rest is mirrored by exact
+    negation and copying: cos(pi - x) = -cos x, cos(2 pi - x) = cos x."""
+    pi = RealEnclosure.pi(prec)
+    step = M // S if S else 0
+    quarter = []
+    for t in range(M // 2 + 1):
+        if step and t % step == 0:
+            quarter.append(table[t // step])
+            continue
+        v, e = _fixed_from_ball(ball_cos_sin(pi * Fraction(t, M))[0], prec)
+        if e > TABLE_ERR:
+            raise PrecisionError(f"cos(pi {t}/{M}) at {prec} bits is off by {e} units, "
+                                 f"above the table bound {TABLE_ERR}")
+        quarter.append(v)
+    half = quarter + [-v for v in quarter[M // 2 - 1::-1]]   # t = 0 .. M
+    return half + half[M - 1:0:-1]
+
+
 class _TrigEvaluator:
     """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
     on theta = j pi / M grids, for an origin-stripped self-inversive p of even
     degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
-    q_r = -2 c_(m-r) with trig = sin (eps = -1).  `balls` are p's coefficient
-    balls; the exact factor 2 is a shift."""
+    q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
+    `balls` are p's coefficient balls; the exact factor 2 is a shift."""
 
     def __init__(self, p: FamilyPoly, balls: Sequence[RealEnclosure], bits: int):
         m = p.degree // 2
         if p.epsilon > 0:
             terms = [(0, balls[m])] + [(r, balls[m - r].shift(1)) for r in range(1, m + 1)]
         else:
-            # exact self-inversive input has c_m = -c_m here
-            if not p.coeffs[m].is_zero():
-                raise DomainError(f"{p.family}_{p.k}: eps = -1 with a nonzero middle "
-                                  "coefficient, not self-inversive")
             terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
         self.prec = bits + 32
         exps = [v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero]
@@ -502,51 +551,41 @@ class _TrigEvaluator:
         self.emax = max(exps)  # g(theta) = 2^(emax - 2 prec) * (eval_grid value +- budget)
         fixed = [(r, *_fixed_from_ball(v.shift(-self.emax), self.prec)) for r, v in terms]
         self.terms = [(r, c) for r, c, _ in fixed if c]
-        self.sum_abs_c = sum(abs(c) for _, c, _ in fixed)
-        self.sum_e = sum(e for _, _, e in fixed)
+        self.budget = (TABLE_ERR * sum(abs(c) for _, c, _ in fixed)
+                       + ((1 << self.prec) + TABLE_ERR) * sum(e for _, _, e in fixed))
         self.use_sin = p.epsilon < 0
-        self.pi_ball = RealEnclosure.pi(self.prec)
 
-    def table(self, M: int) -> tuple[list[int], int]:
-        """2^prec trig(pi t / M) for t = 0 .. 2M - 1 (M even), each entry within
-        the returned error.  Only t <= M/2 is computed; the rest is mirrored by
-        exact negation and copying, so a copied entry keeps its source's bound:
-        cos(pi - x) = -cos x, cos(2 pi - x) = cos x, sin(pi - x) = sin x,
-        sin(2 pi - x) = -sin x."""
-        quarter, err = [], 2
-        for t in range(M // 2 + 1):
-            v, e = _fixed_from_ball(ball_cos_sin(self.pi_ball * Fraction(t, M))[self.use_sin],
-                                    self.prec)
-            quarter.append(v)
-            err = max(err, e)
-        at_pi, at_2pi = (1, -1) if self.use_sin else (-1, 1)
-        half = quarter + [at_pi * v for v in quarter[M // 2 - 1::-1]]   # t = 0 .. M
-        return half + [at_2pi * v for v in half[M - 1:0:-1]], err
+    def table(self, M: int) -> list[int]:
+        """2^prec trig(pi t / M) for t = 0 .. 2M - 1, each entry within
+        TABLE_ERR: the cosine table, shifted by M/2 for sin(x) = cos(x - pi/2)."""
+        cos = _cos_table(self.prec, M)
+        return cos[3 * M // 2:] + cos[:3 * M // 2] if self.use_sin else cos
 
-    def eval_grid(self, table: list[int], err: int, j: int) -> tuple[int, int]:
+    def eval_grid(self, table: list[int], j: int) -> tuple[int, int]:
         """(value, budget) of g(j pi / M) on the grid of `table`, in the units
         of `emax`; the true value lies within budget of value."""
-        acc = sum(c * table[r * j % len(table)] for r, c in self.terms)
-        return acc, err * self.sum_abs_c + ((1 << self.prec) + err) * self.sum_e
+        return sum(c * table[r * j % len(table)] for r, c in self.terms), self.budget
 
-    def sign(self, table: list[int], err: int, j: int) -> int:
+    def sign(self, table: list[int], j: int) -> int:
         """The certified sign of g(j pi / M), 0 when undecided."""
-        val, budget = self.eval_grid(table, err, j)
+        val, budget = self.eval_grid(table, j)
         return 1 if val > budget else (-1 if val < -budget else 0)
 
 
 def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
-    """Sign counting for an origin-stripped self-inversive p of even degree.
+    """Sign counting for an origin-stripped self-inversive p of even degree,
+    whose symmetry c_(n-j) = eps c_j the caller has checked.
 
     With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
     i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
     which vanishes exactly at the circle-zero angles of p; each certified sign
-    change of g on (0, pi) is one conjugate pair of zeros.  p(+-1) is tested
-    for zero exactly in Q[lam] (always zero when eps = -1); a nonzero value
-    gets its certified sign from p(1) = g(0) and p(-1) = (-1)^m g(pi) on the
-    first grid, outside the evaluation count.  The grid theta = j pi / M
-    starts at M = max(8m, 16) and doubles up to five times; a doubled grid
-    evaluates only its odd j, so the evaluations are M - 1.
+    change of g on (0, pi) is one conjugate pair of zeros.  For eps = -1 the
+    symmetry forces p(1) = p(-1) = 0.  For eps = +1, p(1) = g(0) and
+    p(-1) = (-1)^m g(pi) take their certified signs on the first grid, outside
+    the evaluation count; only an undecided sign runs the exact zero test in
+    Q[lam].  The grid theta = j pi / M starts at the smallest power of two
+    M >= max(3m, 32) and doubles up to five times; a doubled grid evaluates
+    only its odd j, so the evaluations are M - 1.
     """
     n = p.degree
     m = n // 2
@@ -562,25 +601,28 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
                                           "factored": True, "evaluations": 0})
 
     ev = _TrigEvaluator(p, balls, bits)
-    M = max(8 * m, 16)
-    table, err = ev.table(M)
-    boundary = 0
-    for point, j in ((1, 0), (-1, M)):
-        if p.eval_rational(Fraction(point)).is_zero():
-            boundary += 1
-        elif ev.sign(table, err, j) == 0:
-            raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
+    M = _first_grid(m)
+    table = ev.table(M)
+    if p.epsilon < 0:
+        boundary = 2   # c_(n-j) = -c_j forces p(1) = p(-1) = 0
+    else:
+        boundary = 0
+        for point, j in ((1, 0), (-1, M)):
+            if ev.sign(table, j) == 0:
+                if not p.eval_rational(Fraction(point)).is_zero():
+                    raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
+                boundary += 1
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
-    signs = [0] + [ev.sign(table, err, j) for j in range(1, M)]   # signs[j]: g(j pi / M)
+    signs = [0] + [ev.sign(table, j) for j in range(1, M)]   # signs[j]: g(j pi / M)
     for grids in range(1, 7):
         seq = [s for s in signs if s]
         changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
         if changes >= target or grids == 6:
             break
         M *= 2
-        table, err = ev.table(M)
-        odd = [ev.sign(table, err, j) for j in range(1, M, 2)]
+        table = ev.table(M)
+        odd = [ev.sign(table, j) for j in range(1, M, 2)]
         signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
     certified = changes >= target
     return VerificationReport(p.family, p.k, "sign-count",
@@ -593,21 +635,15 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
 def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
     """p(z) / (z + eps) for an origin-stripped self-inversive p of odd degree.
 
-    The pairs c_j, c_(n-j) = eps c_j cancel at z = -eps, so p(-eps) is exactly
-    0 in Q[lam]; synthetic division leaves a quotient of even degree n - 1 with
-    eps = +1.  Raises DomainError when p is not self-inversive.
+    The pairs c_j, c_(n-j) = eps c_j cancel at z = -eps, so synthetic division
+    leaves no remainder and a reciprocal quotient of even degree n - 1
+    (eps = +1).  The caller checks the symmetry; see `verify_by_sign_count`.
     """
     n, eps = p.degree, p.epsilon
-    if not p.eval_rational(Fraction(-eps)).is_zero():
-        raise DomainError(f"{p.family}_{p.k}: p({-eps}) != 0 at odd degree {n}, "
-                          "not self-inversive")
     q = [p.coeffs[n]]
     for c in reversed(p.coeffs[1:n]):
-        q.append(c - q[-1] * eps)
+        q.append(c - q[-1] if eps > 0 else c + q[-1])
     q.reverse()
-    if any(q[j] != q[n - 1 - j] for j in range(n // 2)):
-        raise DomainError(f"{p.family}_{p.k}: quotient by (z{eps:+d}) is not "
-                          "reciprocal, not self-inversive")
     return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1,
                       note=(p.note + f" /(z{eps:+d})").strip())
 
@@ -615,10 +651,15 @@ def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
 def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
     """Route a family polynomial through the sign counter.
 
-    Odd nontrivial degrees first divide out their forced zero z = -eps
-    exactly; the even-degree quotient is counted and the deflated zero added.
+    The symmetry c_(n-j) = eps c_j of the origin-stripped polynomial is
+    checked exactly first; every later step relies on it.  Odd nontrivial
+    degrees then divide out their forced zero z = -eps exactly; the
+    even-degree quotient is counted and the deflated zero added.
     """
     p = poly.strip_origin()
+    if not p.self_inversive_ok():
+        raise DomainError(f"{poly.family}_{poly.k}: c_(n-j) != {p.epsilon:+d} c_j, "
+                          "not self-inversive")
     n = p.degree
     if n % 2 == 0:
         rep = _factor_sign_count(p, bits)

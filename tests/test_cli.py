@@ -230,18 +230,18 @@ def test_env_bits_validated_like_flag(capsys, monkeypatch, value):
 # changed on purpose; a differing digest means the report contract moved
 JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
-     "28e19569432408e36aa537d329528f28b05ea0002226585be3ff461d52e25a2f"),
+     "de2f053962732da51dc850e7b73f694545089a9b64f17634b8ffc938ece545c7"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "cd7ab9fc505e6cda1550659f382303047e85b70d96fae2b16d81492fd30370bb"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "3427aae291666c94175417a30caf38728fe816005b30bfdf37c5370c814d0913"),
+     "674349b3cd677a8c110774cc83e98dd660daaed1e258da4c8a6e32f5bbf33c85"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
      "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
     # R never certifies, so every grid doubles and carries its signs over
     ("verify --family R --k-range 1..12 --method sign-count", EXIT_INDETERMINATE,
-     "02e112236557618e40dcefd4f14339846ffc1f10fcca5c0bceb5f3125dd4eb34"),
+     "1b1df4d8f57adb4765191309043e82e9c83161b322e4367d80e3b954557e6410"),
 ]
 
 

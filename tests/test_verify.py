@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import libmp, mp
 
-from circlezero import families
+from circlezero import families, verify
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin
 from circlezero.errors import DomainError, NumericError
 from circlezero.families import (
@@ -24,6 +24,9 @@ from circlezero.verify import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
     FAMILY_SPECS,
+    TABLE_ERR,
+    _cos_table,
+    _first_grid,
     _TrigEvaluator,
     abs_square_poly,
     alternating_verify,
@@ -291,6 +294,31 @@ def test_sign_count_rejects_eps_minus_one_nonzero_middle():
         verify_by_sign_count(_rational_poly(-1, -1, 1, 1))
 
 
+@pytest.mark.parametrize("eps,coeffs", [
+    (+1, (5, 3, 1)),          # roots of modulus sqrt 5
+    (+1, (1, 0, 0, 0, 4)),    # roots of modulus 1/sqrt 2
+    (-1, (-2, 1, 0, -1, 1)),  # c_0 mirrors c_4 with the wrong factor
+], ids=["5+3z+z^2", "1+4z^4", "eps-1-unmirrored"])
+def test_sign_count_rejects_unmirrored_even_degree(eps, coeffs):
+    # the even-degree counter reads only c_0..c_m, so the symmetry it
+    # assumes is checked once, exactly, at the entry
+    poly = FamilyPoly("P", 7, 0, tuple(ZetaCoefficient.rational(c) for c in coeffs), eps)
+    with pytest.raises(DomainError, match="P_7.*not self-inversive"):
+        verify_by_sign_count(poly)
+
+
+def test_sign_count_no_exact_boundary_test_on_P(monkeypatch):
+    # eps = -1 takes p(+-1) = 0 from the symmetry and eps = +1 takes the signs
+    # of p(+-1) from the evaluator, so no P_k needs an exact evaluation
+    calls = []
+    orig = FamilyPoly.eval_rational
+    monkeypatch.setattr(FamilyPoly, "eval_rational",
+                        lambda p, z: calls.append((p.family, p.k)) or orig(p, z))
+    for k in range(2, 201):
+        assert verify_by_sign_count(build_P(k)).certified, k
+    assert calls == []
+
+
 def test_sign_count_detail_keys_uniform():
     common = {"grid", "changes", "boundary_zeros", "evaluations", "factored"}
     for poly in (build_Y(2), build_S(1), build_Y(3), build_P(2), build_S(5)):
@@ -331,18 +359,21 @@ def test_trig_evaluator_scaled_coefficients_fit_prec(k):
 @pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10),
                                deflate_forced_zero(build_S(31))],
                          ids=["P2", "P5", "P10", "S31-deflated"])
-def test_trig_evaluator_matches_power_basis(p):
+def test_trig_evaluator_matches_power_basis(p, monkeypatch):
     # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
-    # i g(theta) for eps = -1, with g the evaluator's trig polynomial
+    # i g(theta) for eps = -1, with g the evaluator's trig polynomial; the
+    # process table is four times finer, so the grid reads it by stride 4
+    monkeypatch.setattr(verify, "_COS_TABLES", {})
     bits = 128
     prec = bits + 32
     ev = _TrigEvaluator(p, p.coefficient_balls(prec), bits)
     m = p.degree // 2
-    M = max(8 * m, 16)
-    table, err = ev.table(M)
+    M = _first_grid(m)
+    _cos_table(ev.prec, 4 * M)
+    table = ev.table(M)
     pi = RealEnclosure.pi(prec)
     for j in range(0, M + 1):
-        acc, budget = ev.eval_grid(table, err, j)
+        acc, budget = ev.eval_grid(table, j)
         e = ev.emax - 2 * ev.prec
         g = RealEnclosure(libmp.from_man_exp(acc, e), libmp.from_man_exp(budget, e), prec)
         c, s = ball_cos_sin(pi * F(j, M))
@@ -354,20 +385,46 @@ def test_trig_evaluator_matches_power_basis(p):
 
 
 @pytest.mark.parametrize("k", [5, 6], ids=["P5-sin", "P6-cos"])
-def test_trig_table_mirrored_quarters_within_err(k):
-    # only t <= M/2 is computed; a sign slip in any mirrored quarter is caught
+def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
+    # the process table computes t <= S/2 and mirrors the rest, keeps the
+    # entries it had when it grows, serves a grid M by stride S/M and sin by
+    # a shift of M/2; whatever the history (fresh, grown, strided, doubled),
+    # every entry of the grid's view is within TABLE_ERR of a reference 64
+    # bits finer, whose own radius is negligible
     p = build_P(k)
     bits = 128
     ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
     assert ev.use_sin == (p.epsilon < 0) == (k == 5)
-    M = 8 * (p.degree // 2)
-    table, err = ev.table(M)
-    assert len(table) == 2 * M
-    # a reference 64 bits finer, so its own radius is negligible against err
+    M = _first_grid(p.degree // 2)
     pi = RealEnclosure.pi(ev.prec + 64)
-    for t, v in enumerate(table):
-        ref = ball_cos_sin(pi * F(t, M))[ev.use_sin].shift(ev.prec)
-        assert (ref - v).abs().lt(err), t
+    refs = [ball_cos_sin(pi * F(t, M))[ev.use_sin].shift(ev.prec) for t in range(2 * M)]
+    for history in ((), (1, 4), (4, 1), (1, 2, 4)):
+        monkeypatch.setattr(verify, "_COS_TABLES", {})
+        for factor in history:
+            _cos_table(ev.prec, factor * M)
+        table = ev.table(M)
+        assert verify._COS_TABLES[ev.prec][0] == max(history, default=1) * M
+        assert len(table) == 2 * M
+        for t, v in enumerate(table):
+            assert (refs[t] - v).abs().lt(TABLE_ERR), (history, t)
+
+
+def test_sign_count_reports_independent_of_table_history(monkeypatch):
+    # the table is shared by every count in the process and only grows; the
+    # reports must not depend on what grew it
+    def docs():
+        return [verify_by_sign_count(build_family(f, k)).to_doc()
+                for f, k in (("P", 10), ("S", 31), ("Y", 51))]
+
+    monkeypatch.setattr(verify, "_COS_TABLES", {})
+    fresh = docs()
+    sizes = []
+    for grower in (build_P(450), build_R(12)):   # one growth step, then doublings
+        monkeypatch.setattr(verify, "_COS_TABLES", {})
+        verify_by_sign_count(grower)
+        sizes.append(verify._COS_TABLES[128 + 32][0])
+        assert docs() == fresh
+    assert min(sizes) > max(d["detail"]["grid"] for d in fresh)
 
 
 def test_sign_count_R_not_certified():
