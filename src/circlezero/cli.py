@@ -3,7 +3,8 @@
 Subcommands: gen (family polynomials), verify (zero certification over k
 ranges), criteria (margin tables), zeta (the two zeta(3) schemes), identity
 (residual/identity regression runs).  Exit codes: 0 all certified, 1 any
-certified-false, 2 usage error, 3 any indeterminate, 4 numeric failure.
+certified-false, 2 usage error, 3 any indeterminate, 4 numeric failure,
+5 internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +29,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 IDENTITY_KINDS = ("ramanujan", "sech", "observation", "qk-sum", "sk-at-1",
                   "combination-vs-closed-form")
@@ -237,12 +240,14 @@ def cmd_identity(args) -> int:
     elif args.which == "qk-sum":
         for k in ks:
             lhs, rhs = fam_mod.y_coeff_sum(k)
-            rows.append({"k": k, "sum": str(lhs), "closed_form": str(rhs), "equal": lhs == rhs})
+            rows.append({"k": k, "sum": fam_mod.fraction_str(lhs),
+                         "closed_form": fam_mod.fraction_str(rhs), "equal": lhs == rhs})
             ok = ok and lhs == rhs
     elif args.which == "sk-at-1":
         for k in ks:
             lhs, rhs = fam_mod.s_at_one(k)
-            rows.append({"k": k, "abs_value_at_1": str(lhs), "closed_form": str(rhs), "equal": lhs == rhs})
+            rows.append({"k": k, "abs_value_at_1": fam_mod.fraction_str(lhs),
+                         "closed_form": fam_mod.fraction_str(rhs), "equal": lhs == rhs})
             ok = ok and lhs == rhs
     elif args.which == "combination-vs-closed-form":
         for k in ks:
@@ -325,6 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     except CircleZeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception:
+        # without this, Python's own exit status 1 would read as "certified false"
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

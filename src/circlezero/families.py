@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,7 +79,21 @@ class ZetaCoefficient:
         return out
 
     def triple(self) -> list[str]:
-        return [f"{q.numerator}/{q.denominator}" for q in (self.a, self.b, self.c)]
+        return [f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
+                for q in (self.a, self.b, self.c)]
+
+
+def decimal_str(n: int) -> str:
+    """str(n), also for integers past CPython's int -> str digit limit
+    (4300 digits by default), which Decimal's exact conversion does not apply;
+    the process-wide limit is left as it is."""
+    return str(Decimal(n))
+
+
+def fraction_str(q: Fraction) -> str:
+    """str(q) without the int -> str digit limit."""
+    num = decimal_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{decimal_str(q.denominator)}"
 
 
 ZERO_COEFF = ZetaCoefficient()
@@ -150,10 +165,6 @@ class FamilyPoly:
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
         return ball_horner(self.coefficient_balls(bits), z, bits)
-
-    def derivative(self) -> "FamilyPoly":
-        """p' with its coefficients formed exactly in Q[lam]."""
-        return replace(self, coeffs=tuple(c * j for j, c in enumerate(self.coeffs))[1:])
 
     def eval_rational(self, z: Fraction) -> ZetaCoefficient:
         """Exact Horner evaluation at a rational point, in Q[lam]."""

@@ -20,8 +20,13 @@ Three independent methods:
    divides out its forced zero z = -eps exactly in Q[lam], so every degree
    takes this one route.
 
-A complex root refiner (float Aberth sweep + high-precision polish + certified
-residual radii) cross-validates every certification.
+A root route cross-validates every certification.  The coefficient balls are
+bound once and turned into integers over one common power of two; float
+Aberth seeds are polished one root at a time by Newton's method in
+fixed-point Gaussian integers, and one more Horner pass per root, carrying an
+integer error budget for p and p', gives each root the residual radius
+n |p(x)| / |p'(x)|.  Only pairs that a float distance matrix puts near the
+closest one get ball distances in the separation check.
 
 What the paper proves per family lives in one table, FAMILY_SPECS: the
 smallest k, the Schinzel constant (none: Lakatos, c = 1) and, for W and Q,
@@ -29,7 +34,7 @@ the oscillation data.  Every route takes the built polynomial and reads its
 target count and origin zeros from `strip_origin()`; every ball check that
 cannot decide yet escalates its precision through `enclosure.escalate`.
 Coefficients become balls only through `FamilyPoly.coefficient_balls`, which
-binds lam once per polynomial, and `families.ball_horner` evaluates them.
+binds lam once per polynomial.
 """
 
 from __future__ import annotations
@@ -37,11 +42,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
+from math import atan2, isqrt
 from typing import Callable, Sequence
 
 from mpmath import libmp, mp
 
 from .enclosure import (
+    RAD_PREC,
     ComplexEnclosure,
     RealEnclosure,
     ball_acos,
@@ -57,7 +65,6 @@ from .families import (
     ZERO_COEFF,
     ZetaCoefficient,
     abs_square_coeffs,
-    ball_horner,
     build_family,
 )
 
@@ -307,20 +314,24 @@ def oscillation_samples(family: str, k: int) -> list[Fraction]:
 def _w_eval(k: int):
     rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
 
-    def f(r: Fraction, bits: int) -> RealEnclosure:
+    @cache
+    def constants(bits: int) -> tuple[RealEnclosure, RealEnclosure]:
         pi = RealEnclosure.pi(bits)
+        return pi, pi * pi * Fraction(1, 3)
+
+    def f(r: Fraction, bits: int) -> RealEnclosure:
+        pi, pi2_3 = constants(bits)
         if r == 0 or abs(r) == 1:
             # sin((k-3)theta)/sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
             sgn = 1 if (r == 0 or k % 2 == 0) else -1
-            base = RealEnclosure.exact(2, bits) + pi * pi * Fraction(1, 3) \
-                + RealEnclosure.exact(rho * (k - 3), bits)
+            base = RealEnclosure.exact(2, bits) + pi2_3 + RealEnclosure.exact(rho * (k - 3), bits)
             return base * sgn
         theta = pi * r
         c_k = ball_cos(theta * k)
         c_k2 = ball_cos(theta * (k - 2))
         s_k3 = ball_sin(theta * (k - 3))
         s_1 = ball_sin(theta)
-        return 2 * c_k + pi * pi * Fraction(1, 3) * c_k2 + rho * (s_k3 / s_1)
+        return 2 * c_k + pi2_3 * c_k2 + rho * (s_k3 / s_1)
 
     return f
 
@@ -328,9 +339,13 @@ def _w_eval(k: int):
 def _q_eval(k: int):
     rho = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
 
-    def f(r: Fraction, bits: int) -> RealEnclosure:
+    @cache
+    def constants(bits: int) -> tuple[RealEnclosure, RealEnclosure, RealEnclosure]:
         pi = RealEnclosure.pi(bits)
-        rho_ball = RealEnclosure.exact(rho, bits) / (pi * pi)
+        return pi, RealEnclosure.exact(rho, bits) / (pi * pi), 4 / pi
+
+    def f(r: Fraction, bits: int) -> RealEnclosure:
+        pi, rho_ball, four_pi = constants(bits)
         if r == 0 or abs(r) == 1:
             sgn = 1 if (r == 0 or k % 2 == 0) else -1
             return (RealEnclosure.exact(2, bits) + rho_ball * (k - 3)) * sgn
@@ -339,7 +354,7 @@ def _q_eval(k: int):
         s_k1 = ball_sin(theta * (k - 1))
         s_k3 = ball_sin(theta * (k - 3))
         s_1 = ball_sin(theta)
-        return 2 * c_k2 + (4 / pi) * s_k1 + rho_ball * (s_k3 / s_1)
+        return 2 * c_k2 + four_pi * s_k1 + rho_ball * (s_k3 / s_1)
 
     return f
 
@@ -677,8 +692,9 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
-POLISH_SWEEPS = 8        # high-precision Aberth sweeps
+POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
+ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
 
 
 def _aberth_float(coeffs: list[complex], n: int):
@@ -704,112 +720,185 @@ def _aberth_float(coeffs: list[complex], n: int):
     return z
 
 
-def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
-    """All roots of the origin-stripped polynomial, as certified complex balls.
+def _fixed_coefficients(p: FamilyPoly, prec: int) -> tuple[list[int], list[int]]:
+    """p's coefficients c_j = 2^emax C_j / 2^prec as integers C_j, with
+    errors e_j (|c_j - 2^emax C_j / 2^prec| <= 2^emax e_j / 2^prec), from the
+    coefficient balls bound once at `prec` bits; 2^emax bounds every |c_j|."""
+    balls = p.coefficient_balls(prec)[:p.degree + 1]
+    emax = max(v.mid[2] + v.mid[3] for v in balls if v.mid != libmp.fzero)
+    fixed = [_fixed_from_ball(v.shift(-emax), prec) for v in balls]
+    return [c for c, _ in fixed], [e for _, e in fixed]
 
-    Float Aberth--Ehrlich (deterministic start: 1.01 * roots of unity rotated
-    by 0.37 rad) seeds a high-precision Aberth polish; each refined root gets
-    the residual radius n |p(x)| / |p'(x)|, certified in ball arithmetic.
+
+def _horner_pd(coeffs: list[int], xr: int, xi: int, prec: int) -> tuple[int, int, int, int]:
+    """(Re p, Im p, Re p', Im p') at x = (xr + i xi) / 2^prec by one Horner
+    pass in Gaussian integers, in the units of `coeffs`; each product is
+    rounded down, so every step is off by less than one unit per component."""
+    pr, pi, dr, di = coeffs[-1], 0, 0, 0
+    for c in coeffs[-2::-1]:
+        dr, di = ((dr * xr - di * xi) >> prec) + pr, ((dr * xi + di * xr) >> prec) + pi
+        pr, pi = ((pr * xr - pi * xi) >> prec) + c, (pr * xi + pi * xr) >> prec
+    return pr, pi, dr, di
+
+
+def _newton_polish(coeffs: list[int], xr: int, xi: int, prec: int,
+                   tol: int) -> tuple[int, int, int]:
+    """Up to POLISH_SWEEPS Newton steps x <- x - p(x)/p'(x) in Gaussian
+    integers, stopping once a step is shorter than `tol` units; returns the
+    root and the squared length of its last step."""
+    move2 = 0
+    for _ in range(POLISH_SWEEPS):
+        pr, pi, dr, di = _horner_pd(coeffs, xr, xi, prec)
+        den = dr * dr + di * di
+        if not den:
+            break   # p'(x) = 0: the certification pass rejects x
+        sr = ((pr * dr + pi * di) << prec) // den
+        si = ((pi * dr - pr * di) << prec) // den
+        xr, xi = xr - sr, xi - si
+        move2 = sr * sr + si * si
+        if move2 < tol * tol:
+            break
+    return xr, xi, move2
+
+
+def _ceil_mul(e: int, x: int, prec: int) -> int:
+    """ceil(e x / 2^prec) for e, x >= 0."""
+    return -((-e * x) >> prec)
+
+
+def _residual_radius(coeffs: list[int], errs: list[int], xr: int, xi: int,
+                     prec: int) -> int | None:
+    """ceil(2^prec n |p(x)|+ / |p'(x)|-), with x = (xr + i xi) / 2^prec: the
+    radius of a disc around x that holds a root of p, in units of 2^-prec.
+    One Horner pass carries the integer error budgets of p and p' through
+    E <- ceil(E |x|+) + 3 + e (the rounded product is off by less than sqrt 2
+    units, the coefficient by e); None when |p'(x)|- <= 0."""
+    xabs = isqrt(xr * xr + xi * xi) + 1        # |x| 2^prec < xabs
+    pr, pi, dr, di = coeffs[-1], 0, 0, 0
+    ep, ed = errs[-1], 0
+    for c, e in zip(coeffs[-2::-1], errs[-2::-1]):
+        dr, di = ((dr * xr - di * xi) >> prec) + pr, ((dr * xi + di * xr) >> prec) + pi
+        ed = _ceil_mul(ed, xabs, prec) + 3 + ep
+        pr, pi = ((pr * xr - pi * xi) >> prec) + c, (pr * xi + pi * xr) >> prec
+        ep = _ceil_mul(ep, xabs, prec) + 3 + e
+    p_hi = isqrt(pr * pr + pi * pi) + 1 + ep
+    d_lo = isqrt(dr * dr + di * di) - ed
+    if d_lo <= 0:
+        return None
+    n = len(coeffs) - 1
+    return -((-n * p_hi << prec) // d_lo)
+
+
+def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
+    """All roots of the origin-stripped polynomial, as certified complex
+    balls sorted by argument.
+
+    The coefficient balls are bound once at bits + ROOT_GUARD bits and turned
+    into integers over one common power of two.  Float Aberth--Ehrlich
+    (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds a
+    Newton polish of each root on its own in fixed-point Gaussian integers;
+    each root then gets the residual radius n |p(x)| / |p'(x)| from one more
+    Horner pass that tracks an integer error budget.  A disc of that radius
+    around x holds a root of p; the ball is the square around that disc.
     """
     p = poly.strip_origin()
     n = p.degree
     if n == 0:
         return []
-    wp = bits + 48
-    lam = p.lam_ball(wp)
-    lam_mid = mp.make_mpf(lam.mid)
-    with mp.workprec(wp):
-        coeffs_mp = []
-        for c in p.coeffs[:n + 1]:
-            v = mp.mpf(c.a.numerator) / c.a.denominator
-            if c.b:
-                v += mp.mpf(c.b.numerator) / c.b.denominator * lam_mid
-            if c.c:
-                v += mp.mpf(c.c.numerator) / c.c.denominator * lam_mid ** 2
-            coeffs_mp.append(v)
-        scale = max(abs(v) for v in coeffs_mp)
-        coeffs_mp = [v / scale for v in coeffs_mp]
-        z = [mp.mpc(w) for w in _aberth_float([complex(v) for v in coeffs_mp], n)]
-        dcoeffs = [coeffs_mp[j] * j for j in range(1, n + 1)]
+    prec = bits + ROOT_GUARD
+    coeffs, errs = _fixed_coefficients(p, prec)
+    one = 1 << prec
+    seeds = _aberth_float([c / one for c in coeffs], n)
+    tol = 1 << (prec - bits - 16)                  # 2^-(bits + 16)
+    loose = 1 << (prec - bits // 2)                # 2^-(bits / 2)
+    z = []
+    for w in seeds:
+        xr, xi, move2 = _newton_polish(coeffs, int(Fraction(w.real) * one),
+                                       int(Fraction(w.imag) * one), prec, tol)
+        if move2 >= loose * loose:
+            last_move = libmp.to_float(libmp.from_man_exp(isqrt(move2), -prec, 53))
+            raise NumericError(f"Newton polish did not converge for {poly.family}_{poly.k}",
+                               family=poly.family, k=poly.k, last_move=last_move)
+        z.append((xr, xi))
+    z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
 
-        def horner(cs, x):
-            acc = mp.mpc(0)
-            for cc in reversed(cs):
-                acc = acc * x + cc
-            return acc
-
-        tol = mp.mpf(2) ** (-bits - 16)
-        for _ in range(POLISH_SWEEPS):
-            moved = mp.mpf(0)
-            for i in range(n):
-                pv = horner(coeffs_mp, z[i])
-                pdv = horner(dcoeffs, z[i])
-                if pdv == 0:
-                    continue
-                w = pv / pdv
-                s = mp.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        s += 1 / (z[i] - z[j])
-                corr = w / (1 - w * s)
-                z[i] -= corr
-                moved = max(moved, abs(corr))
-            if moved < tol:
-                break
-        else:
-            if moved >= mp.mpf(2) ** (-bits // 2):
-                raise NumericError(f"Aberth did not converge for {poly.family}_{poly.k}",
-                                   family=poly.family, k=poly.k, last_move=float(moved))
-        z.sort(key=lambda w: (mp.atan2(w.imag, w.real), w.real))
-
-    # certification pass in ball arithmetic, p and p' bound once
-    balls = p.coefficient_balls(wp)[:n + 1]
-    dballs = p.derivative().coefficient_balls(wp)[:n]
     roots = []
-    for x in z:
-        xb = ComplexEnclosure(
-            RealEnclosure(x.real._mpf_, libmp.fzero, wp),
-            RealEnclosure(x.imag._mpf_, libmp.fzero, wp))
-        pv = ball_horner(balls, xb, wp)
-        pdv = ball_horner(dballs, xb, wp)
-        pd_abs = pdv.abs()
-        if pd_abs.sign() <= 0:
+    for xr, xi in z:
+        rad = _residual_radius(coeffs, errs, xr, xi, prec)
+        if rad is None:
             raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
                                family=poly.family, k=poly.k)
-        rad_ball = pv.abs() * n / pd_abs
-        rad_raw = rad_ball.upper_raw()
+        rad_mpf = libmp.from_man_exp(rad, -prec, RAD_PREC, "c")
         roots.append(ComplexEnclosure(
-            RealEnclosure(xb.re.mid, rad_raw, wp),
-            RealEnclosure(xb.im.mid, rad_raw, wp)))
+            RealEnclosure(libmp.from_man_exp(xr, -prec), rad_mpf, prec),
+            RealEnclosure(libmp.from_man_exp(xi, -prec), rad_mpf, prec)))
     return roots
 
 
 def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
-    """Lower-bounded enclosure of the minimum pairwise root distance."""
+    """Lower-bounded enclosure of the minimum pairwise root distance: the
+    distance ball with the smallest lower bound, the first in (i, j) order
+    on ties, as a scan of all pairs returns it.
+
+    A pair's lower bound lies within 2 sqrt 2 r of its centre distance, for
+    r the largest ball radius, so only pairs whose float centre distance is
+    within 4 r (plus the float error) of the smallest can hold the minimum;
+    only those get ball distances, in the same order.
+    """
+    import numpy as np
+
+    n = len(roots)
+    if n < 2:
+        return None
+    c = np.array([complex(libmp.to_float(r.re.mid), libmp.to_float(r.im.mid)) for r in roots])
+    r_max = max(libmp.to_float(x.rad, rnd="u") for r in roots for x in (r.re, r.im))
+    rows, cols = np.triu_indices(n, 1)
+    dist = np.abs(c[rows] - c[cols])
+    margin = 4 * r_max + 2.0 ** -40 * max(1.0, float(np.abs(c).max()))
     best = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = (roots[i] - roots[j]).abs()
-            if best is None or d.lower < best.lower:
-                best = d
+    for k in np.flatnonzero(dist <= dist.min() + margin):
+        d = (roots[rows[k]] - roots[cols[k]]).abs()
+        if best is None or d.lower < best.lower:
+            best = d
     return best
+
+
+def _roots_disjoint(roots: Sequence[ComplexEnclosure], sep: RealEnclosure | None) -> bool:
+    """True when the separation lower bound exceeds 2 sqrt 2 times the largest
+    ball radius r: the centres are then more than 2 sqrt 2 r apart, so the
+    discs of radius sqrt 2 r that cover the balls are pairwise disjoint."""
+    if sep is None:
+        return True
+    r = max(Fraction(*libmp.to_rational(x.rad)) for root in roots for x in (root.re, root.im))
+    return sep.sign() > 0 and sep.sqr().gt(8 * r * r)
 
 
 def verify_by_roots(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
     """Cross-validation report: every certified root ball within ROOT_TOL of
-    |z| = 1; max_mod_dev is the largest | |z| - 1 | (the first on ties)."""
-    roots = find_roots(poly, bits)
-    devs = [(r.abs() - 1).abs() for r in roots]
-    dev = max(devs, key=lambda d: d.upper, default=None)
-    sep = simplicity_check(roots)
-    stripped = poly.strip_origin()
-    on_circle = sum(1 for d in devs if d.lt(ROOT_TOL))
-    refuted = any(d.gt(ROOT_TOL) for d in devs)
-    certified = on_circle == stripped.degree and (sep is None or sep.sign() > 0)
-    verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
-    return VerificationReport(poly.family, poly.k, "roots", on_circle, stripped.degree,
-                              dev, sep, certified, origin_zeros=poly.origin_multiplicity,
-                              detail={"n_roots": len(roots)}, verdict=verdict)
+    |z| = 1; max_mod_dev is the largest | |z| - 1 | (the first on ties).
+
+    Each ball holds a disc that contains a root; `certified-true` also needs
+    the discs pairwise disjoint, so that each holds exactly one of the n
+    roots.  An undecided result is retried at doubled precision through
+    `enclosure.escalate`; a refutation is final.
+    """
+    n = poly.strip_origin().degree
+
+    def attempt(b: int) -> tuple[bool, VerificationReport]:
+        roots = find_roots(poly, b)
+        devs = [(r.abs() - 1).abs() for r in roots]
+        dev = max(devs, key=lambda d: d.upper, default=None)
+        sep = simplicity_check(roots)
+        on_circle = sum(1 for d in devs if d.lt(ROOT_TOL))
+        refuted = any(d.gt(ROOT_TOL) for d in devs)
+        certified = on_circle == n and _roots_disjoint(roots, sep)
+        verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
+        return verdict != INDETERMINATE, VerificationReport(
+            poly.family, poly.k, "roots", on_circle, n, dev, sep, certified,
+            origin_zeros=poly.origin_multiplicity, detail={"n_roots": len(roots)},
+            verdict=verdict)
+
+    return escalate(attempt, bits)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import os
 
 import pytest
 
+from circlezero import families
 from circlezero.cli import (
     EXIT_INDETERMINATE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
@@ -15,6 +17,7 @@ from circlezero.cli import (
     _verdict_exit,
     main,
 )
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -60,6 +63,27 @@ def test_gen_bad_range_usage_exit(capsys):
     assert code == EXIT_USAGE
 
 
+def test_gen_past_int_str_digit_limit(capsys):
+    # P_900's coefficients have numerators past CPython's 4300-digit int -> str limit
+    code, out, _ = run_cli(capsys, "gen", "--family", "P", "--k", "900", "--format", "json")
+    assert code == EXIT_OK
+    coeffs = [c[0].split("/") for c in json.loads(out)["items"][0]["coeffs"]]
+    j = max(range(len(coeffs)), key=lambda i: max(map(len, coeffs[i])))
+    assert max(map(len, coeffs[j])) > 4300
+    num, den = (int(Decimal(part)) for part in coeffs[j])
+    assert Fraction(num, den) == families.build_P(900).coeffs[j].a
+
+
+def test_unexpected_exception_is_not_a_refutation(capsys, monkeypatch):
+    def broken(family, k):
+        raise RuntimeError("broken builder")
+
+    monkeypatch.setattr(families, "build_family", broken)
+    code, _, err = run_cli(capsys, "gen", "--family", "S", "--k", "2")
+    assert code == EXIT_INTERNAL != EXIT_REFUTED
+    assert "RuntimeError: broken builder" in err
+
+
 def test_verify_S_criteria(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "S", "--k-range", "1..8",
                            "--method", "criteria", "--format", "json")
@@ -73,6 +97,15 @@ def test_verify_R_roots_refuted_exit(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "R", "--k", "5",
                            "--method", "roots", "--format", "json")
     assert code == EXIT_REFUTED
+
+
+def test_verify_P120_roots_certified_at_default_bits(capsys, monkeypatch):
+    monkeypatch.delenv("CIRCLEZERO_BITS", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--family", "P", "--k", "120",
+                           "--method", "roots", "--format", "json")
+    assert code == EXIT_OK
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "certified-true" and item["zeros_on_circle"] == 240
 
 
 def test_verify_json_deterministic_and_worker_invariant(capsys):

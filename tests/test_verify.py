@@ -12,6 +12,7 @@ from circlezero.errors import DomainError, NumericError
 from circlezero.families import (
     FamilyPoly,
     ZetaCoefficient,
+    ball_horner,
     build_family,
     build_P,
     build_Q,
@@ -481,6 +482,90 @@ def test_find_roots_binds_coefficients_once_per_call(monkeypatch):
     roots = find_roots(p)
     assert len(roots) == 20
     assert len(calls) <= 2 * p.degree + 1
+
+
+@pytest.mark.parametrize("fam,k", [("P", 10), ("S", 40), ("Y", 42), ("R", 5)])
+def test_find_roots_radius_covers_residual_bound(fam, k):
+    # every radius is at least n |p(x)| / |p'(x)| at its centre, evaluated in
+    # ball arithmetic 64 bits beyond the fixed-point pass
+    p = build_family(fam, k).strip_origin()
+    n = p.degree
+    roots = find_roots(p, 128)
+    prec = 128 + 48 + 64
+    balls = p.coefficient_balls(prec)[:n + 1]
+    dballs = [balls[j] * j for j in range(1, n + 1)]
+    for r in roots:
+        assert r.re.rad == r.im.rad
+        x = ComplexEnclosure(RealEnclosure(r.re.mid, libmp.fzero, prec),
+                             RealEnclosure(r.im.mid, libmp.fzero, prec))
+        bound = ball_horner(balls, x, prec).abs() * n / ball_horner(dballs, x, prec).abs()
+        assert r.re.radius >= bound.lower, (fam, k)
+
+
+@pytest.mark.parametrize("fam,k", [("P", 20), ("R", 5), ("Y", 42)])
+def test_simplicity_check_matches_all_pairs_scan(fam, k):
+    roots = find_roots(build_family(fam, k))
+    best = None
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            d = (roots[i] - roots[j]).abs()
+            if best is None or d.lower < best.lower:
+                best = d
+    sep = simplicity_check(roots)
+    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
+
+
+def test_simplicity_check_wide_balls_beat_closer_centres():
+    # the closest centres (distance 1) have tight balls; the pair at distance
+    # 101/100 has radius 1/10 balls, so its lower bound is smaller
+    roots = [_ball(F(0), F(0), F(1, 10 ** 30)), _ball(F(1), F(0), F(1, 10 ** 30)),
+             _ball(F(5), F(0), F(1, 10)), _ball(F(601, 100), F(0), F(1, 10))]
+    sep = simplicity_check(roots)
+    want = (roots[2] - roots[3]).abs()
+    assert (sep.mid, sep.rad) == (want.mid, want.rad) and sep.lower < 1
+
+
+def _ball(re: Fraction, im: Fraction, rad: Fraction, prec: int = 176) -> ComplexEnclosure:
+    r = RealEnclosure.exact(rad, prec).mid
+    return ComplexEnclosure(RealEnclosure(RealEnclosure.exact(re, prec).mid, r, prec),
+                            RealEnclosure(RealEnclosure.exact(im, prec).mid, r, prec))
+
+
+def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
+    # two balls within 1e-20 of the circle whose centres are closer than
+    # their radii: the count could be one double root, so no certificate
+    tiny = F(1, 2 ** 80)
+    roots = [_ball(F(1), F(0), 2 * tiny), _ball(F(1), tiny, 2 * tiny)]
+    monkeypatch.setattr(verify, "find_roots", lambda poly, bits: roots)
+    rep = verify_by_roots(build_S(2))
+    assert rep.zeros_on_circle == 2 and rep.degree_nontrivial == 2
+    assert not rep.certified and rep.verdict != CERTIFIED_TRUE
+
+
+def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
+    calls = []
+    real = verify.find_roots
+
+    wide = RealEnclosure.exact(F(1, 10 ** 10), 64).mid
+
+    def first_wide(poly, bits):
+        calls.append(bits)
+        roots = real(poly, bits)
+        if len(calls) == 1:   # radius 1e-10: neither on nor off the circle at 1e-20
+            roots = [ComplexEnclosure(RealEnclosure(r.re.mid, wide, r.re.prec), r.im)
+                     for r in roots]
+        return roots
+
+    monkeypatch.setattr(verify, "find_roots", first_wide)
+    rep = verify_by_roots(build_P(6), bits=128)
+    assert calls == [128, 256]
+    assert rep.verdict == CERTIFIED_TRUE and rep.zeros_on_circle == 12
+    # a refutation is final
+    calls.clear()
+    monkeypatch.setattr(verify, "find_roots",
+                        lambda poly, bits: calls.append(bits) or real(poly, bits))
+    assert verify_by_roots(build_R(5)).verdict == CERTIFIED_FALSE
+    assert calls == [128]
 
 
 def test_verify_by_roots_W2():
