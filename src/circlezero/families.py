@@ -221,10 +221,11 @@ def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
         raise DomainError(f"unknown R convention {convention!r}")
     top = k + 1 if convention == "symmetric" else k - 1
     coeffs = [ZERO_COEFF] * (2 * top + 1)
+    # B_2j B_(2k+2-2j) / ((2j)! (2k+2-2j)!) = b_j b_(k+1-j), symmetric in
+    # j <-> k+1-j: past the middle, copy the mirrored coefficient
     for j in range(top + 1):
-        num = bernoulli(2 * j) * bernoulli(2 * k + 2 - 2 * j)
-        den = math.factorial(2 * j) * math.factorial(2 * k + 2 - 2 * j)
-        coeffs[2 * j] = ZetaCoefficient.rational(num / den)
+        coeffs[2 * j] = (coeffs[2 * (k + 1 - j)] if k + 1 - j < j else
+                         ZetaCoefficient.rational(_b_over_factorial(j) * _b_over_factorial(k + 1 - j)))
     return FamilyPoly("R", k, 0, tuple(coeffs), +1, note=f"convention={convention}")
 
 
@@ -260,16 +261,14 @@ def build_Q(k: int) -> FamilyPoly:
     if k < 2:
         raise DomainError(f"build_Q needs k >= 2, got {k}")
     coeffs = [ZERO_COEFF] * (2 * k)
-    for j in range(k + 1):
-        sign = -1 if j % 2 else 1
-        a = (Fraction(1 << (2 * k - 1), math.factorial(2 * k)) * sign
-             * bernoulli(2 * j) * bernoulli(2 * k - 2 * j)
-             * ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)
-             * binomial(2 * k, 2 * j))
-        if j < k:
-            coeffs[2 * j] = ZetaCoefficient.rational(a)
-        else:
-            assert a == 0
+    # a_j = (-1)^j 2^(2k-1) b_j b_(k-j) (4^j - 1)(4^(k-j) - 1), zero at j = 0, k;
+    # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
+    for j in range(1, k // 2 + 1):
+        a = (_b_over_factorial(j) * _b_over_factorial(k - j)
+             * (((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1) << (2 * k - 1)))
+        c = ZetaCoefficient.rational(-a if j % 2 else a)
+        coeffs[2 * j] = c
+        coeffs[2 * k - 2 * j] = -c if k % 2 else c
     eps = -1 if k % 2 else 1
     odd = Fraction((1 << (2 * k - 1)) - 1)
     coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps * odd)
@@ -283,13 +282,14 @@ def build_W(k: int) -> FamilyPoly:
     if k < 2:
         raise DomainError(f"build_W needs k >= 2, got {k}")
     coeffs = [ZERO_COEFF] * (2 * k + 1)
-    pref = Fraction(1 << (2 * k - 1), math.factorial(2 * k)) * (1 << (2 * k))
-    for j in range(k + 1):
-        sign = -1 if j % 2 else 1
-        a = (pref * sign * bernoulli(2 * j) * bernoulli(2 * k - 2 * j)
-             * (1 - Fraction(2) ** (1 - 2 * j)) * (1 - Fraction(2) ** (1 - 2 * k + 2 * j))
-             * binomial(2 * k, 2 * j))
-        coeffs[2 * j] = ZetaCoefficient.rational(a)
+    # a_j = (-1)^j 2^(4k-1) b_j b_(k-j) (1 - 2^(1-2j))(1 - 2^(1-2k+2j));
+    # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
+    for j in range(k // 2 + 1):
+        a = (_b_over_factorial(j) * _b_over_factorial(k - j) * (1 << (4 * k - 1))
+             * (1 - Fraction(2) ** (1 - 2 * j)) * (1 - Fraction(2) ** (1 - 2 * k + 2 * j)))
+        c = ZetaCoefficient.rational(-a if j % 2 else a)
+        coeffs[2 * j] = c
+        coeffs[2 * k - 2 * j] = -c if k % 2 else c
     eps = -1 if k % 2 else 1
     return FamilyPoly("W", k, 2 * k - 1, tuple(coeffs), eps,
                       note="closed form = 2 x combination")
@@ -301,10 +301,11 @@ def build_Y(k: int) -> FamilyPoly:
     if k < 2:
         raise DomainError(f"build_Y needs k >= 2, got {k}")
     coeffs = [ZERO_COEFF] * (k + 1)
-    for j in range(k + 1):
-        a = (Fraction(1, math.factorial(2 * k)) * bernoulli(2 * j) * bernoulli(2 * k - 2 * j)
-             * ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1) * binomial(2 * k, 2 * j))
-        coeffs[j] = ZetaCoefficient.rational(a)
+    # a_j = b_j b_(k-j) (4^j - 1)(4^(k-j) - 1) = a_(k-j), zero at j = 0, k
+    for j in range(1, k // 2 + 1):
+        c = ZetaCoefficient.rational(_b_over_factorial(j) * _b_over_factorial(k - j)
+                                     * (((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)))
+        coeffs[j] = coeffs[k - j] = c
     assert coeffs[0].is_zero() and coeffs[k].is_zero()
     return FamilyPoly("Y", k, 2 * k, tuple(coeffs), +1)
 

@@ -8,7 +8,11 @@ Three independent methods:
 2. Oscillation: for W_k and Q_k, a trigonometric comparison function is
    certified alternating on an explicit sample grid while the exact
    coefficient-difference sum bounds the approximation error uniformly below
-   the oscillation distance.
+   the oscillation distance.  Every sample angle but the two just short of
+   +-pi is a multiple of pi / (2(k-1)), so the comparison function is one
+   fixed-point integer formula with an error budget over one cosine table
+   per (k, precision); the two others read their trig values from
+   `ball_cos_sin`.
 3. Sign counting: for a self-inversive p of even degree 2m,
    g(theta) = e^(-i m theta) p(e^(i theta)) is a real cosine sum (eps = +1)
    or i times a real sine sum (eps = -1) whose zeros in (0, pi) are the
@@ -42,7 +46,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import atan2, isqrt
 from typing import Callable, Sequence
 
@@ -53,9 +57,7 @@ from .enclosure import (
     ComplexEnclosure,
     RealEnclosure,
     ball_acos,
-    ball_cos,
     ball_cos_sin,
-    ball_sin,
     escalate,
     lambda_k,
 )
@@ -311,60 +313,112 @@ def oscillation_samples(family: str, k: int) -> list[Fraction]:
     return [-p for p in reversed(neg)] + [Fraction(0)] + pos
 
 
-def _w_eval(k: int):
-    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+# Bits of fixed point kept beyond the requested precision by the comparison
+# functions; every oscillation table entry is within OSC_TABLE_ERR units of
+# 2^-(bits + OSC_GUARD), since its angle takes pi 8 bits finer than the table.
+OSC_GUARD = 32
+OSC_TABLE_ERR = 2
+
+
+# W_k and Q_k share a table when a sweep reaches Q_k within 32 tables of W_k
+@lru_cache(maxsize=32)
+def _osc_cos_table(k: int, prec: int) -> list[int]:
+    """2^prec cos(pi t / (2(k-1))) for t = 0 .. 4(k-1) - 1, each entry within
+    OSC_TABLE_ERR."""
+    return _grow_cos_table(prec, 0, [], 2 * (k - 1), pi_extra=8, bound=OSC_TABLE_ERR)
+
+
+@lru_cache(maxsize=16)
+def _fixed_cos_sin(x: Fraction, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """cos(pi x) and sin(pi x) as fixed-point (value, error) pairs in units of
+    2^-prec, from one `ball_cos_sin` with pi taken 8 bits finer."""
+    c, s = ball_cos_sin(RealEnclosure.pi(prec + 8) * x)
+    return _fixed_from_ball(c, prec), _fixed_from_ball(s, prec)
+
+
+def _fixed_mul(u: int, eu: int, v: int, ev: int, prec: int) -> tuple[int, int]:
+    """(u v / 2^prec, error) for fixed-point u +- eu and v +- ev in units of
+    2^-prec: |u v - U V| <= |u| ev + (|v| + ev) eu, and the shift rounds down."""
+    return (u * v) >> prec, ((abs(u) * ev + (abs(v) + ev) * eu) >> prec) + 2
+
+
+def _fixed_div(a: int, ea: int, b: int, eb: int, prec: int) -> tuple[int, int]:
+    """(2^prec a / b, error) for fixed-point a +- ea and b +- eb in units of
+    2^-prec: |a/b - A/B| <= (ea (|b| - eb) + (|a| + ea) eb) / (|b| (|b| - eb))."""
+    b_abs = abs(b)
+    if b_abs <= eb:
+        raise PrecisionError("fixed-point divisor enclosure touches 0")
+    num = (ea * (b_abs - eb) + (abs(a) + ea) * eb) << prec
+    return (a << prec) // b, -(-num // (b_abs * (b_abs - eb))) + 1
+
+
+def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
+                constants: Callable[[RealEnclosure], tuple[RealEnclosure, RealEnclosure]]):
+    """f(theta) = 2 trig_x(theta) + B trig_y(theta) + C sin((k-3) theta) / sin(theta)
+    at theta = r pi, as f(r, bits) -> ball; x and y are (is_sin, multiple), and
+    constants(pi) gives (B, C).
+
+    One integer formula at bits + OSC_GUARD carries an error budget through
+    `_fixed_mul`/`_fixed_div`.  Every sample angle but the two just short of
+    +-pi is a multiple of pi / (2(k-1)), so its trig values are entries of
+    `_osc_cos_table` (a sine is the cosine a quarter period earlier); the two
+    others take theirs from `ball_cos_sin`.  At theta = 0, +-pi the quotient
+    is its limit (k-3) sgn, exactly.
+    """
+    n = 2 * (k - 1)
 
     @cache
-    def constants(bits: int) -> tuple[RealEnclosure, RealEnclosure]:
-        pi = RealEnclosure.pi(bits)
-        return pi, pi * pi * Fraction(1, 3)
+    def fixed_constants(bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+        prec = bits + OSC_GUARD
+        return prec, *(_fixed_from_ball(v, prec) for v in constants(RealEnclosure.pi(prec + 8)))
 
     def f(r: Fraction, bits: int) -> RealEnclosure:
-        pi, pi2_3 = constants(bits)
-        if r == 0 or abs(r) == 1:
-            # sin((k-3)theta)/sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
-            sgn = 1 if (r == 0 or k % 2 == 0) else -1
-            base = RealEnclosure.exact(2, bits) + pi2_3 + RealEnclosure.exact(rho * (k - 3), bits)
-            return base * sgn
-        theta = pi * r
-        c_k = ball_cos(theta * k)
-        c_k2 = ball_cos(theta * (k - 2))
-        s_k3 = ball_sin(theta * (k - 3))
-        s_1 = ball_sin(theta)
-        return 2 * c_k + pi2_3 * c_k2 + rho * (s_k3 / s_1)
+        prec, (b, eb), (c, ec) = fixed_constants(bits)
+        t = r * n
+        if t.denominator == 1:
+            table, t = _osc_cos_table(k, prec), int(t)
+
+            def trig(is_sin: int, m: int) -> tuple[int, int]:
+                return table[(m * t - is_sin * (k - 1)) % (2 * n)], OSC_TABLE_ERR
+        else:
+            def trig(is_sin: int, m: int) -> tuple[int, int]:
+                v, e = _fixed_cos_sin(abs(r) * m, prec)[is_sin]
+                return -v if is_sin and r < 0 else v, e     # cos is even, sin odd
+        tx, ex = trig(*x)
+        ty, ey = trig(*y)
+        if t % n == 0:
+            # sin((k-3) theta) / sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
+            q, eq = (k - 3 if t % (2 * n) == 0 or k % 2 == 0 else 3 - k) << prec, 0
+        else:
+            q, eq = _fixed_div(*trig(1, k - 3), *trig(1, 1), prec)
+        by, eby = _fixed_mul(b, eb, ty, ey, prec)
+        cq, ecq = _fixed_mul(c, ec, q, eq, prec)
+        return RealEnclosure(libmp.from_man_exp(2 * tx + by + cq, -prec),
+                             libmp.from_man_exp(2 * ex + eby + ecq, -prec, RAD_PREC, "c"), bits)
 
     return f
+
+
+def _w_eval(k: int):
+    """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
+    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+    return _comparison(k, (0, k), (0, k - 2),
+                       lambda pi: (pi * pi * Fraction(1, 3), RealEnclosure.exact(rho, pi.prec)))
 
 
 def _q_eval(k: int):
+    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
     rho = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
-
-    @cache
-    def constants(bits: int) -> tuple[RealEnclosure, RealEnclosure, RealEnclosure]:
-        pi = RealEnclosure.pi(bits)
-        return pi, RealEnclosure.exact(rho, bits) / (pi * pi), 4 / pi
-
-    def f(r: Fraction, bits: int) -> RealEnclosure:
-        pi, rho_ball, four_pi = constants(bits)
-        if r == 0 or abs(r) == 1:
-            sgn = 1 if (r == 0 or k % 2 == 0) else -1
-            return (RealEnclosure.exact(2, bits) + rho_ball * (k - 3)) * sgn
-        theta = pi * r
-        c_k2 = ball_cos(theta * (k - 2))
-        s_k1 = ball_sin(theta * (k - 1))
-        s_k3 = ball_sin(theta * (k - 3))
-        s_1 = ball_sin(theta)
-        return 2 * c_k2 + four_pi * s_k1 + rho_ball * (s_k3 / s_1)
-
-    return f
+    return _comparison(k, (0, k - 2), (1, k - 1),
+                       lambda pi: (4 / pi, RealEnclosure.exact(rho, pi.prec) / (pi * pi)))
 
 
-def _point_sign(val: RealEnclosure, d: Fraction) -> tuple[bool, tuple[int, RealEnclosure]]:
-    """(decided, (sign, val)); the sign is nonzero only where |val| > d is certified."""
-    sign = val.sign()
-    above = sign != 0 and val.abs().gt(d)
-    below = sign != 0 and val.abs().lt(d)
-    return above or below, (sign if above else 0, val)
+def _point_sign(val: RealEnclosure, d: RealEnclosure) -> tuple[bool, tuple[int, RealEnclosure]]:
+    """(decided, (sign, |val|)): decided once |val| is certified above or
+    below d, whatever the sign; the sign is nonzero only where |val| > d."""
+    a = val.abs()
+    above = a.gt(d)
+    return above or a.lt(d), (val.sign() if above else 0, a)
 
 
 def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
@@ -379,11 +433,11 @@ def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
         raise DomainError("sample points must be strictly increasing")
     signs: list[int] = []
     min_abs: RealEnclosure | None = None
+    d_ball = cache(lambda b: RealEnclosure.exact(d, b))
     for r in points:
-        _, (sign, val) = escalate(lambda b: _point_sign(f(r, b), d), bits)
+        _, (sign, a) = escalate(lambda b: _point_sign(f(r, b), d_ball(b)), bits)
         signs.append(sign)
         if sign != 0:
-            a = val.abs()
             min_abs = a if min_abs is None or a.upper < min_abs.upper else min_abs
     certified = [s for s in signs if s != 0]
     order = sum(1 for i in range(len(certified) - 1) if certified[i] != certified[i + 1])
@@ -525,12 +579,15 @@ def _cos_table(prec: int, M: int) -> list[int]:
     return table[::S // M]
 
 
-def _grow_cos_table(prec: int, S: int, table: list[int], M: int) -> list[int]:
-    """The size-M table from the size-S one (S = 0: none).  Entries the old
-    table holds are kept (t / M reduces to the same fraction, so the same
-    ball), only t <= M/2 is computed, and the rest is mirrored by exact
-    negation and copying: cos(pi - x) = -cos x, cos(2 pi - x) = cos x."""
-    pi = RealEnclosure.pi(prec)
+def _grow_cos_table(prec: int, S: int, table: list[int], M: int,
+                    pi_extra: int = 0, bound: int = TABLE_ERR) -> list[int]:
+    """The size-M table (M even) from the size-S one (S = 0: none).  Entries
+    the old table holds are kept (t / M reduces to the same fraction, so the
+    same ball), only t <= M/2 is computed, from pi taken `pi_extra` bits finer
+    than the table, and the rest is mirrored by exact negation and copying:
+    cos(pi - x) = -cos x, cos(2 pi - x) = cos x.  Every entry is checked
+    within `bound` units."""
+    pi = RealEnclosure.pi(prec + pi_extra)
     step = M // S if S else 0
     quarter = []
     for t in range(M // 2 + 1):
@@ -538,9 +595,9 @@ def _grow_cos_table(prec: int, S: int, table: list[int], M: int) -> list[int]:
             quarter.append(table[t // step])
             continue
         v, e = _fixed_from_ball(ball_cos_sin(pi * Fraction(t, M))[0], prec)
-        if e > TABLE_ERR:
+        if e > bound:
             raise PrecisionError(f"cos(pi {t}/{M}) at {prec} bits is off by {e} units, "
-                                 f"above the table bound {TABLE_ERR}")
+                                 f"above the table bound {bound}")
         quarter.append(v)
     half = quarter + [-v for v in quarter[M // 2 - 1::-1]]   # t = 0 .. M
     return half + half[M - 1:0:-1]
@@ -695,6 +752,7 @@ ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
+SIMPLICITY_BLOCK = 1 << 16  # float pair distances held at once by simplicity_check
 
 
 def _aberth_float(coeffs: list[complex], n: int):
@@ -843,7 +901,9 @@ def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
     A pair's lower bound lies within 2 sqrt 2 r of its centre distance, for
     r the largest ball radius, so only pairs whose float centre distance is
     within 4 r (plus the float error) of the smallest can hold the minimum;
-    only those get ball distances, in the same order.
+    only those get ball distances, in the same order.  The float distances
+    are taken in blocks of rows, about SIMPLICITY_BLOCK pairs each, so the
+    memory stays O(n): one pass finds the smallest, a second the candidates.
     """
     import numpy as np
 
@@ -852,14 +912,23 @@ def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
         return None
     c = np.array([complex(libmp.to_float(r.re.mid), libmp.to_float(r.im.mid)) for r in roots])
     r_max = max(libmp.to_float(x.rad, rnd="u") for r in roots for x in (r.re, r.im))
-    rows, cols = np.triu_indices(n, 1)
-    dist = np.abs(c[rows] - c[cols])
-    margin = 4 * r_max + 2.0 ** -40 * max(1.0, float(np.abs(c).max()))
+    rows = max(1, SIMPLICITY_BLOCK // n)
+
+    def blocks():
+        """(i0, distances of rows i0 .. i0 + rows - 1 to every column, inf where j <= i)."""
+        for i0 in range(0, n - 1, rows):
+            dist = np.abs(c[i0:i0 + rows, None] - c[None, :])
+            dist[np.tri(*dist.shape, i0, dtype=bool)] = np.inf
+            yield i0, dist
+
+    threshold = min(float(d.min()) for _, d in blocks())
+    threshold += 4 * r_max + 2.0 ** -40 * max(1.0, float(np.abs(c).max()))
     best = None
-    for k in np.flatnonzero(dist <= dist.min() + margin):
-        d = (roots[rows[k]] - roots[cols[k]]).abs()
-        if best is None or d.lower < best.lower:
-            best = d
+    for i0, dist in blocks():
+        for i, j in zip(*np.nonzero(dist <= threshold)):
+            d = (roots[i0 + i] - roots[j]).abs()
+            if best is None or d.lower < best.lower:
+                best = d
     return best
 
 

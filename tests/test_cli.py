@@ -267,7 +267,7 @@ JSON_DIGESTS = [
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "cd7ab9fc505e6cda1550659f382303047e85b70d96fae2b16d81492fd30370bb"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "674349b3cd677a8c110774cc83e98dd660daaed1e258da4c8a6e32f5bbf33c85"),
+     "13cd5564997b6b3f935a4904ac36844458d4d659b44d970a3e985e8da705cd96"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
      "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,

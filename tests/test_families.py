@@ -12,6 +12,7 @@ from mpmath import mp
 from circlezero import families
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
+from circlezero.exact import bernoulli, binomial
 from circlezero.families import (
     ZetaCoefficient,
     abs_square_coeffs,
@@ -163,6 +164,52 @@ def test_combination_identity_detects_mismatch(monkeypatch):
     assert combination_identity(5) == (False, 2)
     monkeypatch.setattr(families, "build_W", perturbed(build_W))
     assert combination_identity(5) == (False, None)
+
+
+def _reference_even_coeffs(family: str, k: int, convention: str = "symmetric") -> list[Fraction]:
+    """The rational coefficients from the closed forms with factorials and
+    binomials per coefficient: Q, W at z^2j, Y at z^j, R at z^2j."""
+    fact = math.factorial(2 * k)
+    out = []
+    if family == "R":
+        top = k + 1 if convention == "symmetric" else k - 1
+        for j in range(top + 1):
+            out.append(bernoulli(2 * j) * bernoulli(2 * k + 2 - 2 * j)
+                       / (math.factorial(2 * j) * math.factorial(2 * k + 2 - 2 * j)))
+        return out
+    for j in range(k + 1):
+        base = bernoulli(2 * j) * bernoulli(2 * k - 2 * j) * binomial(2 * k, 2 * j) / fact
+        sign = -1 if j % 2 else 1
+        if family == "Q":
+            out.append(F(1 << (2 * k - 1)) * sign * base
+                       * ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1))
+        elif family == "W":
+            out.append(F(1 << (4 * k - 1)) * sign * base
+                       * (1 - F(2) ** (1 - 2 * j)) * (1 - F(2) ** (1 - 2 * k + 2 * j)))
+        else:
+            out.append(base * ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1))
+    return out
+
+
+def test_builders_match_factorial_closed_forms():
+    # the builders take B_2j/(2j)! from one cached table and mirror the
+    # symmetric half; every coefficient equals the factorial/binomial form
+    for k in range(1, 121):
+        for convention in ("symmetric", "printed"):
+            got = build_R(k, convention).coeffs
+            want = _reference_even_coeffs("R", k, convention)
+            assert [c.a for c in got[::2]] == want and not any(c.b for c in got), (k, convention)
+            assert all(c.is_zero() for c in got[1::2]), (k, convention)
+        if k < 2:
+            continue
+        q, w, y = build_Q(k), build_W(k), build_Y(k)
+        assert [c.a for c in q.coeffs[::2]] == _reference_even_coeffs("Q", k)[:k], k
+        assert q.coeffs[1].b and q.coeffs[2 * k - 1].b
+        assert all(c.is_zero() for c in q.coeffs[3:2 * k - 1:2]), k
+        assert [c.a for c in w.coeffs[::2]] == _reference_even_coeffs("W", k), k
+        assert all(c.is_zero() for c in w.coeffs[1::2]) and w.is_rational(), k
+        assert [c.a for c in y.coeffs] == _reference_even_coeffs("Y", k), k
+        assert y.is_rational(), k
 
 
 def test_y_coeff_sum_identity():

@@ -25,6 +25,8 @@ from circlezero.verify import (
     CERTIFIED_FALSE,
     CERTIFIED_TRUE,
     FAMILY_SPECS,
+    OSC_GUARD,
+    OSC_TABLE_ERR,
     TABLE_ERR,
     _cos_table,
     _first_grid,
@@ -45,6 +47,7 @@ from circlezero.verify import (
     verify_by_roots,
     verify_by_sign_count,
     verify_family,
+    _osc_cos_table,
     _q_eval,
     _w_eval,
 )
@@ -178,6 +181,66 @@ def test_alternating_undecided_point_gets_sign_zero():
     rep = alternating_verify(f, [F(-1, 2), F(0), F(1, 2)], F(3, 10))
     assert rep.signs == [0, 0, 0]
     assert rep.order_achieved == 0 and rep.min_abs is None
+
+
+def test_point_certified_below_d_decides_without_escalation():
+    # f = 0 is certified below d = 3/10 at the first precision: sign 0 after
+    # one evaluation, not after the four escalations
+    calls = []
+
+    def f(r, bits):
+        calls.append(bits)
+        return RealEnclosure.exact(0, bits)
+
+    rep = alternating_verify(f, [F(0)], F(3, 10))
+    assert rep.signs == [0] and rep.min_abs is None
+    assert calls == [128]
+
+
+@pytest.mark.parametrize("k", [7, 11, 12, 35, 60, 200])
+def test_oscillation_table_entries_within_bound(k):
+    # sizes 2(k-1) are not powers of two; every entry of the full-period
+    # table is within OSC_TABLE_ERR of a reference 64 bits finer
+    n = 2 * (k - 1)
+    prec = 128 + OSC_GUARD
+    table = _osc_cos_table(k, prec)
+    assert len(table) == 2 * n
+    pi = RealEnclosure.pi(prec + 64)
+    for t, v in enumerate(table):
+        ref = ball_cos_sin(pi * F(t, n))[0].shift(prec)
+        assert (ref - v).abs().lt(OSC_TABLE_ERR), (k, t)
+
+
+def _comparison_reference(family: str, k: int, r: Fraction, bits: int) -> RealEnclosure:
+    """w_k or q_k at theta = r pi in plain ball arithmetic."""
+    pi = RealEnclosure.pi(bits)
+    theta = pi * r
+    cos = lambda m: ball_cos_sin(theta * m)[0]
+    sin = lambda m: ball_cos_sin(theta * m)[1]
+    if r == 0 or abs(r) == 1:
+        ratio = RealEnclosure.exact(k - 3 if r == 0 or k % 2 == 0 else 3 - k, bits)
+    else:
+        ratio = sin(k - 3) / sin(1)
+    if family == "W":
+        rho = 2 / (1 - F(2) ** (1 - 2 * k))
+        return 2 * cos(k) + pi * pi * F(1, 3) * cos(k - 2) + rho * ratio
+    rho = 8 * (1 - F(2) ** (3 - 2 * k)) / (1 - F(2) ** (2 - 2 * k))
+    return 2 * cos(k - 2) + 4 / pi * sin(k - 1) + RealEnclosure.exact(rho, bits) / (pi * pi) * ratio
+
+
+@pytest.mark.parametrize("family,k", [("W", 11), ("W", 12), ("W", 35), ("W", 60), ("W", 200),
+                                      ("Q", 7), ("Q", 12), ("Q", 35), ("Q", 60), ("Q", 200)])
+def test_comparison_function_overlaps_finer_ball_evaluation(family, k):
+    # at every sample point, the two just short of +-pi included, the
+    # fixed-point enclosure overlaps a ball evaluation 64 bits finer and is
+    # no wider than 2^-100
+    f = (_w_eval if family == "W" else _q_eval)(k)
+    pts = oscillation_samples(family, k)
+    assert sum(1 for r in pts if (r * 2 * (k - 1)).denominator != 1) == 2
+    for r in pts:
+        val = f(r, 128)
+        assert val.prec == 128 and val.radius < mp.mpf(2) ** -100, (family, k, r)
+        assert (val - _comparison_reference(family, k, r, 192)).contains_zero(), (family, k, r)
 
 
 def test_oscillation_W():
@@ -523,6 +586,27 @@ def test_simplicity_check_wide_balls_beat_closer_centres():
     sep = simplicity_check(roots)
     want = (roots[2] - roots[3]).abs()
     assert (sep.mid, sep.rad) == (want.mid, want.rad) and sep.lower < 1
+
+
+def test_simplicity_check_memory_linear_in_roots():
+    # 2,000 roots (the degree of P_999): the float prefilter holds one block
+    # of pair distances at a time, not all n(n-1)/2 pairs at once
+    import tracemalloc
+
+    n = 2000
+    pi = RealEnclosure.pi(128)
+    roots = []
+    for j in range(n):
+        c, s = ball_cos_sin(pi * F(2 * j + 1, n))
+        roots.append(ComplexEnclosure(c, s))
+    tracemalloc.start()
+    try:
+        sep = simplicity_check(roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert abs(float(sep.midpoint) - 2 * math.sin(math.pi / n)) < 1e-12
 
 
 def _ball(re: Fraction, im: Fraction, rad: Fraction, prec: int = 176) -> ComplexEnclosure:
