@@ -566,7 +566,7 @@ def test_find_roots_radius_covers_residual_bound(fam, k):
 
 
 @pytest.mark.parametrize("fam,k", [("P", 20), ("R", 5), ("Y", 42)])
-def test_simplicity_check_matches_all_pairs_scan(fam, k):
+def test_simplicity_check_matches_all_pairs_scan(fam, k, monkeypatch):
     roots = find_roots(build_family(fam, k))
     best = None
     for i in range(len(roots)):
@@ -574,8 +574,11 @@ def test_simplicity_check_matches_all_pairs_scan(fam, k):
             d = (roots[i] - roots[j]).abs()
             if best is None or d.lower < best.lower:
                 best = d
-    sep = simplicity_check(roots)
-    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
+    # one block of rows at these sizes, then one row per block
+    for block in (verify.SIMPLICITY_BLOCK, 1):
+        monkeypatch.setattr(verify, "SIMPLICITY_BLOCK", block)
+        sep = simplicity_check(roots)
+        assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec), block
 
 
 def test_simplicity_check_wide_balls_beat_closer_centres():
