@@ -17,9 +17,15 @@ Three independent methods:
    g(theta) = e^(-i m theta) p(e^(i theta)) is a real cosine sum (eps = +1)
    or i times a real sine sum (eps = -1) whose zeros in (0, pi) are the
    circle-zero angles of p; certified sign alternations of g are counted on
-   power-of-two grids theta = j pi / M in exact fixed-point arithmetic,
-   against one cosine table per working precision kept for the process
-   (read by stride, shifted a quarter period for sin).  The symmetry
+   power-of-two grids theta = j pi / M in exact fixed-point arithmetic.
+   Each grid is one transform: g(j pi / M) for j = 0 .. M is the real
+   (eps = +1) or imaginary (eps = -1) part of a pruned radix-2 DFT of length
+   2M in Python integers, with one a-priori budget for the coefficient
+   errors, the table error per level and the rounding per twiddle product.
+   The twiddles come from one cosine table per working precision kept for
+   the process (read by stride, shifted a quarter period for sin).  A
+   report's `evaluations` counts the grid points whose sign was taken
+   (M - 1), not arithmetic operations.  The symmetry
    c_(n-j) = eps c_j is checked exactly at the entry; an odd degree then
    divides out its forced zero z = -eps exactly in Q[lam], so every degree
    takes this one route.
@@ -603,12 +609,77 @@ def _grow_cos_table(prec: int, S: int, table: list[int], M: int,
     return half + half[M - 1:0:-1]
 
 
+def _half_dft(x: list[int], cos: list[int], prec: int) -> tuple[list[int], list[int]]:
+    """(re, im) of X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M, from the
+    real integers x and `cos` = `_cos_table(prec, M)`.
+
+    A radix-2 decimation-in-time transform of length N = 2M, pruned and
+    halved.  The node at stride d transforms the real subsequence
+    x_s, x_(s+d), ... at length N / d; it is a plain copy of x_s when no entry
+    after the first is nonzero, and otherwise combines its even and odd halves
+    with the twiddles w^j = e^(2 pi i j d / N), read as cos[jd] and, for the
+    sine, cos[jd - M/2].  A real input has a conjugate-symmetric transform, so
+    each node keeps only j = 0 .. L, L = N / (2d), and one product
+    t = w^j O_j gives X_j = E_j + t and X_(L-j) = conj(E_j - t).  Each
+    product is floored to whole units of 2^-prec per component.
+    """
+    N = len(cos)
+    quarter = N // 4
+
+    def node(x: list[int], d: int) -> tuple[list[int], list[int]]:
+        half = N // (2 * d)
+        if not any(x[1:]):
+            return [x[0] if x else 0] * (half + 1), [0] * (half + 1)
+        # the even half is extended in place; going down in j, the odd half
+        # is popped as it is used and every write at half - j >= j lands past
+        # the even entries still to read, so a node holds ~N / d values
+        re, im = node(x[0::2], 2 * d)
+        o_r, oi = node(x[1::2], 2 * d)
+        re += [0] * (half - half // 2)
+        im += [0] * (half - half // 2)
+        for j in range(half // 2, -1, -1):
+            wr, wi = cos[j * d], cos[j * d - quarter]
+            a, b = o_r.pop(), oi.pop()
+            tr = (a * wr - b * wi) >> prec
+            ti = (a * wi + b * wr) >> prec
+            er, ei = re[j], im[j]
+            re[j], im[j] = er + tr, ei + ti
+            re[half - j], im[half - j] = er - tr, ti - ei
+        return re, im
+
+    return node(x, 1)
+
+
 class _TrigEvaluator:
     """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
     on theta = j pi / M grids, for an origin-stripped self-inversive p of even
     degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
     q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
-    `balls` are p's coefficient balls; the exact factor 2 is a shift."""
+    `balls` are p's coefficient balls; the exact factor 2 is a shift.
+
+    `grid_values(M)` returns g(j pi / M) for j = 0 .. M, each within `budget`,
+    in units of 2^(emax - prec).  The budget bounds the error of `_half_dft`
+    on the fixed-point `terms` x_r, against y_r = 2^(prec - emax) q_r with
+    |x_r - y_r| <= e_r:
+
+    - a node is a combine only if some x_r with r = s + t d, t >= 1, r <= m is
+      nonzero, so its stride d <= m and s <= m - d.  A root-to-leaf path
+      meets the strides 1, 2, 4, ... <= m, so at most h = bit_length(m)
+      combines, and there are at most sum_(d <= m) d <= 2m - 1 combines.
+    - a copy node is off by at most the sum of e_r over its subsequence: the
+      terms it drops have x_r = 0, so |y_r| <= e_r.
+    - a twiddle is within tau = sqrt 2 TABLE_ERR 2^-prec of w, so
+      |w~| <= 1 + tau.  A combine is then off by at most
+      dE + (1 + tau) dO + tau |O| + sqrt 2, with dE, dO its halves' errors,
+      |O| <= sum |y_r| over its odd half and sqrt 2 for the floored
+      product; the conjugate branch is off by the same.
+    - by induction on the height, the root is off by at most
+      (1 + tau)^h (sum e_r + h tau sum |y_r| + sqrt 2 (2m - 1)).
+
+    With sqrt 2 <= 3/2, |y_r| <= |x_r| + e_r and (1 + tau)^h <= 1 + 2 h tau
+    (h tau <= 1), `budget` is an integer upper bound of that, the same for
+    every grid.
+    """
 
     def __init__(self, p: FamilyPoly, balls: Sequence[RealEnclosure], bits: int):
         m = p.degree // 2
@@ -616,32 +687,26 @@ class _TrigEvaluator:
             terms = [(0, balls[m])] + [(r, balls[m - r].shift(1)) for r in range(1, m + 1)]
         else:
             terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
-        self.prec = bits + 32
+        self.prec = prec = bits + 32
         exps = [v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero]
         if not exps:
             raise DomainError("zero trig polynomial")
-        self.emax = max(exps)  # g(theta) = 2^(emax - 2 prec) * (eval_grid value +- budget)
-        fixed = [(r, *_fixed_from_ball(v.shift(-self.emax), self.prec)) for r, v in terms]
-        self.terms = [(r, c) for r, c, _ in fixed if c]
-        self.budget = (TABLE_ERR * sum(abs(c) for _, c, _ in fixed)
-                       + ((1 << self.prec) + TABLE_ERR) * sum(e for _, _, e in fixed))
+        self.emax = max(exps)  # g(theta) = 2^(emax - prec) * (grid value +- budget)
+        fixed = [(r, *_fixed_from_ball(v.shift(-self.emax), prec)) for r, v in terms]
+        self.terms = [0] * (m + 1)   # x_r
+        for r, c, _ in fixed:
+            self.terms[r] = c
         self.use_sin = p.epsilon < 0
+        h, err = m.bit_length(), sum(e for _, _, e in fixed)
+        tau_num = 3 * TABLE_ERR   # tau <= tau_num / 2^(prec + 1)
+        inner = (err + _ceil_mul(tau_num * h, sum(abs(c) + e for _, c, e in fixed), prec + 1)
+                 + 3 * m)
+        self.budget = inner + _ceil_mul(tau_num * h, inner, prec)
 
-    def table(self, M: int) -> list[int]:
-        """2^prec trig(pi t / M) for t = 0 .. 2M - 1, each entry within
-        TABLE_ERR: the cosine table, shifted by M/2 for sin(x) = cos(x - pi/2)."""
-        cos = _cos_table(self.prec, M)
-        return cos[3 * M // 2:] + cos[:3 * M // 2] if self.use_sin else cos
-
-    def eval_grid(self, table: list[int], j: int) -> tuple[int, int]:
-        """(value, budget) of g(j pi / M) on the grid of `table`, in the units
-        of `emax`; the true value lies within budget of value."""
-        return sum(c * table[r * j % len(table)] for r, c in self.terms), self.budget
-
-    def sign(self, table: list[int], j: int) -> int:
-        """The certified sign of g(j pi / M), 0 when undecided."""
-        val, budget = self.eval_grid(table, j)
-        return 1 if val > budget else (-1 if val < -budget else 0)
+    def grid_values(self, M: int) -> list[int]:
+        """g(j pi / M) for j = 0 .. M, each within `budget`: one `_half_dft`
+        of the terms against the process cosine table of the grid."""
+        return _half_dft(self.terms, _cos_table(self.prec, M), self.prec)[self.use_sin]
 
 
 def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
@@ -651,13 +716,15 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
     With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
     i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
     which vanishes exactly at the circle-zero angles of p; each certified sign
-    change of g on (0, pi) is one conjugate pair of zeros.  For eps = -1 the
-    symmetry forces p(1) = p(-1) = 0.  For eps = +1, p(1) = g(0) and
-    p(-1) = (-1)^m g(pi) take their certified signs on the first grid, outside
-    the evaluation count; only an undecided sign runs the exact zero test in
-    Q[lam].  The grid theta = j pi / M starts at the smallest power of two
-    M >= max(3m, 32) and doubles up to five times; a doubled grid evaluates
-    only its odd j, so the evaluations are M - 1.
+    change of g on (0, pi) is one conjugate pair of zeros.  Each grid
+    theta = j pi / M, j = 0 .. M, is one transform (`grid_values`) with one
+    budget.  For eps = -1 the symmetry forces p(1) = p(-1) = 0.  For eps = +1,
+    p(1) = g(0) and p(-1) = (-1)^m g(pi) take their certified signs from the
+    first grid's transform; only an undecided sign runs the exact zero test
+    in Q[lam].  The grid starts at the smallest power of two M >= max(3m, 32)
+    and doubles up to five times; a doubled grid is transformed whole but
+    only its odd j are new.  `evaluations` counts the grid points whose sign
+    was taken, M - 1, not arithmetic operations.
     """
     n = p.degree
     m = n // 2
@@ -673,28 +740,32 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
                                           "factored": True, "evaluations": 0})
 
     ev = _TrigEvaluator(p, balls, bits)
+    budget = ev.budget
+
+    def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M
+        return [1 if v > budget else (-1 if v < -budget else 0) for v in ev.grid_values(M)]
+
     M = _first_grid(m)
-    table = ev.table(M)
+    signs = signs_of(M)
     if p.epsilon < 0:
         boundary = 2   # c_(n-j) = -c_j forces p(1) = p(-1) = 0
     else:
         boundary = 0
         for point, j in ((1, 0), (-1, M)):
-            if ev.sign(table, j) == 0:
+            if signs[j] == 0:
                 if not p.eval_rational(Fraction(point)).is_zero():
                     raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
                 boundary += 1
     # 2 * target + boundary must reach n even when boundary is odd
     target = (n - boundary + 1) // 2
-    signs = [0] + [ev.sign(table, j) for j in range(1, M)]   # signs[j]: g(j pi / M)
+    signs = [0] + signs[1:M]   # signs[j]: g(j pi / M) on the open interval
     for grids in range(1, 7):
         seq = [s for s in signs if s]
         changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
         if changes >= target or grids == 6:
             break
         M *= 2
-        table = ev.table(M)
-        odd = [ev.sign(table, j) for j in range(1, M, 2)]
+        odd = signs_of(M)[1::2]
         signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
     certified = changes >= target
     return VerificationReport(p.family, p.k, "sign-count",

@@ -417,7 +417,7 @@ def test_trig_evaluator_scaled_coefficients_fit_prec(k):
     # coefficients are scaled by the largest exponent, so none exceeds 2^prec
     p = build_P(k)
     ev = _TrigEvaluator(p, p.coefficient_balls(128 + 32), 128)
-    assert max(abs(c).bit_length() for _, c in ev.terms) <= ev.prec
+    assert max(abs(c).bit_length() for c in ev.terms) <= ev.prec
 
 
 @pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10),
@@ -426,7 +426,7 @@ def test_trig_evaluator_scaled_coefficients_fit_prec(k):
 def test_trig_evaluator_matches_power_basis(p, monkeypatch):
     # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
     # i g(theta) for eps = -1, with g the evaluator's trig polynomial; the
-    # process table is four times finer, so the grid reads it by stride 4
+    # process table is four times finer, so the transform reads it by stride 4
     monkeypatch.setattr(verify, "_COS_TABLES", {})
     bits = 128
     prec = bits + 32
@@ -434,12 +434,12 @@ def test_trig_evaluator_matches_power_basis(p, monkeypatch):
     m = p.degree // 2
     M = _first_grid(m)
     _cos_table(ev.prec, 4 * M)
-    table = ev.table(M)
     pi = RealEnclosure.pi(prec)
-    for j in range(0, M + 1):
-        acc, budget = ev.eval_grid(table, j)
-        e = ev.emax - 2 * ev.prec
-        g = RealEnclosure(libmp.from_man_exp(acc, e), libmp.from_man_exp(budget, e), prec)
+    values = ev.grid_values(M)
+    assert len(values) == M + 1
+    e = ev.emax - ev.prec
+    for j, acc in enumerate(values):
+        g = RealEnclosure(libmp.from_man_exp(acc, e), libmp.from_man_exp(ev.budget, e), prec)
         c, s = ball_cos_sin(pi * F(j, M))
         cm, sm = ball_cos_sin(pi * F(m * j, M))
         val = ComplexEnclosure(cm, -sm) * p.eval_ball(ComplexEnclosure(c, s), prec)
@@ -451,10 +451,11 @@ def test_trig_evaluator_matches_power_basis(p, monkeypatch):
 @pytest.mark.parametrize("k", [5, 6], ids=["P5-sin", "P6-cos"])
 def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
     # the process table computes t <= S/2 and mirrors the rest, keeps the
-    # entries it had when it grows, serves a grid M by stride S/M and sin by
-    # a shift of M/2; whatever the history (fresh, grown, strided, doubled),
-    # every entry of the grid's view is within TABLE_ERR of a reference 64
-    # bits finer, whose own radius is negligible
+    # entries it had when it grows, serves a grid M by stride S/M, and the
+    # transform reads sin(pi t / M) as the entry M/2 earlier; whatever the
+    # history (fresh, grown, strided, doubled), every cos or sin view entry
+    # is within TABLE_ERR of a reference 64 bits finer, whose own radius is
+    # negligible
     p = build_P(k)
     bits = 128
     ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
@@ -466,11 +467,91 @@ def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
         monkeypatch.setattr(verify, "_COS_TABLES", {})
         for factor in history:
             _cos_table(ev.prec, factor * M)
-        table = ev.table(M)
+        cos = _cos_table(ev.prec, M)
         assert verify._COS_TABLES[ev.prec][0] == max(history, default=1) * M
-        assert len(table) == 2 * M
-        for t, v in enumerate(table):
+        assert len(cos) == 2 * M
+        for t in range(2 * M):
+            v = cos[t - ev.use_sin * M // 2]
             assert (refs[t] - v).abs().lt(TABLE_ERR), (history, t)
+
+
+def _dot_product_grid(p, bits, M):
+    """The per-point route the transform replaced, kept as a reference:
+    g(j pi / M) for j = 0 .. M as m-term dot products against the cos (or
+    quarter-shifted sin) table, in units of 2^(emax - 2 prec), with their
+    common budget."""
+    m = p.degree // 2
+    prec = bits + 32
+    balls = p.coefficient_balls(prec)
+    if p.epsilon > 0:
+        terms = [(0, balls[m])] + [(r, balls[m - r].shift(1)) for r in range(1, m + 1)]
+    else:
+        terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
+    emax = max(v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero)
+    fixed = [(r, *verify._fixed_from_ball(v.shift(-emax), prec)) for r, v in terms]
+    budget = (TABLE_ERR * sum(abs(c) for _, c, _ in fixed)
+              + ((1 << prec) + TABLE_ERR) * sum(e for _, _, e in fixed))
+    cos = _cos_table(prec, M)
+    table = cos[3 * M // 2:] + cos[:3 * M // 2] if p.epsilon < 0 else cos
+    return [sum(c * table[r * j % (2 * M)] for r, c, _ in fixed) for j in range(M + 1)], budget
+
+
+def _certified_sign(v, budget):
+    return 1 if v > budget else (-1 if v < -budget else 0)
+
+
+@pytest.mark.parametrize("p", [build_P(80), build_P(81), build_P(258), build_P(351),
+                               build_P(450), deflate_forced_zero(build_S(31))],
+                         ids=["P80", "P81", "P258", "P351", "P450", "S31-deflated"])
+def test_transform_matches_dot_products(p):
+    # on the first grid, at every j = 0 .. M, the transform's interval
+    # overlaps the dot product's and both certify the same sign
+    bits = 128
+    ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
+    M = _first_grid(p.degree // 2)
+    values = ev.grid_values(M)
+    ref, ref_budget = _dot_product_grid(p, bits, M)
+    assert len(values) == len(ref) == M + 1
+    for j, (v, w) in enumerate(zip(values, ref)):
+        assert abs((v << ev.prec) - w) <= (ev.budget << ev.prec) + ref_budget, j
+        assert _certified_sign(v, ev.budget) == _certified_sign(w, ref_budget), j
+
+
+@pytest.mark.parametrize("poly,doublings", [(build_P(40), 2), (build_S(41), 1)],
+                         ids=["P40", "S41-deflated"])
+def test_sign_count_doubling_path(poly, doublings, monkeypatch):
+    # a first grid a quarter of the usual size falls short of the count, so
+    # the grid doubles; a doubled grid keeps the coarse signs at even j and
+    # takes its odd j from its own transform
+    first_grid = verify._first_grid
+    monkeypatch.setattr(verify, "_first_grid", lambda m: first_grid(m) // 4)
+    grids = []
+    grid_values = _TrigEvaluator.grid_values
+
+    def recording(ev, M):
+        values = grid_values(ev, M)
+        grids.append((ev, M, values))
+        return values
+
+    monkeypatch.setattr(_TrigEvaluator, "grid_values", recording)
+    rep = verify_by_sign_count(poly)
+    p = poly.strip_origin()
+    p = deflate_forced_zero(p) if p.degree % 2 else p
+    M0 = verify._first_grid(p.degree // 2)
+    assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial
+    assert rep.detail["grid"] == M0 << doublings
+    assert rep.detail["evaluations"] == (M0 << doublings) - 1
+    assert [M for _, M, _ in grids] == [M0 << i for i in range(doublings + 1)]
+    for (ev, M, coarse), (_, _, fine) in zip(grids, grids[1:]):
+        assert [_certified_sign(v, ev.budget) for v in fine[0::2]] == \
+            [_certified_sign(v, ev.budget) for v in coarse]
+        ref, ref_budget = _dot_product_grid(p, 128, 2 * M)
+        assert [_certified_sign(v, ev.budget) for v in fine[1::2]] == \
+            [_certified_sign(w, ref_budget) for w in ref[1::2]]
+    # the carried-over signs agree with the last transform, so the count is its own
+    ev, M, last = grids[-1]
+    seq = [s for s in (_certified_sign(v, ev.budget) for v in last[1:M]) if s]
+    assert rep.detail["changes"] == sum(a != b for a, b in zip(seq, seq[1:]))
 
 
 def test_sign_count_reports_independent_of_table_history(monkeypatch):
