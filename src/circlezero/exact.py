@@ -22,96 +22,94 @@ DEFAULT_CAP = 4096
 HALF = Fraction(1, 2)
 
 
-def tangent_numbers(m: int) -> list[int]:
-    """First m tangent numbers [T_1, ..., T_m], integer arithmetic only.
+def _extend_column(m: int, column: list[int], shift: int) -> list[int]:
+    """Grow the last column h_j = column (j = len(column)) of a Brent-Harvey
+    triangle to h_m in place and return its new last entries, j+1..m.
+
+    Column j is h_j[0] = (j - shift)!, h_j[i] = (j-i-shift) h_(j-1)[i] + (j-i+1) h_j[i-1]
+    for i = 1..j-1, with h_(j-1)[j-1] read as h_(j-1)[j-2]; its number is h_j[j-1].
+    """
+    out = []
+    for j in range(len(column) + 1, m + 1):
+        column.append(column[-1] if column else 1)
+        prev = column[0] = column[0] * max(j - shift, 1)
+        for i in range(1, j):
+            prev = column[i] = (j - i - shift) * column[i] + (j - i + 1) * prev
+        out.append(prev)
+    return out
+
+
+def tangent_numbers(m: int, column: list[int] | None = None) -> list[int]:
+    """Tangent numbers [T_1, ..., T_m], integer arithmetic only.
 
     tan x = sum_{n>=1} T_n x^(2n-1)/(2n-1)!; T = 1, 2, 16, 272, ...
+    Given the last column of an earlier call (initially []), grows it in place
+    and returns T_(len(column)+1), ..., T_m only.
     """
-    if m < 1:
-        return []
-    t = [0] * (m + 1)
-    t[1] = 1
-    for k in range(2, m + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    return _extend_column(m, [] if column is None else column, 1)
 
 
-def secant_numbers(m: int) -> list[int]:
-    """Secant numbers [S_0, ..., S_m]: sec x = sum S_n x^(2n)/(2n)!."""
-    s = [0] * (m + 1)
-    s[0] = 1
-    for k in range(1, m + 1):
-        s[k] = k * s[k - 1]
-    for k in range(1, m + 1):
-        for j in range(k + 1, m + 1):
-            s[j] = (j - k) * s[j - 1] + (j - k + 1) * s[j]
-    return s
+def secant_numbers(m: int, column: list[int] | None = None) -> list[int]:
+    """Secant numbers [S_0, ..., S_m]: sec x = sum S_n x^(2n)/(2n)!. Given a
+    column, grows it in place and returns S_(len(column)+1), ..., S_m only."""
+    return [1] + _extend_column(m, [], 0) if column is None else _extend_column(m, column, 0)
 
 
-class BernoulliTable:
-    """Memoized even-index Bernoulli numbers B_0, B_2, ..., grown lazily up to a cap.
+class EvenIndexTable:
+    """Exact X_0, X_2, X_4, ... of one even-index sequence, computed once per process.
 
-    Values are exact Fractions; B_2n is recovered from the tangent numbers via
-    B_2n = (-1)^(n-1) * 2n * T_n / (2^2n (2^2n - 1)).
+    A request for X_n grows the table to n and no further: `numbers(m, column)`
+    (tangent or secant numbers) continues its recurrence from the last column
+    kept, so every number is computed once, and `convert(i, x)` turns the i-th
+    into X_2i. Values and column are committed together after the call returns,
+    so an interrupted growth leaves the table as it was. Indices above `cap` raise.
     """
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        self.cap = cap
-        self._values: list[Fraction] = [Fraction(1)]  # B_0
+    def __init__(self, name: str, numbers, convert, cap: int = DEFAULT_CAP):
+        self.name, self.cap = name, cap
+        self._numbers, self._convert = numbers, convert
+        self._values = [convert(0, 1)]
+        self._column: list[int] = []
         self._lock = threading.Lock()
 
-    def value(self, n: int) -> Fraction:
+    def value(self, n: int) -> Fraction | int:
         if n < 0 or n % 2 != 0:
-            raise DomainError(f"Bernoulli table holds even indices only, got {n}")
+            raise DomainError(f"{self.name} table holds even indices only, got {n}")
         if n > self.cap:
-            raise CapacityError(f"Bernoulli index {n} above cap {self.cap}")
+            raise CapacityError(f"{self.name} index {n} above cap {self.cap}")
         half = n // 2
         if half >= len(self._values):
-            self._grow(half)
+            with self._lock:
+                if half >= len(self._values):
+                    column = list(self._column)  # grown as a copy, committed below
+                    new = self._numbers(half, column)
+                    start = len(self._values)
+                    values = self._values + [self._convert(start + i, x) for i, x in enumerate(new)]
+                    self._values, self._column = values, column
         return self._values[half]
 
-    def _grow(self, half: int) -> None:
-        with self._lock:
-            if half < len(self._values):
-                return
-            m = max(half, 2 * len(self._values), 8)
-            tang = tangent_numbers(m)
-            vals = [Fraction(1)]
-            for i in range(1, m + 1):
-                p = 1 << (2 * i)
-                b = Fraction(2 * i * tang[i - 1], p * (p - 1))
-                vals.append(b if (i % 2 == 1) else -b)
-            self._values = vals
+
+def _bernoulli_from_tangent(i: int, t: int) -> Fraction:
+    """B_2i = (-1)^(i-1) * 2i * T_i / (2^2i (2^2i - 1)), and B_0 = 1."""
+    if i == 0:
+        return Fraction(1)
+    p = 1 << (2 * i)
+    b = Fraction(2 * i * t, p * (p - 1))
+    return b if i % 2 == 1 else -b
 
 
-class EulerTable:
-    """Memoized even-index Euler numbers E_0, E_2, ... (exact integers)."""
+# The recurrences are looked up at call time, so a wrapper installed on the
+# module functions (the benchmark's spans) sees every growth.
+def BernoulliTable(cap: int = DEFAULT_CAP) -> EvenIndexTable:
+    """B_0, B_2, ... as exact Fractions, from the tangent numbers."""
+    return EvenIndexTable("Bernoulli", lambda m, column: tangent_numbers(m, column),
+                          _bernoulli_from_tangent, cap)
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        self.cap = cap
-        self._values: list[int] = [1]  # E_0
-        self._lock = threading.Lock()
 
-    def value(self, n: int) -> int:
-        if n < 0 or n % 2 != 0:
-            raise DomainError(f"Euler table holds even indices only, got {n}")
-        if n > self.cap:
-            raise CapacityError(f"Euler index {n} above cap {self.cap}")
-        half = n // 2
-        if half >= len(self._values):
-            self._grow(half)
-        return self._values[half]
-
-    def _grow(self, half: int) -> None:
-        with self._lock:
-            if half < len(self._values):
-                return
-            m = max(half, 2 * len(self._values), 8)
-            sec = secant_numbers(m)
-            self._values = [s if (i % 2 == 0) else -s for i, s in enumerate(sec)]
+def EulerTable(cap: int = DEFAULT_CAP) -> EvenIndexTable:
+    """E_0, E_2, ... as exact integers, E_2i = (-1)^i S_i."""
+    return EvenIndexTable("Euler", lambda m, column: secant_numbers(m, column),
+                          lambda i, s: -s if i % 2 else s, cap)
 
 
 _BERNOULLI = BernoulliTable()

@@ -193,6 +193,7 @@ def _b_over_factorial(i: int) -> Fraction:
     """b_i = B_2i / (2i)!, cached for the process."""
     cache = _B_OVER_FACTORIAL
     if i >= len(cache):
+        bernoulli(2 * i)  # grows the Bernoulli table in one step, not one per column
         with _B_OVER_FACTORIAL_LOCK:
             fact = math.factorial(2 * len(cache))
             for j in range(len(cache), i + 1):

@@ -1,10 +1,12 @@
 """Exact kernel: independent oracles, classical bounds, convolution identities."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 
+from circlezero import exact
 from circlezero.errors import CapacityError, DomainError
 from circlezero.exact import (
     BernoulliTable,
@@ -172,12 +174,92 @@ def test_pi_bounds_bracket():
 def test_table_cap():
     t = BernoulliTable(cap=10)
     assert t.value(10) == bernoulli(10)
+    assert len(t._values) == 6 and len(t._column) == 5  # B_0..B_10, nothing past B_10
     with pytest.raises(CapacityError):
         t.value(12)
+    assert len(t._values) == 6 and len(t._column) == 5
     e = EulerTable(cap=8)
     assert e.value(8) == euler(8)
+    assert len(e._values) == 5 and len(e._column) == 4
     with pytest.raises(CapacityError):
         e.value(10)
+    assert len(e._values) == 5 and len(e._column) == 4
+    fresh = EulerTable(cap=8)
+    with pytest.raises(CapacityError):
+        fresh.value(10)
+    assert fresh._values == [1] and fresh._column == []
+
+
+TABLES = [(BernoulliTable, "tangent_numbers", tangent_numbers(150)),
+          (EulerTable, "secant_numbers", secant_numbers(150)[1:])]
+
+
+@pytest.mark.parametrize("make, name, scratch", TABLES)
+def test_table_grows_each_column_once(monkeypatch, make, name, scratch):
+    """Every growth path yields the numbers of one from-scratch call, and the
+    columns computed across all requests total the index asked, 150."""
+    returned = []
+    original = getattr(exact, name)
+
+    def counted(m, column=None):
+        new = original(m, column)
+        returned.append(new)
+        return new
+
+    monkeypatch.setattr(exact, name, counted)
+    tables = []
+    for halves in (range(1, 151), (40, 90, 60, 150), (150,)):
+        returned.clear()
+        table = make()
+        values = [table.value(2 * h) for h in halves]
+        assert sum(map(len, returned)) == 150
+        assert [x for new in returned for x in new] == scratch
+        assert values[-1] == table._values[150] and len(table._values) == 151
+        tables.append(table._values)
+    assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("make, name", [(make, name) for make, name, _ in TABLES])
+def test_interrupted_growth_leaves_table_unchanged(monkeypatch, make, name):
+    table = make()
+    table.value(2 * 40)
+    before = (list(table._values), list(table._column))
+    original = getattr(exact, name)
+
+    def interrupted(m, column=None):
+        original(m, column)  # grows the column it is given, then fails
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(exact, name, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table.value(2 * 90)
+    assert (table._values, table._column) == before
+    monkeypatch.setattr(exact, name, original)
+    table.value(2 * 90)
+    reference = make()
+    reference.value(2 * 90)
+    assert table._values == reference._values and table._column == reference._column
+
+
+@pytest.mark.parametrize("make", [BernoulliTable, EulerTable])
+def test_concurrent_growth_matches_sequential(make):
+    table = make()
+    barrier = threading.Barrier(2)
+
+    def grow(half):
+        barrier.wait()
+        table.value(2 * half)
+
+    threads = [threading.Thread(target=grow, args=(h,)) for h in (300, 120)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    sequential = make()
+    sequential.value(2 * 120)
+    sequential.value(2 * 300)
+    assert table._values == sequential._values
+    assert table._column == sequential._column
 
 
 def test_odd_indices_rejected():
