@@ -153,13 +153,16 @@ def cmd_gen(args) -> int:
 
 
 def _verify_task(task) -> tuple[list[dict], str]:
+    """One task's report documents, or with --keep-going the numeric failure;
+    every package error it raises or records names the family and k."""
     fam, k, method, bits, keep_going = task
     try:
         reports = verify_mod.verify_family(fam, k, method, bits)
-    except NumericError as exc:
-        if not keep_going:
-            raise
-        return [], f"{fam}_{k}: {exc}"
+    except CircleZeroError as exc:
+        exc.args = (f"{fam}_{k}: {exc}", *exc.args[1:])
+        if keep_going and isinstance(exc, NumericError):
+            return [], str(exc)
+        raise
     return [r.to_doc() for r in reports], ""
 
 

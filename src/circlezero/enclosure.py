@@ -289,8 +289,9 @@ class RealEnclosure:
         return (self - threshold).sign() < 0
 
     def contains(self, value: int | Fraction) -> bool:
-        d = self - value
-        return d.sign() == 0 or (d.rad == fzero and d.mid == fzero)
+        """Exact membership: |value - mid| <= rad, in rationals."""
+        mid, rad = (Fraction(*libmp.to_rational(x)) for x in (self.mid, self.rad))
+        return abs(value - mid) <= rad
 
     def contains_ball(self, other: "RealEnclosure") -> bool:
         lo_ok = mpf_cmp(self.lower_raw(), other.lower_raw()) <= 0

@@ -4,6 +4,9 @@ Every family polynomial is stored pi-normalized: coefficients live in the ring
 Q[lam] where lam = zeta(2k-1)/pi^(2k-1) is a formal generator, and `pi_power`
 records the power of pi divided out.  The generator is only bound to a
 certified enclosure at evaluation time, so coefficient identities stay exact.
+P_k is kept in product form (`ProductFormP`): the sign and roots routes read
+its coefficients as integer products of a per-precision table of
+b_j = B_2j / (2j)!, and its exact coefficients are formed only when read.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+from mpmath import libmp
 
 from .enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from .errors import DomainError
@@ -99,6 +105,13 @@ def fraction_str(q: Fraction) -> str:
 ZERO_COEFF = ZetaCoefficient()
 
 
+def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
+    """(value, error) in units of 2^-prec; error covers rounding + radius."""
+    v = libmp.to_fixed(x.mid, prec)
+    e = libmp.to_fixed(x.rad, prec) + 2
+    return v, e
+
+
 def ball_horner(coeffs: Sequence[RealEnclosure], z: ComplexEnclosure,
                 bits: int) -> ComplexEnclosure:
     """sum coeffs[j] z^j by Horner's rule in ball arithmetic at `bits`."""
@@ -162,6 +175,20 @@ class FamilyPoly:
         lam = self.lam_ball(bits)
         return [c.eval(lam) for c in self.coeffs]
 
+    def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
+        """(emax, C, e) for c_0 .. c_(count-1): integers C_j, e_j with
+        |c_j - 2^(emax - prec) C_j| <= 2^(emax - prec) e_j, where 2^emax
+        bounds every coefficient midpoint.  The fixed-point input of the sign
+        and roots routes; here from the coefficient balls bound at `prec`."""
+        lam = self.lam_ball(prec)
+        balls = [c.eval(lam) for c in self.coeffs[:count]]
+        exps = [v.mid[2] + v.mid[3] for v in balls if v.mid != libmp.fzero]
+        if not exps:
+            raise DomainError(f"{self.family}_{self.k}: zero coefficients")
+        emax = max(exps)
+        fixed = [_fixed_from_ball(v.shift(-emax), prec) for v in balls]
+        return emax, [c for c, _ in fixed], [e for _, e in fixed]
+
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
         return ball_horner(self.coefficient_balls(bits), z, bits)
@@ -209,6 +236,100 @@ def _p_even_rational(k: int, j: int) -> Fraction:
     return _b_over_factorial(j) * _b_over_factorial(k - j) * scale
 
 
+# prec -> [(a_j, f_j) for j = 0, 1, ...] with b_j in [a_j, a_j + 1) 2^f_j: one
+# table per working precision for the process, grown with the Bernoulli table
+_B_FIXED: dict[int, list[tuple[int, int]]] = {}
+_B_FIXED_LOCK = threading.Lock()
+
+
+def _b_fixed(prec: int, n: int) -> list[tuple[int, int]]:
+    """The table of b_j = B_2j / (2j)! at `prec`, holding at least j = 0 .. n.
+
+    Entry j is the integer a_j = floor(b_j 2^-f_j) of prec + 8 or 9 bits, so
+    b_j lies in [a_j, a_j + 1) 2^f_j: one floor division of B_2j's numerator
+    by its denominator times (2j)!, with no gcd and no exact b_j formed."""
+    table = _B_FIXED.setdefault(prec, [])
+    if len(table) <= n:
+        bernoulli(2 * n)  # grows the Bernoulli table in one step, not one per entry
+        with _B_FIXED_LOCK:
+            fact = math.factorial(2 * len(table))
+            for j in range(len(table), n + 1):
+                b = bernoulli(2 * j)
+                den = b.denominator * fact
+                f = abs(b.numerator).bit_length() - den.bit_length() - prec - 8
+                table.append(((b.numerator << -f) // den, f))
+                fact *= (2 * j + 1) * (2 * j + 2)
+    return table
+
+
+class ProductFormP(FamilyPoly):
+    """P_k in product form, pi-normalized by pi^(2k-1): c_2j =
+    (-1)^j 2^(2k-1) b_j b_(k-j) for j = 0 .. k, c_1 = eps lam, c_(2k-1) = lam
+    and every other coefficient 0, with eps = (-1)^k.
+
+    The definition fixes the degree 2k (c_2k = eps c_0 != 0, as B_2k != 0),
+    the origin multiplicity 0 and the symmetry c_(2k-j) = eps c_j, so none of
+    them reads a coefficient.  The exact `coeffs` in Q[lam] are formed on
+    first access, for the readers of exact values; `fixed_coefficients`, the
+    input of the sign and roots routes, forms none.
+    """
+
+    def __init__(self, k: int):
+        bernoulli(2 * k)  # grows the Bernoulli table; raises past its cap
+        for name, value in (("family", "P"), ("k", k), ("pi_power", 2 * k - 1),
+                            ("epsilon", -1 if k % 2 else 1), ("note", "")):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coeffs(self) -> tuple[ZetaCoefficient, ...]:
+        k, eps = self.k, self.epsilon
+        coeffs = [ZERO_COEFF] * (2 * k + 1)
+        # c_(2k-2j) = (-1)^k c_2j: compute the lower half, mirror the rest
+        for j in range(k // 2 + 1):
+            c = ZetaCoefficient.rational(_p_even_rational(k, j))
+            coeffs[2 * j] = c
+            coeffs[2 * k - 2 * j] = c if eps > 0 else -c
+        coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
+        coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
+        return tuple(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return 2 * self.k
+
+    @property
+    def origin_multiplicity(self) -> int:
+        return 0
+
+    def self_inversive_ok(self) -> bool:
+        return True  # c_(2k-j) = eps c_j by the definition
+
+    def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
+        """As `FamilyPoly.fixed_coefficients`, from integer products: with
+        b_j in [a_j, a_j + 1) 2^f_j, c_2j is +-(a_j a_(k-j) + d) 2^(2k-1+f_j+f_(k-j))
+        with |d| < |a_j| + |a_(k-j)| + 1, floored to the common unit; c_1 and
+        c_(2k-1) come from the ball lambda_k(k, prec)."""
+        k = self.k
+        b = _b_fixed(prec, k)
+        lam = lambda_k(k, prec)
+        prods = {}   # j -> (mantissa, its unit's exponent, error in that unit)
+        for j in range(0, min(count, 2 * k + 1), 2):
+            (a, f), (a2, f2) = b[j // 2], b[k - j // 2]
+            prods[j] = (-a * a2 if j % 4 else a * a2, f + f2 + 2 * k - 1, abs(a) + abs(a2) + 1)
+        emax = max(abs(v).bit_length() + x for v, x, _ in prods.values())
+        if count > 1:
+            emax = max(emax, lam.mid[2] + lam.mid[3])
+        C, e = [0] * count, [0] * count
+        for j, (v, x, d) in prods.items():
+            shift = emax - prec - x   # > 0: a_j a_(k-j) has about 2 prec bits
+            C[j], e[j] = v >> shift, (d >> shift) + 2
+        v, ev = _fixed_from_ball(lam.shift(-emax), prec)
+        for j, sign in ((1, self.epsilon), (2 * k - 1, 1)):
+            if j < count:
+                C[j], e[j] = sign * v, ev
+        return emax, C, e
+
+
 def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
     """Bernoulli-product polynomial of odd index 2k+1.
 
@@ -231,19 +352,11 @@ def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
 
 
 def build_P(k: int) -> FamilyPoly:
-    """P_k, pi-normalized by pi^(2k-1); degree 2k; epsilon = (-1)^k."""
+    """P_k, pi-normalized by pi^(2k-1); degree 2k; epsilon = (-1)^k; in
+    product form, its exact coefficients formed on first access."""
     if k < 2:
         raise DomainError(f"build_P needs k >= 2, got {k}")
-    eps = -1 if k % 2 else 1
-    coeffs = [ZERO_COEFF] * (2 * k + 1)
-    # c_(2k-2j) = (-1)^k c_2j: compute the lower half, mirror the rest
-    for j in range(k // 2 + 1):
-        c = ZetaCoefficient.rational(_p_even_rational(k, j))
-        coeffs[2 * j] = c
-        coeffs[2 * k - 2 * j] = c if eps > 0 else -c
-    coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
-    coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
-    return FamilyPoly("P", k, 2 * k - 1, tuple(coeffs), eps)
+    return ProductFormP(k)
 
 
 def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:

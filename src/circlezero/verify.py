@@ -30,8 +30,8 @@ Three independent methods:
    divides out its forced zero z = -eps exactly in Q[lam], so every degree
    takes this one route.
 
-A root route cross-validates every certification.  The coefficient balls are
-bound once and turned into integers over one common power of two; float
+A root route cross-validates every certification.  The coefficients are
+turned into integers over one common power of two; float
 Aberth seeds are polished one root at a time by Newton's method in
 fixed-point Gaussian integers, and one more Horner pass per root, carrying an
 integer error budget for p and p', gives each root the residual radius
@@ -43,14 +43,16 @@ smallest k, the Schinzel constant (none: Lakatos, c = 1) and, for W and Q,
 the oscillation data.  Every route takes the built polynomial and reads its
 target count and origin zeros from `strip_origin()`; every ball check that
 cannot decide yet escalates its precision through `enclosure.escalate`.
-Coefficients become balls only through `FamilyPoly.coefficient_balls`, which
-binds lam once per polynomial.
+The sign and roots routes read their coefficients only through
+`FamilyPoly.fixed_coefficients`, integers over one common power of two: for
+P_k, integer products of a per-precision table of B_2j / (2j)!; for every
+other family, its coefficient balls with lam bound once per polynomial.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import atan2, isqrt
@@ -72,6 +74,7 @@ from .families import (
     FamilyPoly,
     ZERO_COEFF,
     ZetaCoefficient,
+    _fixed_from_ball,
     abs_square_coeffs,
     build_family,
 )
@@ -549,13 +552,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
 # sign counting
 # ---------------------------------------------------------------------------
 
-def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
-    """(value, error) in units of 2^-prec; error covers rounding + radius."""
-    v = libmp.to_fixed(x.mid, prec)
-    e = libmp.to_fixed(x.rad, prec) + 2
-    return v, e
-
-
 # Every cosine table entry is within TABLE_ERR units of 2^-prec of the true
 # value, whatever the table's size, so a count never depends on which grids
 # the process built before.
@@ -655,7 +651,9 @@ class _TrigEvaluator:
     on theta = j pi / M grids, for an origin-stripped self-inversive p of even
     degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
     q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
-    `balls` are p's coefficient balls; the exact factor 2 is a shift.
+    p's `fixed_coefficients` give c_j = 2^(E - prec) (C_j +- e_j); with
+    emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
+    2^(emax - prec), and c_m is C_m / 2 floored, within e_m / 2 + 1/2 units.
 
     `grid_values(M)` returns g(j pi / M) for j = 0 .. M, each within `budget`,
     in units of 2^(emax - prec).  The budget bounds the error of `_half_dft`
@@ -681,18 +679,16 @@ class _TrigEvaluator:
     every grid.
     """
 
-    def __init__(self, p: FamilyPoly, balls: Sequence[RealEnclosure], bits: int):
+    def __init__(self, p: FamilyPoly, bits: int):
         m = p.degree // 2
-        if p.epsilon > 0:
-            terms = [(0, balls[m])] + [(r, balls[m - r].shift(1)) for r in range(1, m + 1)]
-        else:
-            terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
         self.prec = prec = bits + 32
-        exps = [v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero]
-        if not exps:
-            raise DomainError("zero trig polynomial")
-        self.emax = max(exps)  # g(theta) = 2^(emax - prec) * (grid value +- budget)
-        fixed = [(r, *_fixed_from_ball(v.shift(-self.emax), prec)) for r, v in terms]
+        emax, C, E = p.fixed_coefficients(prec, m + 1)
+        self.emax = emax + 1  # g(theta) = 2^(emax - prec) * (grid value +- budget)
+        if p.epsilon > 0:
+            fixed = [(0, C[m] >> 1, (E[m] >> 1) + 1)] + [(r, C[m - r], E[m - r])
+                                                         for r in range(1, m + 1)]
+        else:
+            fixed = [(r, -C[m - r], E[m - r]) for r in range(1, m + 1)]
         self.terms = [0] * (m + 1)   # x_r
         for r, c, _ in fixed:
             self.terms[r] = c
@@ -728,18 +724,16 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
     """
     n = p.degree
     m = n // 2
-    prec = bits + 32
-    # g's coefficients come from c_0..c_m; the upper half mirrors them
-    balls = replace(p, coeffs=p.coeffs[:m + 1]).coefficient_balls(prec)
     if n == 0:
         if p.coeffs[0].is_zero():
             raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
         return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None,
-                                  balls[0].sign() != 0,
+                                  p.coefficient_balls(bits + 32)[0].sign() != 0,
                                   detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
                                           "factored": True, "evaluations": 0})
 
-    ev = _TrigEvaluator(p, balls, bits)
+    # g's coefficients come from c_0..c_m; the upper half mirrors them
+    ev = _TrigEvaluator(p, bits)
     budget = ev.budget
 
     def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M
@@ -849,16 +843,6 @@ def _aberth_float(coeffs: list[complex], n: int):
     return z
 
 
-def _fixed_coefficients(p: FamilyPoly, prec: int) -> tuple[list[int], list[int]]:
-    """p's coefficients c_j = 2^emax C_j / 2^prec as integers C_j, with
-    errors e_j (|c_j - 2^emax C_j / 2^prec| <= 2^emax e_j / 2^prec), from the
-    coefficient balls bound once at `prec` bits; 2^emax bounds every |c_j|."""
-    balls = p.coefficient_balls(prec)[:p.degree + 1]
-    emax = max(v.mid[2] + v.mid[3] for v in balls if v.mid != libmp.fzero)
-    fixed = [_fixed_from_ball(v.shift(-emax), prec) for v in balls]
-    return [c for c, _ in fixed], [e for _, e in fixed]
-
-
 def _horner_pd(coeffs: list[int], xr: int, xi: int, prec: int) -> tuple[int, int, int, int]:
     """(Re p, Im p, Re p', Im p') at x = (xr + i xi) / 2^prec by one Horner
     pass in Gaussian integers, in the units of `coeffs`; each product is
@@ -922,8 +906,8 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     """All roots of the origin-stripped polynomial, as certified complex
     balls sorted by argument.
 
-    The coefficient balls are bound once at bits + ROOT_GUARD bits and turned
-    into integers over one common power of two.  Float Aberth--Ehrlich
+    The coefficients are read once at bits + ROOT_GUARD bits as integers over
+    one common power of two (`FamilyPoly.fixed_coefficients`).  Float Aberth--Ehrlich
     (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds a
     Newton polish of each root on its own in fixed-point Gaussian integers;
     each root then gets the residual radius n |p(x)| / |p'(x)| from one more
@@ -935,7 +919,7 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     if n == 0:
         return []
     prec = bits + ROOT_GUARD
-    coeffs, errs = _fixed_coefficients(p, prec)
+    _, coeffs, errs = p.fixed_coefficients(prec, n + 1)
     one = 1 << prec
     seeds = _aberth_float([c / one for c in coeffs], n)
     tol = 1 << (prec - bits - 16)                  # 2^-(bits + 16)

@@ -10,6 +10,7 @@ from circlezero import families
 from circlezero.cli import (
     EXIT_INDETERMINATE,
     EXIT_INTERNAL,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
@@ -72,6 +73,14 @@ def test_gen_past_int_str_digit_limit(capsys):
     assert max(map(len, coeffs[j])) > 4300
     num, den = (int(Decimal(part)) for part in coeffs[j])
     assert Fraction(num, den) == families.build_P(900).coeffs[j].a
+
+
+def test_verify_error_names_family_and_k(capsys):
+    # B_4098 lies past the exact table's cap: the error exits 4 and says which task
+    code, out, err = run_cli(capsys, "verify", "--family", "P", "--k-range", "2049..2049",
+                             "--method", "sign-count")
+    assert code == EXIT_NUMERIC and out == ""
+    assert "P_2049: " in err and "above cap" in err
 
 
 def test_unexpected_exception_is_not_a_refutation(capsys, monkeypatch):

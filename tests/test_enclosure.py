@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_sub
 
 from circlezero.enclosure import (
     ComplexEnclosure,
@@ -209,3 +210,16 @@ def test_zeta_even_rational_agrees_with_summation():
         direct = zeta_int(2 * n, 128)
         scaled = RealEnclosure.pi(160).pow_int(2 * n) * zeta_even_rational(n)
         assert (direct - scaled).contains_zero(), n
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11), Fraction(1, 10)])
+def test_contains_is_exact_membership(q):
+    # x is q rounded down at 128 bits and u its ulp; a 1-ulp ball at x - g u
+    # ends below q for g >= 1, however close, so it must not contain q
+    x = from_rational(q.numerator, q.denominator, 128, "f")
+    u = from_man_exp(1, x[2] + x[3] - 128)
+    assert RealEnclosure(x, u, 128).contains(q)
+    for g in (1, 2):
+        assert not RealEnclosure(mpf_sub(x, mpf_mul(u, from_int(g)), 256), u, 128).contains(q), g
+    # endpoints belong to the ball
+    assert RealEnclosure(from_int(1), from_man_exp(1, -3), 128).contains(Fraction(9, 8))

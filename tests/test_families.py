@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from circlezero import families
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
 from circlezero.exact import bernoulli, binomial
 from circlezero.families import (
+    FamilyPoly,
     ZetaCoefficient,
     abs_square_coeffs,
     build_family,
@@ -27,6 +29,7 @@ from circlezero.families import (
     s_at_one,
     y_coeff_sum,
 )
+from circlezero.verify import verify_family
 
 F = Fraction
 
@@ -281,3 +284,56 @@ def test_family_domain_errors():
         build_family("Z", 3)
     with pytest.raises(DomainError):
         build_S(0)
+
+
+def _eager_P(k):
+    """P_k as the eager exact build formed it, here with every c_2j from its
+    own product (no mirror): the reference for the product form."""
+    eps = -1 if k % 2 else 1
+    coeffs = [families.ZERO_COEFF] * (2 * k + 1)
+    for j in range(k + 1):
+        coeffs[2 * j] = ZetaCoefficient.rational(families._p_even_rational(k, j))
+    coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
+    coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
+    return FamilyPoly("P", k, 2 * k - 1, tuple(coeffs), eps)
+
+
+@pytest.mark.parametrize("prec", [128 + 32, 128 + 48], ids=["sign-count", "roots"])
+def test_P_fixed_coefficients_enclose_exact(prec):
+    # each integer C_j +- e_j, in units of 2^(emax - prec), contains the exact
+    # c_j (lam's two ones overlap a finer ball of lam); the sign counter's
+    # first k + 1 are the same integers
+    for k in [*range(2, 201), 999]:
+        exact = _eager_P(k).coeffs
+        emax, C, e = build_P(k).fixed_coefficients(prec, 2 * k + 1)
+        assert build_P(k).fixed_coefficients(prec, k + 1) == (emax, C[:k + 1], e[:k + 1])
+        lam = lambda_k(k, prec + 64)
+        for j, c in enumerate(exact):
+            ball = RealEnclosure(from_man_exp(C[j], emax - prec),
+                                 from_man_exp(e[j], emax - prec), prec)
+            if c.is_rational():
+                assert ball.contains(c.a), (k, j)
+            else:
+                assert (ball - lam * c.b).contains_zero(), (k, j)
+        assert max(e) <= 4 and max(abs(x) for x in C).bit_length() <= prec, k
+
+
+@pytest.mark.parametrize("k", [*range(2, 41), 200, 999])
+def test_P_lazy_coeffs_equal_eager_build(k):
+    p, ref = build_P(k), _eager_P(k)
+    assert "coeffs" not in vars(p)     # formed on first access only
+    assert p.coeffs == ref.coeffs and ref.self_inversive_ok()
+    assert (p.degree, p.origin_multiplicity, p.epsilon) == \
+        (ref.degree, ref.origin_multiplicity, ref.epsilon)
+    assert p.to_doc() == ref.to_doc()
+
+
+def test_P_sign_count_and_roots_form_no_exact_coefficient(monkeypatch):
+    calls = []
+    orig = families._p_even_rational
+    monkeypatch.setattr(families, "_p_even_rational",
+                        lambda k, j: calls.append((k, j)) or orig(k, j))
+    for k in (2, 3, 10, 51, 200, 999):
+        assert verify_family("P", k, "sign-count")[0].certified, k
+    assert verify_family("P", 12, "roots")[0].certified
+    assert calls == []

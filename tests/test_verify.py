@@ -416,7 +416,7 @@ def test_sign_count_odd_degree_deflation_exact(fam, k):
 def test_trig_evaluator_scaled_coefficients_fit_prec(k):
     # coefficients are scaled by the largest exponent, so none exceeds 2^prec
     p = build_P(k)
-    ev = _TrigEvaluator(p, p.coefficient_balls(128 + 32), 128)
+    ev = _TrigEvaluator(p, 128)
     assert max(abs(c).bit_length() for c in ev.terms) <= ev.prec
 
 
@@ -430,7 +430,7 @@ def test_trig_evaluator_matches_power_basis(p, monkeypatch):
     monkeypatch.setattr(verify, "_COS_TABLES", {})
     bits = 128
     prec = bits + 32
-    ev = _TrigEvaluator(p, p.coefficient_balls(prec), bits)
+    ev = _TrigEvaluator(p, bits)
     m = p.degree // 2
     M = _first_grid(m)
     _cos_table(ev.prec, 4 * M)
@@ -458,7 +458,7 @@ def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
     # negligible
     p = build_P(k)
     bits = 128
-    ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
+    ev = _TrigEvaluator(p, bits)
     assert ev.use_sin == (p.epsilon < 0) == (k == 5)
     M = _first_grid(p.degree // 2)
     pi = RealEnclosure.pi(ev.prec + 64)
@@ -507,7 +507,7 @@ def test_transform_matches_dot_products(p):
     # on the first grid, at every j = 0 .. M, the transform's interval
     # overlaps the dot product's and both certify the same sign
     bits = 128
-    ev = _TrigEvaluator(p, p.coefficient_balls(bits + 32), bits)
+    ev = _TrigEvaluator(p, bits)
     M = _first_grid(p.degree // 2)
     values = ev.grid_values(M)
     ref, ref_budget = _dot_product_grid(p, bits, M)
