@@ -17,13 +17,9 @@ residual radii.
 import time
 
 from circlezero import build_family
-from circlezero.verify import (
-    FAMILY_SPECS,
-    criteria_check,
-    oscillation_verify,
-    verify_by_roots,
-    verify_by_sign_count,
-)
+from circlezero.roots import verify_by_roots
+from circlezero.signcount import verify_by_sign_count
+from circlezero.verify import FAMILY_SPECS, criteria_check, oscillation_verify
 
 print("== 1. coefficient criteria ==")
 for fam in ("S", "Y"):

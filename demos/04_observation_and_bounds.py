@@ -15,7 +15,7 @@ bounds on zeta that the verification proofs lean on.
 from fractions import Fraction
 
 from circlezero import check_bernoulli_bounds, check_euler_bounds, zeta_int
-from circlezero.verify import abs_square_poly, lakatos_check, observation_identity
+from circlezero.criteria import abs_square_poly, lakatos_check, observation_identity
 
 F = Fraction
 

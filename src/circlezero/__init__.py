@@ -50,22 +50,17 @@ from .approx import (
     ramanujan_identity_residual,
     sech_identity_residual,
 )
+from .criteria import lakatos_check, observation_identity, schinzel_check
+from .oscillation import alternating_verify
+from .reports import CriteriaReport, OscillationReport, VerificationReport
+from .roots import find_roots, simplicity_check
 from .verify import (
     FAMILY_SPECS,
-    CriteriaReport,
-    OscillationReport,
-    VerificationReport,
-    alternating_verify,
     criteria_check,
-    find_roots,
-    lakatos_check,
-    observation_identity,
     oscillation_samples,
     oscillation_verify,
     oscillation_verify_Q,
     oscillation_verify_W,
-    schinzel_check,
-    simplicity_check,
     verify_family,
 )
 

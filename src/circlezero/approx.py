@@ -24,7 +24,7 @@ from .enclosure import (
 )
 from .errors import DomainError, NumericError
 from .families import build_P, build_S
-from .verify import find_roots
+from .roots import find_roots
 
 
 @dataclass

@@ -20,9 +20,11 @@ from fractions import Fraction
 from . import approx as approx_mod
 from . import families as fam_mod
 from . import verify as verify_mod
+from .criteria import observation_identity
 from .enclosure import MIN_BITS
 from .errors import CircleZeroError, DomainError, NumericError
-from .reports import CRITERIA_COLUMNS, VERIFY_COLUMNS, csv_text, json_document, table_text
+from .reports import (CERTIFIED_FALSE, CERTIFIED_TRUE, CRITERIA_COLUMNS, VERIFY_COLUMNS,
+                      csv_text, json_document, table_text)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -131,9 +133,9 @@ def _emit(args, kind: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def _verdict_exit(verdicts: list[str]) -> int:
-    if any(v == verify_mod.CERTIFIED_FALSE for v in verdicts):
+    if any(v == CERTIFIED_FALSE for v in verdicts):
         return EXIT_REFUTED
-    if any(v != verify_mod.CERTIFIED_TRUE for v in verdicts):
+    if any(v != CERTIFIED_TRUE for v in verdicts):
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -234,7 +236,7 @@ def cmd_identity(args) -> int:
                 ok = ok and doc["encloses_zero"]
     elif args.which == "observation":
         for k in ks:
-            exact_ok, residual = verify_mod.observation_identity(k, max(args.bits, 256))
+            exact_ok, residual = observation_identity(k, max(args.bits, 256))
             rows.append({"k": k, "exact": exact_ok,
                          "residual_mid": residual.str_pair()[0],
                          "residual_rad": residual.str_pair()[1],

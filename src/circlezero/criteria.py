@@ -1,0 +1,119 @@
+"""Coefficient criteria (Lakatos / Schinzel with d = 1): a margin enclosure
+|A_top| - sum |c A_j - A_top| certified positive puts every zero of a
+reciprocal/self-inversive polynomial on the unit circle.  The margin is exact
+when the polynomial and c are rational, a ball sum otherwise.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable
+
+from .enclosure import RealEnclosure, escalate, lambda_k
+from .errors import DomainError, PrecisionError
+from .families import FamilyPoly, ZERO_COEFF, ZetaCoefficient, abs_square_coeffs
+from .reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE, CriteriaReport
+
+
+def _reciprocal(poly: FamilyPoly) -> FamilyPoly:
+    """The origin-stripped polynomial, checked reciprocal."""
+    p = poly.strip_origin()
+    d = p.degree
+    if any(p.coeffs[d - j] != p.coeffs[j] for j in range(d + 1)):
+        raise DomainError(f"{poly.family}_{poly.k}: not reciprocal, criteria do not apply")
+    return p
+
+
+def _margin_exact(coeffs: list[Fraction], c: Fraction) -> Fraction:
+    top = coeffs[-1]
+    return abs(top) - sum(abs(c * a - top) for a in coeffs)
+
+
+def _margin_ball(vals: list[RealEnclosure], c: RealEnclosure, bits: int) -> RealEnclosure:
+    top = vals[-1]
+    acc = RealEnclosure.exact(0, bits)
+    for v in vals:
+        acc = acc + (c * v - top).abs()
+    return top.abs() - acc
+
+
+def _criteria_verdict(margin: RealEnclosure) -> str:
+    return {1: CERTIFIED_TRUE, -1: CERTIFIED_FALSE, 0: INDETERMINATE}[margin.sign()]
+
+
+def lakatos_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
+    """Lakatos condition: |A_top| >= sum |A_j - A_top| on a reciprocal polynomial."""
+    return _margin_check(poly, Fraction(1), bits, "lakatos")
+
+
+def schinzel_check(poly: FamilyPoly, c, bits: int = 128) -> CriteriaReport:
+    """Schinzel condition with d = 1: |A_top| >= sum |c A_j - A_top|.
+
+    `c` may be a Fraction (exact path when the polynomial is rational) or a
+    callable bits -> RealEnclosure for irrational constants.
+    """
+    return _margin_check(poly, c, bits, "schinzel")
+
+
+def _margin_check(poly: FamilyPoly, c, bits: int, criterion: str) -> CriteriaReport:
+    p = _reciprocal(poly)
+    n = p.degree + 1
+    exact = isinstance(c, (int, Fraction)) and p.is_rational()
+
+    def attempt(b: int) -> tuple[bool, CriteriaReport]:
+        # the exact margin always decides, so it is the first and only attempt
+        if exact:
+            enc = RealEnclosure.exact(_margin_exact([x.a for x in p.coeffs[:n]], Fraction(c)), b)
+            return True, CriteriaReport(poly.family, poly.k, criterion,
+                                        RealEnclosure.exact(Fraction(c), b), enc,
+                                        _criteria_verdict(enc), exact=True)
+        c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
+        margin = _margin_ball(p.coefficient_balls(b)[:n], c_ball, b)
+        verdict = _criteria_verdict(margin)
+        return verdict != INDETERMINATE, CriteriaReport(
+            poly.family, poly.k, criterion, c_ball, margin, verdict)
+
+    return escalate(attempt, bits)[1]
+
+
+def schinzel_constant_S(k: int) -> Callable[[int], RealEnclosure]:
+    """c = pi / (4 (1 + 3^(-1-2k))) for S_k."""
+    scale = Fraction(3 ** (1 + 2 * k), 4 * (3 ** (1 + 2 * k) + 1))
+    return lambda bits: RealEnclosure.pi(bits) * scale
+
+
+def schinzel_constant_Y(k: int) -> Callable[[int], RealEnclosure]:
+    """c = pi^2 (1 - 2^(2-2k)) / (8 (1 - 2^(3-2k))) for Y_k/z."""
+    scale = (1 - Fraction(2) ** (2 - 2 * k)) / (8 * (1 - Fraction(2) ** (3 - 2 * k)))
+    return lambda bits: RealEnclosure.pi(bits).pow_int(2) * scale
+
+
+def abs_square_poly(k: int) -> FamilyPoly:
+    """|P_k(iz)|^2 packaged as a (reciprocal) FamilyPoly over Q[lam^2]."""
+    return FamilyPoly("P", k, 4 * k - 2, abs_square_coeffs(k), +1, note="|P_k(iz)|^2")
+
+
+def observation_identity(k: int, bits: int = 256) -> tuple[bool, RealEnclosure]:
+    """Check 4k(k-1)|A_4k| = sum_j |A_4k - A_j| for |P_k(iz)|^2.
+
+    Certifies the sign of each difference with enclosures, then cancels the
+    lam^2 parts exactly in Q[lam^2]; returns (exact_identity_holds, residual
+    enclosure of lhs - rhs).
+    """
+    coeffs = abs_square_coeffs(k)
+    top = coeffs[-1]
+    assert top.is_rational() and top.a > 0
+    lam = lambda_k(k, bits)
+    total = ZERO_COEFF
+    for cj in coeffs:
+        diff = top - cj
+        if diff == ZERO_COEFF:
+            continue
+        s = diff.eval(lam).sign()
+        if s == 0:
+            raise PrecisionError(f"observation sign indeterminate at k={k}")
+        total = total + (diff if s > 0 else -diff)
+    lhs = Fraction(4 * k * (k - 1)) * top.a
+    exact_ok = (total.b == 0 and total.c == 0 and total.a == lhs)
+    residual = (ZetaCoefficient.rational(lhs) - total).eval(lam)
+    return exact_ok, residual

@@ -2,7 +2,7 @@
 
 Built on mpmath.libmp primitives: add/sub/mul/div/sqrt and the pi constant are
 correctly rounded there, so directed roundings give true bounds.  Elementary
-transcendental functions (exp, log, sin, cos, acos) are evaluated at a guard
+transcendental functions (exp, sin, cos, acos) are evaluated at a guard
 precision and inflated by SLACK_ULPS units in the last place; mpmath computes
 them to ~1 ulp, so the inflated balls are sound with a wide margin.  Radii use
 a short mantissa (RAD_PREC bits) and are always rounded upward.
@@ -28,7 +28,6 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_div,
     mpf_exp,
-    mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_pi,
@@ -293,11 +292,6 @@ class RealEnclosure:
         mid, rad = (Fraction(*libmp.to_rational(x)) for x in (self.mid, self.rad))
         return abs(value - mid) <= rad
 
-    def contains_ball(self, other: "RealEnclosure") -> bool:
-        lo_ok = mpf_cmp(self.lower_raw(), other.lower_raw()) <= 0
-        hi_ok = mpf_cmp(self.upper_raw(), other.upper_raw()) >= 0
-        return lo_ok and hi_ok
-
 
 def _inflate_raw(v, wp: int, rnd: str):
     """Push a directed-rounded raw value outward by SLACK_ULPS ulps."""
@@ -319,12 +313,6 @@ def _monotone(fn, x: RealEnclosure, increasing: bool = True) -> RealEnclosure:
 
 def ball_exp(x: RealEnclosure) -> RealEnclosure:
     return _monotone(mpf_exp, x)
-
-
-def ball_log(x: RealEnclosure) -> RealEnclosure:
-    if mpf_cmp(x.lower_raw(), fzero) <= 0:
-        raise DomainError("log of an enclosure reaching 0")
-    return _monotone(mpf_log, x)
 
 
 def ball_cos_sin(x: RealEnclosure) -> tuple[RealEnclosure, RealEnclosure]:

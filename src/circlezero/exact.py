@@ -19,8 +19,6 @@ from .errors import CapacityError, DomainError, PrecisionError
 
 DEFAULT_CAP = 4096
 
-HALF = Fraction(1, 2)
-
 
 def _extend_column(m: int, column: list[int], shift: int) -> list[int]:
     """Grow the last column h_j = column (j = len(column)) of a Brent-Harvey
@@ -150,55 +148,6 @@ def bernoulli_half_value(n: int) -> Fraction:
     if n < 0 or n % 2 != 0:
         raise DomainError(f"bernoulli_half_value needs even n >= 0, got {n}")
     return (Fraction(2) ** (1 - n) - 1) * bernoulli(n)
-
-
-def bernoulli_poly_special(n: int, point: Fraction) -> Fraction:
-    """B_n(x) at x in {0, 1/2, 1} only, valid for all n >= 0 (odd included).
-
-    Uses B_1(0) = -1/2, B_1(1) = +1/2; odd-index values above 1 vanish at all
-    three points.
-    """
-    point = Fraction(point)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        if point == 0:
-            return Fraction(-1, 2)
-        if point == HALF:
-            return Fraction(0)
-        if point == 1:
-            return Fraction(1, 2)
-        raise DomainError("only x in {0, 1/2, 1} supported")
-    if n % 2 == 1:
-        if point in (Fraction(0), HALF, Fraction(1)):
-            return Fraction(0)
-        raise DomainError("only x in {0, 1/2, 1} supported")
-    if point in (Fraction(0), Fraction(1)):
-        return bernoulli(n)
-    if point == HALF:
-        return bernoulli_half_value(n)
-    raise DomainError("only x in {0, 1/2, 1} supported")
-
-
-def euler_poly_special(n: int, point: Fraction) -> Fraction:
-    """E_n(x) at x in {0, 1/2, 1} only, for all n >= 0.
-
-    E_n(1/2) = E_n / 2^n; E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n+1) for n >= 1;
-    E_n(1) = -E_n(0) for n >= 1.
-    """
-    point = Fraction(point)
-    if point == HALF:
-        if n % 2 == 1:
-            return Fraction(0)
-        return Fraction(euler(n), 1 << n)
-    if point in (Fraction(0), Fraction(1)):
-        if n == 0:
-            return Fraction(1)
-        m = n + 1
-        b = bernoulli(m) if m % 2 == 0 else (Fraction(-1, 2) if m == 1 else Fraction(0))
-        at_zero = Fraction(-2 * ((1 << m) - 1), m) * b
-        return at_zero if point == 0 else -at_zero
-    raise DomainError("only x in {0, 1/2, 1} supported")
 
 
 def _raw_to_fraction(x) -> Fraction:

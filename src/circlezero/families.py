@@ -21,6 +21,7 @@ from typing import Sequence
 
 from mpmath import libmp
 
+from . import fixed
 from .enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from .errors import DomainError
 from .exact import bernoulli, binomial, euler
@@ -105,13 +106,6 @@ def fraction_str(q: Fraction) -> str:
 ZERO_COEFF = ZetaCoefficient()
 
 
-def _fixed_from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
-    """(value, error) in units of 2^-prec; error covers rounding + radius."""
-    v = libmp.to_fixed(x.mid, prec)
-    e = libmp.to_fixed(x.rad, prec) + 2
-    return v, e
-
-
 def ball_horner(coeffs: Sequence[RealEnclosure], z: ComplexEnclosure,
                 bits: int) -> ComplexEnclosure:
     """sum coeffs[j] z^j by Horner's rule in ball arithmetic at `bits`."""
@@ -186,8 +180,8 @@ class FamilyPoly:
         if not exps:
             raise DomainError(f"{self.family}_{self.k}: zero coefficients")
         emax = max(exps)
-        fixed = [_fixed_from_ball(v.shift(-emax), prec) for v in balls]
-        return emax, [c for c, _ in fixed], [e for _, e in fixed]
+        pairs = [fixed.from_ball(v.shift(-emax), prec) for v in balls]
+        return emax, [c for c, _ in pairs], [e for _, e in pairs]
 
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
@@ -323,7 +317,7 @@ class ProductFormP(FamilyPoly):
         for j, (v, x, d) in prods.items():
             shift = emax - prec - x   # > 0: a_j a_(k-j) has about 2 prec bits
             C[j], e[j] = v >> shift, (d >> shift) + 2
-        v, ev = _fixed_from_ball(lam.shift(-emax), prec)
+        v, ev = fixed.from_ball(lam.shift(-emax), prec)
         for j, sign in ((1, self.epsilon), (2 * k - 1, 1)):
             if j < count:
                 C[j], e[j] = sign * v, ev

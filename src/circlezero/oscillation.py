@@ -1,0 +1,238 @@
+"""The oscillation lemma for W_k and Q_k: a trigonometric comparison function
+certified alternating on an explicit sample grid, with |f| > d at every
+point, while the coefficient-difference sum bounds the approximation error
+uniformly below d.  The comparison function and the uniform bound are
+fixed-point formulas (`fixed`); what each family contributes is an
+`OscillationSpec` in `verify.FAMILY_SPECS`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache, lru_cache
+from typing import Callable, Sequence
+
+from mpmath import mp
+
+from . import fixed
+from .enclosure import RealEnclosure, ball_acos, ball_cos_sin, escalate, lambda_k
+from .errors import DomainError, PrecisionError
+from .families import FamilyPoly
+from .reports import OscillationReport, VerificationReport
+
+
+@dataclass(frozen=True)
+class OscillationSpec:
+    """What the oscillation lemma needs for one family (W or Q)."""
+
+    d: Fraction                                   # oscillation distance
+    j0_denominator: Callable[[RealEnclosure], RealEnclosure]  # pi -> arccos denominator
+    min_k: int                                    # smaller k take the sign-count route
+    evaluator: Callable[[int], Callable[[Fraction, int], RealEnclosure]]
+    uniform_bound: Callable[[FamilyPoly, int], RealEnclosure]
+    drop_halves: bool                             # drop the two positive boundary halves
+
+
+def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
+    """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos formula."""
+    def attempt(b: int) -> tuple[bool, int]:
+        pi = RealEnclosure.pi(b)
+        alpha = ball_acos(RealEnclosure.exact(spec.d, b) / spec.j0_denominator(pi)) / pi
+        x = alpha * (k - 1)
+        lo, hi = int(mp.floor(x.lower)), int(mp.floor(x.upper))
+        return lo == hi, lo + 1
+
+    decided, j0 = escalate(attempt, bits)
+    if not decided:
+        raise PrecisionError(f"j0 indeterminate at k={k}")
+    return j0
+
+
+def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:
+    """The sample angles (as multiples of pi), k >= spec.min_k, mirrored over
+    0: integer points, then half-integer points from j0 on, then the last
+    point just short of pi.  With `drop_halves` (Q) the two positive
+    half-integer boundary points go (one point when they coincide)."""
+    j0 = _alpha_j0(k, spec)
+    eps = Fraction(1, 8 * k)
+    halfs = [Fraction(2 * j - 1, 2 * (k - 1)) for j in range(j0, k - j0 + 1)]
+    neg = ([Fraction(j, k - 1) for j in range(1, j0)] + halfs
+           + [Fraction(j, k - 1) for j in range(k - j0, k - 1)] + [(k - 1 - eps) / (k - 1)])
+    drop = {halfs[0], halfs[-1]} if spec.drop_halves else set()
+    pos = [p for p in neg if p not in drop]
+    return [-p for p in reversed(neg)] + [Fraction(0)] + pos
+
+
+# W_k and Q_k share a table when a sweep reaches Q_k within 32 tables of W_k
+@lru_cache(maxsize=32)
+def _osc_cos_table(k: int, prec: int) -> list[int]:
+    """2^prec cos(pi t / (2(k-1))) for t = 0 .. 4(k-1) - 1, within `fixed.TABLE_ERR`."""
+    return fixed.grow_cos_table(prec, 0, [], 2 * (k - 1))
+
+
+@lru_cache(maxsize=16)
+def _fixed_cos_sin(x: Fraction, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """cos(pi x) and sin(pi x) as fixed-point (value, error) pairs at `prec`,
+    from one `ball_cos_sin` with pi taken 8 bits finer."""
+    c, s = ball_cos_sin(RealEnclosure.pi(prec + 8) * x)
+    return fixed.from_ball(c, prec), fixed.from_ball(s, prec)
+
+
+def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
+                constants: Callable[[RealEnclosure], tuple[RealEnclosure, RealEnclosure]]):
+    """f(theta) = 2 trig_x(theta) + B trig_y(theta) + C sin((k-3) theta) / sin(theta)
+    at theta = r pi, as f(r, bits) -> ball; x and y are (is_sin, multiple), and
+    constants(pi) gives (B, C).
+
+    One integer formula at bits + `fixed.GUARD` carries an error budget
+    through `fixed.mul`/`fixed.div`.  Every sample angle but the two just
+    short of +-pi is a multiple of pi / (2(k-1)), so its trig values are
+    entries of `_osc_cos_table` (a sine is the cosine a quarter period
+    earlier); the two others take theirs from `ball_cos_sin`.  At
+    theta = 0, +-pi the quotient is its limit (k-3) sgn, exactly.
+    """
+    n = 2 * (k - 1)
+
+    @cache
+    def fixed_constants(bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+        prec = bits + fixed.GUARD
+        return prec, *(fixed.from_ball(v, prec) for v in constants(RealEnclosure.pi(prec + 8)))
+
+    def f(r: Fraction, bits: int) -> RealEnclosure:
+        prec, (b, eb), (c, ec) = fixed_constants(bits)
+        t = r * n
+        if t.denominator == 1:
+            table, t = _osc_cos_table(k, prec), int(t)
+
+            def trig(is_sin: int, m: int) -> tuple[int, int]:
+                return table[(m * t - is_sin * (k - 1)) % (2 * n)], fixed.TABLE_ERR
+        else:
+            def trig(is_sin: int, m: int) -> tuple[int, int]:
+                v, e = _fixed_cos_sin(abs(r) * m, prec)[is_sin]
+                return -v if is_sin and r < 0 else v, e     # cos is even, sin odd
+        tx, ex = trig(*x)
+        ty, ey = trig(*y)
+        if t % n == 0:
+            # sin((k-3) theta) / sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
+            q, eq = (k - 3 if t % (2 * n) == 0 or k % 2 == 0 else 3 - k) << prec, 0
+        else:
+            q, eq = fixed.div(*trig(1, k - 3), *trig(1, 1), prec)
+        by, eby = fixed.mul(b, eb, ty, ey, prec)
+        cq, ecq = fixed.mul(c, ec, q, eq, prec)
+        return fixed.to_ball(2 * tx + by + cq, 2 * ex + eby + ecq, prec, bits)
+
+    return f
+
+
+def _w_eval(k: int):
+    """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
+    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+    return _comparison(k, (0, k), (0, k - 2),
+                       lambda pi: (pi * pi * Fraction(1, 3), RealEnclosure.exact(rho, pi.prec)))
+
+
+def _q_eval(k: int):
+    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
+    rho = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
+    return _comparison(k, (0, k - 2), (1, k - 1),
+                       lambda pi: (4 / pi, RealEnclosure.exact(rho, pi.prec) / (pi * pi)))
+
+
+def _point_sign(val: RealEnclosure, d: RealEnclosure) -> tuple[bool, tuple[int, RealEnclosure]]:
+    """(decided, (sign, |val|)): decided once |val| is certified above or
+    below d, whatever the sign; the sign is nonzero only where |val| > d."""
+    a = val.abs()
+    above = a.gt(d)
+    return above or a.lt(d), (val.sign() if above else 0, a)
+
+
+def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
+                       points: Sequence[Fraction], d: Fraction,
+                       bits: int = 128) -> OscillationReport:
+    """Certify signs and |f| > d at each sample angle; count alternations.
+
+    A point gets sign 0 when |f| is certified below d or is still undecided
+    after the precision escalation.
+    """
+    if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
+        raise DomainError("sample points must be strictly increasing")
+    signs: list[int] = []
+    min_abs: RealEnclosure | None = None
+    d_ball = cache(lambda b: RealEnclosure.exact(d, b))
+    for r in points:
+        _, (sign, a) = escalate(lambda b: _point_sign(f(r, b), d_ball(b)), bits)
+        signs.append(sign)
+        if sign != 0:
+            min_abs = a if min_abs is None or a.upper < min_abs.upper else min_abs
+    certified = [s for s in signs if s != 0]
+    order = sum(1 for i in range(len(certified) - 1) if certified[i] != certified[i + 1])
+    return OscillationReport(list(points), signs, min_abs, order, d)
+
+
+def _floor_ratio(a: Fraction, b: Fraction, prec: int, q: Fraction = Fraction(0)) -> int:
+    """floor(2^prec (a / b - q)): one floor division of integer
+    cross-products, within one unit, with no gcd."""
+    num = a.numerator * b.denominator * q.denominator - q.numerator * a.denominator * b.numerator
+    return (num << prec) // (a.denominator * b.numerator * q.denominator)
+
+
+def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
+    """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|.
+
+    A_j = (-1)^j c_2j are the even coefficients of W_k(iz).  One fixed-point
+    sum at bits + `fixed.GUARD`: each term of the inner sum is one floor
+    division, within one unit; A_1/A_0 is one too, and pi^2/6 comes from
+    `fixed.from_ball`, so the first term is within 1 + its error.
+    """
+    k, prec = w.k, bits + fixed.GUARD
+    a0 = w.coeffs[0].a
+    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+    pi = RealEnclosure.pi(prec + 8)
+    c, ec = fixed.from_ball(pi * pi * Fraction(1, 6), prec)
+    total = 2 * abs(_floor_ratio(-w.coeffs[2].a, a0, prec) - c)
+    for j in range(2, k - 1):
+        a = w.coeffs[2 * j].a
+        total += abs(_floor_ratio(-a if j % 2 else a, a0, prec, rho))
+    return fixed.to_ball(total, 2 * (ec + 1) + k - 3, prec, bits)
+
+
+def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
+    """sum_{j=2}^{k-2} |A_j/A_1 - (8/pi^2) r| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|.
+
+    A_j = (-1)^j c_2j are the even coefficients of Q_k(iz).  One fixed-point
+    sum at bits + `fixed.GUARD`: each A_j/A_1 is one floor division, within
+    one unit, and the centre (8/pi^2) r and the last term come from
+    `fixed.from_ball`, so each term is within 1 + the centre's error.
+    """
+    k, prec = q.k, bits + fixed.GUARD
+    a1 = -q.coeffs[2].a  # A_1 = (-1)^1 * coeff(z^2)
+    rq = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
+    pi = RealEnclosure.pi(prec + 8)
+    c, ec = fixed.from_ball(RealEnclosure.exact(rq, prec + 8) / (pi * pi), prec)
+    total = 0
+    for j in range(2, k - 1):
+        a = q.coeffs[2 * j].a
+        total += abs(_floor_ratio(-a if j % 2 else a, a1, prec) - c)
+    # odd-term ratio: A_1 unnormalized is pi^(2k-1) * a1; zeta(2k-1) = lam pi^(2k-1).
+    # lam is bound at `bits`: at small k its zeta sum takes far more terms when finer
+    odd = ((1 << (2 * k - 1)) - 1) / a1
+    lam_term = lambda_k(k, bits) * (-odd if k % 2 else odd) - 2 / RealEnclosure.pi(bits)
+    t, et = fixed.from_ball(lam_term, prec)
+    return fixed.to_ball(total + 2 * abs(t), (k - 3) * (ec + 1) + 2 * et, prec, bits)
+
+
+def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> VerificationReport:
+    """The oscillation certificate of W_k or Q_k, k >= spec.min_k: every
+    nontrivial zero is on the unit circle when the uniform bound is below d
+    and the comparison function alternates with |f| > d at every sample."""
+    k = poly.k
+    target = poly.strip_origin().degree
+    bound = spec.uniform_bound(poly, bits)
+    osc = alternating_verify(spec.evaluator(k), sample_points(spec, k), spec.d, bits)
+    osc.uniform_bound = bound
+    certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
+                     and all(s != 0 for s in osc.signs))
+    return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,
+                              None, None, certified, origin_zeros=poly.origin_multiplicity,
+                              detail={"oscillation": {"k": k, **osc.to_doc()}})

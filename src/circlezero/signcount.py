@@ -1,0 +1,247 @@
+"""Sign counting of a self-inversive polynomial on the unit circle.
+
+For a self-inversive p of even degree 2m, g(theta) = e^(-i m theta) p(e^(i theta))
+is a real cosine sum (eps = +1) or i times a real sine sum (eps = -1); its
+certified sign changes on power-of-two grids theta = j pi / M, each grid one
+fixed-point radix-2 transform with an a-priori budget, count the circle
+zeros.  An odd degree first divides out its forced zero z = -eps exactly in
+Q[lam], so every degree takes this one route.
+"""
+
+from __future__ import annotations
+
+import threading
+from fractions import Fraction
+
+from . import fixed
+from .errors import DomainError, PrecisionError
+from .families import FamilyPoly
+from .reports import VerificationReport
+
+# prec -> (S, [2^prec cos(pi t / S) for t = 0 .. 2S - 1]): one table per
+# working precision for the process; S is a power of two and only grows.
+_COS_TABLES: dict[int, tuple[int, list[int]]] = {}
+_COS_TABLES_LOCK = threading.Lock()
+
+
+def _first_grid(m: int) -> int:
+    """The first grid of a degree-2m count: the smallest power of two >= max(3m, 32)."""
+    return 1 << (max(3 * m, 32) - 1).bit_length()
+
+
+def _cos_table(prec: int, M: int) -> list[int]:
+    """2^prec cos(pi t / M) for t = 0 .. 2M - 1 (M a power of two >= 4), each
+    entry within `fixed.TABLE_ERR` units: the process table read with stride
+    S / M."""
+    S, table = _COS_TABLES.get(prec, (0, []))
+    if S < M:
+        with _COS_TABLES_LOCK:
+            S, table = _COS_TABLES.get(prec, (0, []))
+            if S < M:
+                S, table = M, fixed.grow_cos_table(prec, S, table, M)
+                _COS_TABLES[prec] = (S, table)
+    return table[::S // M]
+
+
+def _half_dft(x: list[int], cos: list[int], prec: int) -> tuple[list[int], list[int]]:
+    """(re, im) of X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M, from the
+    real integers x and `cos` = `_cos_table(prec, M)`.
+
+    A radix-2 decimation-in-time transform of length N = 2M, pruned and
+    halved.  The node at stride d transforms the real subsequence
+    x_s, x_(s+d), ... at length N / d; it is a plain copy of x_s when no entry
+    after the first is nonzero, and otherwise combines its even and odd halves
+    with the twiddles w^j = e^(2 pi i j d / N), read as cos[jd] and, for the
+    sine, cos[jd - M/2].  A real input has a conjugate-symmetric transform, so
+    each node keeps only j = 0 .. L, L = N / (2d), and one product
+    t = w^j O_j gives X_j = E_j + t and X_(L-j) = conj(E_j - t).  Each
+    product is floored to whole units of 2^-prec per component.
+    """
+    N = len(cos)
+    quarter = N // 4
+
+    def node(x: list[int], d: int) -> tuple[list[int], list[int]]:
+        half = N // (2 * d)
+        if not any(x[1:]):
+            return [x[0] if x else 0] * (half + 1), [0] * (half + 1)
+        # the even half is extended in place; going down in j, the odd half
+        # is popped as it is used and every write at half - j >= j lands past
+        # the even entries still to read, so a node holds ~N / d values
+        re, im = node(x[0::2], 2 * d)
+        o_r, oi = node(x[1::2], 2 * d)
+        re += [0] * (half - half // 2)
+        im += [0] * (half - half // 2)
+        for j in range(half // 2, -1, -1):
+            wr, wi = cos[j * d], cos[j * d - quarter]
+            a, b = o_r.pop(), oi.pop()
+            tr = (a * wr - b * wi) >> prec
+            ti = (a * wi + b * wr) >> prec
+            er, ei = re[j], im[j]
+            re[j], im[j] = er + tr, ei + ti
+            re[half - j], im[half - j] = er - tr, ti - ei
+        return re, im
+
+    return node(x, 1)
+
+
+class _TrigEvaluator:
+    """Certified fixed-point evaluation of g(theta) = sum_r q_r trig(r theta)
+    on theta = j pi / M grids, for an origin-stripped self-inversive p of even
+    degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
+    q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
+    p's `fixed_coefficients` give c_j = 2^(E - prec) (C_j +- e_j); with
+    emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
+    2^(emax - prec), and c_m is C_m / 2 floored, within e_m / 2 + 1/2 units.
+
+    `grid_values(M)` returns g(j pi / M) for j = 0 .. M, each within `budget`,
+    in units of 2^(emax - prec).  The budget bounds the error of `_half_dft`
+    on the fixed-point `terms` x_r, against y_r = 2^(prec - emax) q_r with
+    |x_r - y_r| <= e_r:
+
+    - a node is a combine only if some x_r with r = s + t d, t >= 1, r <= m is
+      nonzero, so its stride d <= m and s <= m - d.  A root-to-leaf path
+      meets the strides 1, 2, 4, ... <= m, so at most h = bit_length(m)
+      combines, and there are at most sum_(d <= m) d <= 2m - 1 combines.
+    - a copy node is off by at most the sum of e_r over its subsequence: the
+      terms it drops have x_r = 0, so |y_r| <= e_r.
+    - a twiddle is within tau = sqrt 2 TABLE_ERR 2^-prec of w, so
+      |w~| <= 1 + tau.  A combine is then off by at most
+      dE + (1 + tau) dO + tau |O| + sqrt 2, with dE, dO its halves' errors,
+      |O| <= sum |y_r| over its odd half and sqrt 2 for the floored
+      product; the conjugate branch is off by the same.
+    - by induction on the height, the root is off by at most
+      (1 + tau)^h (sum e_r + h tau sum |y_r| + sqrt 2 (2m - 1)).
+
+    With sqrt 2 <= 3/2, |y_r| <= |x_r| + e_r and (1 + tau)^h <= 1 + 2 h tau
+    (h tau <= 1), `budget` is an integer upper bound of that, the same for
+    every grid.
+    """
+
+    def __init__(self, p: FamilyPoly, bits: int):
+        m = p.degree // 2
+        self.prec = prec = bits + fixed.GUARD
+        emax, C, E = p.fixed_coefficients(prec, m + 1)
+        self.emax = emax + 1  # g(theta) = 2^(emax - prec) * (grid value +- budget)
+        if p.epsilon > 0:
+            scaled = [(0, C[m] >> 1, (E[m] >> 1) + 1)] + [(r, C[m - r], E[m - r])
+                                                          for r in range(1, m + 1)]
+        else:
+            scaled = [(r, -C[m - r], E[m - r]) for r in range(1, m + 1)]
+        self.terms = [0] * (m + 1)   # x_r
+        for r, c, _ in scaled:
+            self.terms[r] = c
+        self.use_sin = p.epsilon < 0
+        h, err = m.bit_length(), sum(e for _, _, e in scaled)
+        tau_num = 3 * fixed.TABLE_ERR   # tau <= tau_num / 2^(prec + 1)
+        inner = (err + fixed.ceil_mul(tau_num * h, sum(abs(c) + e for _, c, e in scaled), prec + 1)
+                 + 3 * m)
+        self.budget = inner + fixed.ceil_mul(tau_num * h, inner, prec)
+
+    def grid_values(self, M: int) -> list[int]:
+        """g(j pi / M) for j = 0 .. M, each within `budget`: one `_half_dft`
+        of the terms against the process cosine table of the grid."""
+        return _half_dft(self.terms, _cos_table(self.prec, M), self.prec)[self.use_sin]
+
+
+def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
+    """Sign counting for an origin-stripped self-inversive p of even degree,
+    whose symmetry c_(n-j) = eps c_j the caller has checked.
+
+    With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
+    i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
+    which vanishes exactly at the circle-zero angles of p; each certified sign
+    change of g on (0, pi) is one conjugate pair of zeros.  Each grid
+    theta = j pi / M, j = 0 .. M, is one transform (`grid_values`) with one
+    budget.  For eps = -1 the symmetry forces p(1) = p(-1) = 0.  For eps = +1,
+    p(1) = g(0) and p(-1) = (-1)^m g(pi) take their certified signs from the
+    first grid's transform; only an undecided sign runs the exact zero test
+    in Q[lam].  The grid starts at the smallest power of two M >= max(3m, 32)
+    and doubles up to five times; a doubled grid is transformed whole but
+    only its odd j are new.  `evaluations` counts the grid points whose sign
+    was taken, M - 1, not arithmetic operations.
+    """
+    n = p.degree
+    m = n // 2
+    if n == 0:
+        if p.coeffs[0].is_zero():
+            raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
+        return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None,
+                                  p.coefficient_balls(bits + fixed.GUARD)[0].sign() != 0,
+                                  detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
+                                          "factored": True, "evaluations": 0})
+
+    # g's coefficients come from c_0..c_m; the upper half mirrors them
+    ev = _TrigEvaluator(p, bits)
+    budget = ev.budget
+
+    def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M
+        return [1 if v > budget else (-1 if v < -budget else 0) for v in ev.grid_values(M)]
+
+    M = _first_grid(m)
+    signs = signs_of(M)
+    if p.epsilon < 0:
+        boundary = 2   # c_(n-j) = -c_j forces p(1) = p(-1) = 0
+    else:
+        boundary = 0
+        for point, j in ((1, 0), (-1, M)):
+            if signs[j] == 0:
+                if not p.eval_rational(Fraction(point)).is_zero():
+                    raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
+                boundary += 1
+    # 2 * target + boundary must reach n even when boundary is odd
+    target = (n - boundary + 1) // 2
+    signs = [0] + signs[1:M]   # signs[j]: g(j pi / M) on the open interval
+    for grids in range(1, 7):
+        seq = [s for s in signs if s]
+        changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+        if changes >= target or grids == 6:
+            break
+        M *= 2
+        odd = signs_of(M)[1::2]
+        signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
+    certified = changes >= target
+    return VerificationReport(p.family, p.k, "sign-count",
+                              n if certified else 2 * changes + boundary, n, None, None,
+                              certified,
+                              detail={"grid": M, "changes": changes, "boundary_zeros": boundary,
+                                      "factored": True, "evaluations": M - 1})
+
+
+def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
+    """p(z) / (z + eps) for an origin-stripped self-inversive p of odd degree.
+
+    The pairs c_j, c_(n-j) = eps c_j cancel at z = -eps, so synthetic division
+    leaves no remainder and a reciprocal quotient of even degree n - 1
+    (eps = +1).  The caller checks the symmetry; see `verify_by_sign_count`.
+    """
+    n, eps = p.degree, p.epsilon
+    q = [p.coeffs[n]]
+    for c in reversed(p.coeffs[1:n]):
+        q.append(c - q[-1] if eps > 0 else c + q[-1])
+    q.reverse()
+    return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1,
+                      note=(p.note + f" /(z{eps:+d})").strip())
+
+
+def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
+    """Route a family polynomial through the sign counter.
+
+    The symmetry c_(n-j) = eps c_j of the origin-stripped polynomial is
+    checked exactly first; every later step relies on it.  Odd nontrivial
+    degrees then divide out their forced zero z = -eps exactly; the
+    even-degree quotient is counted and the deflated zero added.
+    """
+    p = poly.strip_origin()
+    if not p.self_inversive_ok():
+        raise DomainError(f"{poly.family}_{poly.k}: c_(n-j) != {p.epsilon:+d} c_j, "
+                          "not self-inversive")
+    n = p.degree
+    if n % 2 == 0:
+        rep = _factor_sign_count(p, bits)
+    else:
+        rep = _factor_sign_count(deflate_forced_zero(p), bits)
+        rep.zeros_on_circle += 1
+        rep.degree_nontrivial = n
+        rep.detail["deflated"] = str(-p.epsilon)
+    rep.origin_zeros = poly.origin_multiplicity
+    return rep

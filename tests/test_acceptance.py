@@ -26,19 +26,16 @@ from circlezero.families import (
     s_at_one,
     y_coeff_sum,
 )
-from circlezero.verify import (
-    CERTIFIED_TRUE,
-    find_roots,
+from circlezero.criteria import (
     observation_identity,
-    oscillation_verify_Q,
-    oscillation_verify_W,
     schinzel_check,
     schinzel_constant_S,
     schinzel_constant_Y,
-    simplicity_check,
-    verify_by_roots,
-    verify_by_sign_count,
 )
+from circlezero.reports import CERTIFIED_TRUE
+from circlezero.roots import find_roots, simplicity_check, verify_by_roots
+from circlezero.signcount import verify_by_sign_count
+from circlezero.verify import oscillation_verify_Q, oscillation_verify_W
 
 F = Fraction
 

@@ -97,7 +97,7 @@ def test_approx1_six_decimals():
 def test_approx1_seed_on_circle():
     # the seed root itself (P_2 root) is on the circle to 1e-20
     from circlezero.families import build_P
-    from circlezero.verify import find_roots
+    from circlezero.roots import find_roots
     roots = find_roots(build_P(2), 128)
     for r in roots:
         assert (r.abs() - 1).abs().lt(F(1, 10 ** 20))

@@ -276,7 +276,7 @@ JSON_DIGESTS = [
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "cd7ab9fc505e6cda1550659f382303047e85b70d96fae2b16d81492fd30370bb"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "13cd5564997b6b3f935a4904ac36844458d4d659b44d970a3e985e8da705cd96"),
+     "6fc10034dfdfbbb725b7e0f7d7bed73a21e6cc2ebd88f256a5c89f489a9da699"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
      "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,

@@ -13,12 +13,10 @@ from circlezero.exact import (
     EulerTable,
     bernoulli,
     bernoulli_half_value,
-    bernoulli_poly_special,
     binomial,
     check_bernoulli_bounds,
     check_euler_bounds,
     euler,
-    euler_poly_special,
     pi_bounds,
     secant_numbers,
     tangent_numbers,
@@ -26,6 +24,28 @@ from circlezero.exact import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def bernoulli_poly_special(n: int, point: Fraction) -> Fraction:
+    """B_n(x) at x in {0, 1/2, 1}, for all n >= 0 (B_1(0) = -1/2, B_1(1) = 1/2;
+    odd-index values above 1 vanish at all three points)."""
+    assert point in (0, HALF, 1)
+    if n == 1:
+        return point - HALF
+    if n % 2 == 1:
+        return Fraction(0)
+    return bernoulli_half_value(n) if point == HALF else Fraction(bernoulli(n))
+
+
+def euler_poly_special(n: int, point: Fraction) -> Fraction:
+    """E_n(x) at x in {1/2, 1}: E_n(1/2) = E_n / 2^n, and for n >= 1
+    E_n(1) = 2 (2^(n+1) - 1) B_(n+1) / (n+1)."""
+    assert point in (HALF, 1)
+    if point == HALF:
+        return Fraction(0) if n % 2 else Fraction(euler(n), 1 << n)
+    if n == 0:
+        return Fraction(1)
+    return Fraction(2 * ((1 << (n + 1)) - 1), n + 1) * bernoulli_poly_special(n + 1, Fraction(0))
 
 
 def bernoulli_recurrence_oracle(n_max: int) -> list[Fraction]:

@@ -6,8 +6,17 @@ from fractions import Fraction
 import pytest
 from mpmath import libmp, mp
 
-from circlezero import families, verify
-from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin
+from circlezero import families, signcount
+from circlezero import roots as roots_mod
+from circlezero.criteria import (
+    abs_square_poly,
+    lakatos_check,
+    observation_identity,
+    schinzel_check,
+    schinzel_constant_S,
+    schinzel_constant_Y,
+)
+from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin, lambda_k
 from circlezero.errors import DomainError, NumericError
 from circlezero.families import (
     FamilyPoly,
@@ -21,35 +30,23 @@ from circlezero.families import (
     build_W,
     build_Y,
 )
-from circlezero.verify import (
-    CERTIFIED_FALSE,
-    CERTIFIED_TRUE,
-    FAMILY_SPECS,
-    OSC_GUARD,
-    OSC_TABLE_ERR,
-    TABLE_ERR,
+from circlezero.fixed import GUARD, TABLE_ERR, from_ball
+from circlezero.oscillation import _osc_cos_table, _q_eval, _w_eval, alternating_verify
+from circlezero.reports import CERTIFIED_FALSE, CERTIFIED_TRUE
+from circlezero.roots import find_roots, simplicity_check, verify_by_roots
+from circlezero.signcount import (
     _cos_table,
     _first_grid,
     _TrigEvaluator,
-    abs_square_poly,
-    alternating_verify,
     deflate_forced_zero,
-    find_roots,
-    lakatos_check,
-    observation_identity,
+    verify_by_sign_count,
+)
+from circlezero.verify import (
+    FAMILY_SPECS,
     oscillation_samples,
     oscillation_verify_Q,
     oscillation_verify_W,
-    schinzel_check,
-    schinzel_constant_S,
-    schinzel_constant_Y,
-    simplicity_check,
-    verify_by_roots,
-    verify_by_sign_count,
     verify_family,
-    _osc_cos_table,
-    _q_eval,
-    _w_eval,
 )
 
 F = Fraction
@@ -200,15 +197,15 @@ def test_point_certified_below_d_decides_without_escalation():
 @pytest.mark.parametrize("k", [7, 11, 12, 35, 60, 200])
 def test_oscillation_table_entries_within_bound(k):
     # sizes 2(k-1) are not powers of two; every entry of the full-period
-    # table is within OSC_TABLE_ERR of a reference 64 bits finer
+    # table is within TABLE_ERR of a reference 64 bits finer
     n = 2 * (k - 1)
-    prec = 128 + OSC_GUARD
+    prec = 128 + GUARD
     table = _osc_cos_table(k, prec)
     assert len(table) == 2 * n
     pi = RealEnclosure.pi(prec + 64)
     for t, v in enumerate(table):
         ref = ball_cos_sin(pi * F(t, n))[0].shift(prec)
-        assert (ref - v).abs().lt(OSC_TABLE_ERR), (k, t)
+        assert (ref - v).abs().lt(TABLE_ERR), (k, t)
 
 
 def _comparison_reference(family: str, k: int, r: Fraction, bits: int) -> RealEnclosure:
@@ -241,6 +238,45 @@ def test_comparison_function_overlaps_finer_ball_evaluation(family, k):
         val = f(r, 128)
         assert val.prec == 128 and val.radius < mp.mpf(2) ** -100, (family, k, r)
         assert (val - _comparison_reference(family, k, r, 192)).contains_zero(), (family, k, r)
+
+
+def _uniform_bound_reference(poly: FamilyPoly, bits: int) -> RealEnclosure:
+    """The uniform bound of W_k or Q_k as the ball formula over exact
+    Fraction ratios that the fixed-point sums replaced, kept as the reference."""
+    k = poly.k
+    pi = RealEnclosure.pi(bits)
+    if poly.family == "W":
+        ratios = [poly.coeffs[2 * j].a * (-1) ** j / poly.coeffs[0].a for j in range(k + 1)]
+        rho = 2 / (1 - F(2) ** (1 - 2 * k))
+        exact_sum = sum(abs(ratios[j] - rho) for j in range(2, k - 1))
+        term1 = (RealEnclosure.exact(ratios[1], bits) - pi * pi * F(1, 6)).abs()
+        return term1 + term1 + RealEnclosure.exact(exact_sum, bits)
+    a1 = -poly.coeffs[2].a
+    ratios = [poly.coeffs[2 * j].a * (-1) ** j / a1 for j in range(k)]
+    rq = 8 * (1 - F(2) ** (3 - 2 * k)) / (1 - F(2) ** (2 - 2 * k))
+    rho_ball = RealEnclosure.exact(rq, bits) / (pi * pi)
+    acc = RealEnclosure.exact(0, bits)
+    for j in range(2, k - 1):
+        acc = acc + (RealEnclosure.exact(ratios[j], bits) - rho_ball).abs()
+    tau = lambda_k(k, bits) * F((-1 if k % 2 else 1) * ((1 << (2 * k - 1)) - 1)) / a1
+    term = (tau - 2 / pi).abs()
+    return acc + term + term
+
+
+@pytest.mark.parametrize("family,k", [("W", 11), ("W", 12), ("W", 35), ("W", 60), ("W", 200),
+                                      ("Q", 7), ("Q", 12), ("Q", 35), ("Q", 60), ("Q", 200)])
+def test_uniform_bound_overlaps_exact_ratio_reference(family, k):
+    # the fixed-point bound and the reference 64 bits finer share a point,
+    # compared in exact rationals so no rounding of the comparison hides a
+    # missing error term; and the bound is below the oscillation distance
+    spec = FAMILY_SPECS[family].oscillation
+    poly = build_family(family, k)
+    bound = spec.uniform_bound(poly, 128)
+    ref = _uniform_bound_reference(poly, 128 + 64)
+    (mb, rb), (mr, rr) = ((F(*libmp.to_rational(x.mid)), F(*libmp.to_rational(x.rad)))
+                          for x in (bound, ref))
+    assert abs(mb - mr) <= rb + rr, (family, k)
+    assert bound.lt(spec.d)
 
 
 def test_oscillation_W():
@@ -427,7 +463,7 @@ def test_trig_evaluator_matches_power_basis(p, monkeypatch):
     # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
     # i g(theta) for eps = -1, with g the evaluator's trig polynomial; the
     # process table is four times finer, so the transform reads it by stride 4
-    monkeypatch.setattr(verify, "_COS_TABLES", {})
+    monkeypatch.setattr(signcount, "_COS_TABLES", {})
     bits = 128
     prec = bits + 32
     ev = _TrigEvaluator(p, bits)
@@ -464,11 +500,11 @@ def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
     pi = RealEnclosure.pi(ev.prec + 64)
     refs = [ball_cos_sin(pi * F(t, M))[ev.use_sin].shift(ev.prec) for t in range(2 * M)]
     for history in ((), (1, 4), (4, 1), (1, 2, 4)):
-        monkeypatch.setattr(verify, "_COS_TABLES", {})
+        monkeypatch.setattr(signcount, "_COS_TABLES", {})
         for factor in history:
             _cos_table(ev.prec, factor * M)
         cos = _cos_table(ev.prec, M)
-        assert verify._COS_TABLES[ev.prec][0] == max(history, default=1) * M
+        assert signcount._COS_TABLES[ev.prec][0] == max(history, default=1) * M
         assert len(cos) == 2 * M
         for t in range(2 * M):
             v = cos[t - ev.use_sin * M // 2]
@@ -488,7 +524,7 @@ def _dot_product_grid(p, bits, M):
     else:
         terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
     emax = max(v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero)
-    fixed = [(r, *verify._fixed_from_ball(v.shift(-emax), prec)) for r, v in terms]
+    fixed = [(r, *from_ball(v.shift(-emax), prec)) for r, v in terms]
     budget = (TABLE_ERR * sum(abs(c) for _, c, _ in fixed)
               + ((1 << prec) + TABLE_ERR) * sum(e for _, _, e in fixed))
     cos = _cos_table(prec, M)
@@ -523,8 +559,8 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
     # a first grid a quarter of the usual size falls short of the count, so
     # the grid doubles; a doubled grid keeps the coarse signs at even j and
     # takes its odd j from its own transform
-    first_grid = verify._first_grid
-    monkeypatch.setattr(verify, "_first_grid", lambda m: first_grid(m) // 4)
+    first_grid = signcount._first_grid
+    monkeypatch.setattr(signcount, "_first_grid", lambda m: first_grid(m) // 4)
     grids = []
     grid_values = _TrigEvaluator.grid_values
 
@@ -537,7 +573,7 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
     rep = verify_by_sign_count(poly)
     p = poly.strip_origin()
     p = deflate_forced_zero(p) if p.degree % 2 else p
-    M0 = verify._first_grid(p.degree // 2)
+    M0 = signcount._first_grid(p.degree // 2)
     assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial
     assert rep.detail["grid"] == M0 << doublings
     assert rep.detail["evaluations"] == (M0 << doublings) - 1
@@ -561,13 +597,13 @@ def test_sign_count_reports_independent_of_table_history(monkeypatch):
         return [verify_by_sign_count(build_family(f, k)).to_doc()
                 for f, k in (("P", 10), ("S", 31), ("Y", 51))]
 
-    monkeypatch.setattr(verify, "_COS_TABLES", {})
+    monkeypatch.setattr(signcount, "_COS_TABLES", {})
     fresh = docs()
     sizes = []
     for grower in (build_P(450), build_R(12)):   # one growth step, then doublings
-        monkeypatch.setattr(verify, "_COS_TABLES", {})
+        monkeypatch.setattr(signcount, "_COS_TABLES", {})
         verify_by_sign_count(grower)
-        sizes.append(verify._COS_TABLES[128 + 32][0])
+        sizes.append(signcount._COS_TABLES[128 + 32][0])
         assert docs() == fresh
     assert min(sizes) > max(d["detail"]["grid"] for d in fresh)
 
@@ -656,8 +692,8 @@ def test_simplicity_check_matches_all_pairs_scan(fam, k, monkeypatch):
             if best is None or d.lower < best.lower:
                 best = d
     # one block of rows at these sizes, then one row per block
-    for block in (verify.SIMPLICITY_BLOCK, 1):
-        monkeypatch.setattr(verify, "SIMPLICITY_BLOCK", block)
+    for block in (roots_mod.SIMPLICITY_BLOCK, 1):
+        monkeypatch.setattr(roots_mod, "SIMPLICITY_BLOCK", block)
         sep = simplicity_check(roots)
         assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec), block
 
@@ -704,7 +740,7 @@ def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
     # their radii: the count could be one double root, so no certificate
     tiny = F(1, 2 ** 80)
     roots = [_ball(F(1), F(0), 2 * tiny), _ball(F(1), tiny, 2 * tiny)]
-    monkeypatch.setattr(verify, "find_roots", lambda poly, bits: roots)
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: roots)
     rep = verify_by_roots(build_S(2))
     assert rep.zeros_on_circle == 2 and rep.degree_nontrivial == 2
     assert not rep.certified and rep.verdict != CERTIFIED_TRUE
@@ -712,7 +748,7 @@ def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
 
 def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
     calls = []
-    real = verify.find_roots
+    real = roots_mod.find_roots
 
     wide = RealEnclosure.exact(F(1, 10 ** 10), 64).mid
 
@@ -724,13 +760,13 @@ def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
                      for r in roots]
         return roots
 
-    monkeypatch.setattr(verify, "find_roots", first_wide)
+    monkeypatch.setattr(roots_mod, "find_roots", first_wide)
     rep = verify_by_roots(build_P(6), bits=128)
     assert calls == [128, 256]
     assert rep.verdict == CERTIFIED_TRUE and rep.zeros_on_circle == 12
     # a refutation is final
     calls.clear()
-    monkeypatch.setattr(verify, "find_roots",
+    monkeypatch.setattr(roots_mod, "find_roots",
                         lambda poly, bits: calls.append(bits) or real(poly, bits))
     assert verify_by_roots(build_R(5)).verdict == CERTIFIED_FALSE
     assert calls == [128]
