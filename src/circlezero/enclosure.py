@@ -14,6 +14,7 @@ precision-escalation policy: the working precision doubles ESCALATIONS times.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 from typing import Callable, TypeVar
 
@@ -141,8 +142,17 @@ class RealEnclosure:
         return f"RealEnclosure({to_str(self.mid, 20)} +/- {to_str(self.rad, 5)})"
 
     def str_pair(self, dps: int | None = None) -> tuple[str, str]:
+        """(midpoint, radius) as decimal strings whose ball encloses this one:
+        the printed radius is the radius plus the midpoint's decimal rounding
+        error, rounded up to 5 significant digits."""
         d = dps if dps is not None else max(8, int(self.prec * 0.302) + 2)
-        return to_str(self.mid, d), to_str(self.rad, 5)
+        mid_str = to_str(self.mid, d)
+        mid, rad = (Fraction(*libmp.to_rational(x)) for x in (self.mid, self.rad))
+        up = rad + abs(Fraction(mid_str) - mid)
+        # a correctly rounded decimal division rounds up; `to_str` floors to
+        # 8 digits and then rounds, so from 64 bits above r it prints r's digits
+        r = Fraction(Context(prec=5, rounding=ROUND_CEILING).divide(up.numerator, up.denominator))
+        return mid_str, to_str(from_rational(r.numerator, r.denominator, 64, "c"), 5)
 
     # -- arithmetic -----------------------------------------------------
 

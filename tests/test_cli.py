@@ -274,11 +274,11 @@ JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
      "de2f053962732da51dc850e7b73f694545089a9b64f17634b8ffc938ece545c7"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
-     "cd7ab9fc505e6cda1550659f382303047e85b70d96fae2b16d81492fd30370bb"),
+     "77595121523f321586111a06061cc442459ea67400dd004c5cda3064e1c672a4"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "6fc10034dfdfbbb725b7e0f7d7bed73a21e6cc2ebd88f256a5c89f489a9da699"),
+     "0d88d74f0a4541bf4e6ad0cf8cfa736a557e32f6950714d0ff8c42cc9206b804"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
-     "a9c0e216add5dfc064896a8d254d2acfb000017b287913f97b7148146fc7a689"),
+     "4086cb8631f547af7cd4b2164fb5b2f07afa7c29b20efadf09253668d1085625"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
     # R never certifies, so every grid doubles and carries its signs over

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_sub
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_sub, to_rational
 
 from circlezero.enclosure import (
     ComplexEnclosure,
@@ -216,3 +216,17 @@ def test_contains_is_exact_membership(q):
         assert not RealEnclosure(mpf_sub(x, mpf_mul(u, from_int(g)), 256), u, 128).contains(q), g
     # endpoints belong to the ball
     assert RealEnclosure(from_int(1), from_man_exp(1, -3), 128).contains(Fraction(9, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(-400, 100),
+       st.integers(0, 1 << 40), st.integers(-450, 100), st.sampled_from([64, 128, 152, 256]),
+       st.sampled_from([None, 3, 12]))
+def test_printed_ball_encloses_random_ball(man, exp, rman, rexp, prec, dps):
+    ball = RealEnclosure(from_man_exp(man, exp), from_man_exp(rman, rexp, 32, "c"), prec)
+    mid_str, rad_str = ball.str_pair(dps)
+    mid, rad = (Fraction(*to_rational(x)) for x in (ball.mid, ball.rad))
+    # Fraction(mid_str) +- Fraction(rad_str) contains [mid - rad, mid + rad],
+    # with the radius rounded up by at most one unit of its fifth digit
+    need = abs(Fraction(mid_str) - mid) + rad
+    assert need <= Fraction(rad_str) <= need * (1 + Fraction(1, 10**4))

@@ -795,6 +795,32 @@ def test_verify_by_roots_refutes_R():
     assert rep.verdict == CERTIFIED_FALSE
 
 
+# -- printed balls -----------------------------------------------------------
+
+def test_printed_report_balls_enclose_their_values(monkeypatch):
+    # every ball a route prints: Fraction(mid_str) +- Fraction(rad_str) must
+    # contain [mid - rad, mid + rad]
+    printed = []
+    str_pair = RealEnclosure.str_pair
+
+    def recording(self, dps=None):
+        printed.append((self, str_pair(self, dps)))
+        return printed[-1][1]
+
+    monkeypatch.setattr(RealEnclosure, "str_pair", recording)
+    docs = [rep.to_doc() for fam, k, method in (("S", 9, "criteria"), ("Y", 9, "criteria"),
+                                                ("W", 12, "oscillation"), ("Q", 12, "oscillation"),
+                                                ("P", 10, "roots"), ("Q", 8, "roots"))
+            for rep in verify_family(fam, k, method)]
+    nested = [d for doc in docs for d in (doc, *doc["detail"].values()) if isinstance(d, dict)]
+    fields = {name for d in nested for name, v in d.items() if name.endswith("_rad") and v}
+    assert fields == {"c_rad", "margin_rad", "min_abs_rad", "bound_rad",
+                      "max_mod_dev_rad", "min_root_sep_rad"}
+    for ball, (mid_str, rad_str) in printed:
+        mid, rad = (F(*libmp.to_rational(x)) for x in (ball.mid, ball.rad))
+        assert F(rad_str) >= abs(F(mid_str) - mid) + rad, (mid_str, rad_str)
+
+
 # -- dispatch ----------------------------------------------------------------
 
 def test_verify_family_all_methods_agree():
