@@ -13,9 +13,9 @@ precision-escalation policy: the working precision doubles ESCALATIONS times.
 
 from __future__ import annotations
 
-import math
 from decimal import ROUND_CEILING, Context
 from fractions import Fraction
+from functools import cache
 from typing import Callable, TypeVar
 
 from mpmath import libmp, mp, mpf
@@ -45,8 +45,6 @@ GUARD = 24
 SLACK_ULPS = 8
 MIN_BITS = 64
 ESCALATIONS = 4
-
-_ONE = from_int(1)
 
 T = TypeVar("T")
 
@@ -469,91 +467,62 @@ def exp_complex(z: ComplexEnclosure) -> ComplexEnclosure:
 # zeta and lambda providers
 # ---------------------------------------------------------------------------
 
-_ZETA_CACHE: dict[tuple[int, int], RealEnclosure] = {}
-_DIRECT_TERM_LIMIT = 6000
+@cache
+def _borwein_weights(prec: int) -> tuple[int, ...]:
+    """floor(2^prec (d_n - d_k) / d_n) for k = 0 .. n - 1: the weights of
+    Borwein's Algorithm 2 with n = ceil((prec + 2) / 2.543) terms, so that
+    3 (3 + sqrt 8)^-n < 2^-prec (log2(3 + sqrt 8) > 2.543).
 
-
-def _direct_terms_needed(s: int, bits: int) -> int:
-    """Smallest N with N^(1-s)/(s-1) < 2^-(bits+4)."""
-    target = -(bits + 4)
-    n = 2
-    while (1 - s) * math.log2(n) - math.log2(s - 1) >= target:
-        n *= 2
-    lo, hi = n // 2, n
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if (1 - s) * math.log2(mid) - math.log2(s - 1) < target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _zeta_direct(s: int, bits: int, n_terms: int) -> RealEnclosure:
-    """Partial sum of n^-s plus the integral-test tail [ (N+1)^(1-s), N^(1-s) ]/(s-1)."""
-    wp = bits + GUARD + max(0, n_terms.bit_length())
-    acc = fzero
-    for n in range(1, n_terms + 1):
-        acc = mpf_add(acc, from_rational(1, n ** s, wp, "n"), 0, "n")
-    term_err = mpf_mul(from_int(n_terms), from_man_exp(1, 1 - wp), RAD_PREC, "u")
-    mid = mpf_add(acc, fzero, bits + GUARD, "n")
-    partial = RealEnclosure(mid, _up(term_err, _ulp(mid, bits + GUARD), mpf_add), bits)
-    tail_hi = Fraction(1, (s - 1) * n_terms ** (s - 1))
-    tail_lo = Fraction(1, (s - 1) * (n_terms + 1) ** (s - 1))
-    tail = RealEnclosure.from_endpoints(
-        from_rational(tail_lo.numerator, tail_lo.denominator, bits + GUARD, "f"),
-        from_rational(tail_hi.numerator, tail_hi.denominator, bits + GUARD, "c"), bits)
-    return partial + tail
-
-
-def _zeta_borwein(s: int, bits: int) -> RealEnclosure:
-    """Alternating-series acceleration with the explicit 3/((3+sqrt8)^n) error bound."""
-    n = int((bits + 16) / 2.543) + 4
-    wp = bits + GUARD + n.bit_length() + 4
-    d = [Fraction(0)] * (n + 1)
-    t = Fraction(1, n)  # (n+i-1)! 4^i / ((n-i)! (2i)!) at i=0
-    acc_t = t
-    d[0] = Fraction(n) * acc_t
+    d_k = sum_(i <= k) t_i with t_i = n (n+i-1)! 4^i / ((n-i)! (2i)!), up to
+    sign the integer coefficients of the Chebyshev polynomial T_n(1 - 2x);
+    the recurrence's floor divisions are exact, and d_0 <= ... <= d_n.
+    """
+    n = -(-(prec + 2) * 1000 // 2543)
+    t, d = 1, [1]
     for i in range(1, n + 1):
-        t *= Fraction(4 * (n + i - 1) * (n - i + 1), (2 * i) * (2 * i - 1))
-        acc_t += t
-        d[i] = Fraction(n) * acc_t
-    dn = d[n]
-    assert dn.denominator == 1
-    acc = fzero
-    err = fzero
-    for k in range(n):
-        q = Fraction((-1) ** k) * (d[k] - dn) / Fraction((k + 1) ** s)
-        term = from_rational(q.numerator, q.denominator, wp, "n")
-        acc = mpf_add(acc, term, 0, "n")
-        err = _up(err, _ulp(term, wp), mpf_add)
-    mid = mpf_add(acc, fzero, wp, "n")
-    num = RealEnclosure(mid, _up(err, _ulp(mid, wp), mpf_add), bits + GUARD)
-    scale = Fraction(-1, 1) / (dn * (1 - Fraction(2) ** (1 - s)))
-    val = num * RealEnclosure.exact(scale, bits + GUARD)
-    # |gamma_n| <= 3 / ((3+sqrt8)^n (1 - 2^(1-s))); 3+sqrt8 > 5.8284
-    gamma = Fraction(3) / (Fraction(58284, 10000) ** n * (1 - Fraction(2) ** (1 - s)))
-    pad = RealEnclosure.from_endpoints(
-        from_rational(-gamma.numerator, gamma.denominator, 64, "f"),
-        from_rational(gamma.numerator, gamma.denominator, 64, "c"), bits)
-    return val + pad
+        t = t * 4 * (n + i - 1) * (n - i + 1) // (2 * i * (2 * i - 1))
+        d.append(d[-1] + t)
+    return tuple(((d[n] - dk) << prec) // d[n] for dk in d[:n])
 
 
 def zeta_int(s: int, bits: int) -> RealEnclosure:
-    """Certified enclosure of zeta(s) for integer s >= 2, radius <= 2^-(bits+2)."""
+    """Certified enclosure of zeta(s) for integer s >= 2, with an exact
+    midpoint and radius below 2^-(bits+2) (for bits < 2^21).
+
+    One algorithm for every s: Borwein's Algorithm 2 (P. Borwein, *An
+    efficient algorithm for the Riemann zeta function*, CMS Conf. Proc. 27,
+    2000; Cohen, Rodriguez Villegas & Zagier, *Convergence acceleration of
+    alternating series*, Exp. Math. 9, 2000), cut off at the working
+    precision, in fixed point at prec = bits + GUARD with u = 2^-prec.
+
+    With f = 1/(1 - 2^(1-s)) in (1, 2] and w_k = (d_n - d_k)/d_n in [0, 1],
+    zeta(s) = f eta(s), and Borwein's theorem gives
+    eta(s) = sum_(k<n) (-1)^k a_k + e with a_k = w_k (k+1)^-s and
+    |e| <= 2 / ((3+sqrt 8)^n Gamma(s)) <= 3 (3+sqrt 8)^-n < u
+    (`_borwein_weights`).  Each summed term is T_k = floor(W_k / (k+1)^s)
+    with W_k = floor(w_k / u), within 1 + (k+1)^-s <= 2 units of a_k / u.
+    The sum stops at K = n or at the first K with T_K = 0; in the latter
+    case W_K < (K+1)^s, so a_K < (W_K + 1) u / (K+1)^s <= u, and since
+    a_K >= a_(K+1) >= ... >= 0 (d_k does not decrease) the dropped
+    alternating tail is below a_K < u.  So S = sum_(k<K) (-1)^k T_k is
+    within 2K + 2 units of eta(s), the three error terms being the rounding
+    of each term, the tail and Borwein's remainder.  Z = S + floor(S /
+    (2^(s-1) - 1)) = floor(f S) gives |Z u - zeta(s)| < u + f (2K + 2) u
+    <= (4K + 5) u.  Since K <= n < (bits + 26)/2.543 + 1, that radius is
+    below 2^-(bits+2) for bits < 2^21, where 4n + 5 < 2^22.
+    """
     if s < 2:
         raise DomainError(f"zeta_int needs s >= 2, got {s}")
-    key = (s, bits)
-    hit = _ZETA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n_direct = _direct_terms_needed(s, bits)
-    if n_direct <= _DIRECT_TERM_LIMIT:
-        val = _zeta_direct(s, bits, n_direct)
-    else:
-        val = _zeta_borwein(s, bits)
-    _ZETA_CACHE[key] = val
-    return val
+    prec = bits + GUARD
+    S = K = 0
+    for w in _borwein_weights(prec):
+        t = w // (K + 1) ** s
+        if not t:
+            break
+        S += -t if K & 1 else t
+        K += 1
+    Z = S + S // ((1 << (s - 1)) - 1)
+    return RealEnclosure(from_man_exp(Z, -prec), from_man_exp(4 * K + 5, -prec), bits)
 
 
 def zeta_odd(s: int, bits: int) -> RealEnclosure:

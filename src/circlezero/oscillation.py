@@ -125,16 +125,24 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
     return f
 
 
+def _w_rho(k: int) -> Fraction:
+    return 2 / (1 - Fraction(2) ** (1 - 2 * k))
+
+
+def _q_rho(k: int) -> Fraction:
+    return 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
+
+
 def _w_eval(k: int):
     """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
-    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+    rho = _w_rho(k)
     return _comparison(k, (0, k), (0, k - 2),
                        lambda pi: (pi * pi * Fraction(1, 3), RealEnclosure.exact(rho, pi.prec)))
 
 
 def _q_eval(k: int):
     """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
-    rho = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
+    rho = _q_rho(k)
     return _comparison(k, (0, k - 2), (1, k - 1),
                        lambda pi: (4 / pi, RealEnclosure.exact(rho, pi.prec) / (pi * pi)))
 
@@ -187,7 +195,7 @@ def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
     """
     k, prec = w.k, bits + fixed.GUARD
     a0 = w.coeffs[0].a
-    rho = 2 / (1 - Fraction(2) ** (1 - 2 * k))
+    rho = _w_rho(k)
     pi = RealEnclosure.pi(prec + 8)
     c, ec = fixed.from_ball(pi * pi * Fraction(1, 6), prec)
     total = 2 * abs(_floor_ratio(-w.coeffs[2].a, a0, prec) - c)
@@ -207,17 +215,15 @@ def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
     """
     k, prec = q.k, bits + fixed.GUARD
     a1 = -q.coeffs[2].a  # A_1 = (-1)^1 * coeff(z^2)
-    rq = 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
     pi = RealEnclosure.pi(prec + 8)
-    c, ec = fixed.from_ball(RealEnclosure.exact(rq, prec + 8) / (pi * pi), prec)
+    c, ec = fixed.from_ball(RealEnclosure.exact(_q_rho(k), prec + 8) / (pi * pi), prec)
     total = 0
     for j in range(2, k - 1):
         a = q.coeffs[2 * j].a
         total += abs(_floor_ratio(-a if j % 2 else a, a1, prec) - c)
-    # odd-term ratio: A_1 unnormalized is pi^(2k-1) * a1; zeta(2k-1) = lam pi^(2k-1).
-    # lam is bound at `bits`: at small k its zeta sum takes far more terms when finer
+    # odd-term ratio: A_1 unnormalized is pi^(2k-1) * a1; zeta(2k-1) = lam pi^(2k-1)
     odd = ((1 << (2 * k - 1)) - 1) / a1
-    lam_term = lambda_k(k, bits) * (-odd if k % 2 else odd) - 2 / RealEnclosure.pi(bits)
+    lam_term = lambda_k(k, prec + 8) * (-odd if k % 2 else odd) - 2 / pi
     t, et = fixed.from_ball(lam_term, prec)
     return fixed.to_ball(total + 2 * abs(t), (k - 3) * (ec + 1) + 2 * et, prec, bits)
 

@@ -165,8 +165,8 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
     if n == 0:
         if p.coeffs[0].is_zero():
             raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
-        return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None,
-                                  p.coefficient_balls(bits + fixed.GUARD)[0].sign() != 0,
+        # a nonzero constant has no zeros
+        return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None, True,
                                   detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
                                           "factored": True, "evaluations": 0})
 

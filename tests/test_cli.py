@@ -276,7 +276,7 @@ JSON_DIGESTS = [
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "77595121523f321586111a06061cc442459ea67400dd004c5cda3064e1c672a4"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "0d88d74f0a4541bf4e6ad0cf8cfa736a557e32f6950714d0ff8c42cc9206b804"),
+     "18980ae779d2e539be04662d72b8bb6087e0a8ae685d34136e34acc672f92fed"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
      "4086cb8631f547af7cd4b2164fb5b2f07afa7c29b20efadf09253668d1085625"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,

@@ -10,6 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_sub, to_rational
 
 from circlezero.enclosure import (
+    GUARD,
     ComplexEnclosure,
     RealEnclosure,
     ball_acos,
@@ -23,6 +24,7 @@ from circlezero.enclosure import (
     lambda_k,
     zeta_int,
     zeta_odd,
+    _borwein_weights,
 )
 from circlezero.errors import DomainError
 
@@ -81,6 +83,28 @@ def test_zeta_nested_precisions():
     # each finer ball lies inside the coarser one, endpoint by endpoint
     assert z64.lower <= z128.lower and z128.upper <= z64.upper
     assert z128.lower <= z256.lower and z256.upper <= z128.upper
+
+
+def test_zeta_one_algorithm_encloses_nests_and_meets_radius_bound():
+    # s = 2..64 spans the old 6,000-term direct-sum switch (s = 7 at 64 bits
+    # to s = 22 at 256 bits) and the first s whose sum stops before its n
+    # weights run out (s = 14 to 33); the radius is (4K + 5) 2^-(bits+GUARD)
+    # for K summed terms
+    coarser = {}
+    for bits in (64, 128, 152, 184, 192, 256):
+        n, summed = len(_borwein_weights(bits + GUARD)), set()
+        for s in [*range(2, 65), *range(65, 301, 7), 899, 1999, 3997]:
+            z = zeta_int(s, bits)
+            with mp.workprec(2 * bits):
+                assert in_ball(mp.zeta(s), z), (s, bits)
+            mid, rad = (Fraction(*to_rational(x)) for x in (z.mid, z.rad))
+            assert rad < Fraction(1, 2 ** (bits + 2)), (s, bits)
+            summed.add((rad * 2 ** (bits + GUARD) - 5) / 4)
+            if s in coarser:
+                cmid, crad = coarser[s]
+                assert abs(mid - cmid) + rad <= crad, (s, bits)
+            coarser[s] = mid, rad
+        assert n in summed and min(summed) < n, bits
 
 
 def test_zeta_euler_product_sandwich():
