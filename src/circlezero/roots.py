@@ -5,8 +5,9 @@ separation check that gives ball distances only to the near pairs.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from math import atan2, isqrt
+from math import atan2, inf, isqrt
 from typing import Sequence
 
 from mpmath import libmp
@@ -21,61 +22,74 @@ ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
-SIMPLICITY_BLOCK = 1 << 16  # float pair distances held at once by simplicity_check
 
 
-def _aberth_float(coeffs: list[complex], n: int):
-    import numpy as np
+def _aberth_float(coeffs: list[complex], n: int) -> list[complex]:
+    """Float Aberth--Ehrlich seeds for the n roots of sum coeffs[j] z^j.
 
-    c = np.array(coeffs, dtype=np.complex128)
-    dc = c[1:] * np.arange(1, n + 1)
-    ang = 2.0 * np.pi * np.arange(n) / n + 0.37
-    z = 1.01 * np.exp(1j * ang)
+    Every sweep takes the correction w / (1 - w s), w = p(z_i)/p'(z_i) and
+    s = sum over j != i of 1/(z_i - z_j), of each moving root from the same
+    iterate.  A root whose correction is below 1e-13 stops moving, but stays
+    in the other roots' sums; a correction that divides by zero or is not
+    finite counts as 0."""
+    rev = coeffs[::-1]
+    z = [1.01 * cmath.exp(1j * (2.0 * cmath.pi * j / n + 0.37)) for j in range(n)]
+    moving = list(range(n))
     for _ in range(ABERTH_SWEEPS):
-        pv = np.polyval(c[::-1], z)
-        pdv = np.polyval(dc[::-1], z)
-        with np.errstate(all="ignore"):
-            w = pv / pdv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, 0.0)
-        z = z - corr
-        if np.max(np.abs(corr)) < 1e-13:
+        corr = []
+        for i in moving:
+            x = z[i]
+            p, d = rev[0], 0j
+            for a in rev[1:]:
+                d = d * x + p
+                p = p * x + a
+            try:
+                w = p / d
+                c = w / (1 - w * sum([1 / (x - y) for y in z[:i] + z[i + 1:]]))
+            except ZeroDivisionError:
+                c = 0j
+            corr.append(c if cmath.isfinite(c) else 0j)
+        for i, c in zip(moving, corr):
+            z[i] -= c
+        moving = [i for i, c in zip(moving, corr) if abs(c) >= 1e-13]
+        if not moving:
             break
     return z
 
 
-def _newton_polish(coeffs: list[int], xr: int, xi: int, prec: int,
-                   tol: int) -> tuple[int, int, int]:
-    """Up to POLISH_SWEEPS Newton steps x <- x - p(x)/p'(x) in Gaussian
-    integers, stopping once a step is shorter than `tol` units; returns the
-    root and the squared length of its last step."""
-    move2 = 0
-    for _ in range(POLISH_SWEEPS):
+def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, xi: int,
+                 prec: int, bits: int) -> tuple[int, int, int]:
+    """(xr, xi, rad): a Newton-polished root x = (xr + i xi) / 2^prec of p and
+    the radius ceil(2^prec n |p(x)|+ / |p'(x)|-) of a disc around x that holds
+    a root of p, in units of 2^-prec.
+
+    Each Horner pass (`fixed.horner_pd`) gives p(x), p'(x) and the Newton
+    step x <- x - p(x)/p'(x) in Gaussian integers.  The first x whose step is
+    shorter than 2^-(bits + 16), or the x of the last of POLISH_SWEEPS + 1
+    passes, is not stepped: that pass's p and p' certify x itself.  Their
+    error budgets follow the same pass, E <- ceil(E |x|+) + 3 + e (the
+    rounded product is off by less than sqrt 2 units, the coefficient by
+    e), and depend only on |x|.  Raises NumericError when the certified
+    step is not below 2^-(bits / 2) or |p'(x)|- <= 0."""
+    tol = 1 << (prec - bits - 16)
+    for sweep in range(POLISH_SWEEPS + 1):
         pr, pi, dr, di = fixed.horner_pd(coeffs, xr, xi, prec)
         den = dr * dr + di * di
         if not den:
-            break   # p'(x) = 0: the certification pass rejects x
+            break   # p'(x) = 0: d_lo <= 0 below
         sr = ((pr * dr + pi * di) << prec) // den
         si = ((pi * dr - pr * di) << prec) // den
-        xr, xi = xr - sr, xi - si
         move2 = sr * sr + si * si
         if move2 < tol * tol:
             break
-    return xr, xi, move2
-
-
-def _residual_radius(coeffs: list[int], errs: list[int], xr: int, xi: int,
-                     prec: int) -> int | None:
-    """ceil(2^prec n |p(x)|+ / |p'(x)|-), with x = (xr + i xi) / 2^prec: the
-    radius of a disc around x that holds a root of p, in units of 2^-prec.
-    p and p' come from `fixed.horner_pd`; their error budgets follow the same
-    pass, E <- ceil(E |x|+) + 3 + e (the rounded product is off by less than
-    sqrt 2 units, the coefficient by e), and depend only on |x|; None when
-    |p'(x)|- <= 0."""
-    pr, pi, dr, di = fixed.horner_pd(coeffs, xr, xi, prec)
+        if sweep == POLISH_SWEEPS:
+            loose = 1 << (prec - bits // 2)
+            if move2 >= loose * loose:
+                last_move = libmp.to_float(libmp.from_man_exp(isqrt(move2), -prec, 53))
+                raise NumericError(f"Newton polish did not converge for {poly.family}_{poly.k}",
+                                   family=poly.family, k=poly.k, last_move=last_move)
+            break
+        xr, xi = xr - sr, xi - si
     xabs = isqrt(xr * xr + xi * xi) + 1        # |x| 2^prec < xabs
     ep, ed = errs[-1], 0
     for e in errs[-2::-1]:
@@ -84,9 +98,10 @@ def _residual_radius(coeffs: list[int], errs: list[int], xr: int, xi: int,
     p_hi = isqrt(pr * pr + pi * pi) + 1 + ep
     d_lo = isqrt(dr * dr + di * di) - ed
     if d_lo <= 0:
-        return None
+        raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
+                           family=poly.family, k=poly.k)
     n = len(coeffs) - 1
-    return -((-n * p_hi << prec) // d_lo)
+    return xr, xi, -((-n * p_hi << prec) // d_lo)
 
 
 def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
@@ -97,9 +112,10 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     one common power of two (`FamilyPoly.fixed_coefficients`).  Float Aberth--Ehrlich
     (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds a
     Newton polish of each root on its own in fixed-point Gaussian integers;
-    each root then gets the residual radius n |p(x)| / |p'(x)| from one more
-    Horner pass that tracks an integer error budget.  A disc of that radius
-    around x holds a root of p; the ball is the square around that disc.
+    the Horner pass that finds a step too short to take also gives the
+    residual radius n |p(x)| / |p'(x)| at x, with an integer error budget
+    (`_newton_ball`).  A disc of that radius around x holds a root of p; the
+    ball is the square around that disc.
     """
     p = poly.strip_origin()
     n = p.degree
@@ -108,29 +124,12 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     prec = bits + ROOT_GUARD
     _, coeffs, errs = p.fixed_coefficients(prec, n + 1)
     one = 1 << prec
-    seeds = _aberth_float([c / one for c in coeffs], n)
-    tol = 1 << (prec - bits - 16)                  # 2^-(bits + 16)
-    loose = 1 << (prec - bits // 2)                # 2^-(bits / 2)
-    z = []
-    for w in seeds:
-        xr, xi, move2 = _newton_polish(coeffs, int(Fraction(w.real) * one),
-                                       int(Fraction(w.imag) * one), prec, tol)
-        if move2 >= loose * loose:
-            last_move = libmp.to_float(libmp.from_man_exp(isqrt(move2), -prec, 53))
-            raise NumericError(f"Newton polish did not converge for {poly.family}_{poly.k}",
-                               family=poly.family, k=poly.k, last_move=last_move)
-        z.append((xr, xi))
+    z = [_newton_ball(poly, coeffs, errs, int(Fraction(w.real) * one),
+                      int(Fraction(w.imag) * one), prec, bits)
+         for w in _aberth_float([c / one for c in coeffs], n)]
     z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
-
-    roots = []
-    for xr, xi in z:
-        rad = _residual_radius(coeffs, errs, xr, xi, prec)
-        if rad is None:
-            raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
-                               family=poly.family, k=poly.k)
-        roots.append(ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec),
-                                      fixed.to_ball(xi, rad, prec, prec)))
-    return roots
+    return [ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec), fixed.to_ball(xi, rad, prec, prec))
+            for xr, xi, rad in z]
 
 
 def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
@@ -141,34 +140,41 @@ def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
     A pair's lower bound lies within 2 sqrt 2 r of its centre distance, for
     r the largest ball radius, so only pairs whose float centre distance is
     within 4 r (plus the float error) of the smallest can hold the minimum;
-    only those get ball distances, in the same order.  The float distances
-    are taken in blocks of rows, about SIMPLICITY_BLOCK pairs each, so the
-    memory stays O(n): one pass finds the smallest, a second the candidates.
+    only those get ball distances, in (i, j) order.  Two sweeps over the
+    float centres sorted by real part find the smallest distance, then the
+    pairs within the threshold; each row stops at the first centre whose
+    real part alone is farther than the distance sought, since a float
+    distance is never below the difference of the real parts.
     """
-    import numpy as np
-
     n = len(roots)
     if n < 2:
         return None
-    c = np.array([complex(libmp.to_float(r.re.mid), libmp.to_float(r.im.mid)) for r in roots])
+    c = [complex(libmp.to_float(r.re.mid), libmp.to_float(r.im.mid)) for r in roots]
     r_max = max(libmp.to_float(x.rad, rnd="u") for r in roots for x in (r.re, r.im))
-    rows = max(1, SIMPLICITY_BLOCK // n)
+    order = sorted(range(n), key=lambda i: c[i].real)
+    xs = [c[i] for i in order]
 
-    def blocks():
-        """(i0, distances of rows i0 .. i0 + rows - 1 to every column, inf where j <= i)."""
-        for i0 in range(0, n - 1, rows):
-            dist = np.abs(c[i0:i0 + rows, None] - c[None, :])
-            dist[np.tri(*dist.shape, i0, dtype=bool)] = np.inf
-            yield i0, dist
+    threshold = inf
+    for a, x in enumerate(xs):
+        for b in range(a + 1, n):
+            if xs[b].real - x.real > threshold:
+                break
+            threshold = min(threshold, abs(x - xs[b]))
+    threshold += 4 * r_max + 2.0 ** -40 * max(1.0, max(abs(x) for x in c))
 
-    threshold = min(float(d.min()) for _, d in blocks())
-    threshold += 4 * r_max + 2.0 ** -40 * max(1.0, float(np.abs(c).max()))
+    pairs = []
+    for a, x in enumerate(xs):
+        for b in range(a + 1, n):
+            if xs[b].real - x.real > threshold:
+                break
+            if abs(x - xs[b]) <= threshold:
+                i, j = order[a], order[b]
+                pairs.append((min(i, j), max(i, j)))
     best = None
-    for i0, dist in blocks():
-        for i, j in zip(*np.nonzero(dist <= threshold)):
-            d = (roots[i0 + i] - roots[j]).abs()
-            if best is None or d.lower < best.lower:
-                best = d
+    for i, j in sorted(pairs):
+        d = (roots[i] - roots[j]).abs()
+        if best is None or d.lower < best.lower:
+            best = d
     return best
 
 

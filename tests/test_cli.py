@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +118,23 @@ def test_verify_P120_roots_certified_at_default_bits(capsys, monkeypatch):
     assert code == EXIT_OK
     (item,) = json.loads(out)["items"]
     assert item["verdict"] == "certified-true" and item["zeros_on_circle"] == 240
+
+
+def test_roots_route_imports_no_numpy():
+    # the roots route and its CLI run on the standard library and mpmath
+    script = ("import sys\n"
+              "from circlezero.cli import main\n"
+              "from circlezero.families import build_P\n"
+              "from circlezero.roots import verify_by_roots\n"
+              "assert verify_by_roots(build_P(10)).certified\n"
+              "code = main(['verify', '--family', 'P', '--k', '10', '--method', 'roots'])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 def test_verify_json_deterministic_and_worker_invariant(capsys):

@@ -1,12 +1,15 @@
 """Verification engines: criteria, oscillation, sign counting, root finding."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import libmp, mp
 
-from circlezero import families, signcount
+from circlezero import families, fixed, signcount
 from circlezero import roots as roots_mod
 from circlezero.criteria import (
     abs_square_poly,
@@ -643,6 +646,47 @@ def test_find_roots_degree_one():
     assert roots[0].re.contains(F(-1)) and roots[0].im.contains(F(0))
 
 
+def test_aberth_seeds_S2():
+    # 5 + 6 z + 5 z^2: the float seeds already sit on (-3 +- 4i)/5
+    seeds = sorted(roots_mod._aberth_float([5.0, 6.0, 5.0], 2), key=lambda z: z.imag)
+    for z, want in zip(seeds, (complex(-0.6, -0.8), complex(-0.6, 0.8))):
+        assert abs(z - want) < 1e-13
+
+
+def test_aberth_derivative_zero_at_seed():
+    # z^2 - 2 s z + s^2 - 1/4 has p'(s) = 0 at the first seed s, in floats
+    # too; that correction counts as 0 instead of dividing by zero
+    s = 1.01 * cmath.exp(1j * 0.37)
+    p = [s * s - 0.25, -2 * s, 1.0]
+    z = roots_mod._aberth_float(p, 2)
+    assert all(cmath.isfinite(x) for x in z)
+    assert min(abs(z[1] - (s + h)) for h in (0.5, -0.5)) < 1e-12
+
+
+def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
+    # one fixed.horner_pd pass per Newton evaluation, none for certification:
+    # the pass whose step is below 2^-(bits + 16) certifies its own x, so
+    # each root has exactly one such pass, at its ball's centre
+    calls = []
+    real = fixed.horner_pd
+
+    def counted(coeffs, xr, xi, prec):
+        out = real(coeffs, xr, xi, prec)
+        calls.append((xr, xi, out))
+        return out
+
+    monkeypatch.setattr(fixed, "horner_pd", counted)
+    roots = find_roots(build_P(20), 128)
+    prec = 128 + roots_mod.ROOT_GUARD
+    short = sorted((xr, xi) for xr, xi, (pr, pi, dr, di) in calls
+                   if abs(complex(pr, pi) / complex(dr, di)) < 2.0 ** -144)
+    centres = sorted((libmp.to_fixed(r.re.mid, prec), libmp.to_fixed(r.im.mid, prec))
+                     for r in roots)
+    assert short == centres
+    assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)   # no point evaluated twice
+    assert len(roots) < len(calls) <= len(roots) * (roots_mod.POLISH_SWEEPS + 1)
+
+
 def test_find_roots_repeated_root_fails():
     dbl = FamilyPoly("S", 1, 0, (ZetaCoefficient.rational(1),
                                  ZetaCoefficient.rational(-2),
@@ -682,20 +726,39 @@ def test_find_roots_radius_covers_residual_bound(fam, k):
         assert r.re.radius >= bound.lower, (fam, k)
 
 
-@pytest.mark.parametrize("fam,k", [("P", 20), ("R", 5), ("Y", 42)])
-def test_simplicity_check_matches_all_pairs_scan(fam, k, monkeypatch):
-    roots = find_roots(build_family(fam, k))
+def _all_pairs_min(roots):
+    """The reference scan: the distance ball of smallest lower bound over all
+    pairs, the first in (i, j) order on ties."""
     best = None
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             d = (roots[i] - roots[j]).abs()
             if best is None or d.lower < best.lower:
                 best = d
-    # one block of rows at these sizes, then one row per block
-    for block in (roots_mod.SIMPLICITY_BLOCK, 1):
-        monkeypatch.setattr(roots_mod, "SIMPLICITY_BLOCK", block)
-        sep = simplicity_check(roots)
-        assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec), block
+    return best
+
+
+@pytest.mark.parametrize("fam,k", [("P", 20), ("R", 5), ("Y", 42)])
+def test_simplicity_check_matches_all_pairs_scan(fam, k):
+    roots = find_roots(build_family(fam, k))
+    sep, best = simplicity_check(roots), _all_pairs_min(roots)
+    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
+
+
+_GRID = st.sampled_from([F(0), F(1), F(-1), F(1, 3), F(5, 2), F(1, 10 ** 12)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_GRID, _GRID, st.sampled_from([F(1, 2 ** 100), F(1, 10), F(1), F(3)])),
+                min_size=2, max_size=10),
+       st.lists(st.integers(0, 9), max_size=3))
+def test_simplicity_check_matches_all_pairs_scan_random(balls, copies):
+    # few distinct coordinates, so real parts repeat and centres coincide;
+    # radii up to 3, so a far pair's wide balls can beat the closest centres
+    roots = [_ball(re, im, rad) for re, im, rad in balls]
+    roots += [roots[i % len(roots)] for i in copies]          # exact duplicates
+    sep, best = simplicity_check(roots), _all_pairs_min(roots)
+    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
 
 
 def test_simplicity_check_wide_balls_beat_closer_centres():
@@ -709,8 +772,8 @@ def test_simplicity_check_wide_balls_beat_closer_centres():
 
 
 def test_simplicity_check_memory_linear_in_roots():
-    # 2,000 roots (the degree of P_999): the float prefilter holds one block
-    # of pair distances at a time, not all n(n-1)/2 pairs at once
+    # 2,000 roots (the degree of P_999): the float prefilter sweeps the
+    # centres by real part and holds only the near pairs, not all n(n-1)/2
     import tracemalloc
 
     n = 2000
