@@ -22,6 +22,7 @@ ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
+MIRROR_TOL = 1e-8        # |Im w| <= MIRROR_TOL max(1, |w|): a near-real seed, polished on its own
 
 
 def _aberth_float(coeffs: list[complex], n: int) -> list[complex]:
@@ -104,7 +105,16 @@ def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, 
     return xr, xi, -((-n * p_hi << prec) // d_lo)
 
 
-def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
+class RootBalls(list):
+    """`find_roots`'s balls, and `polished`: how many of them were
+    Newton-polished; the others are mirror images of polished ones."""
+
+    def __init__(self, balls: list[ComplexEnclosure], polished: int):
+        super().__init__(balls)
+        self.polished = polished
+
+
+def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     """All roots of the origin-stripped polynomial, as certified complex
     balls sorted by argument.
 
@@ -116,20 +126,49 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> list[ComplexEnclosure]:
     residual radius n |p(x)| / |p'(x)| at x, with an integer error budget
     (`_newton_ball`).  A disc of that radius around x holds a root of p; the
     ball is the square around that disc.
+
+    Every family has real coefficients (rationals and the real lam), so its
+    non-real roots come in conjugate pairs.  The seeds are split into upper
+    (Im w > tau), lower (Im w < -tau) and near-real ones, tau =
+    MIRROR_TOL max(1, |w|).  When there are as many upper seeds as lower,
+    only the upper and near-real seeds are polished, and each upper ball
+    (x, r) also gives the ball (conj x, r); otherwise every seed is
+    polished.  A mirrored disc holds a root as well: the disc around x holds
+    a root zeta of the exact polynomial (the error budget covers the
+    coefficient errors), whose coefficients are real, so conj(zeta) is a
+    root and lies in the disc around conj x.  Each of the n discs thus holds
+    a root whichever seeds were polished, and the separation check over all
+    n balls (`simplicity_check`, `_roots_disjoint`) is what proves they hold
+    n distinct roots.  So soundness does not depend on tau: a split that
+    pairs the wrong seeds can put two discs around one root, which costs the
+    certificate, never gives a false one.  Tau only keeps seeds near real
+    roots from being taken for a pair; it sits far above the 1e-13 Aberth
+    stop.
     """
     p = poly.strip_origin()
     n = p.degree
     if n == 0:
-        return []
+        return RootBalls([], 0)
     prec = bits + ROOT_GUARD
     _, coeffs, errs = p.fixed_coefficients(prec, n + 1)
     one = 1 << prec
+    seeds = _aberth_float([c / one for c in coeffs], n)
+    upper, lower, near_real = [], [], []
+    for w in seeds:
+        tau = MIRROR_TOL * max(1.0, abs(w))
+        (upper if w.imag > tau else lower if w.imag < -tau else near_real).append(w)
+    mirror = len(upper) == len(lower)
+    if mirror:
+        seeds = upper + near_real
     z = [_newton_ball(poly, coeffs, errs, int(Fraction(w.real) * one),
-                      int(Fraction(w.imag) * one), prec, bits)
-         for w in _aberth_float([c / one for c in coeffs], n)]
+                      int(Fraction(w.imag) * one), prec, bits) for w in seeds]
+    polished = len(z)
+    if mirror:
+        z += [(xr, -xi, rad) for xr, xi, rad in z[:len(upper)]]
     z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
-    return [ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec), fixed.to_ball(xi, rad, prec, prec))
-            for xr, xi, rad in z]
+    return RootBalls([ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec),
+                                       fixed.to_ball(xi, rad, prec, prec))
+                      for xr, xi, rad in z], polished)
 
 
 def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
@@ -194,23 +233,34 @@ def verify_by_roots(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
 
     Each ball holds a disc that contains a root; `certified-true` also needs
     the discs pairwise disjoint, so that each holds exactly one of the n
-    roots.  An undecided result is retried at doubled precision through
-    `enclosure.escalate`; a refutation is final.
+    roots.  A conjugate ball has the same modulus ball, so | |z| - 1 | and
+    its two comparisons are computed once for the balls that share the real
+    part, |Im| and both radii.  An undecided result is retried at doubled
+    precision through `enclosure.escalate`; a refutation is final.  The
+    detail counts the polished roots and gives the bits of the attempt that
+    decided.
     """
     n = poly.strip_origin().degree
 
     def attempt(b: int) -> tuple[bool, VerificationReport]:
         roots = find_roots(poly, b)
-        devs = [(r.abs() - 1).abs() for r in roots]
-        dev = max(devs, key=lambda d: d.upper, default=None)
+        moduli, devs = {}, []
+        for r in roots:
+            key = (r.re.mid, r.re.rad, libmp.mpf_abs(r.im.mid), r.im.rad)
+            if key not in moduli:
+                d = (r.abs() - 1).abs()
+                moduli[key] = d, d.lt(ROOT_TOL), d.gt(ROOT_TOL)
+            devs.append(moduli[key])
+        dev = max((d for d, _, _ in devs), key=lambda d: d.upper, default=None)
         sep = simplicity_check(roots)
-        on_circle = sum(1 for d in devs if d.lt(ROOT_TOL))
-        refuted = any(d.gt(ROOT_TOL) for d in devs)
+        on_circle = sum(1 for _, on, _ in devs if on)
+        refuted = any(off for _, _, off in devs)
         certified = on_circle == n and _roots_disjoint(roots, sep)
         verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
         return verdict != INDETERMINATE, VerificationReport(
             poly.family, poly.k, "roots", on_circle, n, dev, sep, certified,
-            origin_zeros=poly.origin_multiplicity, detail={"n_roots": len(roots)},
+            origin_zeros=poly.origin_multiplicity,
+            detail={"n_roots": len(roots), "polished": roots.polished, "bits": b},
             verdict=verdict)
 
     return escalate(attempt, bits)[1]

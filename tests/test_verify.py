@@ -35,8 +35,8 @@ from circlezero.families import (
 )
 from circlezero.fixed import GUARD, TABLE_ERR, from_ball
 from circlezero.oscillation import _osc_cos_table, _q_eval, _w_eval, alternating_verify
-from circlezero.reports import CERTIFIED_FALSE, CERTIFIED_TRUE
-from circlezero.roots import find_roots, simplicity_check, verify_by_roots
+from circlezero.reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE
+from circlezero.roots import RootBalls, find_roots, simplicity_check, verify_by_roots
 from circlezero.signcount import (
     _cos_table,
     _first_grid,
@@ -666,7 +666,9 @@ def test_aberth_derivative_zero_at_seed():
 def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
     # one fixed.horner_pd pass per Newton evaluation, none for certification:
     # the pass whose step is below 2^-(bits + 16) certifies its own x, so
-    # each root has exactly one such pass, at its ball's centre
+    # each polished root has exactly one such pass, at its ball's centre.
+    # P_20 has no real root, so only the upper half is polished and each
+    # lower ball is its partner with Im negated and the same radius
     calls = []
     real = fixed.horner_pd
 
@@ -677,14 +679,20 @@ def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
 
     monkeypatch.setattr(fixed, "horner_pd", counted)
     roots = find_roots(build_P(20), 128)
+    n = len(roots)
+    assert n == 40 and roots.polished == n // 2
     prec = 128 + roots_mod.ROOT_GUARD
     short = sorted((xr, xi) for xr, xi, (pr, pi, dr, di) in calls
                    if abs(complex(pr, pi) / complex(dr, di)) < 2.0 ** -144)
-    centres = sorted((libmp.to_fixed(r.re.mid, prec), libmp.to_fixed(r.im.mid, prec))
-                     for r in roots)
-    assert short == centres
+    upper = [r for r in roots if r.im.sign() > 0]
+    lower = [r for r in roots if r.im.sign() < 0]
+    assert len(upper) == len(lower) == n // 2
+    assert short == sorted((libmp.to_fixed(r.re.mid, prec), libmp.to_fixed(r.im.mid, prec))
+                           for r in upper)
+    mirrored = {(r.re.mid, r.re.rad, libmp.mpf_neg(r.im.mid), r.im.rad) for r in upper}
+    assert {(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in lower} == mirrored
     assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)   # no point evaluated twice
-    assert len(roots) < len(calls) <= len(roots) * (roots_mod.POLISH_SWEEPS + 1)
+    assert n // 2 < len(calls) <= n // 2 * (roots_mod.POLISH_SWEEPS + 1)
 
 
 def test_find_roots_repeated_root_fails():
@@ -803,7 +811,7 @@ def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
     # their radii: the count could be one double root, so no certificate
     tiny = F(1, 2 ** 80)
     roots = [_ball(F(1), F(0), 2 * tiny), _ball(F(1), tiny, 2 * tiny)]
-    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: roots)
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(roots, 2))
     rep = verify_by_roots(build_S(2))
     assert rep.zeros_on_circle == 2 and rep.degree_nontrivial == 2
     assert not rep.certified and rep.verdict != CERTIFIED_TRUE
@@ -819,8 +827,8 @@ def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
         calls.append(bits)
         roots = real(poly, bits)
         if len(calls) == 1:   # radius 1e-10: neither on nor off the circle at 1e-20
-            roots = [ComplexEnclosure(RealEnclosure(r.re.mid, wide, r.re.prec), r.im)
-                     for r in roots]
+            roots = RootBalls([ComplexEnclosure(RealEnclosure(r.re.mid, wide, r.re.prec), r.im)
+                               for r in roots], roots.polished)
         return roots
 
     monkeypatch.setattr(roots_mod, "find_roots", first_wide)
@@ -840,7 +848,76 @@ def test_verify_by_roots_W2():
     assert rep.certified
     assert float(rep.max_mod_dev.upper) < 1e-25
     assert rep.min_root_sep.gt(F(1, 10))
-    assert rep.detail["n_roots"] == 4
+    assert rep.detail == {"n_roots": 4, "polished": 2, "bits": 128}
+
+
+def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
+    # the lowest seed s gives way to an upper-half point x whose Newton step
+    # lands on s: a root of (x - s) p'(x) - p(x).  With one upper seed more
+    # than lower, no ball is mirrored; every seed is polished.  (P_10 has no
+    # real root, and Newton from a real seed stays on the real axis.)
+    real = roots_mod._aberth_float
+
+    def unbalanced(c, n):
+        z = real(c, n)
+        s = min(z, key=lambda w: w.imag)
+        d = [j * c[j] for j in range(1, n + 1)] + [0.0]
+        x = max(real([(j and d[j - 1]) - s * d[j] - c[j] for j in range(n + 1)], n),
+                key=lambda w: w.imag)
+        assert x.imag > 0.5
+        z[z.index(s)] = x
+        return z
+
+    monkeypatch.setattr(roots_mod, "_aberth_float", unbalanced)
+    rep = verify_by_roots(build_P(10))
+    assert rep.verdict == CERTIFIED_TRUE and rep.zeros_on_circle == 20
+    assert rep.detail["polished"] == rep.detail["n_roots"] == 20
+
+
+@pytest.mark.parametrize("fam,k,verdict,on_circle,near_real", [
+    ("S", 9, CERTIFIED_TRUE, 9, 1), ("S", 41, CERTIFIED_TRUE, 41, 1),
+    ("Y", 43, CERTIFIED_TRUE, 41, 1), ("R", 7, CERTIFIED_FALSE, 12, 4)])
+def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, on_circle, near_real):
+    # a seed within MIRROR_TOL of the real axis (the forced zero -1 of odd
+    # degree, R's four real roots) is polished on its own, not mirrored
+    seeds = []
+    real = roots_mod._newton_ball
+
+    def recorded(poly, coeffs, errs, xr, xi, prec, bits):
+        seeds.append(complex(xr, xi) / 2 ** prec)
+        return real(poly, coeffs, errs, xr, xi, prec, bits)
+
+    monkeypatch.setattr(roots_mod, "_newton_ball", recorded)
+    rep = verify_by_roots(build_family(fam, k))
+    n = rep.degree_nontrivial
+    assert (rep.verdict, rep.zeros_on_circle, rep.detail["n_roots"]) == (verdict, on_circle, n)
+    assert rep.detail["polished"] == len(seeds) == (n + near_real) // 2
+    assert sum(abs(w.imag) <= roots_mod.MIRROR_TOL * max(1, abs(w)) for w in seeds) == near_real
+    assert all(w.imag > 0 for w in seeds if abs(w.imag) > roots_mod.MIRROR_TOL * max(1, abs(w)))
+
+
+def test_verify_by_roots_modulus_shared_by_conjugates_only(monkeypatch):
+    # a conjugate ball reuses its partner's | |z| - 1 |; a ball that differs
+    # in its real part, |Im| or a radius gets its own
+    tiny, wide = F(1, 2 ** 100), RealEnclosure.exact(F(1, 10 ** 10), 176).mid
+    on, conj, off_im, off_re = (_ball(re, im, tiny) for re, im in
+                                ((F(3, 5), F(4, 5)), (F(3, 5), F(-4, 5)), (F(3, 5), F(1, 2)), (F(1, 5), F(4, 5))))
+    wide_im = ComplexEnclosure(conj.re, RealEnclosure(conj.im.mid, wide, 176))
+    wide_re = ComplexEnclosure(RealEnclosure(conj.re.mid, wide, 176), conj.im)
+    moduli = []
+    real_abs = ComplexEnclosure.abs
+    monkeypatch.setattr(ComplexEnclosure, "abs", lambda z: moduli.append(z) or real_abs(z))
+    for balls, verdict, on_circle, own in (([on, conj], CERTIFIED_TRUE, 2, [on]),
+                                           ([on, conj, off_im], CERTIFIED_FALSE, 2, [on, off_im]),
+                                           ([on, conj, off_re], CERTIFIED_FALSE, 2, [on, off_re]),
+                                           ([on, wide_im], INDETERMINATE, 1, [on, wide_im]),
+                                           ([on, wide_re], INDETERMINATE, 1, [on, wide_re])):
+        monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(balls, 1))
+        moduli.clear()
+        rep = verify_by_roots(build_S(len(balls)))     # degree = number of balls
+        assert (rep.verdict, rep.zeros_on_circle) == (verdict, on_circle)
+        attempts = 1 + (verdict == INDETERMINATE) * 4      # 128 .. 2048 bits
+        assert [z for z in moduli if any(z is b for b in balls)] == own * attempts
 
 
 def test_root_count_conservation_R():
