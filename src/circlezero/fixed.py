@@ -10,6 +10,7 @@ bound it keeps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import libmp
 
@@ -75,26 +76,46 @@ def horner_pd(coeffs: list[int], xr: int, xi: int, prec: int) -> tuple[int, int,
     return pr, pi, dr, di
 
 
-def grow_cos_table(prec: int, S: int, table: list[int], M: int) -> list[int]:
-    """[2^prec cos(pi t / M) for t = 0 .. 2M - 1] (M even), each entry within
-    TABLE_ERR units, grown from the size-S table (S = 0: none).
+@lru_cache(maxsize=32)
+def cos_table(prec: int, M: int) -> tuple[int, ...]:
+    """(2^prec cos(pi t / M) for t = 0 .. 2M - 1), M even, each entry within
+    TABLE_ERR units.  A pure function of (prec, M), cached, so no result
+    depends on which tables a process built before.
 
-    Entries the old table holds are kept (t / M reduces to the same
-    fraction, so the same ball); only t <= M/2 is computed, by `ball_cos_sin`
-    with pi taken 8 bits finer than the table, and checked within TABLE_ERR;
-    the rest is mirrored by exact negation and copying:
-    cos(pi - x) = -cos x, cos(2 pi - x) = cos x."""
-    pi = RealEnclosure.pi(prec + 8)
-    step = M // S if S else 0
+    One `ball_cos_sin`, with pi 8 bits finer than the working precision
+    wp = prec + G, G = bit_length(M) + 8, gives w = e^(i pi / M) as two balls
+    at wp.  The chain z_0 = 2^wp, z_t = z_(t-1) w runs in Gaussian integers,
+    each of its four real products through `mul`, so every component carries
+    an exact error bound E.  Shifted down by G bits (floored), a component is
+    off by less than E 2^-G + 1 <= (E >> G) + 2 units, and each entry is
+    checked against TABLE_ERR by that.  cos(pi t / M) is Re z_t for
+    t <= M/4 and sin(pi (M/2 - t) / M) = Im z_(M/2 - t) for M/4 < t <= M/2,
+    whether or not 4 divides M; the rest is mirrored by exact negation and
+    copying: cos(pi - x) = -cos x, cos(2 pi - x) = cos x.
+
+    The check, not the following estimate, is what the bound rests on.  A
+    step scales the carried error by at most cos(pi/M) + sin(pi/M)
+    <= 1 + pi/M and adds about eight units (two products per component, each
+    with w's two units and two of rounding), so over M/4 steps E stays below
+    8 (M/4) e^(pi/4) < 4.4 M, far under 2^G > 256 M.
+    """
+    G = M.bit_length() + 8
+    wp = prec + G
+    c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * Fraction(1, M))
+    (wr, ewr), (wi, ewi) = from_ball(c, wp), from_ball(s, wp)
+    x, ex, y, ey = 1 << wp, 0, 0, 0
+    chain = [(x, ex, y, ey)]
+    for _ in range(M // 4):
+        (xr, exr), (yi, eyi) = mul(x, ex, wr, ewr, wp), mul(y, ey, wi, ewi, wp)
+        (xi, exi), (yr, eyr) = mul(x, ex, wi, ewi, wp), mul(y, ey, wr, ewr, wp)
+        x, ex, y, ey = xr - yi, exr + eyi, xi + yr, exi + eyr
+        chain.append((x, ex, y, ey))
     quarter = []
     for t in range(M // 2 + 1):
-        if step and t % step == 0:
-            quarter.append(table[t // step])
-            continue
-        v, e = from_ball(ball_cos_sin(pi * Fraction(t, M))[0], prec)
-        if e > TABLE_ERR:
-            raise PrecisionError(f"cos(pi {t}/{M}) at {prec} bits is off by {e} units, "
-                                 f"above the table bound {TABLE_ERR}")
-        quarter.append(v)
+        v, e = chain[t][:2] if 4 * t <= M else chain[M // 2 - t][2:]
+        if (e >> G) + 2 > TABLE_ERR:
+            raise PrecisionError(f"cos(pi {t}/{M}) at {prec} bits is off by up to "
+                                 f"{(e >> G) + 2} units, above the table bound {TABLE_ERR}")
+        quarter.append(v >> G)
     half = quarter + [-v for v in quarter[M // 2 - 1::-1]]   # t = 0 .. M
-    return half + half[M - 1:0:-1]
+    return tuple(half + half[M - 1:0:-1])

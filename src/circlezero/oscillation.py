@@ -64,13 +64,6 @@ def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:
     return [-p for p in reversed(neg)] + [Fraction(0)] + pos
 
 
-# W_k and Q_k share a table when a sweep reaches Q_k within 32 tables of W_k
-@lru_cache(maxsize=32)
-def _osc_cos_table(k: int, prec: int) -> list[int]:
-    """2^prec cos(pi t / (2(k-1))) for t = 0 .. 4(k-1) - 1, within `fixed.TABLE_ERR`."""
-    return fixed.grow_cos_table(prec, 0, [], 2 * (k - 1))
-
-
 @lru_cache(maxsize=16)
 def _fixed_cos_sin(x: Fraction, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """cos(pi x) and sin(pi x) as fixed-point (value, error) pairs at `prec`,
@@ -88,9 +81,10 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
     One integer formula at bits + `fixed.GUARD` carries an error budget
     through `fixed.mul`/`fixed.div`.  Every sample angle but the two just
     short of +-pi is a multiple of pi / (2(k-1)), so its trig values are
-    entries of `_osc_cos_table` (a sine is the cosine a quarter period
-    earlier); the two others take theirs from `ball_cos_sin`.  At
-    theta = 0, +-pi the quotient is its limit (k-3) sgn, exactly.
+    entries of `fixed.cos_table(prec, 2(k-1))` (a sine is the cosine a
+    quarter period earlier); the two others take theirs from
+    `ball_cos_sin`.  At theta = 0, +-pi the quotient is its limit (k-3) sgn,
+    exactly.
     """
     n = 2 * (k - 1)
 
@@ -103,7 +97,7 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
         prec, (b, eb), (c, ec) = fixed_constants(bits)
         t = r * n
         if t.denominator == 1:
-            table, t = _osc_cos_table(k, prec), int(t)
+            table, t = fixed.cos_table(prec, n), int(t)
 
             def trig(is_sin: int, m: int) -> tuple[int, int]:
                 return table[(m * t - is_sin * (k - 1)) % (2 * n)], fixed.TABLE_ERR

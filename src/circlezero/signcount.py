@@ -10,7 +10,6 @@ Q[lam], so every degree takes this one route.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from . import fixed
@@ -18,34 +17,15 @@ from .errors import DomainError, PrecisionError
 from .families import FamilyPoly
 from .reports import VerificationReport
 
-# prec -> (S, [2^prec cos(pi t / S) for t = 0 .. 2S - 1]): one table per
-# working precision for the process; S is a power of two and only grows.
-_COS_TABLES: dict[int, tuple[int, list[int]]] = {}
-_COS_TABLES_LOCK = threading.Lock()
-
 
 def _first_grid(m: int) -> int:
     """The first grid of a degree-2m count: the smallest power of two >= max(3m, 32)."""
     return 1 << (max(3 * m, 32) - 1).bit_length()
 
 
-def _cos_table(prec: int, M: int) -> list[int]:
-    """2^prec cos(pi t / M) for t = 0 .. 2M - 1 (M a power of two >= 4), each
-    entry within `fixed.TABLE_ERR` units: the process table read with stride
-    S / M."""
-    S, table = _COS_TABLES.get(prec, (0, []))
-    if S < M:
-        with _COS_TABLES_LOCK:
-            S, table = _COS_TABLES.get(prec, (0, []))
-            if S < M:
-                S, table = M, fixed.grow_cos_table(prec, S, table, M)
-                _COS_TABLES[prec] = (S, table)
-    return table[::S // M]
-
-
-def _half_dft(x: list[int], cos: list[int], prec: int) -> tuple[list[int], list[int]]:
+def _half_dft(x: list[int], cos: tuple[int, ...], prec: int) -> tuple[list[int], list[int]]:
     """(re, im) of X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M, from the
-    real integers x and `cos` = `_cos_table(prec, M)`.
+    real integers x and `cos` = `fixed.cos_table(prec, M)`.
 
     A radix-2 decimation-in-time transform of length N = 2M, pruned and
     halved.  The node at stride d transforms the real subsequence
@@ -139,8 +119,8 @@ class _TrigEvaluator:
 
     def grid_values(self, M: int) -> list[int]:
         """g(j pi / M) for j = 0 .. M, each within `budget`: one `_half_dft`
-        of the terms against the process cosine table of the grid."""
-        return _half_dft(self.terms, _cos_table(self.prec, M), self.prec)[self.use_sin]
+        of the terms against the grid's cosine table."""
+        return _half_dft(self.terms, fixed.cos_table(self.prec, M), self.prec)[self.use_sin]
 
 
 def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:

@@ -20,7 +20,7 @@ from circlezero.criteria import (
     schinzel_constant_Y,
 )
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin, lambda_k
-from circlezero.errors import DomainError, NumericError
+from circlezero.errors import DomainError, NumericError, PrecisionError
 from circlezero.families import (
     FamilyPoly,
     ZetaCoefficient,
@@ -34,11 +34,10 @@ from circlezero.families import (
     build_Y,
 )
 from circlezero.fixed import GUARD, TABLE_ERR, from_ball
-from circlezero.oscillation import _osc_cos_table, _q_eval, _w_eval, alternating_verify
+from circlezero.oscillation import _q_eval, _w_eval, alternating_verify
 from circlezero.reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE
 from circlezero.roots import RootBalls, find_roots, simplicity_check, verify_by_roots
 from circlezero.signcount import (
-    _cos_table,
     _first_grid,
     _TrigEvaluator,
     deflate_forced_zero,
@@ -197,18 +196,46 @@ def test_point_certified_below_d_decides_without_escalation():
     assert calls == [128]
 
 
-@pytest.mark.parametrize("k", [7, 11, 12, 35, 60, 200])
-def test_oscillation_table_entries_within_bound(k):
-    # sizes 2(k-1) are not powers of two; every entry of the full-period
-    # table is within TABLE_ERR of a reference 64 bits finer
-    n = 2 * (k - 1)
-    prec = 128 + GUARD
-    table = _osc_cos_table(k, prec)
-    assert len(table) == 2 * n
-    pi = RealEnclosure.pi(prec + 64)
-    for t, v in enumerate(table):
-        ref = ball_cos_sin(pi * F(t, n))[0].shift(prec)
-        assert (ref - v).abs().lt(TABLE_ERR), (k, t)
+@pytest.mark.parametrize("M, stride",
+                         [pytest.param(2 * (k - 1), 1, id=str(k)) for k in (7, 11, 12, 35, 60, 200)]
+                         + [pytest.param(M, 1, id=f"M{M}") for M in (4, 6, 2048)]
+                         + [pytest.param(32768, 97, id="M32768-stride97")])
+def test_oscillation_table_entries_within_bound(M, stride, monkeypatch):
+    # the oscillation sizes 2(k-1) (M = 2 mod 4 for even k) and the sign
+    # counter's powers of two share one builder: a cold build calls
+    # ball_cos_sin once and a cache hit not at all, and at the default and an
+    # escalated precision every entry of the full-period table (a stride
+    # sample of the largest) is within TABLE_ERR of a reference 64 bits finer
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ball_cos_sin(x)
+
+    monkeypatch.setattr(fixed, "ball_cos_sin", counted)
+    fixed.cos_table.cache_clear()
+    for bits in (128, 256):
+        prec = bits + GUARD
+        table = fixed.cos_table(prec, M)
+        assert len(calls) == 1
+        assert fixed.cos_table(prec, M) is table
+        assert len(calls) == 1
+        calls.clear()
+        assert len(table) == 2 * M
+        pi = RealEnclosure.pi(prec + 64)
+        for t in range(0, 2 * M, stride):
+            ref = ball_cos_sin(pi * F(t, M))[0].shift(prec)
+            assert (ref - table[t]).abs().lt(TABLE_ERR), (M, prec, t)
+
+
+def test_cos_table_entry_over_bound_raises(monkeypatch):
+    # every entry is checked at run time: with the bound below the 2 units
+    # the shift alone can cost, the first entry fails, named by prec, M and t
+    monkeypatch.setattr(fixed, "TABLE_ERR", 1)
+    fixed.cos_table.cache_clear()
+    with pytest.raises(PrecisionError, match=r"cos\(pi 0/64\) at 160 bits"):
+        fixed.cos_table(160, 64)
+    assert fixed.cos_table.cache_info().currsize == 0
 
 
 def _comparison_reference(family: str, k: int, r: Fraction, bits: int) -> RealEnclosure:
@@ -462,17 +489,14 @@ def test_trig_evaluator_scaled_coefficients_fit_prec(k):
 @pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10),
                                deflate_forced_zero(build_S(31))],
                          ids=["P2", "P5", "P10", "S31-deflated"])
-def test_trig_evaluator_matches_power_basis(p, monkeypatch):
+def test_trig_evaluator_matches_power_basis(p):
     # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
-    # i g(theta) for eps = -1, with g the evaluator's trig polynomial; the
-    # process table is four times finer, so the transform reads it by stride 4
-    monkeypatch.setattr(signcount, "_COS_TABLES", {})
+    # i g(theta) for eps = -1, with g the evaluator's trig polynomial
     bits = 128
     prec = bits + 32
     ev = _TrigEvaluator(p, bits)
     m = p.degree // 2
     M = _first_grid(m)
-    _cos_table(ev.prec, 4 * M)
     pi = RealEnclosure.pi(prec)
     values = ev.grid_values(M)
     assert len(values) == M + 1
@@ -488,13 +512,12 @@ def test_trig_evaluator_matches_power_basis(p, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [5, 6], ids=["P5-sin", "P6-cos"])
-def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
-    # the process table computes t <= S/2 and mirrors the rest, keeps the
-    # entries it had when it grows, serves a grid M by stride S/M, and the
-    # transform reads sin(pi t / M) as the entry M/2 earlier; whatever the
-    # history (fresh, grown, strided, doubled), every cos or sin view entry
-    # is within TABLE_ERR of a reference 64 bits finer, whose own radius is
-    # negligible
+def test_trig_table_mirrored_quarters_within_err(k):
+    # the table computes t <= M/2 and mirrors the rest, and the transform
+    # reads sin(pi t / M) as the entry M/2 earlier; a table is the same
+    # whatever sizes the process built before it (none, finer, coarser), and
+    # every cos or sin view entry is within TABLE_ERR of a reference 64 bits
+    # finer, whose own radius is negligible
     p = build_P(k)
     bits = 128
     ev = _TrigEvaluator(p, bits)
@@ -502,12 +525,14 @@ def test_trig_table_mirrored_quarters_within_err(k, monkeypatch):
     M = _first_grid(p.degree // 2)
     pi = RealEnclosure.pi(ev.prec + 64)
     refs = [ball_cos_sin(pi * F(t, M))[ev.use_sin].shift(ev.prec) for t in range(2 * M)]
-    for history in ((), (1, 4), (4, 1), (1, 2, 4)):
-        monkeypatch.setattr(signcount, "_COS_TABLES", {})
+    fixed.cos_table.cache_clear()
+    fresh = fixed.cos_table(ev.prec, M)
+    for history in ((), (1, 4), (4, 1), (1, 2, 4), (4, 2, 1)):
+        fixed.cos_table.cache_clear()
         for factor in history:
-            _cos_table(ev.prec, factor * M)
-        cos = _cos_table(ev.prec, M)
-        assert signcount._COS_TABLES[ev.prec][0] == max(history, default=1) * M
+            fixed.cos_table(ev.prec, factor * M)
+        cos = fixed.cos_table(ev.prec, M)
+        assert cos == fresh, history
         assert len(cos) == 2 * M
         for t in range(2 * M):
             v = cos[t - ev.use_sin * M // 2]
@@ -527,12 +552,12 @@ def _dot_product_grid(p, bits, M):
     else:
         terms = [(r, -balls[m - r].shift(1)) for r in range(1, m + 1)]
     emax = max(v.mid[2] + v.mid[3] for _, v in terms if v.mid != libmp.fzero)
-    fixed = [(r, *from_ball(v.shift(-emax), prec)) for r, v in terms]
-    budget = (TABLE_ERR * sum(abs(c) for _, c, _ in fixed)
-              + ((1 << prec) + TABLE_ERR) * sum(e for _, _, e in fixed))
-    cos = _cos_table(prec, M)
+    scaled = [(r, *from_ball(v.shift(-emax), prec)) for r, v in terms]
+    budget = (TABLE_ERR * sum(abs(c) for _, c, _ in scaled)
+              + ((1 << prec) + TABLE_ERR) * sum(e for _, _, e in scaled))
+    cos = fixed.cos_table(prec, M)
     table = cos[3 * M // 2:] + cos[:3 * M // 2] if p.epsilon < 0 else cos
-    return [sum(c * table[r * j % (2 * M)] for r, c, _ in fixed) for j in range(M + 1)], budget
+    return [sum(c * table[r * j % (2 * M)] for r, c, _ in scaled) for j in range(M + 1)], budget
 
 
 def _certified_sign(v, budget):
@@ -593,22 +618,21 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
     assert rep.detail["changes"] == sum(a != b for a, b in zip(seq, seq[1:]))
 
 
-def test_sign_count_reports_independent_of_table_history(monkeypatch):
-    # the table is shared by every count in the process and only grows; the
-    # reports must not depend on what grew it
+def test_sign_count_reports_independent_of_table_history():
+    # tables are cached per (prec, M) for the process; the reports must not
+    # depend on which tables other counts built before them
     def docs():
         return [verify_by_sign_count(build_family(f, k)).to_doc()
                 for f, k in (("P", 10), ("S", 31), ("Y", 51))]
 
-    monkeypatch.setattr(signcount, "_COS_TABLES", {})
+    fixed.cos_table.cache_clear()
     fresh = docs()
-    sizes = []
-    for grower in (build_P(450), build_R(12)):   # one growth step, then doublings
-        monkeypatch.setattr(signcount, "_COS_TABLES", {})
-        verify_by_sign_count(grower)
-        sizes.append(signcount._COS_TABLES[128 + 32][0])
+    grids = []
+    for grower in (build_P(450), build_R(12)):   # one large grid, then doublings
+        fixed.cos_table.cache_clear()
+        grids.append(verify_by_sign_count(grower).detail["grid"])
         assert docs() == fresh
-    assert min(sizes) > max(d["detail"]["grid"] for d in fresh)
+    assert min(grids) > max(d["detail"]["grid"] for d in fresh)
 
 
 def test_sign_count_R_not_certified():
