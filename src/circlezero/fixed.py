@@ -58,6 +58,18 @@ def div(a: int, ea: int, b: int, eb: int, prec: int) -> tuple[int, int]:
     return (a << prec) // b, -(-num // (b_abs * (b_abs - eb))) + 1
 
 
+def gauss_mul(z: tuple[int, int, int, int], w: tuple[int, int, int, int],
+              prec: int) -> tuple[int, int, int, int]:
+    """The product of two Gaussian fixed-point balls, each (x, ex, y, ey) for
+    x + i y with errors ex and ey: its four real products go through `mul`,
+    so each component's error is the sum of its two products' bounds."""
+    x, ex, y, ey = z
+    u, eu, v, ev = w
+    (xu, exu), (yv, eyv) = mul(x, ex, u, eu, prec), mul(y, ey, v, ev, prec)
+    (xv, exv), (yu, eyu) = mul(x, ex, v, ev, prec), mul(y, ey, u, eu, prec)
+    return xu - yv, exu + eyv, xv + yu, exv + eyu
+
+
 def ceil_mul(e: int, x: int, prec: int) -> int:
     """ceil(e x / 2^prec) for e, x >= 0: an error scaled by a fixed-point
     magnitude, rounded up."""
@@ -84,11 +96,11 @@ def cos_table(prec: int, M: int) -> tuple[int, ...]:
 
     One `ball_cos_sin`, with pi 8 bits finer than the working precision
     wp = prec + G, G = bit_length(M) + 8, gives w = e^(i pi / M) as two balls
-    at wp.  The chain z_0 = 2^wp, z_t = z_(t-1) w runs in Gaussian integers,
-    each of its four real products through `mul`, so every component carries
-    an exact error bound E.  Shifted down by G bits (floored), a component is
-    off by less than E 2^-G + 1 <= (E >> G) + 2 units, and each entry is
-    checked against TABLE_ERR by that.  cos(pi t / M) is Re z_t for
+    at wp.  The chain z_0 = 2^wp, z_t = z_(t-1) w runs in Gaussian integers
+    through `gauss_mul`, so every component carries an exact error bound E.
+    Shifted down by G bits (floored), a component is off by less than
+    E 2^-G + 1 <= (E >> G) + 2 units, and each entry is checked against
+    TABLE_ERR by that.  cos(pi t / M) is Re z_t for
     t <= M/4 and sin(pi (M/2 - t) / M) = Im z_(M/2 - t) for M/4 < t <= M/2,
     whether or not 4 divides M; the rest is mirrored by exact negation and
     copying: cos(pi - x) = -cos x, cos(2 pi - x) = cos x.
@@ -102,14 +114,10 @@ def cos_table(prec: int, M: int) -> tuple[int, ...]:
     G = M.bit_length() + 8
     wp = prec + G
     c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * Fraction(1, M))
-    (wr, ewr), (wi, ewi) = from_ball(c, wp), from_ball(s, wp)
-    x, ex, y, ey = 1 << wp, 0, 0, 0
-    chain = [(x, ex, y, ey)]
+    w = (*from_ball(c, wp), *from_ball(s, wp))
+    chain = [(1 << wp, 0, 0, 0)]
     for _ in range(M // 4):
-        (xr, exr), (yi, eyi) = mul(x, ex, wr, ewr, wp), mul(y, ey, wi, ewi, wp)
-        (xi, exi), (yr, eyr) = mul(x, ex, wi, ewi, wp), mul(y, ey, wr, ewr, wp)
-        x, ex, y, ey = xr - yi, exr + eyi, xi + yr, exi + eyr
-        chain.append((x, ex, y, ey))
+        chain.append(gauss_mul(chain[-1], w, wp))
     quarter = []
     for t in range(M // 2 + 1):
         v, e = chain[t][:2] if 4 * t <= M else chain[M // 2 - t][2:]

@@ -29,12 +29,12 @@ class OscillationSpec:
     d: Fraction                                   # oscillation distance
     j0_denominator: Callable[[RealEnclosure], RealEnclosure]  # pi -> arccos denominator
     min_k: int                                    # smaller k take the sign-count route
-    evaluator: Callable[[int], Callable[[Fraction, int], RealEnclosure]]
+    evaluator: Callable[[int], Callable[[Fraction, int], tuple[int, int, int]]]
     uniform_bound: Callable[[FamilyPoly, int], RealEnclosure]
     drop_halves: bool                             # drop the two positive boundary halves
 
 
-def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
+def _alpha_j0_acos(k: int, spec: OscillationSpec, bits: int) -> int:
     """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos formula."""
     def attempt(b: int) -> tuple[bool, int]:
         pi = RealEnclosure.pi(b)
@@ -47,6 +47,32 @@ def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
     if not decided:
         raise PrecisionError(f"j0 indeterminate at k={k}")
     return j0
+
+
+@lru_cache(maxsize=8)
+def _fixed_x(spec: OscillationSpec, prec: int) -> tuple[int, int]:
+    """x = d / denominator(pi), the cosine of pi alpha, as (value, error) at prec."""
+    x = RealEnclosure.exact(spec.d, prec + 8) / spec.j0_denominator(RealEnclosure.pi(prec + 8))
+    return fixed.from_ball(x, prec)
+
+
+def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
+    """j0 = floor((k-1) alpha) + 1, alpha = arccos(x) / pi.
+
+    cos is decreasing on [0, pi], so floor((k-1) alpha) is the number of j
+    in 1..k-1 with cos(pi j/(k-1)) >= x.  Those cosines are the even entries
+    of `fixed.cos_table(bits + GUARD, 2(k-1))`, the table the integer sample
+    points read, each within TABLE_ERR; an entry is counted when its lower
+    end clears x's upper end and left out when its upper end is below x's
+    lower end.  Only when some entry is neither does `_alpha_j0_acos`
+    certify alpha from its arccos formula.
+    """
+    prec = bits + fixed.GUARD
+    x, ex = _fixed_x(spec, prec)
+    table, err = fixed.cos_table(prec, 2 * (k - 1)), fixed.TABLE_ERR
+    above = sum(1 for j in range(1, k) if table[2 * j] - err >= x + ex)
+    below = sum(1 for j in range(1, k) if table[2 * j] + err < x - ex)
+    return above + 1 if above + below == k - 1 else _alpha_j0_acos(k, spec, bits)
 
 
 def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:
@@ -65,26 +91,54 @@ def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=16)
-def _fixed_cos_sin(x: Fraction, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """cos(pi x) and sin(pi x) as fixed-point (value, error) pairs at `prec`,
-    from one `ball_cos_sin` with pi taken 8 bits finer."""
-    c, s = ball_cos_sin(RealEnclosure.pi(prec + 8) * x)
-    return fixed.from_ball(c, prec), fixed.from_ball(s, prec)
+def _rotation_powers(x: Fraction, k: int, prec: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """m -> (cos(m pi x), sin(m pi x)) as fixed-point (value, error) pairs at
+    prec, for m = 1, k-3, k-2, k-1 and k, from one `ball_cos_sin`.
+
+    z = e^(i pi x) enters at wp = prec + G, G = 2 bit_length(k) + 8, from one
+    `ball_cos_sin` with pi 8 bits finer.  z^(k-3) is z times the binary
+    power z^(k-4), and the next three powers multiply by z once more, each
+    product in Gaussian integers through `fixed.gauss_mul`, so every
+    component carries an exact error bound E.  Shifted down by G bits
+    (floored), as `fixed.cos_table` does, a component is off by less than
+    E 2^-G + 1 <= (E >> G) + 2 units.  A product's component error is at
+    most about sqrt(2) times the sum of its factors' plus four units, so
+    over log2(k) squarings E stays below a few k^(3/2) units (about 6k
+    measured for k = 11..5000), far under 2^G; were it above, f's error
+    would only widen.
+    """
+    G = 2 * k.bit_length() + 8
+    wp = prec + G
+    c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * x)
+    z = p = (*fixed.from_ball(c, wp), *fixed.from_ball(s, wp))
+    base, n = z, k - 4
+    while n:
+        if n & 1:
+            p = fixed.gauss_mul(p, base, wp)
+        n >>= 1
+        if n:
+            base = fixed.gauss_mul(base, base, wp)
+    powers = {1: z, k - 3: p}
+    for m in (k - 2, k - 1, k):
+        p = powers[m] = fixed.gauss_mul(p, z, wp)
+    return {m: ((v >> G, (ev >> G) + 2), (w >> G, (ew >> G) + 2))
+            for m, (v, ev, w, ew) in powers.items()}
 
 
 def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
                 constants: Callable[[RealEnclosure], tuple[RealEnclosure, RealEnclosure]]):
     """f(theta) = 2 trig_x(theta) + B trig_y(theta) + C sin((k-3) theta) / sin(theta)
-    at theta = r pi, as f(r, bits) -> ball; x and y are (is_sin, multiple), and
+    at theta = r pi, as f(r, bits) -> (v, e, prec) with
+    |f(theta) - v 2^-prec| <= e 2^-prec; x and y are (is_sin, multiple), and
     constants(pi) gives (B, C).
 
-    One integer formula at bits + `fixed.GUARD` carries an error budget
-    through `fixed.mul`/`fixed.div`.  Every sample angle but the two just
-    short of +-pi is a multiple of pi / (2(k-1)), so its trig values are
-    entries of `fixed.cos_table(prec, 2(k-1))` (a sine is the cosine a
-    quarter period earlier); the two others take theirs from
-    `ball_cos_sin`.  At theta = 0, +-pi the quotient is its limit (k-3) sgn,
-    exactly.
+    One integer formula at prec = bits + `fixed.GUARD` carries an error
+    budget through `fixed.mul`/`fixed.div`.  Every sample angle but the two
+    just short of +-pi is a multiple of pi / (2(k-1)), so its trig values
+    are entries of `fixed.cos_table(prec, 2(k-1))` (a sine is the cosine a
+    quarter period earlier); the two others share `_rotation_powers` of
+    their common |theta|.  At theta = 0, +-pi the quotient is its limit
+    (k-3) sgn, exactly.
     """
     n = 2 * (k - 1)
 
@@ -93,7 +147,7 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
         prec = bits + fixed.GUARD
         return prec, *(fixed.from_ball(v, prec) for v in constants(RealEnclosure.pi(prec + 8)))
 
-    def f(r: Fraction, bits: int) -> RealEnclosure:
+    def f(r: Fraction, bits: int) -> tuple[int, int, int]:
         prec, (b, eb), (c, ec) = fixed_constants(bits)
         t = r * n
         if t.denominator == 1:
@@ -102,8 +156,10 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
             def trig(is_sin: int, m: int) -> tuple[int, int]:
                 return table[(m * t - is_sin * (k - 1)) % (2 * n)], fixed.TABLE_ERR
         else:
+            powers = _rotation_powers(abs(r), k, prec)
+
             def trig(is_sin: int, m: int) -> tuple[int, int]:
-                v, e = _fixed_cos_sin(abs(r) * m, prec)[is_sin]
+                v, e = powers[m][is_sin]
                 return -v if is_sin and r < 0 else v, e     # cos is even, sin odd
         tx, ex = trig(*x)
         ty, ey = trig(*y)
@@ -114,7 +170,7 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
             q, eq = fixed.div(*trig(1, k - 3), *trig(1, 1), prec)
         by, eby = fixed.mul(b, eb, ty, ey, prec)
         cq, ecq = fixed.mul(c, ec, q, eq, prec)
-        return fixed.to_ball(2 * tx + by + cq, 2 * ex + eby + ecq, prec, bits)
+        return 2 * tx + by + cq, 2 * ex + eby + ecq, prec
 
     return f
 
@@ -141,32 +197,36 @@ def _q_eval(k: int):
                        lambda pi: (4 / pi, RealEnclosure.exact(rho, pi.prec) / (pi * pi)))
 
 
-def _point_sign(val: RealEnclosure, d: RealEnclosure) -> tuple[bool, tuple[int, RealEnclosure]]:
-    """(decided, (sign, |val|)): decided once |val| is certified above or
-    below d, whatever the sign; the sign is nonzero only where |val| > d."""
-    a = val.abs()
-    above = a.gt(d)
-    return above or a.lt(d), (val.sign() if above else 0, a)
-
-
-def alternating_verify(f: Callable[[Fraction, int], RealEnclosure],
+def alternating_verify(f: Callable[[Fraction, int], tuple[int, int, int]],
                        points: Sequence[Fraction], d: Fraction,
                        bits: int = 128) -> OscillationReport:
     """Certify signs and |f| > d at each sample angle; count alternations.
 
-    A point gets sign 0 when |f| is certified below d or is still undecided
-    after the precision escalation.
+    f(r, bits) is a fixed-point enclosure (v, e, prec) of the comparison
+    function at r pi.  With d = num / den, a point is decided by exact
+    integer comparisons: above d when (|v| - e) den > num 2^prec, below d
+    when (|v| + e) den < num 2^prec.  It gets sign 0 when below d or still
+    undecided after the precision escalation.  min_abs is the point above d
+    with the smallest upper end (|v| + e) 2^-prec, compared across
+    precisions by shifting, as a ball at the bits that decided it.
     """
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise DomainError("sample points must be strictly increasing")
+    num, den = d.numerator, d.denominator
+
+    def attempt(r: Fraction, b: int) -> tuple[bool, tuple[bool, int, int, int, int]]:
+        v, e, prec = f(r, b)
+        above = (abs(v) - e) * den > num << prec
+        return above or (abs(v) + e) * den < num << prec, (above, v, e, prec, b)
+
     signs: list[int] = []
-    min_abs: RealEnclosure | None = None
-    d_ball = cache(lambda b: RealEnclosure.exact(d, b))
+    least = None    # (|v|, e, prec, bits) of the point above d with the smallest upper end
     for r in points:
-        _, (sign, a) = escalate(lambda b: _point_sign(f(r, b), d_ball(b)), bits)
-        signs.append(sign)
-        if sign != 0:
-            min_abs = a if min_abs is None or a.upper < min_abs.upper else min_abs
+        _, (above, v, e, prec, b) = escalate(lambda b: attempt(r, b), bits)
+        signs.append((v > 0) - (v < 0) if above else 0)
+        if above and (least is None or (abs(v) + e) << least[2] < (least[0] + least[1]) << prec):
+            least = (abs(v), e, prec, b)
+    min_abs = None if least is None else fixed.to_ball(*least)
     certified = [s for s in signs if s != 0]
     order = sum(1 for i in range(len(certified) - 1) if certified[i] != certified[i + 1])
     return OscillationReport(list(points), signs, min_abs, order, d)

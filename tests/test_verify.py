@@ -1,6 +1,7 @@
 """Verification engines: criteria, oscillation, sign counting, root finding."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
-from circlezero import families, fixed, signcount
+from circlezero import families, fixed, oscillation, signcount
 from circlezero import roots as roots_mod
 from circlezero.criteria import (
     abs_square_poly,
@@ -151,11 +152,11 @@ def test_qk_samples():
 
 def test_w_eval_examples():
     w12 = _w_eval(12)
-    assert w12(F(0), 128).gt(F(3))          # w_k(0) > 3
-    at_pi = w12(F(1), 128)                   # sign (-1)^k, |.| > 19
+    assert fixed.to_ball(*w12(F(0), 128), 128).gt(F(3))   # w_k(0) > 3
+    at_pi = fixed.to_ball(*w12(F(1), 128), 128)            # sign (-1)^k, |.| > 19
     assert at_pi.gt(F(19))
     w13 = _w_eval(13)
-    assert (-w13(F(1), 128)).gt(F(19))
+    assert (-fixed.to_ball(*w13(F(1), 128), 128)).gt(F(19))
 
 
 def test_alternating_verify_w12():
@@ -175,7 +176,7 @@ def test_alternating_undecided_point_gets_sign_zero():
     # |f| = 3/10 exactly: no precision separates it from d = 3/10, so no point
     # may count toward the alternation order
     def f(r, bits):
-        return RealEnclosure.exact(F(3, 10), bits) * (1 if r == 0 else -1)
+        return (3 << bits) // 10 * (1 if r == 0 else -1), 1, bits
 
     rep = alternating_verify(f, [F(-1, 2), F(0), F(1, 2)], F(3, 10))
     assert rep.signs == [0, 0, 0]
@@ -189,11 +190,125 @@ def test_point_certified_below_d_decides_without_escalation():
 
     def f(r, bits):
         calls.append(bits)
-        return RealEnclosure.exact(0, bits)
+        return 0, 0, bits
 
     rep = alternating_verify(f, [F(0)], F(3, 10))
     assert rep.signs == [0] and rep.min_abs is None
     assert calls == [128]
+
+
+def test_point_straddling_d_decided_after_one_escalation():
+    # |f| +- e straddles d at 128 bits and clears it at 256: one escalation,
+    # then the sign and a min_abs ball at the deciding precision
+    calls = []
+    value = F(3, 10) + F(1, 2 ** 150)
+
+    def f(r, bits):
+        calls.append(bits)
+        return -math.floor(value * 2 ** bits), 1, bits
+
+    rep = alternating_verify(f, [F(0)], F(3, 10))
+    assert calls == [128, 256]
+    assert rep.signs == [-1]
+    assert rep.min_abs.prec == 256 and rep.min_abs.gt(F(3, 10)) and rep.min_abs.contains(value)
+
+
+def test_min_abs_is_smallest_exact_upper_end_across_precisions():
+    # points decided at 128 and at 256 bits compare by exact upper end
+    # (|v| + e) 2^-prec, so 0.4 decided at 256 beats 0.5 decided at 128,
+    # and of two ends 2 units of 2^-160 apart (one ball when rounded to the
+    # report's precision) the smaller wins, wherever it stands
+    near = 1 << 159     # 1/2 at 160 bits
+
+    def f(r, bits):
+        if r == 0:      # 0.5, decided at 128
+            return 1 << (bits - 1), 1, bits
+        if r == 1:      # 0.4, undecided at 128 (error 1/4), decided at 256
+            return (2 << bits) // 5, (1 << (bits - 2)) if bits == 128 else 1, bits
+        if r == 2:      # 0.6, undecided at 128, decided at 256
+            return (3 << bits) // 5, (1 << (bits - 2)) if bits == 128 else 1, bits
+        return (near + 2 if r == 3 else near, 13, 160)
+
+    rep = alternating_verify(f, [F(0), F(1), F(2)], F(3, 10))
+    assert rep.signs == [1, 1, 1]
+    assert rep.min_abs.prec == 256 and rep.min_abs.contains(F(2, 5))
+    rep = alternating_verify(f, [F(3), F(4)], F(3, 10))
+    assert fixed.from_ball(rep.min_abs, 160) == (near, 13 + 2)
+
+
+@pytest.mark.parametrize("family", ["W", "Q"])
+def test_j0_from_table_matches_arccos(family, monkeypatch):
+    # counting the table cosines at or above x gives floor((k-1) alpha) for
+    # every k the tests below 400 reach, with no arccos fallback
+    spec = FAMILY_SPECS[family].oscillation
+    monkeypatch.setattr(oscillation, "_alpha_j0_acos",
+                        lambda k, *_: pytest.fail(f"arccos fallback at k={k}"))
+    table_j0 = [oscillation._alpha_j0(k, spec) for k in range(spec.min_k, 400)]
+    monkeypatch.undo()
+    assert table_j0 == [oscillation._alpha_j0_acos(k, spec, 128) for k in range(spec.min_k, 400)]
+
+
+def test_j0_fallback_when_table_cannot_separate(monkeypatch):
+    # a table error no entry can clear sends every k to the arccos formula,
+    # which gives the same j0
+    spec = FAMILY_SPECS["W"].oscillation
+    expected = [oscillation._alpha_j0(k, spec) for k in (11, 12, 35, 200)]
+    calls = []
+    acos = oscillation._alpha_j0_acos
+    monkeypatch.setattr(oscillation, "_alpha_j0_acos", lambda *a: calls.append(a[0]) or acos(*a))
+    monkeypatch.setattr(fixed, "TABLE_ERR", 1 << 200)
+    assert [oscillation._alpha_j0(k, spec) for k in (11, 12, 35, 200)] == expected
+    assert calls == [11, 12, 35, 200]
+
+
+def test_j0_exact_boundary_raises_naming_k():
+    # d / denominator = 1/2 = cos(pi/3) with 3 | k - 1: the table entry j =
+    # (k-1)/3 equals x, and no precision of the arccos fallback decides it
+    spec = FAMILY_SPECS["W"].oscillation    # d = 3/10
+    spec = dataclasses.replace(spec, j0_denominator=lambda pi: RealEnclosure.exact(F(3, 5), pi.prec))
+    with pytest.raises(PrecisionError, match="k=13"):
+        oscillation._alpha_j0(13, spec)
+
+
+_MULTIPLES = {"W": lambda k: (k, k - 2, k - 3, 1), "Q": lambda k: (k - 2, k - 1, k - 3, 1)}
+
+
+@pytest.mark.parametrize("family", ["W", "Q"])
+@pytest.mark.parametrize("k", [11, 12, 35, 60, 200])
+def test_off_grid_powers_enclose_finer_reference(family, k):
+    # the point just short of pi: each multiple's cos and sin from the one
+    # rotation power encloses a ball_cos_sin 64 bits finer
+    x = oscillation_samples(family, k)[-1]
+    for bits in (128, 256):
+        prec = bits + GUARD
+        powers = oscillation._rotation_powers(x, k, prec)
+        pi = RealEnclosure.pi(prec + 64)
+        for m in _MULTIPLES[family](k):
+            for (v, e), ref in zip(powers[m], ball_cos_sin(pi * (x * m))):
+                assert (ref.shift(prec) - v).abs().lt(e), (family, k, bits, m)
+
+
+@pytest.mark.parametrize("family", ["W", "Q"])
+def test_one_cos_sin_per_off_grid_angle(family, monkeypatch):
+    # the two points just short of +-pi share |theta|: over a whole grid,
+    # one ball_cos_sin per precision, of that angle
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ball_cos_sin(x)
+
+    monkeypatch.setattr(oscillation, "ball_cos_sin", counted)
+    oscillation._rotation_powers.cache_clear()
+    k = 35
+    f = (_w_eval if family == "W" else _q_eval)(k)
+    pts = oscillation_samples(family, k)
+    for bits in (128, 256):
+        for r in pts:
+            f(r, bits)
+        assert len(calls) == 1, (family, bits)
+        assert (calls[0] / RealEnclosure.pi(bits) - pts[-1]).abs().lt(F(1, 2 ** 100))
+        calls.clear()
 
 
 @pytest.mark.parametrize("M, stride",
@@ -265,7 +380,7 @@ def test_comparison_function_overlaps_finer_ball_evaluation(family, k):
     pts = oscillation_samples(family, k)
     assert sum(1 for r in pts if (r * 2 * (k - 1)).denominator != 1) == 2
     for r in pts:
-        val = f(r, 128)
+        val = fixed.to_ball(*f(r, 128), 128)
         assert val.prec == 128 and val.radius < mp.mpf(2) ** -100, (family, k, r)
         assert (val - _comparison_reference(family, k, r, 192)).contains_zero(), (family, k, r)
 
