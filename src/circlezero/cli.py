@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,6 +173,10 @@ def cmd_verify(args) -> int:
     rows: list[dict] = []
     failures: list[str] = []
     if cfg.workers > 1:
+        # imported here: concurrent.futures loads multiprocessing, socket and
+        # logging, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         # the fork start method launches every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             results = list(pool.map(_verify_task, tasks, chunksize=1))

@@ -1,6 +1,7 @@
 """The roots route, which cross-validates every certification: root balls
-from a fixed-point Newton polish with certified residual radii, and a
-separation check that gives ball distances only to the near pairs.
+from a fixed-point Newton polish with certified residual radii, seeded from
+the sign counter's first grid, a separation check that gives ball distances
+only to the near pairs, and | |z| - 1 | decided in integers.
 """
 
 from __future__ import annotations
@@ -17,15 +18,26 @@ from .enclosure import ComplexEnclosure, RealEnclosure, escalate
 from .errors import NumericError
 from .families import FamilyPoly
 from .reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE, VerificationReport
+from .signcount import _first_grid, _TrigEvaluator
 
 ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
+SEED_STEPS = 8           # float Newton steps that bring a grid seed to Aberth quality
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
 MIRROR_TOL = 1e-8        # |Im w| <= MIRROR_TOL max(1, |w|): a near-real seed, polished on its own
 
 
-def _aberth_float(coeffs: list[complex], n: int) -> list[complex]:
+def _horner_float(rev: list[float], x: complex) -> tuple[complex, complex]:
+    """(p(x), p'(x)) in floats, for the coefficients `rev` from the top down."""
+    p, d = rev[0], 0j
+    for a in rev[1:]:
+        d = d * x + p
+        p = p * x + a
+    return p, d
+
+
+def _aberth_float(coeffs: list[float], n: int) -> list[complex]:
     """Float Aberth--Ehrlich seeds for the n roots of sum coeffs[j] z^j.
 
     Every sweep takes the correction w / (1 - w s), w = p(z_i)/p'(z_i) and
@@ -40,10 +52,7 @@ def _aberth_float(coeffs: list[complex], n: int) -> list[complex]:
         corr = []
         for i in moving:
             x = z[i]
-            p, d = rev[0], 0j
-            for a in rev[1:]:
-                d = d * x + p
-                p = p * x + a
+            p, d = _horner_float(rev, x)
             try:
                 w = p / d
                 c = w / (1 - w * sum([1 / (x - y) for y in z[:i] + z[i + 1:]]))
@@ -56,6 +65,79 @@ def _aberth_float(coeffs: list[complex], n: int) -> list[complex]:
         if not moving:
             break
     return z
+
+
+def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], prec: int,
+                floats: list[float]) -> list[complex] | None:
+    """Seeds for the n roots of the origin-stripped p, whose symmetry
+    c_(n-j) = eps c_j the caller has checked exactly, from the sign
+    counter's first grid; None when its certified brackets do not account
+    for every root.
+
+    The counted polynomial q is p itself for even n, and for odd n the
+    quotient p / (z + eps), reciprocal of degree n - 1 (see
+    `signcount.deflate_forced_zero`), formed here in the fixed point of
+    `fixed_coeffs`: from c_0 = eps q_0 and c_j = q_(j-1) + eps q_j,
+    q_j = eps (c_j - q_(j-1)), whose error is the sum of e_0 .. e_j.  One
+    `_TrigEvaluator.grid_values` transform of q's trig polynomial g on the
+    first grid theta_j = j pi / M, M = `_first_grid(m)`, gives certified signs.
+    Every point must have one, apart from the forced zeros g(0) = g(pi) = 0
+    when q has eps = -1, and the sign changes must number m (m - 1 for
+    eps = -1): with the real seeds z = -eps for odd n and +-1 for eps = -1,
+    that is all n roots, one simple circle zero in each bracket.  Each
+    bracket gives the angle where the straight line through its two grid
+    values crosses 0; up to SEED_STEPS float Newton steps on `floats` move
+    e^(i theta) until a step is below 1e-13, as Aberth's stop.  A seed whose
+    argument leaves its bracket is not trusted, and the caller falls back to
+    Aberth, so no two seeds can polish to the same root.  The seeds are the
+    upper ones, the real ones and the conjugates of the upper ones.
+    """
+    n, eps = p.degree, p.epsilon
+    emax, C, E = fixed_coeffs
+    real = []
+    if n % 2:
+        real.append(float(-eps))
+        m, q, e = (n - 1) // 2, 0, 0
+        Q, Eq = [], []
+        for c, ec in zip(C, E[:m + 1]):
+            q, e = eps * (c - q), e + ec
+            Q.append(q)
+            Eq.append(e)
+        C, E, eps = Q, Eq, 1
+    else:
+        m = n // 2
+        C, E = C[:m + 1], E[:m + 1]
+    if eps < 0:
+        real += [1.0, -1.0]
+    ev = _TrigEvaluator(eps, (emax, C, E), prec)
+    M = _first_grid(m)
+    values = ev.grid_values(M)
+    first, last = (0, M) if eps > 0 else (1, M - 1)
+    if any(abs(v) <= ev.budget for v in values[first:last + 1]):
+        return None
+    brackets = [j for j in range(first, last) if (values[j] > 0) != (values[j + 1] > 0)]
+    if len(brackets) != m - (eps < 0):
+        return None
+    rev = floats[::-1]
+    upper = []
+    for j in brackets:
+        v, w = values[j], values[j + 1]
+        z = cmath.rect(1.0, cmath.pi * (j + v / (v - w)) / M)
+        for _ in range(SEED_STEPS):
+            f, d = _horner_float(rev, z)
+            try:
+                step = f / d
+            except ZeroDivisionError:
+                break
+            if not cmath.isfinite(step):
+                break
+            z -= step
+            if abs(step) < 1e-13:
+                break
+        if not j * cmath.pi <= M * atan2(z.imag, z.real) <= (j + 1) * cmath.pi:
+            return None
+        upper.append(z)
+    return upper + real + [z.conjugate() for z in upper]
 
 
 def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, xi: int,
@@ -106,12 +188,15 @@ def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, 
 
 
 class RootBalls(list):
-    """`find_roots`'s balls, and `polished`: how many of them were
-    Newton-polished; the others are mirror images of polished ones."""
+    """`find_roots`'s balls; `polished`: how many of them were
+    Newton-polished (the others are mirror images of polished ones); and
+    `seeds`: "grid" when the sign counter's first grid seeded every root (a
+    constant has none to seed), "aberth" when float Aberth did."""
 
-    def __init__(self, balls: list[ComplexEnclosure], polished: int):
+    def __init__(self, balls: list[ComplexEnclosure], polished: int, seeds: str):
         super().__init__(balls)
         self.polished = polished
+        self.seeds = seeds
 
 
 def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
@@ -119,13 +204,17 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     balls sorted by argument.
 
     The coefficients are read once at bits + ROOT_GUARD bits as integers over
-    one common power of two (`FamilyPoly.fixed_coefficients`).  Float Aberth--Ehrlich
-    (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds a
-    Newton polish of each root on its own in fixed-point Gaussian integers;
-    the Horner pass that finds a step too short to take also gives the
-    residual radius n |p(x)| / |p'(x)| at x, with an integer error budget
-    (`_newton_ball`).  A disc of that radius around x holds a root of p; the
-    ball is the square around that disc.
+    one common power of two (`FamilyPoly.fixed_coefficients`).  When p passes
+    the exact symmetry check, the seeds come from the sign counter's first
+    grid on those same integers (`_grid_seeds`); when it fails the check, or
+    the grid's brackets do not account for every root, float Aberth--Ehrlich
+    (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds
+    instead.  Either way each seed starts a Newton polish of its root on its
+    own in fixed-point Gaussian integers; the Horner pass that finds a step
+    too short to take also gives the residual radius n |p(x)| / |p'(x)| at
+    x, with an integer error budget (`_newton_ball`).  A disc of that radius
+    around x holds a root of p; the ball is the square around that disc.
+    Nothing below depends on where the seeds came from.
 
     Every family has real coefficients (rationals and the real lam), so its
     non-real roots come in conjugate pairs.  The seeds are split into upper
@@ -142,17 +231,22 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     n distinct roots.  So soundness does not depend on tau: a split that
     pairs the wrong seeds can put two discs around one root, which costs the
     certificate, never gives a false one.  Tau only keeps seeds near real
-    roots from being taken for a pair; it sits far above the 1e-13 Aberth
-    stop.
+    roots from being taken for a pair; it sits far above the 1e-13 stop of
+    either seed source.
     """
     p = poly.strip_origin()
     n = p.degree
     if n == 0:
-        return RootBalls([], 0)
+        return RootBalls([], 0, "grid")
     prec = bits + ROOT_GUARD
-    _, coeffs, errs = p.fixed_coefficients(prec, n + 1)
+    fixed_coeffs = p.fixed_coefficients(prec, n + 1)
+    _, coeffs, errs = fixed_coeffs
     one = 1 << prec
-    seeds = _aberth_float([c / one for c in coeffs], n)
+    floats = [c / one for c in coeffs]
+    seeds = _grid_seeds(p, fixed_coeffs, prec, floats) if p.self_inversive_ok() else None
+    source = "grid"
+    if seeds is None:
+        seeds, source = _aberth_float(floats, n), "aberth"
     upper, lower, near_real = [], [], []
     for w in seeds:
         tau = MIRROR_TOL * max(1.0, abs(w))
@@ -168,7 +262,7 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
     return RootBalls([ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec),
                                        fixed.to_ball(xi, rad, prec, prec))
-                      for xr, xi, rad in z], polished)
+                      for xr, xi, rad in z], polished, source)
 
 
 def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
@@ -227,40 +321,72 @@ def _roots_disjoint(roots: Sequence[ComplexEnclosure], sep: RealEnclosure | None
     return sep.sign() > 0 and sep.sqr().gt(8 * r * r)
 
 
+def _modulus_deviations(roots: Sequence[ComplexEnclosure]) -> tuple[int, list[tuple[int, int]]]:
+    """(s, [(lo, hi), ...]): for every x in the i-th ball, | |x| - 1 | lies in
+    [lo_i, hi_i] 2^-s, in exact integers.
+
+    s is the largest number of fractional bits among the balls' midpoints
+    and radii, so each ball is exactly a +- ra, b +- rb in units of 2^-s
+    (`libmp.to_fixed` is exact there).  For x = u + i v in the ball,
+    max(|a| - ra, 0) <= |u| <= |a| + ra and likewise for v, so
+    N <= |x|^2 2^2s <= H with N = max(|a| - ra, 0)^2 + max(|b| - rb, 0)^2 and
+    H = (|a| + ra)^2 + (|b| + rb)^2.  isqrt(N) = floor(sqrt N), and
+    isqrt(H - 1) + 1 = ceil(sqrt H) for H >= 1, so
+    L = isqrt(N) <= |x| 2^s <= U = ceil(sqrt H).  t -> |t - 2^s| is convex,
+    so on [L, U] its largest value is at an end, hi = max(2^s - L, U - 2^s),
+    and its smallest is 0 when L <= 2^s <= U, else the distance from 2^s to
+    the nearer end: lo = max(L - 2^s, 2^s - U, 0).
+    """
+    parts = [(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in roots]
+    s = max([0] + [-x[2] for q in parts for x in q if x[1]])
+    one = 1 << s
+    devs = []
+    for q in parts:
+        a, ra, b, rb = (abs(libmp.to_fixed(x, s)) for x in q)
+        near = max(a - ra, 0) ** 2 + max(b - rb, 0) ** 2
+        far = (a + ra) ** 2 + (b + rb) ** 2
+        lo_mod, hi_mod = isqrt(near), isqrt(far - 1) + 1 if far else 0
+        devs.append((max(lo_mod - one, one - hi_mod, 0), max(one - lo_mod, hi_mod - one)))
+    return s, devs
+
+
 def verify_by_roots(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
     """Cross-validation report: every certified root ball within ROOT_TOL of
     |z| = 1; max_mod_dev is the largest | |z| - 1 | (the first on ties).
 
     Each ball holds a disc that contains a root; `certified-true` also needs
     the discs pairwise disjoint, so that each holds exactly one of the n
-    roots.  A conjugate ball has the same modulus ball, so | |z| - 1 | and
-    its two comparisons are computed once for the balls that share the real
-    part, |Im| and both radii.  An undecided result is retried at doubled
-    precision through `enclosure.escalate`; a refutation is final.  The
-    detail counts the polished roots and gives the bits of the attempt that
-    decided.
+    roots.  A ball is on the circle when its upper end hi of | |z| - 1 |
+    (`_modulus_deviations`) is below ROOT_TOL = num/den, hi den < num 2^s,
+    and off it when its lower end is above, lo den > num 2^s: exact integer
+    comparisons.  max_mod_dev is the ball [lo, hi] 2^-s of the largest hi,
+    made once.  An undecided result is retried at doubled precision through
+    `enclosure.escalate`; a refutation is final.  The detail counts the
+    polished roots, names the seed source and gives the bits of the attempt
+    that decided.
     """
     n = poly.strip_origin().degree
+    num, den = ROOT_TOL.numerator, ROOT_TOL.denominator
 
     def attempt(b: int) -> tuple[bool, VerificationReport]:
         roots = find_roots(poly, b)
-        moduli, devs = {}, []
-        for r in roots:
-            key = (r.re.mid, r.re.rad, libmp.mpf_abs(r.im.mid), r.im.rad)
-            if key not in moduli:
-                d = (r.abs() - 1).abs()
-                moduli[key] = d, d.lt(ROOT_TOL), d.gt(ROOT_TOL)
-            devs.append(moduli[key])
-        dev = max((d for d, _, _ in devs), key=lambda d: d.upper, default=None)
+        s, devs = _modulus_deviations(roots)
+        tol = num << s
+        dev = None
+        if roots:
+            i = max(range(len(devs)), key=lambda i: devs[i][1])
+            lo, hi = devs[i]
+            dev = fixed.to_ball(lo + hi, hi - lo, s + 1, roots[i].prec)
         sep = simplicity_check(roots)
-        on_circle = sum(1 for _, on, _ in devs if on)
-        refuted = any(off for _, _, off in devs)
+        on_circle = sum(1 for _, hi in devs if hi * den < tol)
+        refuted = any(lo * den > tol for lo, _ in devs)
         certified = on_circle == n and _roots_disjoint(roots, sep)
         verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
         return verdict != INDETERMINATE, VerificationReport(
             poly.family, poly.k, "roots", on_circle, n, dev, sep, certified,
             origin_zeros=poly.origin_multiplicity,
-            detail={"n_roots": len(roots), "polished": roots.polished, "bits": b},
+            detail={"n_roots": len(roots), "polished": roots.polished, "seeds": roots.seeds,
+                    "bits": b},
             verdict=verdict)
 
     return escalate(attempt, bits)[1]

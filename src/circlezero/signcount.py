@@ -69,8 +69,9 @@ class _TrigEvaluator:
     on theta = j pi / M grids, for an origin-stripped self-inversive p of even
     degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
     q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
-    p's `fixed_coefficients` give c_j = 2^(E - prec) (C_j +- e_j); with
-    emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
+    `coefficients` = (E, C, e) holds c_0 .. c_m in fixed point at `prec`, as
+    `FamilyPoly.fixed_coefficients` gives them: c_j = 2^(E - prec) (C_j +- e_j);
+    with emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
     2^(emax - prec), and c_m is C_m / 2 floored, within e_m / 2 + 1/2 units.
 
     `grid_values(M)` returns g(j pi / M) for j = 0 .. M, each within `budget`,
@@ -97,12 +98,12 @@ class _TrigEvaluator:
     every grid.
     """
 
-    def __init__(self, p: FamilyPoly, bits: int):
-        m = p.degree // 2
-        self.prec = prec = bits + fixed.GUARD
-        emax, C, E = p.fixed_coefficients(prec, m + 1)
+    def __init__(self, epsilon: int, coefficients: tuple[int, list[int], list[int]], prec: int):
+        emax, C, E = coefficients
+        m = len(C) - 1
+        self.prec = prec
         self.emax = emax + 1  # g(theta) = 2^(emax - prec) * (grid value +- budget)
-        if p.epsilon > 0:
+        if epsilon > 0:
             scaled = [(0, C[m] >> 1, (E[m] >> 1) + 1)] + [(r, C[m - r], E[m - r])
                                                           for r in range(1, m + 1)]
         else:
@@ -110,7 +111,7 @@ class _TrigEvaluator:
         self.terms = [0] * (m + 1)   # x_r
         for r, c, _ in scaled:
             self.terms[r] = c
-        self.use_sin = p.epsilon < 0
+        self.use_sin = epsilon < 0
         h, err = m.bit_length(), sum(e for _, _, e in scaled)
         tau_num = 3 * fixed.TABLE_ERR   # tau <= tau_num / 2^(prec + 1)
         inner = (err + fixed.ceil_mul(tau_num * h, sum(abs(c) + e for _, c, e in scaled), prec + 1)
@@ -151,7 +152,8 @@ def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
                                           "factored": True, "evaluations": 0})
 
     # g's coefficients come from c_0..c_m; the upper half mirrors them
-    ev = _TrigEvaluator(p, bits)
+    prec = bits + fixed.GUARD
+    ev = _TrigEvaluator(p.epsilon, p.fixed_coefficients(prec, m + 1), prec)
     budget = ev.budget
 
     def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M

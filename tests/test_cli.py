@@ -149,7 +149,7 @@ def test_verify_json_deterministic_and_worker_invariant(capsys):
 
 def test_verify_workers_capped_by_tasks(capsys, monkeypatch):
     # the fork start method launches all max_workers processes at the first submit
-    import circlezero.cli as cli
+    import concurrent.futures
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -165,7 +165,7 @@ def test_verify_workers_capped_by_tasks(capsys, monkeypatch):
             return map(fn, tasks)
 
     recorded = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     args = ["verify", "--family", "P", "--k-range", "2..3", "--format", "json"]
     _, serial, _ = run_cli(capsys, *args, "--workers", "1")
     code, pooled, _ = run_cli(capsys, *args, "--workers", "8")

@@ -593,11 +593,17 @@ def test_sign_count_odd_degree_deflation_exact(fam, k):
     assert rep.degree_nontrivial == (k if fam == "S" else k - 2)
 
 
+def _evaluator(p, bits):
+    """The sign counter's evaluator: p's coefficients read at bits + GUARD."""
+    prec = bits + fixed.GUARD
+    return _TrigEvaluator(p.epsilon, p.fixed_coefficients(prec, p.degree // 2 + 1), prec)
+
+
 @pytest.mark.parametrize("k", [20, 200])
 def test_trig_evaluator_scaled_coefficients_fit_prec(k):
     # coefficients are scaled by the largest exponent, so none exceeds 2^prec
     p = build_P(k)
-    ev = _TrigEvaluator(p, 128)
+    ev = _evaluator(p, 128)
     assert max(abs(c).bit_length() for c in ev.terms) <= ev.prec
 
 
@@ -609,7 +615,7 @@ def test_trig_evaluator_matches_power_basis(p):
     # i g(theta) for eps = -1, with g the evaluator's trig polynomial
     bits = 128
     prec = bits + 32
-    ev = _TrigEvaluator(p, bits)
+    ev = _evaluator(p, bits)
     m = p.degree // 2
     M = _first_grid(m)
     pi = RealEnclosure.pi(prec)
@@ -635,7 +641,7 @@ def test_trig_table_mirrored_quarters_within_err(k):
     # finer, whose own radius is negligible
     p = build_P(k)
     bits = 128
-    ev = _TrigEvaluator(p, bits)
+    ev = _evaluator(p, bits)
     assert ev.use_sin == (p.epsilon < 0) == (k == 5)
     M = _first_grid(p.degree // 2)
     pi = RealEnclosure.pi(ev.prec + 64)
@@ -686,7 +692,7 @@ def test_transform_matches_dot_products(p):
     # on the first grid, at every j = 0 .. M, the transform's interval
     # overlaps the dot product's and both certify the same sign
     bits = 128
-    ev = _TrigEvaluator(p, bits)
+    ev = _evaluator(p, bits)
     M = _first_grid(p.degree // 2)
     values = ev.grid_values(M)
     ref, ref_budget = _dot_product_grid(p, bits, M)
@@ -950,7 +956,7 @@ def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
     # their radii: the count could be one double root, so no certificate
     tiny = F(1, 2 ** 80)
     roots = [_ball(F(1), F(0), 2 * tiny), _ball(F(1), tiny, 2 * tiny)]
-    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(roots, 2))
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(roots, 2, "grid"))
     rep = verify_by_roots(build_S(2))
     assert rep.zeros_on_circle == 2 and rep.degree_nontrivial == 2
     assert not rep.certified and rep.verdict != CERTIFIED_TRUE
@@ -967,7 +973,7 @@ def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
         roots = real(poly, bits)
         if len(calls) == 1:   # radius 1e-10: neither on nor off the circle at 1e-20
             roots = RootBalls([ComplexEnclosure(RealEnclosure(r.re.mid, wide, r.re.prec), r.im)
-                               for r in roots], roots.polished)
+                               for r in roots], roots.polished, roots.seeds)
         return roots
 
     monkeypatch.setattr(roots_mod, "find_roots", first_wide)
@@ -987,7 +993,7 @@ def test_verify_by_roots_W2():
     assert rep.certified
     assert float(rep.max_mod_dev.upper) < 1e-25
     assert rep.min_root_sep.gt(F(1, 10))
-    assert rep.detail == {"n_roots": 4, "polished": 2, "bits": 128}
+    assert rep.detail == {"n_roots": 4, "polished": 2, "seeds": "grid", "bits": 128}
 
 
 def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
@@ -1008,9 +1014,11 @@ def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
         return z
 
     monkeypatch.setattr(roots_mod, "_aberth_float", unbalanced)
+    monkeypatch.setattr(roots_mod, "_grid_seeds", lambda *args: None)   # the Aberth path
     rep = verify_by_roots(build_P(10))
     assert rep.verdict == CERTIFIED_TRUE and rep.zeros_on_circle == 20
     assert rep.detail["polished"] == rep.detail["n_roots"] == 20
+    assert rep.detail["seeds"] == "aberth"
 
 
 @pytest.mark.parametrize("fam,k,verdict,on_circle,near_real", [
@@ -1035,9 +1043,9 @@ def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, 
     assert all(w.imag > 0 for w in seeds if abs(w.imag) > roots_mod.MIRROR_TOL * max(1, abs(w)))
 
 
-def test_verify_by_roots_modulus_shared_by_conjugates_only(monkeypatch):
-    # a conjugate ball reuses its partner's | |z| - 1 |; a ball that differs
-    # in its real part, |Im| or a radius gets its own
+def test_verify_by_roots_modulus_decided_in_integers(monkeypatch):
+    # on, off or undecided against ROOT_TOL by exact integer comparisons of
+    # each ball's | |z| - 1 | enclosure; no ball modulus is formed
     tiny, wide = F(1, 2 ** 100), RealEnclosure.exact(F(1, 10 ** 10), 176).mid
     on, conj, off_im, off_re = (_ball(re, im, tiny) for re, im in
                                 ((F(3, 5), F(4, 5)), (F(3, 5), F(-4, 5)), (F(3, 5), F(1, 2)), (F(1, 5), F(4, 5))))
@@ -1046,17 +1054,62 @@ def test_verify_by_roots_modulus_shared_by_conjugates_only(monkeypatch):
     moduli = []
     real_abs = ComplexEnclosure.abs
     monkeypatch.setattr(ComplexEnclosure, "abs", lambda z: moduli.append(z) or real_abs(z))
-    for balls, verdict, on_circle, own in (([on, conj], CERTIFIED_TRUE, 2, [on]),
-                                           ([on, conj, off_im], CERTIFIED_FALSE, 2, [on, off_im]),
-                                           ([on, conj, off_re], CERTIFIED_FALSE, 2, [on, off_re]),
-                                           ([on, wide_im], INDETERMINATE, 1, [on, wide_im]),
-                                           ([on, wide_re], INDETERMINATE, 1, [on, wide_re])):
-        monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(balls, 1))
-        moduli.clear()
+    for balls, verdict, on_circle in (([on, conj], CERTIFIED_TRUE, 2),
+                                      ([on, conj, off_im], CERTIFIED_FALSE, 2),
+                                      ([on, conj, off_re], CERTIFIED_FALSE, 2),
+                                      ([on, wide_im], INDETERMINATE, 1),
+                                      ([on, wide_re], INDETERMINATE, 1)):
+        monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(balls, 1, "grid"))
         rep = verify_by_roots(build_S(len(balls)))     # degree = number of balls
         assert (rep.verdict, rep.zeros_on_circle) == (verdict, on_circle)
-        attempts = 1 + (verdict == INDETERMINATE) * 4      # 128 .. 2048 bits
-        assert [z for z in moduli if any(z is b for b in balls)] == own * attempts
+        dev = rep.max_mod_dev
+        assert {CERTIFIED_TRUE: dev.lt(roots_mod.ROOT_TOL), CERTIFIED_FALSE: dev.gt(F(1, 10)),
+                INDETERMINATE: not dev.lt(roots_mod.ROOT_TOL) and not dev.gt(roots_mod.ROOT_TOL)}[verdict]
+        assert not any(z is b for z in moduli for b in balls)   # only the separation check's
+
+
+@pytest.mark.parametrize("offset,verdict,on_circle", [
+    (0, INDETERMINATE, 0), (-1, CERTIFIED_TRUE, 1), (1, CERTIFIED_FALSE, 0)],
+    ids=["at-tol", "below", "above"])
+def test_verify_by_roots_modulus_exactly_at_tol(monkeypatch, offset, verdict, on_circle):
+    # a dyadic tolerance, so a point ball can sit exactly on it: |x| - 1 = tol
+    # is neither below nor above tol; one unit of 2^-200 either way decides
+    tol = F(1, 2 ** 70)
+    x = _ball(1 + tol + F(offset, 2 ** 200), F(0), F(0), prec=256)
+    monkeypatch.setattr(roots_mod, "ROOT_TOL", tol)
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls([x], 1, "grid"))
+    rep = verify_by_roots(build_S(1))
+    assert (rep.verdict, rep.zeros_on_circle) == (verdict, on_circle)
+    dev = rep.max_mod_dev
+    assert dev.rad == libmp.fzero and dev.contains(tol + F(offset, 2 ** 200))
+
+
+_DYADIC = st.integers(-2 ** 12, 2 ** 12).map(lambda v: F(v, 2 ** 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DYADIC, _DYADIC, st.integers(0, 2 ** 8).map(lambda v: F(v, 2 ** 12)),
+                          st.integers(0, 2 ** 8).map(lambda v: F(v, 2 ** 14))),
+                min_size=1, max_size=4))
+def test_modulus_deviations_enclose_every_point(balls):
+    # for each ball, | |x| - 1 | at its corners, at the point nearest 0 and at
+    # its centre lies in [lo, hi] 2^-s, and the enclosure is no wider than the
+    # true range plus two units of 2^-s (one of isqrt rounding per end)
+    roots = [ComplexEnclosure(RealEnclosure(RealEnclosure.exact(a, 64).mid, RealEnclosure.exact(ra, 64).mid, 64),
+                              RealEnclosure(RealEnclosure.exact(b, 64).mid, RealEnclosure.exact(rb, 64).mid, 64))
+             for a, b, ra, rb in balls]
+    s, devs = roots_mod._modulus_deviations(roots)
+    for (a, b, ra, rb), (lo, hi) in zip(balls, devs):
+        near = math.sqrt(max(abs(a) - ra, 0) ** 2 + max(abs(b) - rb, 0) ** 2)
+        far = math.sqrt((abs(a) + ra) ** 2 + (abs(b) + rb) ** 2)
+        points = [near, far, math.sqrt(a * a + b * b)]
+        points += [math.sqrt((a + u) ** 2 + (b + v) ** 2) for u in (-ra, ra) for v in (-rb, rb)]
+        unit = 2.0 ** -s
+        for mod in points:
+            assert lo * unit - 1e-12 <= abs(mod - 1) <= hi * unit + 1e-12
+        true_hi = max(abs(near - 1), abs(far - 1))
+        true_lo = 0 if near <= 1 <= far else min(abs(near - 1), abs(far - 1))
+        assert hi * unit <= true_hi + 2 * unit + 1e-12 and lo * unit >= true_lo - 2 * unit - 1e-12
 
 
 def test_root_count_conservation_R():
@@ -1071,6 +1124,91 @@ def test_root_count_conservation_R():
 def test_verify_by_roots_refutes_R():
     rep = verify_by_roots(build_R(5))
     assert not rep.certified
+    assert rep.verdict == CERTIFIED_FALSE
+
+
+def _count_aberth(monkeypatch):
+    calls = []
+    real = roots_mod._aberth_float
+    monkeypatch.setattr(roots_mod, "_aberth_float", lambda c, n: calls.append(n) or real(c, n))
+    return calls
+
+
+@pytest.mark.parametrize("fam,k,aberth,verdict", [
+    ("P", 20, 0, CERTIFIED_TRUE), ("Q", 20, 0, CERTIFIED_TRUE), ("W", 20, 0, CERTIFIED_TRUE),
+    ("Y", 42, 0, CERTIFIED_TRUE), ("S", 40, 0, CERTIFIED_TRUE), ("P", 26, 0, CERTIFIED_TRUE),
+    ("S", 41, 0, CERTIFIED_TRUE), ("P", 21, 0, CERTIFIED_TRUE), ("z^3-1", 3, 0, CERTIFIED_TRUE),
+    ("R", 20, 1, CERTIFIED_FALSE)])
+def test_roots_seeded_from_sign_count_grid(monkeypatch, fam, k, aberth, verdict):
+    # every family the sign counter certifies is seeded from its first grid
+    # (the roots workload's k, an odd degree, eps = -1 with its real seeds
+    # +-1, and eps = -1 at odd degree, deflated by z - 1 in fixed point); R's
+    # real roots leave its count short, so it takes Aberth
+    calls = _count_aberth(monkeypatch)
+    poly = _rational_poly(-1, -1, 0, 0, 1) if fam == "z^3-1" else build_family(fam, k)
+    rep = verify_by_roots(poly)
+    assert len(calls) == aberth and rep.verdict == verdict
+    assert rep.detail["seeds"] == ("aberth" if aberth else "grid")
+
+
+_GRID_VALUES = _TrigEvaluator.grid_values
+
+
+def _zero_at_one_point(ev, M):
+    values = _GRID_VALUES(ev, M)
+    values[M // 3] = 0
+    return values
+
+
+@pytest.mark.parametrize("fam,k", [("P", 20), ("S", 41), ("P", 21)])
+@pytest.mark.parametrize("short", ["coarse-grid", "sign-zero"])
+def test_roots_short_bracket_count_falls_back_to_aberth(monkeypatch, fam, k, short):
+    # too coarse a grid for every bracket, or one grid point without a
+    # certified sign: the same polynomial takes Aberth, with the same outcome
+    poly = build_family(fam, k)
+    want = verify_by_roots(poly)
+    assert want.detail["seeds"] == "grid"
+    calls = _count_aberth(monkeypatch)
+    if short == "coarse-grid":
+        monkeypatch.setattr(roots_mod, "_first_grid", lambda m: 4)
+    else:
+        monkeypatch.setattr(roots_mod._TrigEvaluator, "grid_values", _zero_at_one_point)
+    rep = verify_by_roots(poly)
+    assert len(calls) == 1 and rep.detail["seeds"] == "aberth"
+    assert (rep.verdict, rep.zeros_on_circle, rep.detail["polished"], rep.detail["bits"]) == \
+        (want.verdict, want.zeros_on_circle, want.detail["polished"], want.detail["bits"])
+
+
+@pytest.mark.parametrize("fam,k", [("P", 20), ("S", 41)])
+def test_roots_seed_leaving_its_bracket_is_refused(monkeypatch, fam, k):
+    # each grid seed's argument lies in its own bracket, so no two seeds are
+    # alike; a float Newton that carries seeds out of their brackets (here
+    # every step lands on i) gives no grid seeds at all
+    p = build_family(fam, k).strip_origin()
+    prec = 128 + roots_mod.ROOT_GUARD
+    fc = p.fixed_coefficients(prec, p.degree + 1)
+    floats = [c / 2 ** prec for c in fc[1]]
+    seeds = roots_mod._grid_seeds(p, fc, prec, floats)
+    assert len(seeds) == p.degree
+    upper = sorted(cmath.phase(z) for z in seeds if z.imag > 0)
+    assert len(upper) == p.degree // 2 and all(a < b for a, b in zip(upper, upper[1:]))
+    monkeypatch.setattr(roots_mod, "_horner_float", lambda rev, z: (z - 1j, 1.0))
+    assert roots_mod._grid_seeds(p, fc, prec, floats) is None
+
+
+@pytest.mark.parametrize("coeffs", [
+    (F(-(10 ** 6 + 1), 10 ** 6), 0, 0, 1),   # roots at |z|^3 = 1 + 1e-6
+    (1, 1, 2, 1),                           # c_0 = c_3, c_1 != c_2
+], ids=["z^3-(1+1e-6)", "1+z+2z^2+z^3"])
+def test_roots_unsymmetric_input_never_seeded_from_grid(monkeypatch, coeffs):
+    # the grid path assumes the symmetry; an input that fails the exact
+    # check goes to Aberth without reaching it
+    poly = _rational_poly(+1, *coeffs)
+    assert not poly.self_inversive_ok()
+    monkeypatch.setattr(roots_mod, "_grid_seeds", lambda *args: pytest.fail("grid path taken"))
+    calls = _count_aberth(monkeypatch)
+    rep = verify_by_roots(poly)
+    assert len(calls) == 1 and rep.detail["seeds"] == "aberth"
     assert rep.verdict == CERTIFIED_FALSE
 
 
