@@ -1,7 +1,8 @@
 """Coefficient criteria (Lakatos / Schinzel with d = 1): a margin enclosure
 |A_top| - sum |c A_j - A_top| certified positive puts every zero of a
 reciprocal/self-inversive polynomial on the unit circle.  The margin is exact
-when the polynomial and c are rational, a ball sum otherwise.
+when the polynomial and c are rational, an integer sum with one integer
+error otherwise, read from `FamilyPoly.fixed_coefficients`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from . import fixed
 from .enclosure import RealEnclosure, escalate, lambda_k
 from .errors import DomainError, PrecisionError
 from .families import FamilyPoly, ZERO_COEFF, ZetaCoefficient, abs_square_coeffs
@@ -29,12 +31,26 @@ def _margin_exact(coeffs: list[Fraction], c: Fraction) -> Fraction:
     return abs(top) - sum(abs(c * a - top) for a in coeffs)
 
 
-def _margin_ball(vals: list[RealEnclosure], c: RealEnclosure, bits: int) -> RealEnclosure:
-    top = vals[-1]
-    acc = RealEnclosure.exact(0, bits)
-    for v in vals:
-        acc = acc + (c * v - top).abs()
-    return top.abs() - acc
+def _margin_fixed(poly: FamilyPoly, n: int, c: tuple[int, int],
+                  prec: int) -> tuple[int, int, int]:
+    """The margin of A_0 .. A_(n-1) as integers (M, E) in units of
+    2^-q: |margin - M 2^-q| <= E 2^-q.
+
+    With A_j = 2^(emax - prec) (C_j +- e_j) (`fixed_coefficients`) and
+    c = (v +- ec) 2^-prec, q = 2 prec - emax and every product is exact:
+    D_j = v C_j - C_top 2^prec is c A_j - A_top within
+    (|v| + ec) e_j + |C_j| ec + e_top 2^prec units, and
+    M = |C_top| 2^prec - sum |D_j| is the margin within the sum of those
+    errors plus e_top 2^prec, since | |x| - |y| | <= |x - y|.
+    """
+    emax, C, e = poly.fixed_coefficients(prec, n)
+    v, ec = c
+    top, etop = C[-1] << prec, e[-1] << prec
+    M, E = abs(top), etop
+    for Cj, ej in zip(C, e):
+        M -= abs(v * Cj - top)
+        E += (abs(v) + ec) * ej + abs(Cj) * ec + etop
+    return M, E, 2 * prec - emax
 
 
 def _criteria_verdict(margin: RealEnclosure) -> str:
@@ -58,22 +74,23 @@ def schinzel_check(poly: FamilyPoly, c, bits: int = 128) -> CriteriaReport:
 def _margin_check(poly: FamilyPoly, c, bits: int, criterion: str) -> CriteriaReport:
     p = _reciprocal(poly)
     n = p.degree + 1
-    exact = isinstance(c, (int, Fraction)) and p.is_rational()
-
-    def attempt(b: int) -> tuple[bool, CriteriaReport]:
+    if isinstance(c, (int, Fraction)) and p.is_rational():
         # the exact margin always decides, so it is the first and only attempt
-        if exact:
-            enc = RealEnclosure.exact(_margin_exact([x.a for x in p.coeffs[:n]], Fraction(c)), b)
-            return True, CriteriaReport(poly.family, poly.k, criterion,
-                                        RealEnclosure.exact(Fraction(c), b), enc,
-                                        _criteria_verdict(enc), exact=True)
-        c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
-        margin = _margin_ball(p.coefficient_balls(b)[:n], c_ball, b)
-        verdict = _criteria_verdict(margin)
-        return verdict != INDETERMINATE, CriteriaReport(
-            poly.family, poly.k, criterion, c_ball, margin, verdict)
+        exact = _margin_exact([x.a for x in p.coeffs[:n]], Fraction(c))
+        _, margin = escalate(lambda b: (True, RealEnclosure.exact(exact, b)), bits)
+        return CriteriaReport(poly.family, poly.k, criterion, RealEnclosure.exact(Fraction(c), bits),
+                              margin, _criteria_verdict(margin), exact=True)
 
-    return escalate(attempt, bits)[1]
+    def attempt(b: int) -> tuple[bool, tuple[RealEnclosure, int, int, int, int]]:
+        c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
+        prec = b + fixed.GUARD
+        M, E, q = _margin_fixed(p, n, fixed.from_ball(c_ball, prec), prec)
+        return abs(M) > E, (c_ball, M, E, q, b)
+
+    # only an undecided margin is retried; the ball is made once, for the report
+    _, (c_ball, M, E, q, b) = escalate(attempt, bits)
+    verdict = CERTIFIED_TRUE if M > E else CERTIFIED_FALSE if M < -E else INDETERMINATE
+    return CriteriaReport(poly.family, poly.k, criterion, c_ball, fixed.to_ball(M, E, q, b), verdict)
 
 
 def schinzel_constant_S(k: int) -> Callable[[int], RealEnclosure]:

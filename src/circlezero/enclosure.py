@@ -485,6 +485,19 @@ def _borwein_weights(prec: int) -> tuple[int, ...]:
     return tuple(((d[n] - dk) << prec) // d[n] for dk in d[:n])
 
 
+def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
+    """(Z, r) with |zeta(s) - Z 2^-prec| <= r 2^-prec, for integer s >= 2;
+    r = 4K + 5 < 2^22 for prec < 2^21 + GUARD (see `zeta_int`)."""
+    S = K = 0
+    for w in _borwein_weights(prec):
+        t = w // (K + 1) ** s
+        if not t:
+            break
+        S += -t if K & 1 else t
+        K += 1
+    return S + S // ((1 << (s - 1)) - 1), 4 * K + 5
+
+
 def zeta_int(s: int, bits: int) -> RealEnclosure:
     """Certified enclosure of zeta(s) for integer s >= 2, with an exact
     midpoint and radius below 2^-(bits+2) (for bits < 2^21).
@@ -493,7 +506,8 @@ def zeta_int(s: int, bits: int) -> RealEnclosure:
     efficient algorithm for the Riemann zeta function*, CMS Conf. Proc. 27,
     2000; Cohen, Rodriguez Villegas & Zagier, *Convergence acceleration of
     alternating series*, Exp. Math. 9, 2000), cut off at the working
-    precision, in fixed point at prec = bits + GUARD with u = 2^-prec.
+    precision, in fixed point at prec = bits + GUARD with u = 2^-prec
+    (`_zeta_fixed`).
 
     With f = 1/(1 - 2^(1-s)) in (1, 2] and w_k = (d_n - d_k)/d_n in [0, 1],
     zeta(s) = f eta(s), and Borwein's theorem gives
@@ -514,15 +528,8 @@ def zeta_int(s: int, bits: int) -> RealEnclosure:
     if s < 2:
         raise DomainError(f"zeta_int needs s >= 2, got {s}")
     prec = bits + GUARD
-    S = K = 0
-    for w in _borwein_weights(prec):
-        t = w // (K + 1) ** s
-        if not t:
-            break
-        S += -t if K & 1 else t
-        K += 1
-    Z = S + S // ((1 << (s - 1)) - 1)
-    return RealEnclosure(from_man_exp(Z, -prec), from_man_exp(4 * K + 5, -prec), bits)
+    Z, r = _zeta_fixed(s, prec)
+    return RealEnclosure(from_man_exp(Z, -prec), from_man_exp(r, -prec), bits)
 
 
 def zeta_odd(s: int, bits: int) -> RealEnclosure:
@@ -532,10 +539,66 @@ def zeta_odd(s: int, bits: int) -> RealEnclosure:
     return zeta_int(s, bits)
 
 
+def _pow_bounds(lo: int, hi: int, n: int, width: int) -> tuple[int, int, int]:
+    """(L, U, x) with L 2^x <= lo^n and hi^n <= U 2^x, for 0 < lo <= hi and
+    n >= 1, by binary powering of both ends at once.  After each product both
+    ends drop the same number of bits, so that U keeps `width` bits: L is
+    floored and U rounded up, so the bounds hold whatever is dropped."""
+    L = U = 1
+    x = bx = 0
+    while True:
+        if n & 1:
+            L, U, x = L * lo, U * hi, x + bx
+            d = U.bit_length() - width
+            if d > 0:
+                L, U, x = L >> d, -(-U >> d), x + d
+        n >>= 1
+        if not n:
+            return L, U, x
+        lo, hi, bx = lo * lo, hi * hi, 2 * bx
+        d = hi.bit_length() - width
+        if d > 0:
+            lo, hi, bx = lo >> d, -(-hi >> d), bx + d
+
+
 def lambda_k(k: int, bits: int) -> RealEnclosure:
-    """lambda_k = zeta(2k-1)/pi^(2k-1), the transcendental generator of P_k, Q_k."""
+    """lambda_k = zeta(2k-1)/pi^(2k-1), the transcendental generator of P_k
+    and Q_k, as a ball with an exact midpoint and a radius below
+    2^-wp lambda_k, wp = bits + GUARD (for bits < 2^21), made once from
+    integers.  A pure function of (k, bits); its precision is wp.
+
+    With n = 2k - 1, b = bit_length(n), P = wp + 26 and W = wp + b + 7:
+
+    - zeta: (Z, r) = `_zeta_fixed`(n, P), so zeta(n) 2^P lies in
+      [Z - r, Z + r], r < 2^22 (`zeta_int`); zeta(n) > 1 gives
+      Z - r > 2^P - 2r >= 2^(P-1), so (Z + r)/(Z - r) <= 1 + 2^(24-P).
+    - pi: Pi = floor(2^W pi~), pi~ mpmath's correctly rounded pi at W + 8
+      bits, is within 1 + 2^-7 units of 2^W pi, so 2^W pi lies in
+      [Pi - 2, Pi + 2], whose ends have the ratio rho <= 1 + 2^(1-W).
+    - pi^n: `_pow_bounds` gives pi^n in [L, U] 2^(x - nW).  A dropping step
+      moves U by less than one unit of at least 2^(W-1) and L by less than
+      one of at least 2^(W-2) (L > U/2 throughout, by the bound below), so
+      it raises U/L by a factor tau <= (1 + d)/(1 - d), d = 2^(2-W).  Level i
+      of the squaring chain has U/L <= rho^(2^i) tau^(2^i - 1), and the
+      accumulator multiplies in the levels of n's set bits with one step
+      each, so U/L <= (rho tau)^n and ln(U/L) <= n (2^(1-W) + 3d)
+      < 2^(b + 4 - W) = 2^-(wp+3).
+    - the quotient: with t = W - P + wp + 3, lo = floor((Z - r) 2^t / U) and
+      hi = ceil((Z + r) 2^t / L) bound lambda_k in units of
+      2^(nW - P - x - t), and lo > 2^(P - 1 + t - W) - 1 >= 2^(wp+1).  The
+      midpoint (lo + hi)/2 is exact.  With l = ln((Z + r) U / ((Z - r) L))
+      < 2^-(wp+2) + 2^-(wp+3) < 2^-(wp+1), hi - lo <= (lo + 1)(e^l - 1) + 2
+      <= (lo + 1) 0.51 2^-wp + 2, so the radius (hi - lo)/2 is below
+      lo 2^-wp <= lambda_k 2^-wp.
+    """
     if k < 2:
         raise DomainError(f"lambda_k needs k >= 2, got {k}")
-    wp = bits + GUARD
-    return zeta_odd(2 * k - 1, wp) / RealEnclosure.pi(wp).pow_int(2 * k - 1)
-
+    n, wp = 2 * k - 1, bits + GUARD
+    P, W = wp + 26, wp + n.bit_length() + 7
+    Z, r = _zeta_fixed(n, P)
+    pi = libmp.to_fixed(mpf_pi(W + 8, "n"), W)
+    L, U, x = _pow_bounds(pi - 2, pi + 2, n, W)
+    t = W - P + wp + 3
+    lo, hi = ((Z - r) << t) // U, -(-((Z + r) << t) // L)
+    e = n * W - P - x - t - 1
+    return RealEnclosure(from_man_exp(lo + hi, e), from_man_exp(hi - lo, e, RAD_PREC, "c"), wp)

@@ -115,6 +115,20 @@ def ball_horner(coeffs: Sequence[RealEnclosure], z: ComplexEnclosure,
     return acc
 
 
+def _magnitude(x: Fraction) -> int:
+    """The least E with |x| < 2^E, for x != 0."""
+    n, d = abs(x.numerator), x.denominator
+    E = n.bit_length() - d.bit_length()
+    # 2^(E-1) < |x| < 2^(E+1): one comparison decides between E and E + 1
+    return E + 1 if (n >> E if E >= 0 else n << -E) >= d else E
+
+
+def _floor_shift(q: Fraction, s: int) -> int:
+    """floor(q 2^s): one floor division."""
+    n, d = q.numerator, q.denominator
+    return (n << s) // d if s >= 0 else n // (d << -s)
+
+
 @dataclass(frozen=True)
 class FamilyPoly:
     """A family polynomial: tag, index, pi normalization, coefficients, signature."""
@@ -159,29 +173,48 @@ class FamilyPoly:
         # Fractions are kept in lowest terms, so == needs no gcd
         return all(c[d - j] == (c[j] if p.epsilon > 0 else -c[j]) for j in range(d // 2 + 1))
 
-    def lam_ball(self, bits: int) -> RealEnclosure:
-        if all(c.is_rational() for c in self.coeffs):
-            return RealEnclosure.exact(0, bits)
-        return lambda_k(self.k, bits)
-
     def coefficient_balls(self, bits: int) -> list[RealEnclosure]:
-        """The coefficients as balls, with lam bound once for all of them."""
-        lam = self.lam_ball(bits)
+        """The coefficients as balls, with lam bound once for all of them:
+        the input of `eval_ball`."""
+        lam = RealEnclosure.exact(0, bits) if self.is_rational() else lambda_k(self.k, bits)
         return [c.eval(lam) for c in self.coeffs]
 
     def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
         """(emax, C, e) for c_0 .. c_(count-1): integers C_j, e_j with
         |c_j - 2^(emax - prec) C_j| <= 2^(emax - prec) e_j, where 2^emax
-        bounds every coefficient midpoint.  The fixed-point input of the sign
-        and roots routes; here from the coefficient balls bound at `prec`."""
-        lam = self.lam_ball(prec)
-        balls = [c.eval(lam) for c in self.coeffs[:count]]
-        exps = [v.mid[2] + v.mid[3] for v in balls if v.mid != libmp.fzero]
-        if not exps:
+        bounds every |c_j|.  The fixed-point input of the sign, roots and
+        criteria routes, formed from the exact coefficients with no ball.
+
+        A coefficient a + b lam + c lam^2 is valued exactly at the midpoint m
+        of lambda_k(k, prec), whose ball [m - r, m + r] holds lam; lam moving
+        in it moves the value by at most R = |b| r + |c| (2|m| + r) r (R = 0
+        for a rational coefficient).  emax is the least E with
+        |value| + R < 2^E over all of them, C_j the floor of
+        value 2^(prec - emax) (one floor division, within one unit) and
+        e_j = ceil(R 2^(prec - emax)) + 1.
+        """
+        coeffs = self.coeffs[:count]
+        values = [c.a for c in coeffs]
+        sizes = list(values)           # |value| + R, which 2^emax must exceed
+        radii = {}                     # j -> R, for the coefficients with lam
+        if not all(c.is_rational() for c in coeffs):
+            lam = lambda_k(self.k, prec)
+            m, r = (Fraction(*libmp.to_rational(x)) for x in (lam.mid, lam.rad))
+            for j, c in enumerate(coeffs):
+                if c.b or c.c:
+                    values[j] = c.a + (c.b + c.c * m) * m
+                    radii[j] = abs(c.b) * r + abs(c.c) * (2 * abs(m) + r) * r
+                    sizes[j] = abs(values[j]) + radii[j]
+        mags = [_magnitude(x) for x in sizes if x]
+        if not mags:
             raise DomainError(f"{self.family}_{self.k}: zero coefficients")
-        emax = max(exps)
-        pairs = [fixed.from_ball(v.shift(-emax), prec) for v in balls]
-        return emax, [c for c, _ in pairs], [e for _, e in pairs]
+        emax = max(mags)
+        s = prec - emax
+        C = [_floor_shift(v, s) for v in values]
+        e = [1] * len(values)
+        for j, R in radii.items():
+            e[j] -= _floor_shift(-R, s)
+        return emax, C, e
 
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
         """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
@@ -206,28 +239,21 @@ class FamilyPoly:
         }
 
 
-_B_OVER_FACTORIAL: list[Fraction] = []  # b_i = B_2i / (2i)!, grown per process
-_B_OVER_FACTORIAL_LOCK = threading.Lock()
-
-
-def _b_over_factorial(i: int) -> Fraction:
-    """b_i = B_2i / (2i)!, cached for the process."""
-    cache = _B_OVER_FACTORIAL
-    if i >= len(cache):
-        bernoulli(2 * i)  # grows the Bernoulli table in one step, not one per column
-        with _B_OVER_FACTORIAL_LOCK:
-            fact = math.factorial(2 * len(cache))
-            for j in range(len(cache), i + 1):
-                cache.append(bernoulli(2 * j) / fact)
-                fact *= (2 * j + 1) * (2 * j + 2)
-    return cache[i]
+def _b_product(j: int, i: int, weight: int = 1, shift: int = 0) -> Fraction:
+    """b_j b_i weight 2^shift, b_j = B_2j / (2j)!, as one Fraction of
+    integer products: the numerators and denominators of B_2j and B_2i, the
+    two factorials and the dyadic weight, with one gcd and no intermediate
+    Fraction.  The family builders form every coefficient through it."""
+    bj, bi = bernoulli(2 * j), bernoulli(2 * i)
+    num = bj.numerator * bi.numerator * weight
+    den = bj.denominator * bi.denominator * math.factorial(2 * j) * math.factorial(2 * i)
+    return Fraction(num << shift, den) if shift >= 0 else Fraction(num, den << -shift)
 
 
 def _p_even_rational(k: int, j: int) -> Fraction:
     """Normalized even coefficient of P_k at z^(2j):
     (-1)^j 2^(2k-1) B_2j B_(2k-2j) C(2k, 2j) / (2k)! = (-1)^j 2^(2k-1) b_j b_(k-j)."""
-    scale = -(1 << (2 * k - 1)) if j % 2 else 1 << (2 * k - 1)
-    return _b_over_factorial(j) * _b_over_factorial(k - j) * scale
+    return _b_product(j, k - j, -1 if j % 2 else 1, 2 * k - 1)
 
 
 # prec -> [(a_j, f_j) for j = 0, 1, ...] with b_j in [a_j, a_j + 1) 2^f_j: one
@@ -317,7 +343,7 @@ class ProductFormP(FamilyPoly):
         for j, (v, x, d) in prods.items():
             shift = emax - prec - x   # > 0: a_j a_(k-j) has about 2 prec bits
             C[j], e[j] = v >> shift, (d >> shift) + 2
-        v, ev = fixed.from_ball(lam.shift(-emax), prec)
+        v, ev = fixed.from_ball(lam, prec - emax)
         for j, sign in ((1, self.epsilon), (2 * k - 1, 1)):
             if j < count:
                 C[j], e[j] = sign * v, ev
@@ -341,7 +367,7 @@ def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
     # j <-> k+1-j: past the middle, copy the mirrored coefficient
     for j in range(top + 1):
         coeffs[2 * j] = (coeffs[2 * (k + 1 - j)] if k + 1 - j < j else
-                         ZetaCoefficient.rational(_b_over_factorial(j) * _b_over_factorial(k + 1 - j)))
+                         ZetaCoefficient.rational(_b_product(j, k + 1 - j)))
     return FamilyPoly("R", k, 0, tuple(coeffs), +1, note=f"convention={convention}")
 
 
@@ -372,9 +398,8 @@ def build_Q(k: int) -> FamilyPoly:
     # a_j = (-1)^j 2^(2k-1) b_j b_(k-j) (4^j - 1)(4^(k-j) - 1), zero at j = 0, k;
     # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
     for j in range(1, k // 2 + 1):
-        a = (_b_over_factorial(j) * _b_over_factorial(k - j)
-             * (((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1) << (2 * k - 1)))
-        c = ZetaCoefficient.rational(-a if j % 2 else a)
+        w = ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)
+        c = ZetaCoefficient.rational(_b_product(j, k - j, -w if j % 2 else w, 2 * k - 1))
         coeffs[2 * j] = c
         coeffs[2 * k - 2 * j] = -c if k % 2 else c
     eps = -1 if k % 2 else 1
@@ -392,10 +417,14 @@ def build_W(k: int) -> FamilyPoly:
     coeffs = [ZERO_COEFF] * (2 * k + 1)
     # a_j = (-1)^j 2^(4k-1) b_j b_(k-j) (1 - 2^(1-2j))(1 - 2^(1-2k+2j));
     # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
+    def factor(m: int) -> tuple[int, int]:
+        # 1 - 2^(1-2m) = n 2^x as (n, x): -1 at m = 0, else (2^(2m-1) - 1) 2^(1-2m)
+        return (-1, 0) if m == 0 else ((1 << (2 * m - 1)) - 1, 1 - 2 * m)
+
     for j in range(k // 2 + 1):
-        a = (_b_over_factorial(j) * _b_over_factorial(k - j) * (1 << (4 * k - 1))
-             * (1 - Fraction(2) ** (1 - 2 * j)) * (1 - Fraction(2) ** (1 - 2 * k + 2 * j)))
-        c = ZetaCoefficient.rational(-a if j % 2 else a)
+        (n1, x1), (n2, x2) = factor(j), factor(k - j)
+        c = ZetaCoefficient.rational(
+            _b_product(j, k - j, -n1 * n2 if j % 2 else n1 * n2, 4 * k - 1 + x1 + x2))
         coeffs[2 * j] = c
         coeffs[2 * k - 2 * j] = -c if k % 2 else c
     eps = -1 if k % 2 else 1
@@ -411,8 +440,8 @@ def build_Y(k: int) -> FamilyPoly:
     coeffs = [ZERO_COEFF] * (k + 1)
     # a_j = b_j b_(k-j) (4^j - 1)(4^(k-j) - 1) = a_(k-j), zero at j = 0, k
     for j in range(1, k // 2 + 1):
-        c = ZetaCoefficient.rational(_b_over_factorial(j) * _b_over_factorial(k - j)
-                                     * (((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)))
+        c = ZetaCoefficient.rational(
+            _b_product(j, k - j, ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)))
         coeffs[j] = coeffs[k - j] = c
     assert coeffs[0].is_zero() and coeffs[k].is_zero()
     return FamilyPoly("Y", k, 2 * k, tuple(coeffs), +1)

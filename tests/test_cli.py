@@ -294,11 +294,11 @@ JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
      "de2f053962732da51dc850e7b73f694545089a9b64f17634b8ffc938ece545c7"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
-     "77595121523f321586111a06061cc442459ea67400dd004c5cda3064e1c672a4"),
+     "fa4efe0e6ad31c0256f39c7293fc7acfd58b5d176ceb0aead1daeccd56b9dcc5"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
      "18980ae779d2e539be04662d72b8bb6087e0a8ae685d34136e34acc672f92fed"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
-     "4086cb8631f547af7cd4b2164fb5b2f07afa7c29b20efadf09253668d1085625"),
+     "0c930deb031a6b947b1bb7094f1b5b0bc8f7f2b34f3762b6f019d68955705fa9"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
     # R never certifies, so every grid doubles and carries its signs over

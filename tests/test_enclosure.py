@@ -25,6 +25,7 @@ from circlezero.enclosure import (
     zeta_int,
     zeta_odd,
     _borwein_weights,
+    _pow_bounds,
 )
 from circlezero.errors import DomainError
 
@@ -254,3 +255,51 @@ def test_printed_ball_encloses_random_ball(man, exp, rman, rexp, prec, dps):
     # with the radius rounded up by at most one unit of its fifth digit
     need = abs(Fraction(mid_str) - mid) + rad
     assert need <= Fraction(rad_str) <= need * (1 + Fraction(1, 10**4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 70), st.integers(0, 2 ** 12), st.integers(1, 300), st.integers(8, 64))
+def test_pow_bounds_bracket_the_exact_powers(lo, gap, n, width):
+    # L 2^x <= lo^n <= hi^n <= U 2^x exactly, with U cut to `width` bits
+    hi = lo + gap
+    L, U, x = _pow_bounds(lo, hi, n, width)
+    assert x >= 0 and L << x <= lo ** n and hi ** n <= U << x
+    assert U.bit_length() <= max(width + 1, (hi ** n).bit_length())
+
+
+LAMBDA_KS = [2, 3, 21, 100, 450, 2048]
+
+
+@pytest.mark.parametrize("k", LAMBDA_KS)
+def test_lambda_k_encloses_and_meets_its_radius_bound(k):
+    # the docstring bound: radius <= lambda_k 2^-(bits + GUARD), checked
+    # against the ball's own lower end, with the precision bits + GUARD
+    for bits in (64, 128, 256):
+        lam = lambda_k(k, bits)
+        with mp.workprec(4 * bits):
+            assert in_ball(mp.zeta(2 * k - 1) / mp.pi ** (2 * k - 1), lam), (k, bits)
+        mid, rad = (Fraction(*to_rational(x)) for x in (lam.mid, lam.rad))
+        assert rad <= (mid - rad) / 2 ** (bits + GUARD), (k, bits)
+        assert lam.prec == bits + GUARD
+
+
+def test_lambda_k_ends_follow_a_wider_zeta_error(monkeypatch):
+    # with zeta's error taken 2^20 times wider (still a true bound), the ball
+    # still holds lambda_k: its ends move out with the error
+    import circlezero.enclosure as enc
+
+    exact_sum = enc._zeta_fixed
+    monkeypatch.setattr(enc, "_zeta_fixed",
+                        lambda s, prec: (lambda Z, r: (Z, r << 20))(*exact_sum(s, prec)))
+    for k in (2, 21, 450):
+        lam = lambda_k(k, 128)
+        with mp.workprec(512):
+            assert in_ball(mp.zeta(2 * k - 1) / mp.pi ** (2 * k - 1), lam), k
+
+
+def test_lambda_k_independent_of_call_order():
+    args = [(k, bits) for k in LAMBDA_KS for bits in (64, 128, 256)]
+    forward = {a: lambda_k(*a) for a in args}
+    backward = {a: lambda_k(*a) for a in reversed(args)}
+    assert all((forward[a].mid, forward[a].rad, forward[a].prec)
+               == (backward[a].mid, backward[a].rad, backward[a].prec) for a in args)

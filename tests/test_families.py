@@ -7,10 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 from mpmath.libmp import from_man_exp
 
 from circlezero import families
+from circlezero.criteria import abs_square_poly
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
 from circlezero.exact import bernoulli, binomial
@@ -316,6 +317,60 @@ def test_P_fixed_coefficients_enclose_exact(prec):
             else:
                 assert (ball - lam * c.b).contains_zero(), (k, j)
         assert max(e) <= 4 and max(abs(x) for x in C).bit_length() <= prec, k
+
+
+def _generic_polys():
+    return ([build_R(k) for k in (1, 2, 7, 12)]
+            + [build_family(f, k) for f in "QWYS" for k in (2, 3, 10, 31, 60)]
+            + [abs_square_poly(k) for k in range(2, 6)])
+
+
+@pytest.mark.parametrize("prec", [160, 288])
+def test_generic_fixed_coefficients_enclose_exact(prec):
+    # every c_j of R, Q, W, Y, S and |P_k(iz)|^2 lies in 2^(emax - prec) (C_j +- e_j),
+    # 2^emax bounds every |c_j|, and a shorter read gives the same integers;
+    # lam and lam^2 are taken at four times the precision
+    for p in _generic_polys():
+        n = len(p.coeffs)
+        emax, C, e = p.fixed_coefficients(prec, n)
+        assert p.fixed_coefficients(prec, n // 2 + 1) == (emax, C[:n // 2 + 1], e[:n // 2 + 1])
+        unit = Fraction(2) ** (emax - prec)
+        with mp.workprec(4 * prec):
+            lam = mp.zeta(2 * p.k - 1) / mp.pi ** (2 * p.k - 1) if p.k >= 2 else 0
+            for j, c in enumerate(p.coeffs):
+                if c.is_rational():
+                    assert abs(c.a - C[j] * unit) <= e[j] * unit, (p.family, p.k, j)
+                    assert abs(c.a) < Fraction(2) ** emax, (p.family, p.k, j)
+                else:
+                    value = (mp.mpf(c.a.numerator) / c.a.denominator
+                             + mp.mpf(c.b.numerator) / c.b.denominator * lam
+                             + mp.mpf(c.c.numerator) / c.c.denominator * lam ** 2)
+                    err = abs(value - mp.mpf(C[j]) * mp.mpf(unit.numerator) / unit.denominator)
+                    assert err <= e[j] * mp.mpf(unit.numerator) / unit.denominator, (p.family, p.k, j)
+                    assert abs(value) < mp.mpf(2) ** emax, (p.family, p.k, j)
+        assert max(e) <= 2, (p.family, p.k)
+
+
+def test_generic_fixed_coefficients_cover_the_whole_lam_ball(monkeypatch):
+    # with a lam ball made 2^-40 wide, every coefficient with lam or lam^2, at
+    # both ends of the ball, still lies in 2^(emax - prec)(C_j +- e_j)
+    balls = {}
+
+    def wide_lambda(k, bits):
+        lam = lambda_k(k, bits)
+        balls[k] = RealEnclosure(lam.mid, libmp.mpf_shift(libmp.mpf_abs(lam.mid), -40), lam.prec)
+        return balls[k]
+
+    monkeypatch.setattr(families, "lambda_k", wide_lambda)
+    for p in [build_Q(k) for k in (2, 5, 12)] + [abs_square_poly(k) for k in (2, 3, 5)]:
+        emax, C, e = p.fixed_coefficients(160, len(p.coeffs))
+        m, r = (Fraction(*libmp.to_rational(x)) for x in (balls[p.k].mid, balls[p.k].rad))
+        unit = Fraction(2) ** (emax - 160)
+        for lam in (m - r, m + r):
+            for j, c in enumerate(p.coeffs):
+                value = c.a + c.b * lam + c.c * lam * lam
+                assert abs(value - C[j] * unit) <= e[j] * unit, (p.family, p.k, j)
+                assert abs(value) < Fraction(2) ** emax, (p.family, p.k, j)
 
 
 @pytest.mark.parametrize("k", [*range(2, 41), 200, 999])

@@ -114,6 +114,132 @@ def test_criteria_exact_path_bits_floor():
     assert schinzel_check(build_S(2), F(1), bits=64).holds == CERTIFIED_TRUE
 
 
+def test_criteria_exact_path_keeps_exact_margin():
+    # a rational c on a rational polynomial: the margin is the exact Fraction,
+    # as a ball at the requested bits, and the report says exact
+    for k in range(1, 11):
+        s = build_S(k)
+        coeffs = [c.a for c in s.coeffs]
+        for c, check in ((F(1), lakatos_check), (F(0), None), (F(5, 4), None), (F(1, 3), None)):
+            rep = check(s) if check else schinzel_check(s, c)
+            top = coeffs[-1]
+            exact = abs(top) - sum(abs(c * a - top) for a in coeffs)
+            ball = RealEnclosure.exact(exact, 128)
+            assert rep.exact and (rep.margin.mid, rep.margin.rad) == (ball.mid, ball.rad), (k, c)
+            assert rep.margin.contains(exact)
+
+
+def _margin_reference(p, c, bits):
+    """The criteria margin of p at four times the precision, in mpmath."""
+    with mp.workprec(4 * bits):
+        lam = mp.zeta(2 * p.k - 1) / mp.pi ** (2 * p.k - 1) if p.k >= 2 else 0
+        q = p.strip_origin()
+        vals = [mp.mpf(x.a.numerator) / x.a.denominator
+                + mp.mpf(x.b.numerator) / x.b.denominator * lam
+                + mp.mpf(x.c.numerator) / x.c.denominator * lam ** 2
+                for x in q.coeffs[:q.degree + 1]]
+        top = vals[-1]
+        return abs(top) - sum(abs(c * v - top) for v in vals)
+
+
+def _margin_cases():
+    with mp.workprec(512):
+        pi = mp.pi
+        cases = [(build_S(k), pi / (4 * (1 + mp.mpf(3) ** (-1 - 2 * k))), schinzel_constant_S(k))
+                 for k in range(1, 61)]
+        cases += [(build_Y(k), pi ** 2 * (1 - mp.mpf(2) ** (2 - 2 * k))
+                   / (8 * (1 - mp.mpf(2) ** (3 - 2 * k))), schinzel_constant_Y(k))
+                  for k in range(3, 61)]
+    cases += [(abs_square_poly(k), 1, None) for k in range(2, 6)]
+    cases += [(build_P(k), 1, None) for k in (2, 4, 10, 30)]
+    cases += [(build_Q(k), 1, None) for k in (2, 4, 10, 30)]
+    return cases
+
+
+def test_criteria_margin_ball_contains_finer_margin():
+    # S 1..60 and Y 3..60 (Schinzel), |P_k(iz)|^2, P_k and Q_k (Lakatos): the
+    # integer margin's ball holds the margin computed at four times the precision
+    for p, c, constant in _margin_cases():
+        rep = schinzel_check(p, constant) if constant else lakatos_check(p)
+        assert not rep.exact
+        with mp.workprec(512):
+            ref = _margin_reference(p, c, 128)
+            assert abs(ref - rep.margin.midpoint) <= rep.margin.radius, (p.family, p.k)
+            assert rep.margin.radius < abs(ref) * mp.mpf(2) ** -100, (p.family, p.k)
+        want = CERTIFIED_TRUE if ref > 0 else CERTIFIED_FALSE
+        assert rep.holds == want, (p.family, p.k)
+
+
+def test_criteria_straddling_c_escalates_to_indeterminate():
+    # S_2 = 5 + 6z + 5z^2 has margin 20 - 16c for c >= 1, zero at c = 5/4: a c
+    # ball that keeps straddling 5/4 is retried at every precision and never
+    # certifies
+    seen = []
+
+    def c(bits):
+        seen.append(bits)
+        return RealEnclosure(libmp.from_man_exp(5, -2), libmp.from_man_exp(1, -40), bits)
+
+    rep = schinzel_check(build_S(2), c)
+    assert seen == [128, 256, 512, 1024, 2048]
+    assert rep.holds == INDETERMINATE and not rep.exact
+    assert rep.margin.contains_zero() and rep.margin.prec == 2048
+
+
+class _FixedPoly:
+    """A stand-in that hands out given fixed-point coefficients."""
+
+    def __init__(self, fixed_coefficients):
+        self.fc = fixed_coefficients
+
+    def fixed_coefficients(self, prec, count):
+        return self.fc
+
+
+_TERM = st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(0, 2 ** 8), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERM, min_size=1, max_size=8), _TERM, st.integers(-8, 8))
+def test_margin_fixed_bound_holds_at_every_corner(terms, c_term, emax):
+    # each A_j at an end or the centre of its ball 2^(emax - prec)(C_j +- e_j),
+    # and c at an end or the centre of (v +- e_c) 2^-prec: the exact margin
+    # lies in (M +- E) 2^-q
+    from circlezero import criteria
+
+    prec = 16
+    C, e = [t[0] for t in terms], [t[1] for t in terms]
+    M, E, q = criteria._margin_fixed(_FixedPoly((emax, C, e)), len(C), c_term[:2], prec)
+    A = [(Cj + d * ej) * F(2) ** (emax - prec) for Cj, ej, d in terms]
+    c = F(c_term[0] + c_term[2] * c_term[1], 2 ** prec)
+    margin = abs(A[-1]) - sum(abs(c * a - A[-1]) for a in A)
+    assert abs(margin - F(M, 2 ** q)) <= F(E, 2 ** q)
+
+
+def test_criteria_route_makes_no_ball_operation(monkeypatch):
+    # lambda_k, the generic fixed_coefficients and the margin loop run on
+    # integers: no RealEnclosure operator is called inside them
+    from circlezero import criteria
+
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "abs", "pow_int", "shift", "sqrt", "sqr"):
+        orig = getattr(RealEnclosure, name)
+        monkeypatch.setattr(RealEnclosure, name,
+                            lambda *a, _o=orig, _n=name, **kw: calls.append(_n) or _o(*a, **kw))
+    for k in (2, 3, 21, 100, 450, 2048):
+        lambda_k(k, 128)
+    assert calls == []
+    for p in [build_R(5), build_Q(12), build_W(12), build_Y(13), build_S(9), abs_square_poly(3)]:
+        p.fixed_coefficients(160, len(p.coeffs))
+    assert calls == []
+    for p in [build_S(20), build_Y(21).strip_origin(), abs_square_poly(4)]:
+        criteria._margin_fixed(p, p.degree + 1, (3 << 158, 1 << 20), 160)
+    assert calls == []
+    RealEnclosure.pi(64) * 2    # the counter sees a ball operation
+    assert calls == ["__mul__"]
+
+
 def test_observation_identity_examples():
     for k in (2, 3, 10, 25):
         exact_ok, residual = observation_identity(k)
