@@ -57,6 +57,6 @@ for fam, k in (("P", 12), ("Q", 12), ("W", 12), ("Y", 12), ("S", 12)):
 
 print("\n== a family that is NOT all on the circle ==")
 rep = verify_by_roots(build_family("R", 5))
-print(f"  R_5 (symmetric convention): verdict {rep.verdict}: "
+print(f"  R_5 (full palindromic sum): verdict {rep.verdict}: "
       f"{rep.zeros_on_circle} of {rep.degree_nontrivial} zeros on the circle "
       f"(four real zeros lie off it)")

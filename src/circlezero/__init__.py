@@ -32,7 +32,6 @@ from .exact import (
 from .families import (
     FamilyPoly,
     ZetaCoefficient,
-    abs_square_coeffs,
     build_family,
     build_P,
     build_Q,
@@ -50,7 +49,7 @@ from .approx import (
     ramanujan_identity_residual,
     sech_identity_residual,
 )
-from .criteria import lakatos_check, observation_identity, schinzel_check
+from .criteria import abs_square_coeffs, lakatos_check, observation_identity, schinzel_check
 from .oscillation import alternating_verify
 from .reports import CriteriaReport, OscillationReport, VerificationReport
 from .roots import find_roots, simplicity_check

@@ -53,7 +53,7 @@ class RunConfig:
         if not self.k_values:
             raise DomainError("empty k selection")
         for fam in self.families:
-            lo = verify_mod.FAMILY_SPECS[fam].min_k
+            lo = fam_mod.FAMILIES[fam].min_k
             if min(self.k_values) < lo:
                 raise DomainError(f"family {fam} needs k >= {lo}")
 
@@ -93,7 +93,7 @@ def _parse_k_range(args) -> list[int]:
 def _parse_families(arg: str) -> list[str]:
     fams = [f.strip().upper() for f in arg.split(",") if f.strip()]
     for f in fams:
-        if f not in verify_mod.FAMILY_SPECS:
+        if f not in fam_mod.FAMILIES:
             raise DomainError(f"unknown family {f!r}")
     return fams
 

@@ -13,15 +13,15 @@ from typing import Callable
 from . import fixed
 from .enclosure import RealEnclosure, escalate, lambda_k
 from .errors import DomainError, PrecisionError
-from .families import FamilyPoly, ZERO_COEFF, ZetaCoefficient, abs_square_coeffs
+from .families import FamilyPoly, ZERO_COEFF, ZetaCoefficient, build_P
 from .reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE, CriteriaReport
 
 
 def _reciprocal(poly: FamilyPoly) -> FamilyPoly:
-    """The origin-stripped polynomial, checked reciprocal."""
+    """The origin-stripped polynomial, checked reciprocal: self-inversive
+    with eps = +1."""
     p = poly.strip_origin()
-    d = p.degree
-    if any(p.coeffs[d - j] != p.coeffs[j] for j in range(d + 1)):
+    if not (p.epsilon > 0 and p.self_inversive_ok()):
         raise DomainError(f"{poly.family}_{poly.k}: not reciprocal, criteria do not apply")
     return p
 
@@ -103,6 +103,27 @@ def schinzel_constant_Y(k: int) -> Callable[[int], RealEnclosure]:
     """c = pi^2 (1 - 2^(2-2k)) / (8 (1 - 2^(3-2k))) for Y_k/z."""
     scale = (1 - Fraction(2) ** (2 - 2 * k)) / (8 * (1 - Fraction(2) ** (3 - 2 * k)))
     return lambda bits: RealEnclosure.pi(bits).pow_int(2) * scale
+
+
+def abs_square_coeffs(k: int) -> tuple[ZetaCoefficient, ...]:
+    """Coefficients A_0..A_4k of |P_k(iz)|^2, normalized by pi^(4k-2).
+
+    The even part is the self-convolution of the rational vector g with
+    g_j = (-1)^j t_2j (the z^2j coefficient of P_k(iz)); the odd part of P_k(iz)
+    contributes lam^2 (z^(4k-2) - 2 z^2k + z^2).
+    """
+    p = build_P(k).coeffs
+    g = [p[2 * j].a * (-1 if j % 2 else 1) for j in range(k + 1)]
+    out = [ZERO_COEFF] * (4 * k + 1)
+    for i in range(k + 1):
+        for j in range(k + 1):
+            idx = 2 * (i + j)
+            out[idx] = out[idx] + ZetaCoefficient.rational(g[i] * g[j])
+    lam2 = ZetaCoefficient(Fraction(0), Fraction(0), Fraction(1))
+    out[4 * k - 2] = out[4 * k - 2] + lam2
+    out[2 * k] = out[2 * k] - (lam2 * 2)
+    out[2] = out[2] + lam2
+    return tuple(out)
 
 
 def abs_square_poly(k: int) -> FamilyPoly:

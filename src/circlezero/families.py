@@ -4,9 +4,12 @@ Every family polynomial is stored pi-normalized: coefficients live in the ring
 Q[lam] where lam = zeta(2k-1)/pi^(2k-1) is a formal generator, and `pi_power`
 records the power of pi divided out.  The generator is only bound to a
 certified enclosure at evaluation time, so coefficient identities stay exact.
-P_k is kept in product form (`ProductFormP`): the sign and roots routes read
-its coefficients as integer products of a per-precision table of
-b_j = B_2j / (2j)!, and its exact coefficients are formed only when read.
+What each family's build needs is one row of `FAMILIES`.  P, Q, W, Y and R
+share one product form (`ProductForm`): every coefficient is a dyadic weight
+times b_j b_(K-j), b_j = B_2j / (2j)!, plus lam terms for P and Q.  The
+sign, roots and criteria routes read them as integer products of a
+per-precision table of b_j, and the exact coefficients are formed only when
+read.  S is built from Euler numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from mpmath import libmp
 
@@ -243,17 +246,11 @@ def _b_product(j: int, i: int, weight: int = 1, shift: int = 0) -> Fraction:
     """b_j b_i weight 2^shift, b_j = B_2j / (2j)!, as one Fraction of
     integer products: the numerators and denominators of B_2j and B_2i, the
     two factorials and the dyadic weight, with one gcd and no intermediate
-    Fraction.  The family builders form every coefficient through it."""
+    Fraction.  Every exact coefficient of a product form is formed here."""
     bj, bi = bernoulli(2 * j), bernoulli(2 * i)
     num = bj.numerator * bi.numerator * weight
     den = bj.denominator * bi.denominator * math.factorial(2 * j) * math.factorial(2 * i)
     return Fraction(num << shift, den) if shift >= 0 else Fraction(num, den << -shift)
-
-
-def _p_even_rational(k: int, j: int) -> Fraction:
-    """Normalized even coefficient of P_k at z^(2j):
-    (-1)^j 2^(2k-1) B_2j B_(2k-2j) C(2k, 2j) / (2k)! = (-1)^j 2^(2k-1) b_j b_(k-j)."""
-    return _b_product(j, k - j, -1 if j % 2 else 1, 2 * k - 1)
 
 
 # prec -> [(a_j, f_j) for j = 0, 1, ...] with b_j in [a_j, a_j + 1) 2^f_j: one
@@ -282,101 +279,183 @@ def _b_fixed(prec: int, n: int) -> list[tuple[int, int]]:
     return table
 
 
-class ProductFormP(FamilyPoly):
-    """P_k in product form, pi-normalized by pi^(2k-1): c_2j =
-    (-1)^j 2^(2k-1) b_j b_(k-j) for j = 0 .. k, c_1 = eps lam, c_(2k-1) = lam
-    and every other coefficient 0, with eps = (-1)^k.
+def _sign(n: int) -> int:
+    return -1 if n % 2 else 1
 
-    The definition fixes the degree 2k (c_2k = eps c_0 != 0, as B_2k != 0),
-    the origin multiplicity 0 and the symmetry c_(2k-j) = eps c_j, so none of
-    them reads a coefficient.  The exact `coeffs` in Q[lam] are formed on
-    first access, for the readers of exact values; `fixed_coefficients`, the
-    input of the sign and roots routes, forms none.
+
+def _dyadic_weight(k: int, j: int, t: int) -> int:
+    """(4^j - t)(4^(k-j) - t).  t = 1 turns zeta(2j) into Dirichlet's
+    lambda(2j), zero at j = 0 and j = k (Q, Y); t = 2 into eta(2j), times 4 (W)."""
+    return ((1 << (2 * j)) - t) * ((1 << (2 * k - 2 * j)) - t)
+
+
+@dataclass(frozen=True)
+class FamilyRow:
+    """Every fact about one family's build.
+
+    A product-form row gives c_(stride j) = w(k, j) b_j b_(K-j) for
+    j = 0 .. K, K = k + partner, b_j = B_2j / (2j)!, with the dyadic weight
+    w(k, j) = n 2^x returned as (n, x), and w(k, K - j) = eps w(k, j).  A row
+    with `lam` adds eps L lam at z^1 and L lam at z^(2k-1), L = lam(k).  S,
+    an Euler-number family, has no weight.
     """
 
-    def __init__(self, k: int):
-        bernoulli(2 * k)  # grows the Bernoulli table; raises past its cap
-        for name, value in (("family", "P"), ("k", k), ("pi_power", 2 * k - 1),
-                            ("epsilon", -1 if k % 2 else 1), ("note", "")):
-            object.__setattr__(self, name, value)
+    min_k: int
+    pi_power: Callable[[int], int]
+    epsilon: Callable[[int], int]
+    weight: Callable[[int, int], tuple[int, int]] | None = None
+    partner: int = 0
+    stride: int = 2
+    lam: Callable[[int], int] | None = None
+    note: str = ""
 
-    @cached_property
-    def coeffs(self) -> tuple[ZetaCoefficient, ...]:
-        k, eps = self.k, self.epsilon
-        coeffs = [ZERO_COEFF] * (2 * k + 1)
-        # c_(2k-2j) = (-1)^k c_2j: compute the lower half, mirror the rest
-        for j in range(k // 2 + 1):
-            c = ZetaCoefficient.rational(_p_even_rational(k, j))
-            coeffs[2 * j] = c
-            coeffs[2 * k - 2 * j] = c if eps > 0 else -c
-        coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
-        coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
-        return tuple(coeffs)
+
+FAMILIES: dict[str, FamilyRow] = {
+    "R": FamilyRow(1, lambda k: 0, lambda k: 1, lambda k, j: (1, 0), partner=1),
+    "P": FamilyRow(2, lambda k: 2 * k - 1, _sign, lambda k, j: (_sign(j), 2 * k - 1),
+                   lam=lambda k: 1),
+    "Q": FamilyRow(2, lambda k: 2 * k - 1, _sign,
+                   lambda k, j: (_sign(j) * _dyadic_weight(k, j, 1), 2 * k - 1),
+                   lam=lambda k: (1 << (2 * k - 1)) - 1),
+    "Y": FamilyRow(2, lambda k: 2 * k, lambda k: 1, lambda k, j: (_dyadic_weight(k, j, 1), 0),
+                   stride=1),
+    "W": FamilyRow(2, lambda k: 2 * k - 1, _sign,
+                   lambda k, j: (_sign(j) * _dyadic_weight(k, j, 2), 2 * k - 1),
+                   note="closed form = 2 x combination"),
+    "S": FamilyRow(1, lambda k: 0, lambda k: 1),
+}
+
+
+def _row(family: str, k: int) -> FamilyRow:
+    """The family's row, with k checked against its min_k."""
+    row = FAMILIES[family]
+    if k < row.min_k:
+        raise DomainError(f"build_{family} needs k >= {row.min_k}, got {k}")
+    return row
+
+
+class ProductForm(FamilyPoly):
+    """A family member built from its `FAMILIES` row, divided by z^shift.
+
+    The row fixes the degree, the origin multiplicity, eps and the symmetry
+    c_(N-i) = eps c_i, N = stride K, so none of them reads a coefficient.
+    The exact `coeffs` in Q[lam] are formed on first access, for the readers
+    of exact values; `fixed_coefficients`, the input of the sign, roots and
+    criteria routes, forms none.
+    """
+
+    def __init__(self, family: str, k: int, shift: int = 0):
+        row = _row(family, k)
+        K = k + row.partner
+        bernoulli(2 * K)  # grows the Bernoulli table; raises past its cap
+        note = f"{row.note} /z^{shift}".strip() if shift else row.note
+        # c_0 = eps c_N vanishes only where w(k, 0) = 0 (Q, Y), and their z^1
+        # term does not: the origin multiplicity m is 1 there, else 0
+        m = 0 if row.weight(k, 0)[0] else 1
+        for name, value in (("family", family), ("k", k), ("pi_power", row.pi_power(k)),
+                            ("epsilon", row.epsilon(k)), ("note", note), ("shift", shift),
+                            ("row", row), ("K", K), ("N", row.stride * K), ("m", m)):
+            object.__setattr__(self, name, value)
 
     @property
     def degree(self) -> int:
-        return 2 * self.k
+        return self.N - self.m - self.shift
 
     @property
     def origin_multiplicity(self) -> int:
-        return 0
+        return self.m - self.shift
+
+    def strip_origin(self) -> FamilyPoly:
+        m = self.origin_multiplicity
+        return ProductForm(self.family, self.k, self.shift + m) if m else self
 
     def self_inversive_ok(self) -> bool:
-        return True  # c_(2k-j) = eps c_j by the definition
+        return True  # c_(N-i) = eps c_i by the definition
+
+    @cached_property
+    def coeffs(self) -> tuple[ZetaCoefficient, ...]:
+        row, K, N = self.row, self.K, self.N
+        full = [ZERO_COEFF] * (N + 1)
+        # c_(N - stride j) = eps c_(stride j): compute the lower half, mirror the rest
+        for j in range(K // 2 + 1):
+            n, x = row.weight(self.k, j)
+            if n:
+                c = ZetaCoefficient.rational(_b_product(j, K - j, n, x))
+                full[row.stride * j] = c
+                full[N - row.stride * j] = c if self.epsilon > 0 else -c
+        if row.lam:   # z^1 and z^(N-1) hold no product term
+            L = row.lam(self.k)
+            full[1], full[N - 1] = ZetaCoefficient.lam(self.epsilon * L), ZetaCoefficient.lam(L)
+        # the tuple runs to z^N, as the sums are written, except that a lam
+        # family and a stripped polynomial end at their degree
+        end = N + 1 if row.lam is None and not self.shift else self.degree + self.shift + 1
+        return tuple(full[self.shift:end])
 
     def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
         """As `FamilyPoly.fixed_coefficients`, from integer products: with
-        b_j in [a_j, a_j + 1) 2^f_j, c_2j is +-(a_j a_(k-j) + d) 2^(2k-1+f_j+f_(k-j))
-        with |d| < |a_j| + |a_(k-j)| + 1, floored to the common unit; c_1 and
-        c_(2k-1) come from the ball lambda_k(k, prec)."""
-        k = self.k
-        b = _b_fixed(prec, k)
-        lam = lambda_k(k, prec)
-        prods = {}   # j -> (mantissa, its unit's exponent, error in that unit)
-        for j in range(0, min(count, 2 * k + 1), 2):
-            (a, f), (a2, f2) = b[j // 2], b[k - j // 2]
-            prods[j] = (-a * a2 if j % 4 else a * a2, f + f2 + 2 * k - 1, abs(a) + abs(a2) + 1)
-        emax = max(abs(v).bit_length() + x for v, x, _ in prods.values())
-        if count > 1:
-            emax = max(emax, lam.mid[2] + lam.mid[3])
+        b_j in [a_j, a_j + 1) 2^f_j and w = n 2^x, the product term is
+        (n a_j a_(K-j) + d) 2^(f_j + f_(K-j) + x) with
+        |d| < |n| (|a_j| + |a_(K-j)| + 1), floored to the common unit.  The
+        lam terms take lambda_k(k, prec) g bits finer, L <= 2^g, so that
+        L (v +- e) shifted down g bits is within ceil(L e 2^-g) + 1 units
+        (e itself when g = 0)."""
+        row, K, N = self.row, self.K, self.N
+        b = _b_fixed(prec, K)
+        half = []   # (j, mantissa, its unit's exponent, error in that unit), j <= K/2
+        for j in range(K // 2 + 1):
+            n, x = row.weight(self.k, j)
+            if n:
+                (a, f), (a2, f2) = b[j], b[K - j]
+                half.append((j, n * a * a2, f + f2 + x, abs(n) * (abs(a) + abs(a2) + 1)))
+        emax = max((abs(v) + d).bit_length() + x for _, v, x, d in half)
+        if row.lam:
+            lam, L = lambda_k(self.k, prec), row.lam(self.k)
+            g, top = (L - 1).bit_length(), libmp.mpf_add(libmp.mpf_abs(lam.mid), lam.rad)
+            emax = max(emax, top[2] + top[3] + g)   # |L lam| <= 2^g (|mid| + rad)
         C, e = [0] * count, [0] * count
-        for j, (v, x, d) in prods.items():
-            shift = emax - prec - x   # > 0: a_j a_(k-j) has about 2 prec bits
-            C[j], e[j] = v >> shift, (d >> shift) + 2
-        v, ev = fixed.from_ball(lam, prec - emax)
-        for j, sign in ((1, self.epsilon), (2 * k - 1, 1)):
-            if j < count:
-                C[j], e[j] = sign * v, ev
+        for j, v, x, d in half:
+            s = emax - prec - x   # > 0: a_j a_(K-j) has about 2 prec bits
+            i = row.stride * j - self.shift
+            # c_(N - stride j) = eps c_(stride j), floored on its own
+            for i, w in ((i, v), (N - 2 * self.shift - i, self.epsilon * v)):
+                if i < count:
+                    C[i], e[i] = w >> s, (d >> s) + 2
+        if row.lam:
+            v, ev = fixed.from_ball(lam, prec - emax + g)
+            v, ev = L * v >> g, -(-L * ev >> g) + (g > 0)
+            for i, sign in ((1 - self.shift, self.epsilon), (N - 1 - self.shift, 1)):
+                if i < count:
+                    C[i], e[i] = sign * v, ev
         return emax, C, e
 
 
-def build_R(k: int, convention: str = "symmetric") -> FamilyPoly:
-    """Bernoulli-product polynomial of odd index 2k+1.
-
-    convention="symmetric": full palindromic sum j = 0..k+1 (degree 2k+2);
-    convention="printed": the truncated sum j = 0..k-1 (degree 2k-2), which is
-    not palindromic.
-    """
-    if k < 1:
-        raise DomainError(f"build_R needs k >= 1, got {k}")
-    if convention not in ("symmetric", "printed"):
-        raise DomainError(f"unknown R convention {convention!r}")
-    top = k + 1 if convention == "symmetric" else k - 1
-    coeffs = [ZERO_COEFF] * (2 * top + 1)
-    # B_2j B_(2k+2-2j) / ((2j)! (2k+2-2j)!) = b_j b_(k+1-j), symmetric in
-    # j <-> k+1-j: past the middle, copy the mirrored coefficient
-    for j in range(top + 1):
-        coeffs[2 * j] = (coeffs[2 * (k + 1 - j)] if k + 1 - j < j else
-                         ZetaCoefficient.rational(_b_product(j, k + 1 - j)))
-    return FamilyPoly("R", k, 0, tuple(coeffs), +1, note=f"convention={convention}")
+def build_R(k: int) -> FamilyPoly:
+    """R_k: b_j b_(k+1-j) at z^2j over the full palindromic sum j = 0..k+1
+    (degree 2k+2).  The paper prints the sum truncated at j = k-1, which is
+    not palindromic."""
+    return ProductForm("R", k)
 
 
 def build_P(k: int) -> FamilyPoly:
-    """P_k, pi-normalized by pi^(2k-1); degree 2k; epsilon = (-1)^k; in
-    product form, its exact coefficients formed on first access."""
-    if k < 2:
-        raise DomainError(f"build_P needs k >= 2, got {k}")
-    return ProductFormP(k)
+    """P_k: (-1)^j 2^(2k-1) b_j b_(k-j) at z^2j, eps lam at z and lam at z^(2k-1)."""
+    return ProductForm("P", k)
+
+
+def build_Q(k: int) -> FamilyPoly:
+    """Q_k: P_k's terms weighted by (4^j - 1)(4^(k-j) - 1) and 2^(2k-1) - 1;
+    `combination_identity` checks it against (2^2k + 1) P(z) - 2^2k P(z/2) - P(2z)."""
+    return ProductForm("Q", k)
+
+
+def build_W(k: int) -> FamilyPoly:
+    """W_k: P_k's z^2j terms weighted by (4^j - 2)(4^(k-j) - 2), no lam;
+    2x the combination (2^(2k-1) + 2) P(z) - 2^2k P(z/2) - P(2z)."""
+    return ProductForm("W", k)
+
+
+def build_Y(k: int) -> FamilyPoly:
+    """Y_k, pi-normalized by pi^(2k): b_j b_(k-j) (4^j - 1)(4^(k-j) - 1) at z^j."""
+    return ProductForm("Y", k)
 
 
 def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:
@@ -389,107 +468,19 @@ def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:
     return tuple(out)
 
 
-def build_Q(k: int) -> FamilyPoly:
-    """Q_k via its closed-form coefficients; `combination_identity` checks
-    them against the linear combination (2^2k + 1) P(z) - 2^2k P(z/2) - P(2z)."""
-    if k < 2:
-        raise DomainError(f"build_Q needs k >= 2, got {k}")
-    coeffs = [ZERO_COEFF] * (2 * k)
-    # a_j = (-1)^j 2^(2k-1) b_j b_(k-j) (4^j - 1)(4^(k-j) - 1), zero at j = 0, k;
-    # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
-    for j in range(1, k // 2 + 1):
-        w = ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)
-        c = ZetaCoefficient.rational(_b_product(j, k - j, -w if j % 2 else w, 2 * k - 1))
-        coeffs[2 * j] = c
-        coeffs[2 * k - 2 * j] = -c if k % 2 else c
-    eps = -1 if k % 2 else 1
-    odd = Fraction((1 << (2 * k - 1)) - 1)
-    coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps * odd)
-    coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(odd)
-    return FamilyPoly("Q", k, 2 * k - 1, tuple(coeffs), eps)
-
-
-def build_W(k: int) -> FamilyPoly:
-    """W_k via its closed form, which equals exactly 2x the linear combination
-    (2^(2k-1) + 2) P(z) - 2^2k P(z/2) - P(2z) (see `combination_identity`)."""
-    if k < 2:
-        raise DomainError(f"build_W needs k >= 2, got {k}")
-    coeffs = [ZERO_COEFF] * (2 * k + 1)
-    # a_j = (-1)^j 2^(4k-1) b_j b_(k-j) (1 - 2^(1-2j))(1 - 2^(1-2k+2j));
-    # a_(k-j) = (-1)^k a_j: compute the lower half, mirror the rest
-    def factor(m: int) -> tuple[int, int]:
-        # 1 - 2^(1-2m) = n 2^x as (n, x): -1 at m = 0, else (2^(2m-1) - 1) 2^(1-2m)
-        return (-1, 0) if m == 0 else ((1 << (2 * m - 1)) - 1, 1 - 2 * m)
-
-    for j in range(k // 2 + 1):
-        (n1, x1), (n2, x2) = factor(j), factor(k - j)
-        c = ZetaCoefficient.rational(
-            _b_product(j, k - j, -n1 * n2 if j % 2 else n1 * n2, 4 * k - 1 + x1 + x2))
-        coeffs[2 * j] = c
-        coeffs[2 * k - 2 * j] = -c if k % 2 else c
-    eps = -1 if k % 2 else 1
-    return FamilyPoly("W", k, 2 * k - 1, tuple(coeffs), eps,
-                      note="closed form = 2 x combination")
-
-
-def build_Y(k: int) -> FamilyPoly:
-    """Y_k, pi-normalized by pi^(2k): purely rational, coefficient of z^j is
-    B_2j B_(2k-2j) (2^2j - 1)(2^(2k-2j) - 1) C(2k,2j)/(2k)!; zero at z^0, z^k."""
-    if k < 2:
-        raise DomainError(f"build_Y needs k >= 2, got {k}")
-    coeffs = [ZERO_COEFF] * (k + 1)
-    # a_j = b_j b_(k-j) (4^j - 1)(4^(k-j) - 1) = a_(k-j), zero at j = 0, k
-    for j in range(1, k // 2 + 1):
-        c = ZetaCoefficient.rational(
-            _b_product(j, k - j, ((1 << (2 * j)) - 1) * ((1 << (2 * k - 2 * j)) - 1)))
-        coeffs[j] = coeffs[k - j] = c
-    assert coeffs[0].is_zero() and coeffs[k].is_zero()
-    return FamilyPoly("Y", k, 2 * k, tuple(coeffs), +1)
-
-
 def build_S(k: int) -> FamilyPoly:
     """S_k: integer coefficients E_2j E_(2k-2j) C(2k,2j), all of sign (-1)^k."""
-    if k < 1:
-        raise DomainError(f"build_S needs k >= 1, got {k}")
-    coeffs = []
-    for j in range(k + 1):
-        coeffs.append(ZetaCoefficient.rational(
-            euler(2 * j) * euler(2 * k - 2 * j) * binomial(2 * k, 2 * j)))
-    return FamilyPoly("S", k, 0, tuple(coeffs), +1)
+    row = _row("S", k)
+    coeffs = tuple(ZetaCoefficient.rational(euler(2 * j) * euler(2 * k - 2 * j)
+                                            * binomial(2 * k, 2 * j)) for j in range(k + 1))
+    return FamilyPoly("S", k, row.pi_power(k), coeffs, row.epsilon(k))
 
 
 def build_family(family: str, k: int) -> FamilyPoly:
-    builders = {"R": build_R, "P": build_P, "Q": build_Q,
-                "Y": build_Y, "W": build_W, "S": build_S}
-    if family not in builders:
+    if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    return builders[family](k)
-
-
-# ---------------------------------------------------------------------------
-# |P_k(iz)|^2 expansion
-# ---------------------------------------------------------------------------
-
-def abs_square_coeffs(k: int) -> tuple[ZetaCoefficient, ...]:
-    """Coefficients A_0..A_4k of |P_k(iz)|^2, normalized by pi^(4k-2).
-
-    The even part is the self-convolution of the rational vector g with
-    g_j = (-1)^j t_2j (the z^2j coefficient of P_k(iz)); the odd part of P_k(iz)
-    contributes lam^2 (z^(4k-2) - 2 z^2k + z^2).
-    """
-    if k < 2:
-        raise DomainError(f"abs_square_coeffs needs k >= 2, got {k}")
-    g = [(_p_even_rational(k, j) * (-1 if j % 2 else 1)) for j in range(k + 1)]
-    out = [ZERO_COEFF] * (4 * k + 1)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            idx = 2 * (i + j)
-            out[idx] = out[idx] + ZetaCoefficient.rational(g[i] * g[j])
-    lam2 = ZetaCoefficient(Fraction(0), Fraction(0), Fraction(1))
-    out[4 * k - 2] = out[4 * k - 2] + lam2
-    out[2 * k] = out[2 * k] - (lam2 * 2)
-    out[2] = out[2] + lam2
-    return tuple(out)
+    # looked up at call time, so rebinding a module-level builder reaches here
+    return globals()[f"build_{family}"](k)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Sequence
 
-from mpmath import mp
-
 from . import fixed
-from .enclosure import RealEnclosure, ball_acos, ball_cos_sin, escalate, lambda_k
+from .enclosure import RealEnclosure, ball_cos_sin, escalate, lambda_k
 from .errors import DomainError, PrecisionError
 from .families import FamilyPoly
 from .reports import OscillationReport, VerificationReport
@@ -34,21 +32,6 @@ class OscillationSpec:
     drop_halves: bool                             # drop the two positive boundary halves
 
 
-def _alpha_j0_acos(k: int, spec: OscillationSpec, bits: int) -> int:
-    """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos formula."""
-    def attempt(b: int) -> tuple[bool, int]:
-        pi = RealEnclosure.pi(b)
-        alpha = ball_acos(RealEnclosure.exact(spec.d, b) / spec.j0_denominator(pi)) / pi
-        x = alpha * (k - 1)
-        lo, hi = int(mp.floor(x.lower)), int(mp.floor(x.upper))
-        return lo == hi, lo + 1
-
-    decided, j0 = escalate(attempt, bits)
-    if not decided:
-        raise PrecisionError(f"j0 indeterminate at k={k}")
-    return j0
-
-
 @lru_cache(maxsize=8)
 def _fixed_x(spec: OscillationSpec, prec: int) -> tuple[int, int]:
     """x = d / denominator(pi), the cosine of pi alpha, as (value, error) at prec."""
@@ -61,18 +44,23 @@ def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
 
     cos is decreasing on [0, pi], so floor((k-1) alpha) is the number of j
     in 1..k-1 with cos(pi j/(k-1)) >= x.  Those cosines are the even entries
-    of `fixed.cos_table(bits + GUARD, 2(k-1))`, the table the integer sample
+    of `fixed.cos_table(b + GUARD, 2(k-1))`, the table the integer sample
     points read, each within TABLE_ERR; an entry is counted when its lower
     end clears x's upper end and left out when its upper end is below x's
-    lower end.  Only when some entry is neither does `_alpha_j0_acos`
-    certify alpha from its arccos formula.
+    lower end.  While some entry is neither, the precision b escalates.
     """
-    prec = bits + fixed.GUARD
-    x, ex = _fixed_x(spec, prec)
-    table, err = fixed.cos_table(prec, 2 * (k - 1)), fixed.TABLE_ERR
-    above = sum(1 for j in range(1, k) if table[2 * j] - err >= x + ex)
-    below = sum(1 for j in range(1, k) if table[2 * j] + err < x - ex)
-    return above + 1 if above + below == k - 1 else _alpha_j0_acos(k, spec, bits)
+    def attempt(b: int) -> tuple[bool, int]:
+        prec = b + fixed.GUARD
+        x, ex = _fixed_x(spec, prec)
+        table, err = fixed.cos_table(prec, 2 * (k - 1)), fixed.TABLE_ERR
+        above = sum(1 for j in range(1, k) if table[2 * j] - err >= x + ex)
+        below = sum(1 for j in range(1, k) if table[2 * j] + err < x - ex)
+        return above + below == k - 1, above + 1
+
+    decided, j0 = escalate(attempt, bits)
+    if not decided:
+        raise PrecisionError(f"j0 indeterminate at k={k}")
+    return j0
 
 
 def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:

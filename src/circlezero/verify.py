@@ -8,8 +8,9 @@ dispatch over the routes, one to a module:
 
 The integer routes share the fixed-point convention of `fixed`, and every
 route returns the dataclasses of `reports`.  What the paper proves per
-family lives in one table, FAMILY_SPECS: the smallest k, the Schinzel
-constant (none: Lakatos, c = 1) and, for W and Q, the oscillation data.
+family lives in one table, FAMILY_SPECS: the Schinzel constant (none:
+Lakatos, c = 1) and, for W and Q, the oscillation data; what it takes to
+build one, the smallest k included, is `families.FAMILIES`.
 Every route takes the built polynomial and reads its target count and origin
 zeros from `strip_origin()`; every ball check that cannot decide yet
 escalates its precision through `enclosure.escalate`.
@@ -37,39 +38,37 @@ from .signcount import verify_by_sign_count
 class FamilySpec:
     """The coefficient theorem that certifies one family."""
 
-    min_k: int
     # k -> Schinzel constant c (a bits -> ball callable); None: Lakatos, c = 1
     schinzel: Callable[[int], Callable[[int], RealEnclosure]] | None = None
     oscillation: OscillationSpec | None = None
 
 
 FAMILY_SPECS: dict[str, FamilySpec] = {
-    "R": FamilySpec(1),
-    "P": FamilySpec(2),
-    "Q": FamilySpec(2, oscillation=OscillationSpec(
+    "Q": FamilySpec(oscillation=OscillationSpec(
         d=Fraction(3, 100),
         j0_denominator=lambda pi: RealEnclosure.exact(2, pi.prec) - 16 / (pi * pi),
         min_k=6, evaluator=_q_eval, uniform_bound=_q_uniform_bound, drop_halves=True)),
-    "Y": FamilySpec(2, schinzel=schinzel_constant_Y),
-    "W": FamilySpec(2, oscillation=OscillationSpec(
+    "Y": FamilySpec(schinzel=schinzel_constant_Y),
+    "W": FamilySpec(oscillation=OscillationSpec(
         d=Fraction(3, 10),
         j0_denominator=lambda pi: pi * pi * Fraction(1, 3) - 2,
         min_k=11, evaluator=_w_eval, uniform_bound=_w_uniform_bound, drop_halves=False)),
-    "S": FamilySpec(1, schinzel=schinzel_constant_S),
+    "S": FamilySpec(schinzel=schinzel_constant_S),
 }
+_NO_SPEC = FamilySpec()    # R and P: Lakatos, no oscillation data
 
 
 def criteria_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
     """The family's coefficient criterion: Schinzel with the constant from
     FAMILY_SPECS, or Lakatos where the table gives none."""
-    constant = FAMILY_SPECS[poly.family].schinzel
+    constant = FAMILY_SPECS.get(poly.family, _NO_SPEC).schinzel
     if constant is None:
         return lakatos_check(poly, bits)
     return schinzel_check(poly, constant(poly.k), bits)
 
 
 def _oscillation_spec(family: str) -> OscillationSpec:
-    spec = FAMILY_SPECS[family].oscillation
+    spec = FAMILY_SPECS.get(family, _NO_SPEC).oscillation
     if spec is None:
         raise DomainError(f"oscillation method applies to W and Q, not {family}")
     return spec
@@ -113,12 +112,8 @@ def verify_family(family: str, k: int, method: str, bits: int = 128) -> list[Ver
     """Build one family member and run one or all applicable verification
     methods on it; under "all", criteria runs only where the table gives a
     Schinzel constant and oscillation only where it gives oscillation data."""
-    if family not in FAMILY_SPECS:
-        raise DomainError(f"unknown family {family!r}")
-    spec = FAMILY_SPECS[family]
-    if k < spec.min_k:
-        raise DomainError(f"family {family} needs k >= {spec.min_k}")
     poly = build_family(family, k)
+    spec = FAMILY_SPECS.get(family, _NO_SPEC)
     # looked up at call time, so rebinding a module-level route reaches here
     routes = {"criteria": _criteria_route, "oscillation": oscillation_verify,
               "sign-count": verify_by_sign_count, "roots": verify_by_roots}

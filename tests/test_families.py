@@ -11,14 +11,14 @@ from mpmath import libmp, mp
 from mpmath.libmp import from_man_exp
 
 from circlezero import families
-from circlezero.criteria import abs_square_poly
+from circlezero.criteria import abs_square_coeffs, abs_square_poly
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
 from circlezero.exact import bernoulli, binomial
 from circlezero.families import (
+    FAMILIES,
     FamilyPoly,
     ZetaCoefficient,
-    abs_square_coeffs,
     build_family,
     build_P,
     build_Q,
@@ -30,6 +30,7 @@ from circlezero.families import (
     s_at_one,
     y_coeff_sum,
 )
+from circlezero.signcount import deflate_forced_zero
 from circlezero.verify import verify_family
 
 F = Fraction
@@ -133,12 +134,6 @@ def test_R_conventions():
     r1 = build_R(1)
     assert [c.a for c in r1.coeffs[::2]] == [F(-1, 720), F(1, 144), F(-1, 720)]
     assert r1.self_inversive_ok()
-    printed = build_R(2, convention="printed")
-    assert printed.coeffs[0].a == F(1, 30240)
-    assert printed.degree == 2
-    assert [c.a for c in printed.coeffs] == [F(1, 30240), 0, F(-1, 8640)]
-    with pytest.raises(DomainError):
-        build_R(1, convention="nonsense")
 
 
 def test_self_inversive_symmetry_all_families():
@@ -161,7 +156,7 @@ def test_combination_identity_detects_mismatch(monkeypatch):
             p = build(k)
             coeffs = list(p.coeffs)
             coeffs[2] = coeffs[2] + ZetaCoefficient.rational(F(1, 7))
-            return type(p)(p.family, p.k, p.pi_power, tuple(coeffs), p.epsilon, p.note)
+            return FamilyPoly(p.family, p.k, p.pi_power, tuple(coeffs), p.epsilon, p.note)
         return wrapped
 
     monkeypatch.setattr(families, "build_Q", perturbed(build_Q))
@@ -170,14 +165,13 @@ def test_combination_identity_detects_mismatch(monkeypatch):
     assert combination_identity(5) == (False, None)
 
 
-def _reference_even_coeffs(family: str, k: int, convention: str = "symmetric") -> list[Fraction]:
+def _reference_even_coeffs(family: str, k: int) -> list[Fraction]:
     """The rational coefficients from the closed forms with factorials and
     binomials per coefficient: Q, W at z^2j, Y at z^j, R at z^2j."""
     fact = math.factorial(2 * k)
     out = []
     if family == "R":
-        top = k + 1 if convention == "symmetric" else k - 1
-        for j in range(top + 1):
+        for j in range(k + 2):
             out.append(bernoulli(2 * j) * bernoulli(2 * k + 2 - 2 * j)
                        / (math.factorial(2 * j) * math.factorial(2 * k + 2 - 2 * j)))
         return out
@@ -199,11 +193,9 @@ def test_builders_match_factorial_closed_forms():
     # the builders take B_2j/(2j)! from one cached table and mirror the
     # symmetric half; every coefficient equals the factorial/binomial form
     for k in range(1, 121):
-        for convention in ("symmetric", "printed"):
-            got = build_R(k, convention).coeffs
-            want = _reference_even_coeffs("R", k, convention)
-            assert [c.a for c in got[::2]] == want and not any(c.b for c in got), (k, convention)
-            assert all(c.is_zero() for c in got[1::2]), (k, convention)
+        got = build_R(k).coeffs
+        assert [c.a for c in got[::2]] == _reference_even_coeffs("R", k), k
+        assert not any(c.b for c in got) and all(c.is_zero() for c in got[1::2]), k
         if k < 2:
             continue
         q, w, y = build_Q(k), build_W(k), build_Y(k)
@@ -289,47 +281,65 @@ def test_family_domain_errors():
 
 def _eager_P(k):
     """P_k as the eager exact build formed it, here with every c_2j from its
-    own product (no mirror): the reference for the product form."""
+    own Bernoulli numbers and factorials (no mirror): the reference for the
+    product form."""
     eps = -1 if k % 2 else 1
     coeffs = [families.ZERO_COEFF] * (2 * k + 1)
     for j in range(k + 1):
-        coeffs[2 * j] = ZetaCoefficient.rational(families._p_even_rational(k, j))
+        coeffs[2 * j] = ZetaCoefficient.rational(
+            F((-1) ** j << (2 * k - 1)) * bernoulli(2 * j) * bernoulli(2 * k - 2 * j)
+            / (math.factorial(2 * j) * math.factorial(2 * k - 2 * j)))
     coeffs[1] = coeffs[1] + ZetaCoefficient.lam(eps)
     coeffs[2 * k - 1] = coeffs[2 * k - 1] + ZetaCoefficient.lam(1)
     return FamilyPoly("P", k, 2 * k - 1, tuple(coeffs), eps)
 
 
+def _product_forms():
+    """(polynomial, its exact coefficients) for every product form, stripped
+    Q and Y included; P's reference is `_eager_P`, the others' are checked
+    against the factorial closed forms above."""
+    for k in [*range(2, 201), 999]:
+        yield build_P(k), _eager_P(k).coeffs
+    for fam in "RQWY":
+        for k in [*range(FAMILIES[fam].min_k, 41), 77, 200]:
+            p = build_family(fam, k)
+            yield p, p.coeffs
+            if p.origin_multiplicity:
+                yield p.strip_origin(), p.strip_origin().coeffs
+
+
 @pytest.mark.parametrize("prec", [128 + 32, 128 + 48], ids=["sign-count", "roots"])
 def test_P_fixed_coefficients_enclose_exact(prec):
     # each integer C_j +- e_j, in units of 2^(emax - prec), contains the exact
-    # c_j (lam's two ones overlap a finer ball of lam); the sign counter's
-    # first k + 1 are the same integers
-    for k in [*range(2, 201), 999]:
-        exact = _eager_P(k).coeffs
-        emax, C, e = build_P(k).fixed_coefficients(prec, 2 * k + 1)
-        assert build_P(k).fixed_coefficients(prec, k + 1) == (emax, C[:k + 1], e[:k + 1])
-        lam = lambda_k(k, prec + 64)
+    # c_j of every product form (lam's terms overlap a finer ball of lam), and
+    # 2^emax bounds each |c_j|; the sign counter's first half is the same integers
+    for p, exact in _product_forms():
+        n = len(exact)
+        emax, C, e = p.fixed_coefficients(prec, n)
+        assert p.fixed_coefficients(prec, n // 2 + 1) == (emax, C[:n // 2 + 1], e[:n // 2 + 1])
+        lam = lambda_k(p.k, prec + 64) if p.k >= 2 else None
         for j, c in enumerate(exact):
             ball = RealEnclosure(from_man_exp(C[j], emax - prec),
                                  from_man_exp(e[j], emax - prec), prec)
             if c.is_rational():
-                assert ball.contains(c.a), (k, j)
+                assert ball.contains(c.a) and abs(c.a) < F(2) ** emax, (p.family, p.k, j)
             else:
-                assert (ball - lam * c.b).contains_zero(), (k, j)
-        assert max(e) <= 4 and max(abs(x) for x in C).bit_length() <= prec, k
+                assert (ball - lam * c.b).contains_zero(), (p.family, p.k, j)
+        assert max(e) <= 4 and max(abs(x) for x in C).bit_length() <= prec, (p.family, p.k)
 
 
 def _generic_polys():
-    return ([build_R(k) for k in (1, 2, 7, 12)]
-            + [build_family(f, k) for f in "QWYS" for k in (2, 3, 10, 31, 60)]
-            + [abs_square_poly(k) for k in range(2, 6)])
+    return ([build_S(k) for k in (1, 2, 3, 10, 31, 60)]
+            + [abs_square_poly(k) for k in range(2, 6)]
+            + [deflate_forced_zero(build_Y(k).strip_origin()) for k in (3, 11, 31)]
+            + [deflate_forced_zero(build_S(9))])
 
 
 @pytest.mark.parametrize("prec", [160, 288])
 def test_generic_fixed_coefficients_enclose_exact(prec):
-    # every c_j of R, Q, W, Y, S and |P_k(iz)|^2 lies in 2^(emax - prec) (C_j +- e_j),
-    # 2^emax bounds every |c_j|, and a shorter read gives the same integers;
-    # lam and lam^2 are taken at four times the precision
+    # every c_j of S, |P_k(iz)|^2 and a deflated quotient lies in
+    # 2^(emax - prec) (C_j +- e_j), 2^emax bounds every |c_j|, and a shorter
+    # read gives the same integers; lam and lam^2 are taken at four times the precision
     for p in _generic_polys():
         n = len(p.coeffs)
         emax, C, e = p.fixed_coefficients(prec, n)
@@ -373,22 +383,43 @@ def test_generic_fixed_coefficients_cover_the_whole_lam_ball(monkeypatch):
                 assert abs(value) < Fraction(2) ** emax, (p.family, p.k, j)
 
 
-@pytest.mark.parametrize("k", [*range(2, 41), 200, 999])
+@pytest.mark.parametrize("k", [*range(1, 61), 200, 999])
 def test_P_lazy_coeffs_equal_eager_build(k):
-    p, ref = build_P(k), _eager_P(k)
-    assert "coeffs" not in vars(p)     # formed on first access only
-    assert p.coeffs == ref.coeffs and ref.self_inversive_ok()
-    assert (p.degree, p.origin_multiplicity, p.epsilon) == \
-        (ref.degree, ref.origin_multiplicity, ref.epsilon)
-    assert p.to_doc() == ref.to_doc()
+    # for every product form with k <= 60 (P alone above): degree, origin
+    # multiplicity, eps, symmetry and strip_origin match a generic FamilyPoly
+    # built from the same exact coefficients, and P's coefficients match the
+    # eager build
+    for fam in "RPQWY" if k <= 60 else "P":
+        if k < FAMILIES[fam].min_k:
+            continue
+        p = build_family(fam, k)
+        shape = (p.degree, p.origin_multiplicity, p.epsilon, p.self_inversive_ok())
+        s = p.strip_origin()
+        stripped = (s.degree, s.origin_multiplicity, s.epsilon, s.note)
+        assert isinstance(s, families.ProductForm), (fam, k)
+        # the exact coefficients are formed on first access only
+        assert "coeffs" not in vars(p) and "coeffs" not in vars(s), (fam, k)
+        ref = FamilyPoly(p.family, p.k, p.pi_power, p.coeffs, p.epsilon, p.note)
+        assert shape == (ref.degree, ref.origin_multiplicity, ref.epsilon, ref.self_inversive_ok())
+        rs = ref.strip_origin()
+        assert stripped == (rs.degree, rs.origin_multiplicity, rs.epsilon, rs.note), (fam, k)
+        assert s.to_doc() == rs.to_doc() and p.to_doc() == ref.to_doc(), (fam, k)
+    if k >= 2:
+        assert build_P(k).coeffs == _eager_P(k).coeffs
 
 
 def test_P_sign_count_and_roots_form_no_exact_coefficient(monkeypatch):
+    # the one exact former sees no call from the sign counter (P, Q, W, R and
+    # even-k Y; odd-k Y deflates exactly) or from the roots route
     calls = []
-    orig = families._p_even_rational
-    monkeypatch.setattr(families, "_p_even_rational",
-                        lambda k, j: calls.append((k, j)) or orig(k, j))
+    orig = families._b_product
+    monkeypatch.setattr(families, "_b_product", lambda *a: calls.append(a) or orig(*a))
     for k in (2, 3, 10, 51, 200, 999):
         assert verify_family("P", k, "sign-count")[0].certified, k
-    assert verify_family("P", 12, "roots")[0].certified
+    sign_counts = {"Q": (2, 3, 10, 51), "W": (2, 3, 10, 51), "Y": (4, 10, 52), "R": (1, 2, 10)}
+    for fam, ks in sign_counts.items():
+        for k in ks:
+            assert verify_family(fam, k, "sign-count")[0].certified == (fam != "R"), (fam, k)
+    for fam, k in (("P", 12), ("Q", 12), ("W", 11), ("Y", 13), ("R", 5)):
+        assert verify_family(fam, k, "roots")[0].certified == (fam != "R"), (fam, k)
     assert calls == []

@@ -20,9 +20,11 @@ from circlezero.criteria import (
     schinzel_constant_S,
     schinzel_constant_Y,
 )
-from circlezero.enclosure import ComplexEnclosure, RealEnclosure, ball_cos_sin, lambda_k
+from circlezero.enclosure import (ComplexEnclosure, RealEnclosure, ball_acos, ball_cos_sin,
+                                  escalate, lambda_k)
 from circlezero.errors import DomainError, NumericError, PrecisionError
 from circlezero.families import (
+    FAMILIES,
     FamilyPoly,
     ZetaCoefficient,
     ball_horner,
@@ -83,6 +85,8 @@ def test_lakatos_non_reciprocal_rejected():
                                   ZetaCoefficient.rational(2)), +1)
     with pytest.raises(DomainError):
         lakatos_check(poly)
+    with pytest.raises(DomainError, match="W_5"):    # eps = -1: self-inversive, not reciprocal
+        lakatos_check(build_W(5))
 
 
 def test_schinzel_S_paper_constant():
@@ -362,34 +366,55 @@ def test_min_abs_is_smallest_exact_upper_end_across_precisions():
     assert fixed.from_ball(rep.min_abs, 160) == (near, 13 + 2)
 
 
+def _j0_by_arccos(k, spec, bits=128):
+    """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos
+    formula, escalating until the floor is decided."""
+    def attempt(b):
+        pi = RealEnclosure.pi(b)
+        alpha = ball_acos(RealEnclosure.exact(spec.d, b) / spec.j0_denominator(pi)) / pi
+        x = alpha * (k - 1)
+        lo, hi = int(mp.floor(x.lower)), int(mp.floor(x.upper))
+        return lo == hi, lo + 1
+
+    decided, j0 = escalate(attempt, bits)
+    assert decided, k
+    return j0
+
+
+def _table_precisions(monkeypatch):
+    """The precision of every cosine table j0 reads, in call order."""
+    precs = []
+    table = fixed.cos_table
+    monkeypatch.setattr(fixed, "cos_table", lambda prec, M: precs.append(prec) or table(prec, M))
+    return precs
+
+
 @pytest.mark.parametrize("family", ["W", "Q"])
 def test_j0_from_table_matches_arccos(family, monkeypatch):
-    # counting the table cosines at or above x gives floor((k-1) alpha) for
-    # every k the tests below 400 reach, with no arccos fallback
+    # counting the table cosines at or above x gives floor((k-1) alpha), the
+    # arccos formula's j0, for every k the tests below 400 reach, each at the
+    # first precision
     spec = FAMILY_SPECS[family].oscillation
-    monkeypatch.setattr(oscillation, "_alpha_j0_acos",
-                        lambda k, *_: pytest.fail(f"arccos fallback at k={k}"))
+    precs = _table_precisions(monkeypatch)
     table_j0 = [oscillation._alpha_j0(k, spec) for k in range(spec.min_k, 400)]
-    monkeypatch.undo()
-    assert table_j0 == [oscillation._alpha_j0_acos(k, spec, 128) for k in range(spec.min_k, 400)]
+    assert set(precs) == {128 + GUARD}
+    assert table_j0 == [_j0_by_arccos(k, spec) for k in range(spec.min_k, 400)]
 
 
 def test_j0_fallback_when_table_cannot_separate(monkeypatch):
-    # a table error no entry can clear sends every k to the arccos formula,
-    # which gives the same j0
+    # a table error no entry at the first precision can clear escalates the
+    # precision once, which gives the same j0
     spec = FAMILY_SPECS["W"].oscillation
     expected = [oscillation._alpha_j0(k, spec) for k in (11, 12, 35, 200)]
-    calls = []
-    acos = oscillation._alpha_j0_acos
-    monkeypatch.setattr(oscillation, "_alpha_j0_acos", lambda *a: calls.append(a[0]) or acos(*a))
+    precs = _table_precisions(monkeypatch)
     monkeypatch.setattr(fixed, "TABLE_ERR", 1 << 200)
     assert [oscillation._alpha_j0(k, spec) for k in (11, 12, 35, 200)] == expected
-    assert calls == [11, 12, 35, 200]
+    assert precs == [128 + GUARD, 256 + GUARD] * 4
 
 
 def test_j0_exact_boundary_raises_naming_k():
     # d / denominator = 1/2 = cos(pi/3) with 3 | k - 1: the table entry j =
-    # (k-1)/3 equals x, and no precision of the arccos fallback decides it
+    # (k-1)/3 equals x, and no precision of the escalation decides it
     spec = FAMILY_SPECS["W"].oscillation    # d = 3/10
     spec = dataclasses.replace(spec, j0_denominator=lambda pi: RealEnclosure.exact(F(3, 5), pi.prec))
     with pytest.raises(PrecisionError, match="k=13"):
@@ -1387,11 +1412,13 @@ def test_verify_family_domain_checks():
 
 
 def test_family_specs_min_k_matches_builders():
-    assert list(FAMILY_SPECS) == ["R", "P", "Q", "Y", "W", "S"]
-    for fam, spec in FAMILY_SPECS.items():
-        assert build_family(fam, spec.min_k).k == spec.min_k
+    # the one registry row gives each family's smallest k to the builders
+    assert list(FAMILIES) == ["R", "P", "Q", "Y", "W", "S"]
+    assert set(FAMILY_SPECS) == {"Q", "Y", "W", "S"}
+    for fam, row in FAMILIES.items():
+        assert build_family(fam, row.min_k).k == row.min_k
         with pytest.raises(DomainError):
-            build_family(fam, spec.min_k - 1)
+            build_family(fam, row.min_k - 1)
 
 
 def test_verify_family_builds_once(monkeypatch):
