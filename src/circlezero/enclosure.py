@@ -49,13 +49,15 @@ ESCALATIONS = 4
 T = TypeVar("T")
 
 
-def escalate(attempt: Callable[[int], tuple[bool, T]], bits: int) -> tuple[bool, T]:
+def escalate(attempt: Callable[[int], tuple[bool, T]], bits: int,
+             tried: int = 0) -> tuple[bool, T]:
     """Run attempt(b) at b = bits, 2 bits, ..., 2^ESCALATIONS bits until it
     reports (True, value); otherwise return the last attempt's (False, value).
+    A caller that made the first `tried` attempts itself starts after them.
     """
     if bits < MIN_BITS:
         raise DomainError(f"precision below {MIN_BITS} bits not supported, got {bits}")
-    for i in range(ESCALATIONS + 1):
+    for i in range(tried, ESCALATIONS + 1):
         decided, value = attempt(bits << i)
         if decided:
             break
@@ -561,6 +563,26 @@ def _pow_bounds(lo: int, hi: int, n: int, width: int) -> tuple[int, int, int]:
             lo, hi, bx = lo >> d, -(-hi >> d), bx + d
 
 
+def pi_power_bounds(n: int, W: int) -> tuple[int, int, int]:
+    """(L, U, x) with L 2^(x - nW) <= pi^n <= U 2^(x - nW), U of at most
+    W + 1 bits, for n >= 1 and W >= bit_length(n) + 8, from integers.
+
+    - pi: Pi = floor(2^W pi~), pi~ mpmath's correctly rounded pi at W + 8
+      bits, is within 1 + 2^-7 units of 2^W pi, so 2^W pi lies in
+      [Pi - 2, Pi + 2], whose ends have the ratio rho <= 1 + 2^(1-W).
+    - pi^n: `_pow_bounds` raises both ends to the n-th power.  A dropping
+      step moves U by less than one unit of at least 2^(W-1) and L by less
+      than one of at least 2^(W-2) (L > U/2 throughout, by the bound below),
+      so it raises U/L by a factor tau <= (1 + d)/(1 - d), d = 2^(2-W).
+      Level i of the squaring chain has U/L <= rho^(2^i) tau^(2^i - 1), and
+      the accumulator multiplies in the levels of n's set bits with one step
+      each, so U/L <= (rho tau)^n and ln(U/L) <= n (2^(1-W) + 3d)
+      < 2^(b + 4 - W), b = bit_length(n).
+    """
+    pi = libmp.to_fixed(mpf_pi(W + 8, "n"), W)
+    return _pow_bounds(pi - 2, pi + 2, n, W)
+
+
 def lambda_k(k: int, bits: int) -> RealEnclosure:
     """lambda_k = zeta(2k-1)/pi^(2k-1), the transcendental generator of P_k
     and Q_k, as a ball with an exact midpoint and a radius below
@@ -572,17 +594,8 @@ def lambda_k(k: int, bits: int) -> RealEnclosure:
     - zeta: (Z, r) = `_zeta_fixed`(n, P), so zeta(n) 2^P lies in
       [Z - r, Z + r], r < 2^22 (`zeta_int`); zeta(n) > 1 gives
       Z - r > 2^P - 2r >= 2^(P-1), so (Z + r)/(Z - r) <= 1 + 2^(24-P).
-    - pi: Pi = floor(2^W pi~), pi~ mpmath's correctly rounded pi at W + 8
-      bits, is within 1 + 2^-7 units of 2^W pi, so 2^W pi lies in
-      [Pi - 2, Pi + 2], whose ends have the ratio rho <= 1 + 2^(1-W).
-    - pi^n: `_pow_bounds` gives pi^n in [L, U] 2^(x - nW).  A dropping step
-      moves U by less than one unit of at least 2^(W-1) and L by less than
-      one of at least 2^(W-2) (L > U/2 throughout, by the bound below), so
-      it raises U/L by a factor tau <= (1 + d)/(1 - d), d = 2^(2-W).  Level i
-      of the squaring chain has U/L <= rho^(2^i) tau^(2^i - 1), and the
-      accumulator multiplies in the levels of n's set bits with one step
-      each, so U/L <= (rho tau)^n and ln(U/L) <= n (2^(1-W) + 3d)
-      < 2^(b + 4 - W) = 2^-(wp+3).
+    - pi^n: `pi_power_bounds`(n, W) gives pi^n in [L, U] 2^(x - nW) with
+      ln(U/L) < 2^(b + 4 - W) = 2^-(wp+3).
     - the quotient: with t = W - P + wp + 3, lo = floor((Z - r) 2^t / U) and
       hi = ceil((Z + r) 2^t / L) bound lambda_k in units of
       2^(nW - P - x - t), and lo > 2^(P - 1 + t - W) - 1 >= 2^(wp+1).  The
@@ -596,8 +609,7 @@ def lambda_k(k: int, bits: int) -> RealEnclosure:
     n, wp = 2 * k - 1, bits + GUARD
     P, W = wp + 26, wp + n.bit_length() + 7
     Z, r = _zeta_fixed(n, P)
-    pi = libmp.to_fixed(mpf_pi(W + 8, "n"), W)
-    L, U, x = _pow_bounds(pi - 2, pi + 2, n, W)
+    L, U, x = pi_power_bounds(n, W)
     t = W - P + wp + 3
     lo, hi = ((Z - r) << t) // U, -(-((Z + r) << t) // L)
     e = n * W - P - x - t - 1

@@ -3,7 +3,7 @@
 Bernoulli numbers B_2n (tangent-number scheme), Euler numbers E_2n
 (secant-number scheme), binomials, the rational r_n with zeta(2n) = r_n pi^2n,
 and the classical two-sided bounds on |B_2n| and |E_2n|, checked against
-directed rational enclosures of pi.
+integer enclosures of the powers of pi.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import math
 import threading
 from fractions import Fraction
 
-from mpmath import libmp
-
-from .enclosure import escalate
+from .enclosure import escalate, pi_power_bounds
 from .errors import CapacityError, DomainError, PrecisionError
 
 DEFAULT_CAP = 4096
@@ -150,32 +148,31 @@ def bernoulli_half_value(n: int) -> Fraction:
     return (Fraction(2) ** (1 - n) - 1) * bernoulli(n)
 
 
-def _raw_to_fraction(x) -> Fraction:
-    sign, man, exp, _bc = x
-    if man == 0:
-        if x == libmp.fzero:
-            return Fraction(0)
-        raise ValueError("nonfinite value")
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
-
-
-def pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo < pi < hi with hi - lo ~ 2^(2-bits)."""
-    lo = _raw_to_fraction(libmp.mpf_pi(bits, "f"))
-    hi = _raw_to_fraction(libmp.mpf_pi(bits, "c"))
-    # guard against a 1-ulp slip in the underlying constant
-    ulp = Fraction(1, 1 << (bits - 3))
-    return lo - ulp, hi + ulp
-
-
 def _pi_power_sides(value: Fraction, num: Fraction, power: int, scales: tuple,
                     bits: int, what: str) -> list[int]:
     """For each s in scales: +1 if value > num / (pi^power s) is certified, -1
-    if value < it, with pi bracketed by pi_bounds under the precision escalation."""
+    if value < it, for positive value, num and s.
+
+    At a precision prec of the escalation, pi^power lies in
+    [L, U] 2^(x - power W) (`enclosure.pi_power_bounds`, the bracket of
+    `lambda_k`, W = prec + bit_length(power) + 8, so ln(U/L) < 2^-(prec+4)).
+    With value s / num = a / b cross-multiplied over integers, the side is
+    decided by integer comparisons: above when a L 2^(x - power W) > b,
+    below when a U 2^(x - power W) < b.  Only a side still undecided is
+    taken again at the next precision.
+    """
+    sides = [0] * len(scales)
+
     def attempt(prec: int) -> tuple[bool, list[int]]:
-        lo, hi = (x ** power for x in pi_bounds(prec))
-        sides = [(value > num / (lo * s)) - (value < num / (hi * s)) for s in scales]
+        W = prec + power.bit_length() + 8
+        L, U, x = pi_power_bounds(power, W)
+        e = x - power * W
+        for i, s in enumerate(scales):
+            if not sides[i]:
+                a = value.numerator * s.numerator * num.denominator
+                b = num.numerator * value.denominator * s.denominator
+                a, b = (a, b << -e) if e < 0 else (a << e, b)
+                sides[i] = (a * L > b) - (a * U < b)
         return 0 not in sides, sides
 
     decided, sides = escalate(attempt, bits)

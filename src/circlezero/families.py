@@ -7,9 +7,9 @@ certified enclosure at evaluation time, so coefficient identities stay exact.
 What each family's build needs is one row of `FAMILIES`.  P, Q, W, Y and R
 share one product form (`ProductForm`): every coefficient is a dyadic weight
 times b_j b_(K-j), b_j = B_2j / (2j)!, plus lam terms for P and Q.  The
-sign, roots and criteria routes read them as integer products of a
-per-precision table of b_j, and the exact coefficients are formed only when
-read.  S is built from Euler numbers.
+sign, roots, criteria and oscillation routes read them as integer products
+of a per-precision table of b_j, and the exact coefficients are formed only
+when read.  S is built from Euler numbers.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ class FamilyPoly:
     def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
         """(emax, C, e) for c_0 .. c_(count-1): integers C_j, e_j with
         |c_j - 2^(emax - prec) C_j| <= 2^(emax - prec) e_j, where 2^emax
-        bounds every |c_j|.  The fixed-point input of the sign, roots and
-        criteria routes, formed from the exact coefficients with no ball.
+        bounds every |c_j|.  The fixed-point input of the sign, roots,
+        criteria and oscillation routes, formed from the exact coefficients
+        with no ball.
 
         A coefficient a + b lam + c lam^2 is valued exactly at the midpoint m
         of lambda_k(k, prec), whose ball [m - r, m + r] holds lam; lam moving
@@ -340,8 +341,8 @@ class ProductForm(FamilyPoly):
     The row fixes the degree, the origin multiplicity, eps and the symmetry
     c_(N-i) = eps c_i, N = stride K, so none of them reads a coefficient.
     The exact `coeffs` in Q[lam] are formed on first access, for the readers
-    of exact values; `fixed_coefficients`, the input of the sign, roots and
-    criteria routes, forms none.
+    of exact values; `fixed_coefficients`, the input of the sign, roots,
+    criteria and oscillation routes, forms none.
     """
 
     def __init__(self, family: str, k: int, shift: int = 0):

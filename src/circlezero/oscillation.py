@@ -2,7 +2,8 @@
 certified alternating on an explicit sample grid, with |f| > d at every
 point, while the coefficient-difference sum bounds the approximation error
 uniformly below d.  The comparison function and the uniform bound are
-fixed-point formulas (`fixed`); what each family contributes is an
+fixed-point formulas (`fixed`), the bound over the integer coefficients of
+`FamilyPoly.fixed_coefficients`; what each family contributes is an
 `OscillationSpec` in `verify.FAMILY_SPECS`.
 """
 
@@ -10,14 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import fixed
-from .enclosure import RealEnclosure, ball_cos_sin, escalate, lambda_k
+from .enclosure import RealEnclosure, ball_cos_sin, escalate
 from .errors import DomainError, PrecisionError
 from .families import FamilyPoly
 from .reports import OscillationReport, VerificationReport
+
+# points -> bits -> [(v, e, prec)] with |f(point) - v 2^-prec| <= e 2^-prec
+Evaluator = Callable[[Sequence, int], list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -27,9 +31,21 @@ class OscillationSpec:
     d: Fraction                                   # oscillation distance
     j0_denominator: Callable[[RealEnclosure], RealEnclosure]  # pi -> arccos denominator
     min_k: int                                    # smaller k take the sign-count route
-    evaluator: Callable[[int], Callable[[Fraction, int], tuple[int, int, int]]]
+    evaluator: Callable[[int], Evaluator]
     uniform_bound: Callable[[FamilyPoly, int], RealEnclosure]
     drop_halves: bool                             # drop the two positive boundary halves
+
+
+@lru_cache(maxsize=8)
+def _constants(prec: int) -> tuple[RealEnclosure, dict[str, tuple[int, int]]]:
+    """pi^2 as a ball 8 bits finer than prec, and the k-independent constants
+    of both families as fixed-point (value, error) pairs at prec: made once
+    per precision from one pi ball."""
+    pi = RealEnclosure.pi(prec + 8)
+    pi2 = pi * pi
+    balls = {"pi^2/6": pi2 * Fraction(1, 6), "pi^2/3": pi2 * Fraction(1, 3),
+             "1/pi^2": 1 / pi2, "2/pi": 2 / pi, "4/pi": 4 / pi}
+    return pi2, {name: fixed.from_ball(x, prec) for name, x in balls.items()}
 
 
 @lru_cache(maxsize=8)
@@ -44,8 +60,8 @@ def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
 
     cos is decreasing on [0, pi], so floor((k-1) alpha) is the number of j
     in 1..k-1 with cos(pi j/(k-1)) >= x.  Those cosines are the even entries
-    of `fixed.cos_table(b + GUARD, 2(k-1))`, the table the integer sample
-    points read, each within TABLE_ERR; an entry is counted when its lower
+    of `fixed.cos_table(b + GUARD, 2(k-1))`, the table the sample points
+    read, each within TABLE_ERR; an entry is counted when its lower
     end clears x's upper end and left out when its upper end is below x's
     lower end.  While some entry is neither, the precision b escalates.
     """
@@ -63,19 +79,19 @@ def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
     return j0
 
 
-def sample_points(spec: OscillationSpec, k: int) -> list[Fraction]:
-    """The sample angles (as multiples of pi), k >= spec.min_k, mirrored over
-    0: integer points, then half-integer points from j0 on, then the last
-    point just short of pi.  With `drop_halves` (Q) the two positive
-    half-integer boundary points go (one point when they coincide)."""
-    j0 = _alpha_j0(k, spec)
-    eps = Fraction(1, 8 * k)
-    halfs = [Fraction(2 * j - 1, 2 * (k - 1)) for j in range(j0, k - j0 + 1)]
-    neg = ([Fraction(j, k - 1) for j in range(1, j0)] + halfs
-           + [Fraction(j, k - 1) for j in range(k - j0, k - 1)] + [(k - 1 - eps) / (k - 1)])
+def sample_points(spec: OscillationSpec, k: int) -> list[int | Fraction]:
+    """The sample angles theta = t pi / (2(k-1)) as indices t, k >= spec.min_k,
+    mirrored over 0: the even t of the integer points j/(k-1), then the odd
+    t of the half-integer points from j0 on, then the point just short of
+    pi, t = 2(k-1) - 1/(4k), the one index off the integer grid.  With
+    `drop_halves` (Q) the two positive half-integer boundary points go (one
+    point when they coincide)."""
+    j0, n = _alpha_j0(k, spec), 2 * (k - 1)
+    halfs = range(2 * j0 - 1, 2 * (k - j0), 2)
+    neg = [*range(2, 2 * j0, 2), *halfs, *range(2 * (k - j0), n - 1, 2), n - Fraction(1, 4 * k)]
     drop = {halfs[0], halfs[-1]} if spec.drop_halves else set()
-    pos = [p for p in neg if p not in drop]
-    return [-p for p in reversed(neg)] + [Fraction(0)] + pos
+    pos = [t for t in neg if t not in drop]
+    return [-t for t in reversed(neg)] + [0] + pos
 
 
 @lru_cache(maxsize=16)
@@ -114,103 +130,97 @@ def _rotation_powers(x: Fraction, k: int, prec: int) -> dict[int, tuple[tuple[in
 
 
 def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
-                constants: Callable[[RealEnclosure], tuple[RealEnclosure, RealEnclosure]]):
+                constants: Callable[[int], tuple[tuple[int, int], tuple[int, int]]]) -> Evaluator:
     """f(theta) = 2 trig_x(theta) + B trig_y(theta) + C sin((k-3) theta) / sin(theta)
-    at theta = r pi, as f(r, bits) -> (v, e, prec) with
-    |f(theta) - v 2^-prec| <= e 2^-prec; x and y are (is_sin, multiple), and
-    constants(pi) gives (B, C).
+    at theta = t pi / n, n = 2(k-1), for every index t of a list, as
+    f(ts, bits) -> [(v, e, prec)] with |f(theta) - v 2^-prec| <= e 2^-prec;
+    x and y are (is_sin, multiple), and constants(prec) gives (B, C) as
+    fixed-point pairs.
 
     One integer formula at prec = bits + `fixed.GUARD` carries an error
-    budget through `fixed.mul`/`fixed.div`.  Every sample angle but the two
-    just short of +-pi is a multiple of pi / (2(k-1)), so its trig values
-    are entries of `fixed.cos_table(prec, 2(k-1))` (a sine is the cosine a
-    quarter period earlier); the two others share `_rotation_powers` of
-    their common |theta|.  At theta = 0, +-pi the quotient is its limit
+    budget through `fixed.mul`/`fixed.div`.  An integer t reads its trig
+    values straight from `fixed.cos_table(prec, n)` (a sine is the cosine a
+    quarter period, k - 1 entries, earlier), in one loop over the points;
+    the two points just short of +-pi share `_rotation_powers` of their
+    common |theta|.  At theta = 0, +-pi the quotient is its limit
     (k-3) sgn, exactly.
     """
-    n = 2 * (k - 1)
+    n, h = 2 * (k - 1), k - 1
+    trigs = (x, y, (1, k - 3), (1, 1))
 
-    @cache
-    def fixed_constants(bits: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    def f(ts: Sequence, bits: int) -> list[tuple[int, int, int]]:
         prec = bits + fixed.GUARD
-        return prec, *(fixed.from_ball(v, prec) for v in constants(RealEnclosure.pi(prec + 8)))
-
-    def f(r: Fraction, bits: int) -> tuple[int, int, int]:
-        prec, (b, eb), (c, ec) = fixed_constants(bits)
-        t = r * n
-        if t.denominator == 1:
-            table, t = fixed.cos_table(prec, n), int(t)
-
-            def trig(is_sin: int, m: int) -> tuple[int, int]:
-                return table[(m * t - is_sin * (k - 1)) % (2 * n)], fixed.TABLE_ERR
-        else:
-            powers = _rotation_powers(abs(r), k, prec)
-
-            def trig(is_sin: int, m: int) -> tuple[int, int]:
-                v, e = powers[m][is_sin]
-                return -v if is_sin and r < 0 else v, e     # cos is even, sin odd
-        tx, ex = trig(*x)
-        ty, ey = trig(*y)
-        if t % n == 0:
-            # sin((k-3) theta) / sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
-            q, eq = (k - 3 if t % (2 * n) == 0 or k % 2 == 0 else 3 - k) << prec, 0
-        else:
-            q, eq = fixed.div(*trig(1, k - 3), *trig(1, 1), prec)
-        by, eby = fixed.mul(b, eb, ty, ey, prec)
-        cq, ecq = fixed.mul(c, ec, q, eq, prec)
-        return 2 * tx + by + cq, 2 * ex + eby + ecq, prec
+        (b, eb), (c, ec) = constants(prec)
+        table, E = fixed.cos_table(prec, n), fixed.TABLE_ERR
+        out = []
+        for t in ts:
+            if t % 1:   # off the grid: cos is even, sin odd
+                p = _rotation_powers(abs(t) / n, k, prec)
+                trig = [(-v if s and t < 0 else v, ev) for s, m in trigs for v, ev in [p[m][s]]]
+            else:
+                trig = [(table[(m * t - s * h) % (2 * n)], E) for s, m in trigs]
+            (tx, ex), (ty, ey), s3, s1 = trig
+            if t % n == 0:
+                # sin((k-3) theta) / sin(theta) -> (k-3) at 0, (k-3)(-1)^k at +-pi
+                q, eq = (k - 3 if t % (2 * n) == 0 or k % 2 == 0 else 3 - k) << prec, 0
+            else:
+                q, eq = fixed.div(*s3, *s1, prec)
+            by, eby = fixed.mul(b, eb, ty, ey, prec)
+            cq, ecq = fixed.mul(c, ec, q, eq, prec)
+            out.append((2 * tx + by + cq, 2 * ex + eby + ecq, prec))
+        return out
 
     return f
 
 
-def _w_rho(k: int) -> Fraction:
-    return 2 / (1 - Fraction(2) ** (1 - 2 * k))
+# the rho of each family's comparison function and uniform bound
+_RHO = {"W": lambda k: 2 / (1 - Fraction(2) ** (1 - 2 * k)),
+        "Q": lambda k: 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))}
 
 
-def _q_rho(k: int) -> Fraction:
-    return 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
-
-
-def _w_eval(k: int):
+def _w_eval(k: int) -> Evaluator:
     """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
-    rho = _w_rho(k)
-    return _comparison(k, (0, k), (0, k - 2),
-                       lambda pi: (pi * pi * Fraction(1, 3), RealEnclosure.exact(rho, pi.prec)))
+    rho = _RHO["W"](k)
+    return _comparison(k, (0, k), (0, k - 2), lambda prec: (
+        _constants(prec)[1]["pi^2/3"], fixed.from_ball(RealEnclosure.exact(rho, prec + 8), prec)))
 
 
-def _q_eval(k: int):
+def _q_eval(k: int) -> Evaluator:
     """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
-    rho = _q_rho(k)
-    return _comparison(k, (0, k - 2), (1, k - 1),
-                       lambda pi: (4 / pi, RealEnclosure.exact(rho, pi.prec) / (pi * pi)))
+    rho = _RHO["Q"](k)
+    return _comparison(k, (0, k - 2), (1, k - 1), lambda prec: (
+        _constants(prec)[1]["4/pi"],
+        fixed.from_ball(RealEnclosure.exact(rho, prec + 8) / _constants(prec)[0], prec)))
 
 
-def alternating_verify(f: Callable[[Fraction, int], tuple[int, int, int]],
-                       points: Sequence[Fraction], d: Fraction,
+def alternating_verify(f: Evaluator, points: Sequence, d: Fraction,
                        bits: int = 128) -> OscillationReport:
-    """Certify signs and |f| > d at each sample angle; count alternations.
+    """Certify signs and |f| > d at each sample point; count alternations.
 
-    f(r, bits) is a fixed-point enclosure (v, e, prec) of the comparison
-    function at r pi.  With d = num / den, a point is decided by exact
-    integer comparisons: above d when (|v| - e) den > num 2^prec, below d
-    when (|v| + e) den < num 2^prec.  It gets sign 0 when below d or still
-    undecided after the precision escalation.  min_abs is the point above d
-    with the smallest upper end (|v| + e) 2^-prec, compared across
+    f(points, bits) gives a fixed-point enclosure (v, e, prec) of the
+    comparison function at each point.  With d = num / den, a point is
+    decided by exact integer comparisons: above d when
+    (|v| - e) den > num 2^prec, below d when (|v| + e) den < num 2^prec.
+    Every point is evaluated once, at `bits`; a point still undecided is
+    evaluated again on its own, at the next precisions of `escalate`, and
+    gets sign 0 when below d or undecided at the last.  min_abs is the point
+    above d with the smallest upper end (|v| + e) 2^-prec, compared across
     precisions by shifting, as a ball at the bits that decided it.
     """
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise DomainError("sample points must be strictly increasing")
     num, den = d.numerator, d.denominator
 
-    def attempt(r: Fraction, b: int) -> tuple[bool, tuple[bool, int, int, int, int]]:
-        v, e, prec = f(r, b)
+    def judge(v: int, e: int, prec: int, b: int) -> tuple[bool, tuple[bool, int, int, int, int]]:
         above = (abs(v) - e) * den > num << prec
         return above or (abs(v) + e) * den < num << prec, (above, v, e, prec, b)
 
     signs: list[int] = []
     least = None    # (|v|, e, prec, bits) of the point above d with the smallest upper end
-    for r in points:
-        _, (above, v, e, prec, b) = escalate(lambda b: attempt(r, b), bits)
+    for t, value in zip(points, f(points, bits)):
+        decided, (above, v, e, prec, b) = judge(*value, bits)
+        if not decided:
+            _, (above, v, e, prec, b) = escalate(lambda b: judge(*f([t], b)[0], b), bits, tried=1)
         signs.append((v > 0) - (v < 0) if above else 0)
         if above and (least is None or (abs(v) + e) << least[2] < (least[0] + least[1]) << prec):
             least = (abs(v), e, prec, b)
@@ -220,54 +230,42 @@ def alternating_verify(f: Callable[[Fraction, int], tuple[int, int, int]],
     return OscillationReport(list(points), signs, min_abs, order, d)
 
 
-def _floor_ratio(a: Fraction, b: Fraction, prec: int, q: Fraction = Fraction(0)) -> int:
-    """floor(2^prec (a / b - q)): one floor division of integer
-    cross-products, within one unit, with no gcd."""
-    num = a.numerator * b.denominator * q.denominator - q.numerator * a.denominator * b.numerator
-    return (num << prec) // (a.denominator * b.numerator * q.denominator)
+def _uniform_bound(poly: FamilyPoly, bits: int, rho: Fraction, scale: str | None,
+                   base: int, extra: int, const: str) -> RealEnclosure:
+    """sum_{j=2}^{k-2} |A_j/A - r| + 2 |a_extra/A - const|, A = a_base, with
+    a_i = (-1)^floor(i/2) c_i, so that A_j = a_2j are the even coefficients
+    of the family member at iz, and r = rho times the constant `scale`.
+
+    The c_i are read from `fixed_coefficients` at prec = bits + `fixed.GUARD`
+    as integers C_i +- e_i over one common unit, so each ratio is one
+    `fixed.div`; rho is one floor, within one unit, and the constants come
+    from `_constants`.  One sum with one integer error, since
+    | |x| - |y| | <= |x - y|.
+    """
+    k, prec = poly.k, bits + fixed.GUARD
+    _, C, e = poly.fixed_coefficients(prec, 2 * k - 3)
+    a = [(-C[i] if i // 2 % 2 else C[i], e[i]) for i in range(2 * k - 3)]
+    constants, r = _constants(prec)[1], (rho.numerator << prec) // rho.denominator
+    c, ec = fixed.mul(r, 1, *constants[scale], prec) if scale else (r, 1)
+    total = err = 0
+    for j in range(2, k - 1):
+        q, eq = fixed.div(*a[2 * j], *a[base], prec)
+        total, err = total + abs(q - c), err + eq + ec
+    q, eq = fixed.div(*a[extra], *a[base], prec)
+    c, ec = constants[const]
+    return fixed.to_ball(total + 2 * abs(q - c), err + 2 * (eq + ec), prec, bits)
 
 
 def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
-    """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|.
-
-    A_j = (-1)^j c_2j are the even coefficients of W_k(iz).  One fixed-point
-    sum at bits + `fixed.GUARD`: each term of the inner sum is one floor
-    division, within one unit; A_1/A_0 is one too, and pi^2/6 comes from
-    `fixed.from_ball`, so the first term is within 1 + its error.
-    """
-    k, prec = w.k, bits + fixed.GUARD
-    a0 = w.coeffs[0].a
-    rho = _w_rho(k)
-    pi = RealEnclosure.pi(prec + 8)
-    c, ec = fixed.from_ball(pi * pi * Fraction(1, 6), prec)
-    total = 2 * abs(_floor_ratio(-w.coeffs[2].a, a0, prec) - c)
-    for j in range(2, k - 1):
-        a = w.coeffs[2 * j].a
-        total += abs(_floor_ratio(-a if j % 2 else a, a0, prec, rho))
-    return fixed.to_ball(total, 2 * (ec + 1) + k - 3, prec, bits)
+    """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|."""
+    return _uniform_bound(w, bits, _RHO["W"](w.k), None, 0, 2, "pi^2/6")
 
 
 def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
-    """sum_{j=2}^{k-2} |A_j/A_1 - (8/pi^2) r| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|.
-
-    A_j = (-1)^j c_2j are the even coefficients of Q_k(iz).  One fixed-point
-    sum at bits + `fixed.GUARD`: each A_j/A_1 is one floor division, within
-    one unit, and the centre (8/pi^2) r and the last term come from
-    `fixed.from_ball`, so each term is within 1 + the centre's error.
-    """
-    k, prec = q.k, bits + fixed.GUARD
-    a1 = -q.coeffs[2].a  # A_1 = (-1)^1 * coeff(z^2)
-    pi = RealEnclosure.pi(prec + 8)
-    c, ec = fixed.from_ball(RealEnclosure.exact(_q_rho(k), prec + 8) / (pi * pi), prec)
-    total = 0
-    for j in range(2, k - 1):
-        a = q.coeffs[2 * j].a
-        total += abs(_floor_ratio(-a if j % 2 else a, a1, prec) - c)
-    # odd-term ratio: A_1 unnormalized is pi^(2k-1) * a1; zeta(2k-1) = lam pi^(2k-1)
-    odd = ((1 << (2 * k - 1)) - 1) / a1
-    lam_term = lambda_k(k, prec + 8) * (-odd if k % 2 else odd) - 2 / pi
-    t, et = fixed.from_ball(lam_term, prec)
-    return fixed.to_ball(total + 2 * abs(t), (k - 3) * (ec + 1) + 2 * et, prec, bits)
+    """sum_{j=2}^{k-2} |A_j/A_1 - rho/pi^2| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|;
+    over pi^(2k-1), the last numerator is c_1 = eps (2^(2k-1) - 1) lambda_k,
+    eps = (-1)^k, which `fixed_coefficients` carries."""
+    return _uniform_bound(q, bits, _RHO["Q"](q.k), "1/pi^2", 2, 1, "2/pi")
 
 
 def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> VerificationReport:
@@ -278,7 +276,7 @@ def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> Ve
     target = poly.strip_origin().degree
     bound = spec.uniform_bound(poly, bits)
     osc = alternating_verify(spec.evaluator(k), sample_points(spec, k), spec.d, bits)
-    osc.uniform_bound = bound
+    osc.uniform_bound, osc.unit = bound, 2 * (k - 1)
     certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
                      and all(s != 0 for s in osc.signs))
     return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,

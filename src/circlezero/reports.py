@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .enclosure import RealEnclosure
 
 SCHEMA = "circlezero/1"
@@ -44,17 +44,26 @@ class CriteriaReport:
                 "holds": self.holds, "exact": self.exact}
 
 
+def _multiple_str(t, unit: int) -> str:
+    """str(Fraction(t, unit)), with no Fraction formed for an integer t."""
+    if not isinstance(t, int):
+        return str(Fraction(t, unit))
+    g = math.gcd(t, unit)
+    return str(t // g) if g == unit else f"{t // g}/{unit // g}"
+
+
 @dataclass
 class OscillationReport:
-    points: list[Fraction]          # angles as multiples of pi
+    points: list                    # angles t pi / unit as indices t
     signs: list[int]                # certified signs, 0 where indeterminate
     min_abs: RealEnclosure | None
     order_achieved: int
     d: Fraction
     uniform_bound: RealEnclosure | None = None
+    unit: int = 1
 
     def to_doc(self) -> dict:
-        doc = {"points": [str(p) for p in self.points],
+        doc = {"points": [_multiple_str(t, self.unit) for t in self.points],
                "signs": self.signs, "order_achieved": self.order_achieved,
                "d": str(self.d)}
         if self.min_abs is not None:

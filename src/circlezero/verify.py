@@ -75,8 +75,8 @@ def _oscillation_spec(family: str) -> OscillationSpec:
 
 
 def oscillation_samples(family: str, k: int) -> list[Fraction]:
-    """The sample angles (as multiples of pi) of the family's comparison
-    function; see `oscillation.sample_points`."""
+    """The sample angles of the family's comparison function, as indices t
+    of t pi / (2(k-1)); see `oscillation.sample_points`."""
     spec = _oscillation_spec(family)
     if k < spec.min_k:
         raise DomainError(f"{family.lower()}_k sample grid needs k >= {spec.min_k}, got {k}")

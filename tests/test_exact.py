@@ -1,12 +1,15 @@
 """Exact kernel: independent oracles, classical bounds, convolution identities."""
 
+import inspect
 import math
 import threading
 from fractions import Fraction
 
 import pytest
+from mpmath import libmp
 
-from circlezero import exact
+from circlezero import enclosure, exact
+from circlezero.enclosure import pi_power_bounds
 from circlezero.errors import CapacityError, DomainError
 from circlezero.exact import (
     BernoulliTable,
@@ -17,7 +20,6 @@ from circlezero.exact import (
     check_bernoulli_bounds,
     check_euler_bounds,
     euler,
-    pi_bounds,
     secant_numbers,
     tangent_numbers,
     zeta_even_rational,
@@ -183,12 +185,47 @@ def test_euler_bounds():
         assert check_euler_bounds(n)
 
 
+def _pi_power_bracket_holds(ns=range(1, 130), widths=(64, 128, 300)) -> bool:
+    """pi_power_bounds(n, W) = (L, U, x) against mpmath's pi 64 bits finer,
+    rounded down and up: L 2^(x - nW) <= pi_lo^n and pi_hi^n <= U 2^(x - nW),
+    compared in exact integers."""
+    def le(a, ea, b, eb):   # a 2^ea <= b 2^eb
+        m = min(ea, eb)
+        return a << (ea - m) <= b << (eb - m)
+
+    for W in widths:
+        (_, ml, el, _), (_, mh, eh, _) = (libmp.mpf_pi(W + 64, rnd) for rnd in "fc")
+        for n in ns:
+            L, U, x = pi_power_bounds(n, W)
+            if not (le(L, x - n * W, ml ** n, n * el) and le(mh ** n, n * eh, U, x - n * W)):
+                return False
+    return True
+
+
 def test_pi_bounds_bracket():
-    lo, hi = pi_bounds(128)
-    assert lo < hi
-    assert Fraction(314159, 100000) < lo
-    assert hi < Fraction(314160, 100000)
+    # the bracket of the bound suites and lambda_k holds pi^n, and is narrow:
+    # ln(U/L) < 2^(bit_length(n) + 4 - W)
+    assert _pi_power_bracket_holds()
+    for n in (1, 2, 3, 64, 401):
+        L, U, x = pi_power_bounds(n, 128)
+        assert (U - L) << (128 - n.bit_length() - 5) < L, n
+    L, U, x = pi_power_bounds(1, 128)
+    lo, hi = Fraction(L << x, 1 << 128), Fraction(U << x, 1 << 128)
+    assert Fraction(314159, 100000) < lo < hi < Fraction(314160, 100000)
     assert hi - lo < Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("old,new", [("L >> d", "-(-L >> d)"), ("-(-U >> d)", "U >> d"),
+                                     ("lo >> d", "-(-lo >> d)"), ("-(-hi >> d)", "hi >> d")])
+def test_pi_bracket_fails_with_one_rounding_flipped(old, new, monkeypatch):
+    # each directed rounding of _pow_bounds is needed: floor a lower end or
+    # ceil an upper one the other way, and the bracket check above fails
+    source = inspect.getsource(enclosure._pow_bounds)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(enclosure, "_pow_bounds", namespace["_pow_bounds"])
+    assert not _pi_power_bracket_holds()
 
 
 def test_table_cap():

@@ -259,10 +259,12 @@ def test_wk_samples_k12():
     assert len(pts) == 25  # 2k + 1
     assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
     assert pts[12] == 0
-    # j0 = floor(11 alpha) + 1 = 5: four integer points before the halves
-    assert pts[13:17] == [F(1, 11), F(2, 11), F(3, 11), F(4, 11)]
-    assert pts[17] == F(9, 22)  # (j0 - 1/2)/(k-1)
-    assert -pts[0] == pts[-1] < 1
+    # indices t of t pi / 22; j0 = floor(11 alpha) + 1 = 5: four integer
+    # points j/11 (t = 2j) before the halves
+    assert pts[13:17] == [2, 4, 6, 8]
+    assert pts[17] == 9  # (j0 - 1/2)/(k-1) = 9/22
+    assert -pts[0] == pts[-1] == 22 - F(1, 48)  # 1 - 1/(8k(k-1)), just short of pi
+    assert all(isinstance(t, int) for t in pts[1:-1])
 
 
 def test_wk_samples_domain():
@@ -281,12 +283,12 @@ def test_qk_samples():
 
 
 def test_w_eval_examples():
-    w12 = _w_eval(12)
-    assert fixed.to_ball(*w12(F(0), 128), 128).gt(F(3))   # w_k(0) > 3
-    at_pi = fixed.to_ball(*w12(F(1), 128), 128)            # sign (-1)^k, |.| > 19
-    assert at_pi.gt(F(19))
-    w13 = _w_eval(13)
-    assert (-fixed.to_ball(*w13(F(1), 128), 128)).gt(F(19))
+    # indices t of t pi / (2(k-1)): t = 0 is theta = 0, t = 2(k-1) is pi
+    at_0, at_pi = (fixed.to_ball(*v, 128) for v in _w_eval(12)([0, 22], 128))
+    assert at_0.gt(F(3))       # w_k(0) > 3
+    assert at_pi.gt(F(19))     # sign (-1)^k, |.| > 19
+    (at_pi,) = _w_eval(13)([24], 128)
+    assert (-fixed.to_ball(*at_pi, 128)).gt(F(19))
 
 
 def test_alternating_verify_w12():
@@ -302,13 +304,19 @@ def test_alternating_rejects_unsorted():
         alternating_verify(_w_eval(12), [F(1, 2), F(1, 4)], F(1, 10))
 
 
+def _pointwise(g):
+    """The evaluator alternating_verify takes, f(points, bits), from a
+    one-point function g(r, bits)."""
+    return lambda points, bits: [g(r, bits) for r in points]
+
+
 def test_alternating_undecided_point_gets_sign_zero():
     # |f| = 3/10 exactly: no precision separates it from d = 3/10, so no point
     # may count toward the alternation order
     def f(r, bits):
         return (3 << bits) // 10 * (1 if r == 0 else -1), 1, bits
 
-    rep = alternating_verify(f, [F(-1, 2), F(0), F(1, 2)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(-1, 2), F(0), F(1, 2)], F(3, 10))
     assert rep.signs == [0, 0, 0]
     assert rep.order_achieved == 0 and rep.min_abs is None
 
@@ -322,7 +330,7 @@ def test_point_certified_below_d_decides_without_escalation():
         calls.append(bits)
         return 0, 0, bits
 
-    rep = alternating_verify(f, [F(0)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10))
     assert rep.signs == [0] and rep.min_abs is None
     assert calls == [128]
 
@@ -337,7 +345,7 @@ def test_point_straddling_d_decided_after_one_escalation():
         calls.append(bits)
         return -math.floor(value * 2 ** bits), 1, bits
 
-    rep = alternating_verify(f, [F(0)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10))
     assert calls == [128, 256]
     assert rep.signs == [-1]
     assert rep.min_abs.prec == 256 and rep.min_abs.gt(F(3, 10)) and rep.min_abs.contains(value)
@@ -359,10 +367,10 @@ def test_min_abs_is_smallest_exact_upper_end_across_precisions():
             return (3 << bits) // 5, (1 << (bits - 2)) if bits == 128 else 1, bits
         return (near + 2 if r == 3 else near, 13, 160)
 
-    rep = alternating_verify(f, [F(0), F(1), F(2)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0), F(1), F(2)], F(3, 10))
     assert rep.signs == [1, 1, 1]
     assert rep.min_abs.prec == 256 and rep.min_abs.contains(F(2, 5))
-    rep = alternating_verify(f, [F(3), F(4)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(3), F(4)], F(3, 10))
     assert fixed.from_ball(rep.min_abs, 160) == (near, 13 + 2)
 
 
@@ -429,7 +437,7 @@ _MULTIPLES = {"W": lambda k: (k, k - 2, k - 3, 1), "Q": lambda k: (k - 2, k - 1,
 def test_off_grid_powers_enclose_finer_reference(family, k):
     # the point just short of pi: each multiple's cos and sin from the one
     # rotation power encloses a ball_cos_sin 64 bits finer
-    x = oscillation_samples(family, k)[-1]
+    x = oscillation_samples(family, k)[-1] / (2 * (k - 1))
     for bits in (128, 256):
         prec = bits + GUARD
         powers = oscillation._rotation_powers(x, k, prec)
@@ -455,10 +463,10 @@ def test_one_cos_sin_per_off_grid_angle(family, monkeypatch):
     f = (_w_eval if family == "W" else _q_eval)(k)
     pts = oscillation_samples(family, k)
     for bits in (128, 256):
-        for r in pts:
-            f(r, bits)
+        f(pts, bits)
         assert len(calls) == 1, (family, bits)
-        assert (calls[0] / RealEnclosure.pi(bits) - pts[-1]).abs().lt(F(1, 2 ** 100))
+        x = pts[-1] / (2 * (k - 1))
+        assert (calls[0] / RealEnclosure.pi(bits) - x).abs().lt(F(1, 2 ** 100))
         calls.clear()
 
 
@@ -529,9 +537,10 @@ def test_comparison_function_overlaps_finer_ball_evaluation(family, k):
     # no wider than 2^-100
     f = (_w_eval if family == "W" else _q_eval)(k)
     pts = oscillation_samples(family, k)
-    assert sum(1 for r in pts if (r * 2 * (k - 1)).denominator != 1) == 2
-    for r in pts:
-        val = fixed.to_ball(*f(r, 128), 128)
+    assert sum(1 for t in pts if t.denominator != 1) == 2
+    for t, v in zip(pts, f(pts, 128)):
+        r = F(t, 2 * (k - 1))
+        val = fixed.to_ball(*v, 128)
         assert val.prec == 128 and val.radius < mp.mpf(2) ** -100, (family, k, r)
         assert (val - _comparison_reference(family, k, r, 192)).contains_zero(), (family, k, r)
 
@@ -560,7 +569,8 @@ def _uniform_bound_reference(poly: FamilyPoly, bits: int) -> RealEnclosure:
 
 
 @pytest.mark.parametrize("family,k", [("W", 11), ("W", 12), ("W", 35), ("W", 60), ("W", 200),
-                                      ("Q", 7), ("Q", 12), ("Q", 35), ("Q", 60), ("Q", 200)])
+                                      ("W", 400), ("Q", 7), ("Q", 12), ("Q", 35), ("Q", 60),
+                                      ("Q", 200), ("Q", 400)])
 def test_uniform_bound_overlaps_exact_ratio_reference(family, k):
     # the fixed-point bound and the reference 64 bits finer share a point,
     # compared in exact rationals so no rounding of the comparison hides a
@@ -573,6 +583,43 @@ def test_uniform_bound_overlaps_exact_ratio_reference(family, k):
                           for x in (bound, ref))
     assert abs(mb - mr) <= rb + rr, (family, k)
     assert bound.lt(spec.d)
+
+
+def test_oscillation_certificates_form_no_exact_coefficient(monkeypatch):
+    # the uniform bounds read fixed_coefficients: the one exact former of
+    # the product forms sees no call
+    calls = []
+    orig = families._b_product
+    monkeypatch.setattr(families, "_b_product", lambda *a: calls.append(a) or orig(*a))
+    for family in ("W", "Q"):
+        for k in (35, 200):
+            (rep,) = verify_family(family, k, "oscillation")
+            assert rep.certified and rep.method == "oscillation", (family, k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["W", "Q"])
+def test_grid_evaluated_once_and_only_an_undecided_point_escalates(family):
+    # every point is evaluated once, at bits, in one call; a point forced
+    # undecided at 128 and 256 bits is evaluated again on its own at 256 and
+    # 512, and every other point keeps its first result
+    spec, k = FAMILY_SPECS[family].oscillation, 35
+    f, pts = spec.evaluator(k), oscillation_samples(family, k)
+    calls = []
+
+    def counted(ts, bits, forced=None):
+        calls.append((list(ts), bits))
+        return [(v, e + abs(v) + (1 << prec) if t == forced and bits < 512 else e, prec)
+                for t, (v, e, prec) in zip(ts, f(ts, bits))]
+
+    rep = alternating_verify(counted, pts, spec.d)
+    assert calls == [(pts, 128)]
+    assert rep.order_achieved >= 2 * k - 2 and 0 not in rep.signs
+    calls.clear()
+    rep2 = alternating_verify(lambda ts, bits: counted(ts, bits, forced=0), pts, spec.d)
+    assert calls == [(pts, 128), ([0], 256), ([0], 512)]
+    assert rep2.signs == rep.signs and rep2.order_achieved == rep.order_achieved
+    assert rep2.min_abs.str_pair() == rep.min_abs.str_pair()
 
 
 def test_oscillation_W():
