@@ -49,15 +49,13 @@ ESCALATIONS = 4
 T = TypeVar("T")
 
 
-def escalate(attempt: Callable[[int], tuple[bool, T]], bits: int,
-             tried: int = 0) -> tuple[bool, T]:
+def escalate(attempt: Callable[[int], tuple[bool, T]], bits: int) -> tuple[bool, T]:
     """Run attempt(b) at b = bits, 2 bits, ..., 2^ESCALATIONS bits until it
     reports (True, value); otherwise return the last attempt's (False, value).
-    A caller that made the first `tried` attempts itself starts after them.
     """
     if bits < MIN_BITS:
         raise DomainError(f"precision below {MIN_BITS} bits not supported, got {bits}")
-    for i in range(tried, ESCALATIONS + 1):
+    for i in range(ESCALATIONS + 1):
         decided, value = attempt(bits << i)
         if decided:
             break

@@ -9,6 +9,7 @@ fixed-point formulas (`fixed`), the bound over the integer coefficients of
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,16 +37,18 @@ class OscillationSpec:
     drop_halves: bool                             # drop the two positive boundary halves
 
 
+_Constants = namedtuple("_Constants", "pi2 pi2_6 pi2_3 inv_pi2 two_pi four_pi")
+
+
 @lru_cache(maxsize=8)
-def _constants(prec: int) -> tuple[RealEnclosure, dict[str, tuple[int, int]]]:
-    """pi^2 as a ball 8 bits finer than prec, and the k-independent constants
-    of both families as fixed-point (value, error) pairs at prec: made once
-    per precision from one pi ball."""
+def _constants(prec: int) -> _Constants:
+    """The k-independent constants, made once per precision from one pi ball:
+    pi^2 as a ball 8 bits finer, the rest (pi^2/6, pi^2/3, 1/pi^2, 2/pi,
+    4/pi) as fixed-point (value, error) pairs at prec."""
     pi = RealEnclosure.pi(prec + 8)
     pi2 = pi * pi
-    balls = {"pi^2/6": pi2 * Fraction(1, 6), "pi^2/3": pi2 * Fraction(1, 3),
-             "1/pi^2": 1 / pi2, "2/pi": 2 / pi, "4/pi": 4 / pi}
-    return pi2, {name: fixed.from_ball(x, prec) for name, x in balls.items()}
+    return _Constants(pi2, *(fixed.from_ball(x, prec) for x in (
+        pi2 * Fraction(1, 6), pi2 * Fraction(1, 3), 1 / pi2, 2 / pi, 4 / pi)))
 
 
 @lru_cache(maxsize=8)
@@ -173,99 +176,101 @@ def _comparison(k: int, x: tuple[int, int], y: tuple[int, int],
     return f
 
 
-# the rho of each family's comparison function and uniform bound
-_RHO = {"W": lambda k: 2 / (1 - Fraction(2) ** (1 - 2 * k)),
-        "Q": lambda k: 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))}
+def _w_rho(k: int) -> Fraction:
+    return 2 / (1 - Fraction(2) ** (1 - 2 * k))
+
+
+def _q_rho(k: int) -> Fraction:
+    return 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
 
 
 def _w_eval(k: int) -> Evaluator:
     """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
-    rho = _RHO["W"](k)
     return _comparison(k, (0, k), (0, k - 2), lambda prec: (
-        _constants(prec)[1]["pi^2/3"], fixed.from_ball(RealEnclosure.exact(rho, prec + 8), prec)))
+        _constants(prec).pi2_3, fixed.from_ball(RealEnclosure.exact(_w_rho(k), prec + 8), prec)))
 
 
 def _q_eval(k: int) -> Evaluator:
     """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
-    rho = _RHO["Q"](k)
     return _comparison(k, (0, k - 2), (1, k - 1), lambda prec: (
-        _constants(prec)[1]["4/pi"],
-        fixed.from_ball(RealEnclosure.exact(rho, prec + 8) / _constants(prec)[0], prec)))
+        _constants(prec).four_pi,
+        fixed.from_ball(RealEnclosure.exact(_q_rho(k), prec + 8) / _constants(prec).pi2, prec)))
 
 
-def alternating_verify(f: Evaluator, points: Sequence, d: Fraction,
+def alternating_verify(f: Evaluator, points: Sequence, d: Fraction, unit: int,
                        bits: int = 128) -> OscillationReport:
-    """Certify signs and |f| > d at each sample point; count alternations.
+    """Certify signs and |f| > d at each sample point theta = t pi / unit,
+    given by its index t; count alternations.
 
-    f(points, bits) gives a fixed-point enclosure (v, e, prec) of the
-    comparison function at each point.  With d = num / den, a point is
-    decided by exact integer comparisons: above d when
-    (|v| - e) den > num 2^prec, below d when (|v| + e) den < num 2^prec.
-    Every point is evaluated once, at `bits`; a point still undecided is
-    evaluated again on its own, at the next precisions of `escalate`, and
-    gets sign 0 when below d or undecided at the last.  min_abs is the point
-    above d with the smallest upper end (|v| + e) 2^-prec, compared across
-    precisions by shifting, as a ball at the bits that decided it.
+    f(points, bits) encloses f at each point as (v, e, prec).  With
+    d = num / den, a point is above d when (|v| - e) den > num 2^prec, below
+    when (|v| + e) den < num 2^prec.  Each attempt of one `escalate`
+    evaluates the points still undecided, the first (at `bits`) the whole
+    grid; a point below d or undecided at the last gets sign 0.  min_abs is
+    the point above d with the smallest upper end (|v| + e) 2^-prec, as a
+    ball at the bits that decided it.
     """
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise DomainError("sample points must be strictly increasing")
     num, den = d.numerator, d.denominator
+    results: list = [None] * len(points)   # (above, below, v, e, prec, bits) per point
+    pending = range(len(points))
 
-    def judge(v: int, e: int, prec: int, b: int) -> tuple[bool, tuple[bool, int, int, int, int]]:
-        above = (abs(v) - e) * den > num << prec
-        return above or (abs(v) + e) * den < num << prec, (above, v, e, prec, b)
+    def attempt(b: int) -> tuple[bool, None]:
+        nonlocal pending
+        for i, (v, e, prec) in zip(pending, f([points[i] for i in pending], b)):
+            lo, hi = (abs(v) - e) * den, (abs(v) + e) * den
+            results[i] = (lo > num << prec, hi < num << prec, v, e, prec, b)
+        pending = [i for i in pending if not (results[i][0] or results[i][1])]
+        return not pending, None
 
+    escalate(attempt, bits)
     signs: list[int] = []
     least = None    # (|v|, e, prec, bits) of the point above d with the smallest upper end
-    for t, value in zip(points, f(points, bits)):
-        decided, (above, v, e, prec, b) = judge(*value, bits)
-        if not decided:
-            _, (above, v, e, prec, b) = escalate(lambda b: judge(*f([t], b)[0], b), bits, tried=1)
+    for above, _, v, e, prec, b in results:
         signs.append((v > 0) - (v < 0) if above else 0)
         if above and (least is None or (abs(v) + e) << least[2] < (least[0] + least[1]) << prec):
             least = (abs(v), e, prec, b)
     min_abs = None if least is None else fixed.to_ball(*least)
     certified = [s for s in signs if s != 0]
     order = sum(1 for i in range(len(certified) - 1) if certified[i] != certified[i + 1])
-    return OscillationReport(list(points), signs, min_abs, order, d)
+    return OscillationReport(list(points), unit, signs, min_abs, order, d)
 
 
-def _uniform_bound(poly: FamilyPoly, bits: int, rho: Fraction, scale: str | None,
-                   base: int, extra: int, const: str) -> RealEnclosure:
+def _uniform_bound(poly: FamilyPoly, bits: int, rho: Fraction, scale: tuple[int, int] | None,
+                   base: int, extra: int, const: tuple[int, int]) -> RealEnclosure:
     """sum_{j=2}^{k-2} |A_j/A - r| + 2 |a_extra/A - const|, A = a_base, with
-    a_i = (-1)^floor(i/2) c_i, so that A_j = a_2j are the even coefficients
-    of the family member at iz, and r = rho times the constant `scale`.
-
-    The c_i are read from `fixed_coefficients` at prec = bits + `fixed.GUARD`
-    as integers C_i +- e_i over one common unit, so each ratio is one
-    `fixed.div`; rho is one floor, within one unit, and the constants come
-    from `_constants`.  One sum with one integer error, since
-    | |x| - |y| | <= |x - y|.
+    a_i = (-1)^floor(i/2) c_i (A_j = a_2j, the even coefficients at iz) and
+    r = rho times scale (or rho alone); scale and const are fixed-point
+    pairs at prec = bits + `fixed.GUARD`.  The c_i are `fixed_coefficients`
+    C_i +- e_i over one unit, so each ratio is one `fixed.div`; rho is one
+    floor, within one unit.  One sum, one error: | |x| - |y| | <= |x - y|.
     """
     k, prec = poly.k, bits + fixed.GUARD
     _, C, e = poly.fixed_coefficients(prec, 2 * k - 3)
     a = [(-C[i] if i // 2 % 2 else C[i], e[i]) for i in range(2 * k - 3)]
-    constants, r = _constants(prec)[1], (rho.numerator << prec) // rho.denominator
-    c, ec = fixed.mul(r, 1, *constants[scale], prec) if scale else (r, 1)
+    r = (rho.numerator << prec) // rho.denominator
+    c, ec = fixed.mul(r, 1, *scale, prec) if scale else (r, 1)
     total = err = 0
     for j in range(2, k - 1):
         q, eq = fixed.div(*a[2 * j], *a[base], prec)
         total, err = total + abs(q - c), err + eq + ec
     q, eq = fixed.div(*a[extra], *a[base], prec)
-    c, ec = constants[const]
+    c, ec = const
     return fixed.to_ball(total + 2 * abs(q - c), err + 2 * (eq + ec), prec, bits)
 
 
 def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
     """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|."""
-    return _uniform_bound(w, bits, _RHO["W"](w.k), None, 0, 2, "pi^2/6")
+    return _uniform_bound(w, bits, _w_rho(w.k), None, 0, 2, _constants(bits + fixed.GUARD).pi2_6)
 
 
 def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
     """sum_{j=2}^{k-2} |A_j/A_1 - rho/pi^2| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|;
     over pi^(2k-1), the last numerator is c_1 = eps (2^(2k-1) - 1) lambda_k,
     eps = (-1)^k, which `fixed_coefficients` carries."""
-    return _uniform_bound(q, bits, _RHO["Q"](q.k), "1/pi^2", 2, 1, "2/pi")
+    consts = _constants(bits + fixed.GUARD)
+    return _uniform_bound(q, bits, _q_rho(q.k), consts.inv_pi2, 2, 1, consts.two_pi)
 
 
 def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> VerificationReport:
@@ -274,9 +279,8 @@ def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> Ve
     and the comparison function alternates with |f| > d at every sample."""
     k = poly.k
     target = poly.strip_origin().degree
-    bound = spec.uniform_bound(poly, bits)
-    osc = alternating_verify(spec.evaluator(k), sample_points(spec, k), spec.d, bits)
-    osc.uniform_bound, osc.unit = bound, 2 * (k - 1)
+    osc = alternating_verify(spec.evaluator(k), sample_points(spec, k), spec.d, 2 * (k - 1), bits)
+    bound = osc.uniform_bound = spec.uniform_bound(poly, bits)
     certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
                      and all(s != 0 for s in osc.signs))
     return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,

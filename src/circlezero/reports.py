@@ -55,12 +55,12 @@ def _multiple_str(t, unit: int) -> str:
 @dataclass
 class OscillationReport:
     points: list                    # angles t pi / unit as indices t
+    unit: int
     signs: list[int]                # certified signs, 0 where indeterminate
     min_abs: RealEnclosure | None
     order_achieved: int
     d: Fraction
     uniform_bound: RealEnclosure | None = None
-    unit: int = 1
 
     def to_doc(self) -> dict:
         doc = {"points": [_multiple_str(t, self.unit) for t in self.points],

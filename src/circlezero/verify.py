@@ -74,9 +74,10 @@ def _oscillation_spec(family: str) -> OscillationSpec:
     return spec
 
 
-def oscillation_samples(family: str, k: int) -> list[Fraction]:
+def oscillation_samples(family: str, k: int) -> list[int | Fraction]:
     """The sample angles of the family's comparison function, as indices t
-    of t pi / (2(k-1)); see `oscillation.sample_points`."""
+    of t pi / (2(k-1)), the `unit` that `alternating_verify` takes; see
+    `oscillation.sample_points`."""
     spec = _oscillation_spec(family)
     if k < spec.min_k:
         raise DomainError(f"{family.lower()}_k sample grid needs k >= {spec.min_k}, got {k}")

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -293,7 +294,7 @@ def test_w_eval_examples():
 
 def test_alternating_verify_w12():
     pts = oscillation_samples("W", 12)
-    rep = alternating_verify(_w_eval(12), pts, F(3, 10))
+    rep = alternating_verify(_w_eval(12), pts, F(3, 10), 22)
     assert rep.order_achieved >= 24
     assert all(s != 0 for s in rep.signs)
     assert rep.min_abs.gt(F(3, 10))
@@ -301,7 +302,33 @@ def test_alternating_verify_w12():
 
 def test_alternating_rejects_unsorted():
     with pytest.raises(DomainError):
-        alternating_verify(_w_eval(12), [F(1, 2), F(1, 4)], F(1, 10))
+        alternating_verify(_w_eval(12), [F(1, 2), F(1, 4)], F(1, 10), 22)
+
+
+@pytest.mark.parametrize("family", ["W", "Q"])
+def test_direct_alternating_verify_doc_matches_cli_document(family, capsys):
+    # a report built by a direct call prints its points as multiples of pi,
+    # as the CLI document does: theta = pi/11 is "1/11" at k = 12
+    from circlezero.cli import main
+
+    spec, k = FAMILY_SPECS[family].oscillation, 12
+    doc = alternating_verify(spec.evaluator(k), oscillation_samples(family, k), spec.d,
+                             2 * (k - 1)).to_doc()
+    assert main(["verify", "--family", family, "--k", str(k), "--method", "oscillation",
+                 "--format", "json"]) == 0
+    (item,) = json.loads(capsys.readouterr().out)["items"]
+    cli = item["detail"]["oscillation"]
+    assert doc["points"] == cli["points"] and "1/11" in doc["points"]
+    assert {key: cli[key] for key in doc} == doc
+
+
+def test_oscillation_below_min_bits_raises():
+    # the precision floor holds for the library entry points, not only the CLI
+    with pytest.raises(DomainError):
+        alternating_verify(_w_eval(12), oscillation_samples("W", 12), F(3, 10), 22, bits=32)
+    for family in ("W", "Q"):
+        with pytest.raises(DomainError):
+            verify_family(family, 12, "oscillation", bits=32)
 
 
 def _pointwise(g):
@@ -316,7 +343,7 @@ def test_alternating_undecided_point_gets_sign_zero():
     def f(r, bits):
         return (3 << bits) // 10 * (1 if r == 0 else -1), 1, bits
 
-    rep = alternating_verify(_pointwise(f), [F(-1, 2), F(0), F(1, 2)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(-1, 2), F(0), F(1, 2)], F(3, 10), 1)
     assert rep.signs == [0, 0, 0]
     assert rep.order_achieved == 0 and rep.min_abs is None
 
@@ -330,7 +357,7 @@ def test_point_certified_below_d_decides_without_escalation():
         calls.append(bits)
         return 0, 0, bits
 
-    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10), 1)
     assert rep.signs == [0] and rep.min_abs is None
     assert calls == [128]
 
@@ -345,7 +372,7 @@ def test_point_straddling_d_decided_after_one_escalation():
         calls.append(bits)
         return -math.floor(value * 2 ** bits), 1, bits
 
-    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0)], F(3, 10), 1)
     assert calls == [128, 256]
     assert rep.signs == [-1]
     assert rep.min_abs.prec == 256 and rep.min_abs.gt(F(3, 10)) and rep.min_abs.contains(value)
@@ -367,10 +394,10 @@ def test_min_abs_is_smallest_exact_upper_end_across_precisions():
             return (3 << bits) // 5, (1 << (bits - 2)) if bits == 128 else 1, bits
         return (near + 2 if r == 3 else near, 13, 160)
 
-    rep = alternating_verify(_pointwise(f), [F(0), F(1), F(2)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(0), F(1), F(2)], F(3, 10), 1)
     assert rep.signs == [1, 1, 1]
     assert rep.min_abs.prec == 256 and rep.min_abs.contains(F(2, 5))
-    rep = alternating_verify(_pointwise(f), [F(3), F(4)], F(3, 10))
+    rep = alternating_verify(_pointwise(f), [F(3), F(4)], F(3, 10), 1)
     assert fixed.from_ball(rep.min_abs, 160) == (near, 13 + 2)
 
 
@@ -612,11 +639,12 @@ def test_grid_evaluated_once_and_only_an_undecided_point_escalates(family):
         return [(v, e + abs(v) + (1 << prec) if t == forced and bits < 512 else e, prec)
                 for t, (v, e, prec) in zip(ts, f(ts, bits))]
 
-    rep = alternating_verify(counted, pts, spec.d)
+    rep = alternating_verify(counted, pts, spec.d, 2 * (k - 1))
     assert calls == [(pts, 128)]
     assert rep.order_achieved >= 2 * k - 2 and 0 not in rep.signs
     calls.clear()
-    rep2 = alternating_verify(lambda ts, bits: counted(ts, bits, forced=0), pts, spec.d)
+    rep2 = alternating_verify(lambda ts, bits: counted(ts, bits, forced=0), pts, spec.d,
+                              2 * (k - 1))
     assert calls == [(pts, 128), ([0], 256), ([0], 512)]
     assert rep2.signs == rep.signs and rep2.order_achieved == rep.order_achieved
     assert rep2.min_abs.str_pair() == rep.min_abs.str_pair()
@@ -1488,12 +1516,12 @@ def test_oscillation_sign_tables_sampled():
     # strictly alternating except one documented repeated-sign pair when the
     # two excluded half-integer points coincide (k = 2 j0)
     for k in (12, 17, 23, 29, 34, 38, 41, 47, 53, 60):
-        w_rep = alternating_verify(_w_eval(k), oscillation_samples("W", k), F(3, 10))
+        w_rep = alternating_verify(_w_eval(k), oscillation_samples("W", k), F(3, 10), 2 * (k - 1))
         assert all(s != 0 for s in w_rep.signs), k
         assert w_rep.order_achieved == len(w_rep.signs) - 1 == 2 * k, k
 
         pts = oscillation_samples("Q", k)
-        q_rep = alternating_verify(_q_eval(k), pts, F(3, 100))
+        q_rep = alternating_verify(_q_eval(k), pts, F(3, 100), 2 * (k - 1))
         assert all(s != 0 for s in q_rep.signs), k
         repeats = [i for i in range(len(q_rep.signs) - 1)
                    if q_rep.signs[i] == q_rep.signs[i + 1]]
