@@ -13,7 +13,6 @@ precision-escalation policy: the working precision doubles ESCALATIONS times.
 
 from __future__ import annotations
 
-from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 from functools import cache
 from typing import Callable, TypeVar
@@ -142,15 +141,39 @@ class RealEnclosure:
     def str_pair(self, dps: int | None = None) -> tuple[str, str]:
         """(midpoint, radius) as decimal strings whose ball encloses this one:
         the printed radius is the radius plus the midpoint's decimal rounding
-        error, rounded up to 5 significant digits."""
+        error, rounded up to 5 significant digits.
+
+        In integers: the printed midpoint is D 10^t (its digits and exponent),
+        the midpoint and radius are mantissas times powers of two, so that
+        sum is N / (10^b 2^a) exactly, and its rounding up is
+        ceil(N / (10^b 2^a 10^c)) 10^c for the c that leaves five digits."""
         d = dps if dps is not None else max(8, int(self.prec * 0.302) + 2)
         mid_str = to_str(self.mid, d)
-        mid, rad = (Fraction(*libmp.to_rational(x)) for x in (self.mid, self.rad))
-        up = rad + abs(Fraction(mid_str) - mid)
-        # a correctly rounded decimal division rounds up; `to_str` floors to
-        # 8 digits and then rounds, so from 64 bits above r it prints r's digits
-        r = Fraction(Context(prec=5, rounding=ROUND_CEILING).divide(up.numerator, up.denominator))
-        return mid_str, to_str(from_rational(r.numerator, r.denominator, 64, "c"), 5)
+        digits, _, e = mid_str.partition("e")
+        whole, _, frac = digits.partition(".")
+        D, t = int(whole + frac), (int(e) if e else 0) - len(frac)
+        sign, man, exp = self.mid[:3]
+        rman, rexp = self.rad[1:3]
+        a, b = max(0, -exp, -rexp), max(0, -t)
+        N = (abs((D * 10 ** (t + b) << a) - ((-man if sign else man) * 10 ** b << (exp + a)))
+             + (rman * 10 ** b << (rexp + a)))
+        if not N:
+            return mid_str, to_str(fzero, 5)
+        den = 10 ** b << a
+        c = int((N.bit_length() - den.bit_length()) * 0.30103) - 4
+        while True:
+            num, dc = (N, den * 10 ** c) if c >= 0 else (N * 10 ** -c, den)
+            if num < 10 ** 4 * dc:
+                c -= 1
+            elif num >= 10 ** 5 * dc:
+                c += 1
+            else:
+                break
+        R = -(-num // dc)
+        # `to_str` floors to 8 digits and then rounds, so from 64 bits above
+        # the rounded-up radius it prints its digits
+        r = from_rational(R * 10 ** c, 1, 64, "c") if c >= 0 else from_rational(R, 10 ** -c, 64, "c")
+        return mid_str, to_str(r, 5)
 
     # -- arithmetic -----------------------------------------------------
 

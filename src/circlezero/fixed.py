@@ -77,15 +77,61 @@ def ceil_mul(e: int, x: int, prec: int) -> int:
 
 
 def horner_pd(coeffs: list[int], xr: int, xi: int, prec: int) -> tuple[int, int, int, int]:
-    """(Re p, Im p, Re p', Im p') at x = (xr + i xi) / 2^prec by one Horner
-    pass in Gaussian integers, in the units of `coeffs`; each product is
-    rounded down, so every step is off by less than one unit per component
-    (sqrt 2 in modulus) beyond the error the step carries in, scaled by |x|."""
-    pr, pi, dr, di = coeffs[-1], 0, 0, 0
-    for c in coeffs[-2::-1]:
-        dr, di = ((dr * xr - di * xi) >> prec) + pr, ((dr * xi + di * xr) >> prec) + pi
-        pr, pi = ((pr * xr - pi * xi) >> prec) + c, (pr * xi + pi * xr) >> prec
-    return pr, pi, dr, di
+    """(Re p, Im p, Re p', Im p') of p(z) = sum c_k z^k, k = 0 .. n, at
+    x = (xr + i xi) / 2^prec, in the units of `coeffs`, by division by the
+    real quadratic (z - x)(z - conj x) = z^2 - s z + q (Knuth, TAOCP 2,
+    4.6.4): four real products per coefficient.
+
+    s = 2 Re x and q = |x|^2 are exact integers over 2^(2 prec).  With
+    u_(n+1) = u_(n+2) = 0, u_k = c_k + s u_(k+1) - q u_(k+2) gives
+    p(z) = (z^2 - s z + q) B(z) + u_1 (z - s) + u_0, B(z) = sum_(k>=2) u_k z^(k-2);
+    at z = x, x - s = -conj x and the quadratic vanishes twice over, so
+    p(x) = u_0 - conj(x) u_1 and p'(x) = u_1 + (x - conj x) B(x).  The same
+    recurrence over u_n .. u_2, v_k = u_k + s v_(k+1) - q v_(k+2), gives
+    B(x) = v_2 - conj(x) v_3.
+
+    Error (`pd_budget` evaluates it).  Each step floors one exact quotient,
+    so the computed u_k is c_k + s u_(k+1) - q u_(k+2) - d_k with
+    0 <= d_k < 1, and d_n = 0: the computed u are the exact recurrence of
+    the coefficients c_k - d_k, so the identities above hold for them
+    exactly, and u_0 - conj(x) u_1 = sum (c_k - d_k) x^k.  (In u_0 alone an
+    error at step k weighs G_k = sum_i x^i conj(x)^(k-i), |G_k| <= (k+1)|x|^k;
+    the combination telescopes, G_k - conj(x) G_(k-1) = x^k.)  Likewise the
+    computed v are exact for the u_k - g_k, 0 <= g_k < 1, g_n = 0, so
+    v_2 - conj(x) v_3 = B(x) - sum_(k=2)^(n-1) g_k x^(k-2), with B read off the
+    computed u, whose u_1 + (x - conj x) B(x) is sum k (c_k - d_k) x^(k-1).
+    The two final combinations floor one real product per component: less
+    than sqrt 2 <= 2 units in modulus.  So, if the true coefficients are
+    c_k + t_k, |t_k| <= e_k, and |x| <= X, with |x - conj x| <= 2X and
+    [k < n] = 1 for k < n, 0 for k = n:
+      |p(x) - out_p| <= sum_(k=0)^n (e_k + [k < n]) X^k + 2,
+      |p'(x) - out_p'| <= sum_(k=1)^n k (e_k + [k < n]) X^(k-1)
+                          + 2 sum_(k=2)^(n-1) X^(k-1) + 2.
+    """
+    w = 2 * prec
+    s, q = xr << (prec + 1), xr * xr + xi * xi
+    u0 = u1 = v0 = v1 = 0                  # u_(k+1), u_(k+2), v_(k+2), v_(k+3)
+    for c in coeffs[:0:-1]:                # k = n .. 1
+        v0, v1 = u0 + ((s * v0 - q * v1) >> w), v0
+        u0, u1 = c + ((s * u0 - q * u1) >> w), u0
+    u0, u1 = coeffs[0] + ((s * u0 - q * u1) >> w), u0
+    b_re, b_im = (v0 << prec) - xr * v1, xi * v1      # B(x) 2^prec, exact
+    return (u0 + ((-xr * u1) >> prec), (xi * u1) >> prec,
+            u1 - ((2 * xi * b_im) >> w), (2 * xi * b_re) >> w)
+
+
+def pd_budget(errs: list[int], m: int, g: int) -> tuple[int, int]:
+    """(ep, ed): the error bounds of `horner_pd`'s p and p', proved in its
+    docstring, at any x with |x| <= X = m 2^-g, for the coefficient errors
+    `errs`.  Both are polynomials in X with integer weights, each summed by
+    Horner's rule with every product rounded up (`ceil_mul`), so each is an
+    upper bound, and both grow with X."""
+    n = len(errs) - 1
+    ep, ed = errs[-1], 0
+    for k in range(n, 0, -1):       # each adds its weight of X^(k-1)
+        ed = ceil_mul(ed, m, g) + k * (errs[k] + (k < n)) + 2 * (1 < k < n)
+        ep = ceil_mul(ep, m, g) + errs[k - 1] + 1
+    return ep + 2, ed + 2
 
 
 @lru_cache(maxsize=32)

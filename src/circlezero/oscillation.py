@@ -37,17 +37,17 @@ class OscillationSpec:
     drop_halves: bool                             # drop the two positive boundary halves
 
 
-_Constants = namedtuple("_Constants", "pi2 pi2_6 pi2_3 inv_pi2 two_pi four_pi")
+_Constants = namedtuple("_Constants", "pi2_6 pi2_3 inv_pi2 two_pi four_pi")
 
 
 @lru_cache(maxsize=8)
 def _constants(prec: int) -> _Constants:
-    """The k-independent constants, made once per precision from one pi ball:
-    pi^2 as a ball 8 bits finer, the rest (pi^2/6, pi^2/3, 1/pi^2, 2/pi,
-    4/pi) as fixed-point (value, error) pairs at prec."""
+    """The k-independent constants pi^2/6, pi^2/3, 1/pi^2, 2/pi and 4/pi,
+    made once per precision from one pi ball 8 bits finer, as fixed-point
+    (value, error) pairs at prec."""
     pi = RealEnclosure.pi(prec + 8)
     pi2 = pi * pi
-    return _Constants(pi2, *(fixed.from_ball(x, prec) for x in (
+    return _Constants(*(fixed.from_ball(x, prec) for x in (
         pi2 * Fraction(1, 6), pi2 * Fraction(1, 3), 1 / pi2, 2 / pi, 4 / pi)))
 
 
@@ -191,10 +191,17 @@ def _w_eval(k: int) -> Evaluator:
 
 
 def _q_eval(k: int) -> Evaluator:
-    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
-    return _comparison(k, (0, k - 2), (1, k - 1), lambda prec: (
-        _constants(prec).four_pi,
-        fixed.from_ball(RealEnclosure.exact(_q_rho(k), prec + 8) / _constants(prec).pi2, prec)))
+    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta);
+    rho/pi^2 is rho's floor (within one unit) times `_constants`' 1/pi^2, one
+    `fixed.mul`, as the centre of `_q_uniform_bound` is."""
+    rho = _q_rho(k)
+
+    def constants(prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        consts = _constants(prec)
+        return consts.four_pi, fixed.mul((rho.numerator << prec) // rho.denominator, 1,
+                                         *consts.inv_pi2, prec)
+
+    return _comparison(k, (0, k - 2), (1, k - 1), constants)
 
 
 def alternating_verify(f: Evaluator, points: Sequence, d: Fraction, unit: int,

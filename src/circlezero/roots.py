@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import atan2, inf, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from mpmath import libmp
 
@@ -140,20 +140,42 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
     return upper + real + [z.conjugate() for z in upper]
 
 
-def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, xi: int,
-                 prec: int, bits: int) -> tuple[int, int, int]:
+def _budget_memo(errs: list[int], prec: int) -> Callable[[int], tuple[int, int]]:
+    """budget(xabs) -> (ep, ed): `fixed.pd_budget`'s error bounds of p and p'
+    at any x with |x| 2^prec < xabs, for one `find_roots` call.
+
+    The bound X is xabs 2^-prec rounded up to a multiple of 2^-g,
+    2^g > 16 n; both bounds grow with X, so the rounded X keeps them sound.
+    X - |x| is below 2^-g plus one unit of 2^-prec, so for |x| near 1, X^n
+    exceeds |x|^n by a factor of about (1 + 1/(16 n))^n < 1.07.  The roots
+    near the circle share one or two values of X, so each value is
+    evaluated once, in a memo that lives as long as the call."""
+    g = (16 * len(errs)).bit_length()
+    memo: dict[int, tuple[int, int]] = {}
+
+    def budget(xabs: int) -> tuple[int, int]:
+        m = -(-xabs >> (prec - g))
+        if m not in memo:
+            memo[m] = fixed.pd_budget(errs, m, g)
+        return memo[m]
+
+    return budget
+
+
+def _newton_ball(poly: FamilyPoly, coeffs: list[int], budget: Callable[[int], tuple[int, int]],
+                 xr: int, xi: int, prec: int, bits: int) -> tuple[int, int, int]:
     """(xr, xi, rad): a Newton-polished root x = (xr + i xi) / 2^prec of p and
     the radius ceil(2^prec n |p(x)|+ / |p'(x)|-) of a disc around x that holds
     a root of p, in units of 2^-prec.
 
-    Each Horner pass (`fixed.horner_pd`) gives p(x), p'(x) and the Newton
-    step x <- x - p(x)/p'(x) in Gaussian integers.  The first x whose step is
-    shorter than 2^-(bits + 16), or the x of the last of POLISH_SWEEPS + 1
-    passes, is not stepped: that pass's p and p' certify x itself.  Their
-    error budgets follow the same pass, E <- ceil(E |x|+) + 3 + e (the
-    rounded product is off by less than sqrt 2 units, the coefficient by
-    e), and depend only on |x|.  Raises NumericError when the certified
-    step is not below 2^-(bits / 2) or |p'(x)|- <= 0."""
+    Each pass of `fixed.horner_pd` gives p(x), p'(x) and the Newton step
+    x <- x - p(x)/p'(x) in integers.  The first x whose step is shorter than
+    2^-(bits + 16), or the x of the last of POLISH_SWEEPS + 1 passes, is not
+    stepped: that pass's p and p' certify x itself, with the error bounds
+    (ep, ed) = budget(xabs), xabs > |x| 2^prec (`_budget_memo`, proved in
+    `fixed.horner_pd`): |p(x)| <= |out_p| + ep and |p'(x)| >= |out_p'| - ed.
+    Raises NumericError when the certified step is not below 2^-(bits / 2)
+    or |p'(x)|- <= 0."""
     tol = 1 << (prec - bits - 16)
     for sweep in range(POLISH_SWEEPS + 1):
         pr, pi, dr, di = fixed.horner_pd(coeffs, xr, xi, prec)
@@ -173,11 +195,7 @@ def _newton_ball(poly: FamilyPoly, coeffs: list[int], errs: list[int], xr: int, 
                                    family=poly.family, k=poly.k, last_move=last_move)
             break
         xr, xi = xr - sr, xi - si
-    xabs = isqrt(xr * xr + xi * xi) + 1        # |x| 2^prec < xabs
-    ep, ed = errs[-1], 0
-    for e in errs[-2::-1]:
-        ed = fixed.ceil_mul(ed, xabs, prec) + 3 + ep
-        ep = fixed.ceil_mul(ep, xabs, prec) + 3 + e
+    ep, ed = budget(isqrt(xr * xr + xi * xi) + 1)
     p_hi = isqrt(pr * pr + pi * pi) + 1 + ep
     d_lo = isqrt(dr * dr + di * di) - ed
     if d_lo <= 0:
@@ -210,9 +228,11 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     the grid's brackets do not account for every root, float Aberth--Ehrlich
     (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds
     instead.  Either way each seed starts a Newton polish of its root on its
-    own in fixed-point Gaussian integers; the Horner pass that finds a step
-    too short to take also gives the residual radius n |p(x)| / |p'(x)| at
-    x, with an integer error budget (`_newton_ball`).  A disc of that radius
+    own in fixed point, each pass one division by the real quadratic with
+    roots x and conj x (`fixed.horner_pd`); the pass that finds a step too
+    short to take also gives the residual radius n |p(x)| / |p'(x)| at x,
+    with an integer error budget evaluated once per bound on |x| in the
+    call (`_budget_memo`, `_newton_ball`).  A disc of that radius
     around x holds a root of p; the ball is the square around that disc.
     Nothing below depends on where the seeds came from.
 
@@ -254,7 +274,8 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     mirror = len(upper) == len(lower)
     if mirror:
         seeds = upper + near_real
-    z = [_newton_ball(poly, coeffs, errs, int(Fraction(w.real) * one),
+    budget = _budget_memo(errs, prec)
+    z = [_newton_ball(poly, coeffs, budget, int(Fraction(w.real) * one),
                       int(Fraction(w.imag) * one), prec, bits) for w in seeds]
     polished = len(z)
     if mirror:

@@ -296,7 +296,7 @@ JSON_DIGESTS = [
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "fa4efe0e6ad31c0256f39c7293fc7acfd58b5d176ceb0aead1daeccd56b9dcc5"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "a0611dc5fa15875a05a0ebf6ee19ca5d746d5c755d88c4e4be91881cadee4e2e"),
+     "a8ca5d22372c258785d8124ab0e582e1b98fe03034badc0e9c79200916e0141d"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
      "0c930deb031a6b947b1bb7094f1b5b0bc8f7f2b34f3762b6f019d68955705fa9"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,

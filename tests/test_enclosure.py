@@ -1,13 +1,15 @@
 """Ball arithmetic: enclosure soundness, zeta providers, function enclosures."""
 
 import random
+from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_mul, mpf_sub, to_rational
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_mul, mpf_sub, to_rational,
+                          to_str)
 
 from circlezero.enclosure import (
     GUARD,
@@ -255,6 +257,32 @@ def test_printed_ball_encloses_random_ball(man, exp, rman, rexp, prec, dps):
     # with the radius rounded up by at most one unit of its fifth digit
     need = abs(Fraction(mid_str) - mid) + rad
     assert need <= Fraction(rad_str) <= need * (1 + Fraction(1, 10**4))
+
+
+def _str_pair_reference(ball, dps=None):
+    """The Fraction and Decimal formula that `str_pair` replaced: the radius
+    plus the midpoint's decimal rounding error, rounded up to 5 significant
+    digits by a ceiling division."""
+    d = dps if dps is not None else max(8, int(ball.prec * 0.302) + 2)
+    mid_str = to_str(ball.mid, d)
+    mid, rad = (Fraction(*to_rational(x)) for x in (ball.mid, ball.rad))
+    up = rad + abs(Fraction(mid_str) - mid)
+    r = Fraction(Context(prec=5, rounding=ROUND_CEILING).divide(up.numerator, up.denominator))
+    return mid_str, to_str(from_rational(r.numerator, r.denominator, 64, "c"), 5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(64, 288).flatmap(lambda prec: st.tuples(
+           st.just(prec), st.just(0) | st.integers(-(1 << prec), 1 << prec),
+           st.integers(-prec - 200, 100))),
+       st.just(0) | st.integers(1, 1 << 32), st.integers(-540, 50),
+       st.sampled_from([None, None, 3, 12]))
+def test_str_pair_integer_form_matches_the_fraction_formula(mid, rman, rexp, dps):
+    # the integer str_pair prints exactly the strings of the old formula, for
+    # zero midpoints, zero (exact) radii and balls at 64-288 bits
+    prec, man, exp = mid
+    ball = RealEnclosure(from_man_exp(man, exp, prec), from_man_exp(rman, rexp, 32, "c"), prec)
+    assert ball.str_pair(dps) == _str_pair_reference(ball, dps)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,11 @@ import cmath
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1066,6 +1070,112 @@ def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
     assert n // 2 < len(calls) <= n // 2 * (roots_mod.POLISH_SWEEPS + 1)
 
 
+def _exact_pd(C, xr, xi, prec):
+    """(2^(prec n) p(x), 2^(prec (n - 1)) p'(x)) exactly, each as (re, im)
+    integers, for p = sum C_k z^k at x = (xr + i xi) / 2^prec: Horner's rule
+    on z = xr + i xi with C_k scaled by 2^(prec (n - k))."""
+    n = len(C) - 1
+    pr = pi = dr = di = 0
+    for k in range(n, -1, -1):
+        if k:
+            dr, di = dr * xr - di * xi + (k * C[k] << prec * (n - k)), dr * xi + di * xr
+        pr, pi = pr * xr - pi * xi + (C[k] << prec * (n - k)), pr * xi + pi * xr
+    return (pr, pi), (dr, di)
+
+
+def _within(exact, out, budget, scale):
+    """|exact 2^-scale - out| <= budget, exactly, for (re, im) pairs."""
+    dr, di = exact[0] - (out[0] << scale), exact[1] - (out[1] << scale)
+    return dr * dr + di * di <= (budget << scale) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_horner_pd_within_its_budget(data):
+    # the quadratic-divisor pass against p and p' in exact integers, for
+    # coefficients c_k + t_k, |t_k| <= e_k, at |x| in [1/4, 4] near the
+    # angles 0, pi/2 and pi: the stated budget (fixed.pd_budget at
+    # X = xabs 2^-prec > |x|) covers the drawn errors, and the ones aligned
+    # with Re x^k (for p) and Re x^(k-1) (for p'), where it is nearly tight
+    n = data.draw(st.integers(1, 60), label="n")
+    prec = data.draw(st.integers(24, 96), label="prec")
+    coeffs = data.draw(st.lists(st.integers(-(1 << prec + 40), 1 << prec + 40),
+                                min_size=n + 1, max_size=n + 1), label="coeffs")
+    errs = data.draw(st.lists(st.sampled_from([0, 1, 2]) | st.integers(0, 1 << 20),
+                              min_size=n + 1, max_size=n + 1), label="errs")
+    drawn = [data.draw(st.integers(-e, e)) for e in errs]
+    r = data.draw(st.floats(0.25, 4.0), label="|x|")
+    theta = math.pi * data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="angle / pi")
+    theta += data.draw(st.just(0.0) | st.floats(-1e-3, 1e-3), label="offset")
+    xr, xi = round(r * math.cos(theta) * 2 ** prec), round(r * math.sin(theta) * 2 ** prec)
+    if theta in (0.0, math.pi / 2, math.pi):
+        xr, xi = (xr, 0) if theta != math.pi / 2 else (0, xi)
+    out = fixed.horner_pd(coeffs, xr, xi, prec)
+    ep, ed = fixed.pd_budget(errs, math.isqrt(xr * xr + xi * xi) + 1, prec)
+    x = complex(xr, xi) / 2 ** prec
+    sign = [1 if (x ** k).real >= 0 else -1 for k in range(n + 1)]
+    for t in (drawn, [e * sign[k] for k, e in enumerate(errs)],
+              [e * sign[k - 1] for k, e in enumerate(errs)]):
+        p, d = _exact_pd([c + u for c, u in zip(coeffs, t)], xr, xi, prec)
+        assert _within(p, out[:2], ep, prec * n)
+        assert _within(d, out[2:], ed, prec * (n - 1))
+
+
+def test_horner_pd_budget_near_tight_at_the_imaginary_axis():
+    # a case found by random search, |x| ~ 3.4 near the angle pi/2 with exact
+    # coefficients: p' is off by 52 of its 74 units, more than the budget
+    # would be without its (x - conj x) B(x) rounding term (47 units)
+    coeffs = [-79919768177192838764892, -41861528318088276236241, 73974909344298346468679,
+              -115078825518402181599177, 148942810918863624432049]
+    xr, xi, prec = 66890927, 461904822614, 37
+    out = fixed.horner_pd(coeffs, xr, xi, prec)
+    ed = fixed.pd_budget([0] * 5, math.isqrt(xr * xr + xi * xi) + 1, prec)[1]
+    _, d = _exact_pd(coeffs, xr, xi, prec)
+    assert ed == 74 and _within(d, out[2:], ed, 3 * prec) and not _within(d, out[2:], 51, 3 * prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1 << 30), min_size=2, max_size=80), st.integers(112, 200),
+       st.integers(1, 1 << 40))
+def test_budget_memo_rounds_the_bound_up(errs, prec, frac):
+    # the memo's X is xabs 2^-prec rounded up, so its budget is never below
+    # the budget at X = xabs 2^-prec itself, and a repeated X reads the memo
+    budget = roots_mod._budget_memo(errs, prec)
+    for xabs in ((1 << prec) - frac, (1 << prec) + frac, (3 << prec - 1) + frac):
+        ep, ed = budget(xabs)
+        at = fixed.pd_budget(errs, xabs, prec)
+        assert ep >= at[0] and ed >= at[1]
+        assert budget(xabs) == (ep, ed)
+
+
+def test_find_roots_budget_once_per_bound_and_no_history(monkeypatch):
+    # the roots of P_60 near the circle share one or two bounds on |x|, so
+    # the budget is evaluated a few times per call, not once per root; the
+    # memo lives in one call, so P_20's balls are the same fresh, run twice
+    # and run after R_20
+    calls = []
+    real = fixed.pd_budget
+    monkeypatch.setattr(fixed, "pd_budget", lambda *a: calls.append(a) or real(*a))
+    roots = find_roots(build_P(60))
+    assert roots.polished == 60 and 1 <= len(calls) <= 3
+    monkeypatch.undo()
+
+    def balls(rs):
+        return [(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in rs]
+
+    script = ("from circlezero.families import build_P\n"
+              "from circlezero.roots import find_roots\n"
+              "print([(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in find_roots(build_P(20))])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = balls(find_roots(build_P(20))), balls(find_roots(build_P(20)))
+    find_roots(build_R(20))
+    assert proc.stdout.strip() == repr(first) and first == second == balls(find_roots(build_P(20)))
+
+
 def test_find_roots_repeated_root_fails():
     dbl = FamilyPoly("S", 1, 0, (ZetaCoefficient.rational(1),
                                  ZetaCoefficient.rational(-2),
@@ -1256,9 +1366,9 @@ def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, 
     seeds = []
     real = roots_mod._newton_ball
 
-    def recorded(poly, coeffs, errs, xr, xi, prec, bits):
+    def recorded(poly, coeffs, budget, xr, xi, prec, bits):
         seeds.append(complex(xr, xi) / 2 ** prec)
-        return real(poly, coeffs, errs, xr, xi, prec, bits)
+        return real(poly, coeffs, budget, xr, xi, prec, bits)
 
     monkeypatch.setattr(roots_mod, "_newton_ball", recorded)
     rep = verify_by_roots(build_family(fam, k))
