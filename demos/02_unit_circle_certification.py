@@ -10,8 +10,8 @@
    e^(-ikt) P_k(e^(it)) is a real (k even) or imaginary (k odd) trig
    polynomial whose sign changes on (0, pi) are the circle zeros.
 
-Each certificate is then cross-checked by locating all roots with certified
-residual radii.
+Each certificate is then cross-checked by locating all roots in integer
+discs, each proved by Rouche's theorem to hold exactly one root.
 """
 
 import time

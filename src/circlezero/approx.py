@@ -287,7 +287,7 @@ def approx1_zeta3(bits: int = 128, seed_convention: str = "principal") -> Approx
     if seed_convention not in ("principal", "secondary"):
         raise DomainError(f"unknown seed convention {seed_convention!r}")
     wp = bits + 16
-    roots = find_roots(build_P(2), bits)
+    roots = find_roots(build_P(2), bits).balls()
     fourth = [r for r in roots if r.re.sign() > 0 and r.im.sign() < 0]
     fourth.sort(key=lambda r: r.re.midpoint, reverse=True)
     seed = fourth[0 if seed_convention == "principal" else 1]
@@ -401,7 +401,7 @@ def auxiliary_zeros(k: int, bits: int = 128) -> list[AuxiliaryPairing]:
         raise DomainError(f"need k >= 2, got {k}")
     wp = bits + 16
     sign = -1 if k % 2 else 1
-    roots = find_roots(build_P(k), bits)
+    roots = find_roots(build_P(k), bits).balls()
     out = []
     with mp.workprec(wp):
         pi = mp.pi

@@ -1,20 +1,19 @@
-"""The roots route, which cross-validates every certification: root balls
-from a fixed-point Newton polish with certified residual radii, seeded from
-the sign counter's first grid, a separation check that gives ball distances
-only to the near pairs, and | |z| - 1 | decided in integers.
+"""The roots route, which cross-validates every certification: integer
+root discs from a fixed-point Newton polish whose last step is certified by
+Rouche's theorem, seeded from the sign counter's first grid, a separation
+check over the discs' integer centres and radii, and | |z| - 1 | decided in
+integers.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import atan2, inf, isqrt
-from typing import Callable, Sequence
-
-from mpmath import libmp
+from math import atan2, isqrt
+from typing import Callable
 
 from . import fixed
-from .enclosure import ComplexEnclosure, RealEnclosure, escalate
+from .enclosure import ComplexEnclosure, escalate
 from .errors import NumericError
 from .families import FamilyPoly
 from .reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE, VerificationReport
@@ -23,7 +22,7 @@ from .signcount import _first_grid, _TrigEvaluator
 ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
 SEED_STEPS = 8           # float Newton steps that bring a grid seed to Aberth quality
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
-ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root ball counts as on the circle
+ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root disc counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
 MIRROR_TOL = 1e-8        # |Im w| <= MIRROR_TOL max(1, |w|): a near-real seed, polished on its own
 
@@ -140,125 +139,189 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
     return upper + real + [z.conjugate() for z in upper]
 
 
-def _budget_memo(errs: list[int], prec: int) -> Callable[[int], tuple[int, int]]:
-    """budget(xabs) -> (ep, ed): `fixed.pd_budget`'s error bounds of p and p'
-    at any x with |x| 2^prec < xabs, for one `find_roots` call.
+def _budget_memo(coeffs: list[int], errs: list[int],
+                 prec: int) -> Callable[[int], tuple[int, int, int]]:
+    """budget(xabs) -> (ep, ed, K) for one `find_roots` call: at any x with
+    |x| 2^prec < xabs, `fixed.pd_budget`'s error bounds ep and ed of p and p',
+    and a bound K on |p''| over the whole disc |w| <= xabs 2^-prec, all in
+    the units of `coeffs`.
 
+    K is sum_(k>=2) k (k - 1) (|C_k| + e_k) X^(k-2), a bound on the second
+    derivative of every polynomial whose coefficients lie within e_k of C_k,
+    summed by Horner's rule with every product rounded up (`fixed.ceil_mul`).
     The bound X is xabs 2^-prec rounded up to a multiple of 2^-g,
-    2^g > 16 n; both bounds grow with X, so the rounded X keeps them sound.
-    X - |x| is below 2^-g plus one unit of 2^-prec, so for |x| near 1, X^n
-    exceeds |x|^n by a factor of about (1 + 1/(16 n))^n < 1.07.  The roots
-    near the circle share one or two values of X, so each value is
+    2^g > 16 n; all three bounds grow with X, so the rounded X keeps them
+    sound.  X - |x| is below 2^-g plus one unit of 2^-prec, so for |x| near
+    1, X^n exceeds |x|^n by a factor of about (1 + 1/(16 n))^n < 1.07.  The
+    roots near the circle share one or two values of X, so each value is
     evaluated once, in a memo that lives as long as the call."""
     g = (16 * len(errs)).bit_length()
-    memo: dict[int, tuple[int, int]] = {}
+    memo: dict[int, tuple[int, int, int]] = {}
 
-    def budget(xabs: int) -> tuple[int, int]:
+    def budget(xabs: int) -> tuple[int, int, int]:
         m = -(-xabs >> (prec - g))
         if m not in memo:
-            memo[m] = fixed.pd_budget(errs, m, g)
+            K = 0
+            for k in range(len(coeffs) - 1, 1, -1):
+                K = fixed.ceil_mul(K, m, g) + k * (k - 1) * (abs(coeffs[k]) + errs[k])
+            memo[m] = (*fixed.pd_budget(errs, m, g), K)
         return memo[m]
 
     return budget
 
 
-def _newton_ball(poly: FamilyPoly, coeffs: list[int], budget: Callable[[int], tuple[int, int]],
-                 xr: int, xi: int, prec: int, bits: int) -> tuple[int, int, int]:
-    """(xr, xi, rad): a Newton-polished root x = (xr + i xi) / 2^prec of p and
-    the radius ceil(2^prec n |p(x)|+ / |p'(x)|-) of a disc around x that holds
-    a root of p, in units of 2^-prec.
+def _rouche_radius(P: tuple[int, int], D: tuple[int, int], S: tuple[int, int],
+                   ep: int, ed: int, K: int, prec: int) -> int | None:
+    """A radius r such that the disc |z - x'| < r 2^-prec, x' = x - S 2^-prec,
+    holds exactly one root of p; None when the test below fails.
+    (P +- ep) 2^-prec and (D +- ed) 2^-prec enclose p(x) and p'(x)
+    (`fixed.horner_pd`, in the units of the coefficients), S is the step the
+    caller took, floor(2^prec P / D) in each component, and K 2^-prec bounds
+    |p''| on a disc |w| <= X that holds every point within |S| 2^-prec + r
+    2^-prec of x.
 
-    Each pass of `fixed.horner_pd` gives p(x), p'(x) and the Newton step
-    x <- x - p(x)/p'(x) in integers.  The first x whose step is shorter than
-    2^-(bits + 16), or the x of the last of POLISH_SWEEPS + 1 passes, is not
-    stepped: that pass's p and p' certify x itself, with the error bounds
-    (ep, ed) = budget(xabs), xabs > |x| 2^prec (`_budget_memo`, proved in
-    `fixed.horner_pd`): |p(x)| <= |out_p| + ep and |p'(x)| >= |out_p'| - ed.
-    Raises NumericError when the certified step is not below 2^-(bits / 2)
-    or |p'(x)|- <= 0."""
+    Let L(z) = p(x) + p'(x) (z - x), whose root is z_L = x - p(x)/p'(x).  With
+    p(x) 2^prec = P + eta and p'(x) 2^prec = D + xi,
+      p(x)/p'(x) - P/D = (D eta - P xi) / (D (D + xi)),
+    at most (|D| ep + |P| ed) / (|D| (|D| - ed)), which falls with |D| and
+    grows with |P|; and 2^prec P/D - S has both components in [0, 1), so
+    modulus below 2.  So |x' - z_L| <= delta 2^-prec with
+      delta = ceil(2^prec (d ep + p ed) / (d (d - ed))) + 2,
+    d = isqrt |D|^2 <= |D| and p = isqrt |P|^2 + 1 > |P|.  On the circle
+    |z - x'| = r 2^-prec, |z - x| <= (r + s) 2^-prec with s = isqrt |S|^2 + 1,
+    and Taylor's formula with the integral remainder gives
+    |p(z) - L(z)| <= (K 2^-prec / 2) |z - x|^2, while
+    |L(z)| = |p'(x)| |z - z_L| >= (d - ed) (r - delta) 2^-2prec.  So when
+      K (r + s)^2 < 2 (d - ed) (r - delta) 2^prec,                   (*)
+    |p - L| < |L| on the circle, and by Rouche's theorem p has as many roots
+    in the disc as L, which has exactly one, z_L, since delta < r.
+
+    The radius tried is r = delta + m, m = floor(4 K u^2 / A) + 1 with
+    A = 2 (d - ed) 2^prec and u = delta + s + 1: when m <= u, r + s <= 2u
+    and (*) holds.  (*) itself is checked in integers, whatever m is."""
+    d = isqrt(D[0] * D[0] + D[1] * D[1])
+    A = (d - ed) << (prec + 1)
+    if A <= 0:
+        return None
+    p = isqrt(P[0] * P[0] + P[1] * P[1]) + 1
+    delta = -(-((d * ep + p * ed) << prec) // (d * (d - ed))) + 2
+    s = isqrt(S[0] * S[0] + S[1] * S[1]) + 1
+    m = 4 * K * (delta + s + 1) ** 2 // A + 1
+    r = delta + m
+    return r if K * (r + s) ** 2 < A * m else None
+
+
+def _newton_disc(poly: FamilyPoly, coeffs: list[int],
+                 budget: Callable[[int], tuple[int, int, int]],
+                 xr: int, xi: int, prec: int, bits: int) -> tuple[int, int, int, int]:
+    """(xr, xi, rad, passes): a disc of centre (xr + i xi) / 2^prec and radius
+    rad 2^-prec that holds exactly one root of p, from a Newton polish that
+    took `passes` passes of `fixed.horner_pd`.
+
+    Each pass gives p(x), p'(x) and the Newton step S = floor(2^prec p/p')
+    in integers.  The step is taken, and the same pass tries to certify the
+    new point x - S by Rouche's theorem on the linearisation at x
+    (`_rouche_radius`), with the budget (ep, ed, K) at X >= |x| + |S| + a
+    bound on r (`_budget_memo`).  The test runs only once the step is small
+    enough to pass: a radius r needs K |S|^2 < 2 (|D| - ed) r 2^prec.  The
+    first disc of radius at most 2^-(bits + 16) is returned; after
+    POLISH_SWEEPS + 1 passes, any disc of radius at most 2^-(bits / 2) is,
+    and its report escalates the precision when the disc is too wide to
+    decide.  Raises NumericError, naming the family and k, when p'(x)
+    computes to 0 or no such disc is found."""
     tol = 1 << (prec - bits - 16)
+    loose = 1 << (prec - bits // 2)
     for sweep in range(POLISH_SWEEPS + 1):
         pr, pi, dr, di = fixed.horner_pd(coeffs, xr, xi, prec)
         den = dr * dr + di * di
         if not den:
-            break   # p'(x) = 0: d_lo <= 0 below
+            raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
+                               family=poly.family, k=poly.k)
         sr = ((pr * dr + pi * di) << prec) // den
         si = ((pi * dr - pr * di) << prec) // den
         move2 = sr * sr + si * si
-        if move2 < tol * tol:
-            break
-        if sweep == POLISH_SWEEPS:
-            loose = 1 << (prec - bits // 2)
-            if move2 >= loose * loose:
-                last_move = libmp.to_float(libmp.from_man_exp(isqrt(move2), -prec, 53))
-                raise NumericError(f"Newton polish did not converge for {poly.family}_{poly.k}",
-                                   family=poly.family, k=poly.k, last_move=last_move)
-            break
+        limit = tol if sweep < POLISH_SWEEPS else loose
+        ep, ed, K = budget(isqrt(xr * xr + xi * xi) + isqrt(move2) + loose + 2)
+        if K * move2 < (isqrt(den) - ed) * limit << (prec + 1):
+            rad = _rouche_radius((pr, pi), (dr, di), (sr, si), ep, ed, K, prec)
+            if rad is not None and rad <= limit:
+                return xr - sr, xi - si, rad, sweep + 1
         xr, xi = xr - sr, xi - si
-    ep, ed = budget(isqrt(xr * xr + xi * xi) + 1)
-    p_hi = isqrt(pr * pr + pi * pi) + 1 + ep
-    d_lo = isqrt(dr * dr + di * di) - ed
-    if d_lo <= 0:
-        raise NumericError(f"derivative enclosure touches 0 for {poly.family}_{poly.k}",
-                           family=poly.family, k=poly.k)
-    n = len(coeffs) - 1
-    return xr, xi, -((-n * p_hi << prec) // d_lo)
+    raise NumericError(f"Newton polish did not converge for {poly.family}_{poly.k}",
+                       family=poly.family, k=poly.k, last_move=isqrt(move2) / (1 << prec))
 
 
-class RootBalls(list):
-    """`find_roots`'s balls; `polished`: how many of them were
-    Newton-polished (the others are mirror images of polished ones); and
-    `seeds`: "grid" when the sign counter's first grid seeded every root (a
-    constant has none to seed), "aberth" when float Aberth did."""
+def _fixed_seed(v: float, prec: int) -> int:
+    """floor(v 2^prec), exactly: a double is an integer over a power of two.
+    (float(2^prec) itself overflows beyond prec = 1023, which the escalated
+    precisions reach.)"""
+    num, den = v.as_integer_ratio()
+    return (num << prec) // den
 
-    def __init__(self, balls: list[ComplexEnclosure], polished: int, seeds: str):
-        super().__init__(balls)
+
+class RootDiscs(list):
+    """`find_roots`'s discs (xr, xi, rad): the disc of centre
+    (xr + i xi) 2^-prec and radius rad 2^-prec holds exactly one root.
+    `polished`: how many of them were Newton-polished (the others are mirror
+    images of polished ones); `seeds`: "grid" when the sign counter's first
+    grid seeded every root (a constant has none to seed), "aberth" when
+    float Aberth did; `passes`: the `fixed.horner_pd` passes of the polish."""
+
+    def __init__(self, discs: list[tuple[int, int, int]], prec: int, polished: int,
+                 seeds: str, passes: int):
+        super().__init__(discs)
+        self.prec = prec
         self.polished = polished
         self.seeds = seeds
+        self.passes = passes
+
+    def balls(self) -> list[ComplexEnclosure]:
+        """The square ball around each disc, for readers of balls."""
+        return [ComplexEnclosure(fixed.to_ball(xr, rad, self.prec, self.prec),
+                                 fixed.to_ball(xi, rad, self.prec, self.prec))
+                for xr, xi, rad in self]
 
 
-def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
-    """All roots of the origin-stripped polynomial, as certified complex
-    balls sorted by argument.
+def find_roots(poly: FamilyPoly, bits: int = 128) -> RootDiscs:
+    """All roots of the origin-stripped polynomial, as integer discs, each
+    holding exactly one root, sorted by argument.
 
-    The coefficients are read once at bits + ROOT_GUARD bits as integers over
-    one common power of two (`FamilyPoly.fixed_coefficients`).  When p passes
-    the exact symmetry check, the seeds come from the sign counter's first
-    grid on those same integers (`_grid_seeds`); when it fails the check, or
-    the grid's brackets do not account for every root, float Aberth--Ehrlich
-    (deterministic start: 1.01 * roots of unity rotated by 0.37 rad) seeds
-    instead.  Either way each seed starts a Newton polish of its root on its
-    own in fixed point, each pass one division by the real quadratic with
-    roots x and conj x (`fixed.horner_pd`); the pass that finds a step too
-    short to take also gives the residual radius n |p(x)| / |p'(x)| at x,
-    with an integer error budget evaluated once per bound on |x| in the
-    call (`_budget_memo`, `_newton_ball`).  A disc of that radius
-    around x holds a root of p; the ball is the square around that disc.
-    Nothing below depends on where the seeds came from.
+    The coefficients are read once at prec = bits + ROOT_GUARD bits as
+    integers over one common power of two (`FamilyPoly.fixed_coefficients`).
+    When p passes the exact symmetry check, the seeds come from the sign
+    counter's first grid on those same integers (`_grid_seeds`); when it
+    fails the check, or the grid's brackets do not account for every root,
+    float Aberth--Ehrlich (deterministic start: 1.01 * roots of unity rotated
+    by 0.37 rad) seeds instead.  Either way each seed starts a Newton polish
+    of its root on its own in fixed point, each pass one division by the
+    real quadratic with roots x and conj x (`fixed.horner_pd`); the pass
+    whose step lands close enough also certifies the point it lands on, by
+    Rouche's theorem, with integer error budgets evaluated once per bound on
+    |x| in the call (`_budget_memo`, `_newton_disc`).  Nothing below depends
+    on where the seeds came from.
 
     Every family has real coefficients (rationals and the real lam), so its
     non-real roots come in conjugate pairs.  The seeds are split into upper
     (Im w > tau), lower (Im w < -tau) and near-real ones, tau =
     MIRROR_TOL max(1, |w|).  When there are as many upper seeds as lower,
-    only the upper and near-real seeds are polished, and each upper ball
-    (x, r) also gives the ball (conj x, r); otherwise every seed is
-    polished.  A mirrored disc holds a root as well: the disc around x holds
-    a root zeta of the exact polynomial (the error budget covers the
-    coefficient errors), whose coefficients are real, so conj(zeta) is a
-    root and lies in the disc around conj x.  Each of the n discs thus holds
-    a root whichever seeds were polished, and the separation check over all
-    n balls (`simplicity_check`, `_roots_disjoint`) is what proves they hold
-    n distinct roots.  So soundness does not depend on tau: a split that
-    pairs the wrong seeds can put two discs around one root, which costs the
-    certificate, never gives a false one.  Tau only keeps seeds near real
-    roots from being taken for a pair; it sits far above the 1e-13 stop of
-    either seed source.
+    only the upper and near-real seeds are polished, and each upper disc
+    (x, r) also gives the disc (conj x, r); otherwise every seed is
+    polished.  A mirrored disc holds exactly one root as well: the exact
+    polynomial (the budgets cover the coefficient errors) has real
+    coefficients, so conjugation maps its roots one to one onto its roots.
+    Each of the n discs thus holds one root whichever seeds were polished,
+    and the separation check over all n discs (`simplicity_check`) is what
+    proves they hold n distinct roots.  So soundness does not depend on tau:
+    a split that pairs the wrong seeds can put two discs around one root,
+    which costs the certificate, never gives a false one.  Tau only keeps
+    seeds near real roots from being taken for a pair; it sits far above
+    the 1e-13 stop of either seed source.
     """
     p = poly.strip_origin()
     n = p.degree
-    if n == 0:
-        return RootBalls([], 0, "grid")
     prec = bits + ROOT_GUARD
+    if n == 0:
+        return RootDiscs([], prec, 0, "grid", 0)
     fixed_coeffs = p.fixed_coefficients(prec, n + 1)
     _, coeffs, errs = fixed_coeffs
     one = 1 << prec
@@ -274,140 +337,118 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootBalls:
     mirror = len(upper) == len(lower)
     if mirror:
         seeds = upper + near_real
-    budget = _budget_memo(errs, prec)
-    z = [_newton_ball(poly, coeffs, budget, int(Fraction(w.real) * one),
-                      int(Fraction(w.imag) * one), prec, bits) for w in seeds]
-    polished = len(z)
+    budget = _budget_memo(coeffs, errs, prec)
+    polished = [_newton_disc(poly, coeffs, budget, _fixed_seed(w.real, prec),
+                             _fixed_seed(w.imag, prec), prec, bits) for w in seeds]
+    z = [disc[:3] for disc in polished]
     if mirror:
         z += [(xr, -xi, rad) for xr, xi, rad in z[:len(upper)]]
     z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
-    return RootBalls([ComplexEnclosure(fixed.to_ball(xr, rad, prec, prec),
-                                       fixed.to_ball(xi, rad, prec, prec))
-                      for xr, xi, rad in z], polished, source)
+    return RootDiscs(z, prec, len(polished), source, sum(disc[3] for disc in polished))
 
 
-def simplicity_check(roots: Sequence[ComplexEnclosure]) -> RealEnclosure | None:
-    """Lower-bounded enclosure of the minimum pairwise root distance: the
-    distance ball with the smallest lower bound, the first in (i, j) order
-    on ties, as a scan of all pairs returns it.
+def simplicity_check(discs: RootDiscs) -> tuple[int, int] | None:
+    """(lo, hi): the closest pair of discs, as the distance of any point of
+    one from any point of the other, in [lo, hi] 2^-prec; None for fewer
+    than two discs.  The pair is the one of smallest lo, the first in (i, j)
+    order on ties, as a scan of all pairs would find it.
 
-    A pair's lower bound lies within 2 sqrt 2 r of its centre distance, for
-    r the largest ball radius, so only pairs whose float centre distance is
-    within 4 r (plus the float error) of the smallest can hold the minimum;
-    only those get ball distances, in (i, j) order.  Two sweeps over the
-    float centres sorted by real part find the smallest distance, then the
-    pairs within the threshold; each row stops at the first centre whose
-    real part alone is farther than the distance sought, since a float
-    distance is never below the difference of the real parts.
+    For centres at squared distance d2 (exact) and radii r_i, r_j, the
+    distance lies in [isqrt(d2) - r_i - r_j, ceil(sqrt d2) + r_i + r_j], with
+    ceil(sqrt d2) = isqrt(d2 - 1) + 1 for d2 >= 1.  A pair's lo is within
+    2 r_max + 1 of its centre distance, so only pairs whose centres are
+    closer than T = isqrt(d2_min) + 2 r_max + 1 can hold the smallest.  One
+    sweep over the centres sorted by real part finds them: each row stops at
+    the first centre whose real part alone is farther than T, with T taken
+    from the smallest distance seen so far, which only falls.  So lo > 0
+    proves the discs pairwise disjoint.
     """
-    n = len(roots)
+    n = len(discs)
     if n < 2:
         return None
-    c = [complex(libmp.to_float(r.re.mid), libmp.to_float(r.im.mid)) for r in roots]
-    r_max = max(libmp.to_float(x.rad, rnd="u") for r in roots for x in (r.re, r.im))
-    order = sorted(range(n), key=lambda i: c[i].real)
-    xs = [c[i] for i in order]
-
-    threshold = inf
-    for a, x in enumerate(xs):
-        for b in range(a + 1, n):
-            if xs[b].real - x.real > threshold:
+    r_max = max(rad for _, _, rad in discs)
+    order = sorted(range(n), key=lambda i: discs[i][0])
+    best = T = None
+    near = []
+    for a, i in enumerate(order):
+        xa, ya, _ = discs[i]
+        for j in order[a + 1:]:
+            xb, yb, _ = discs[j]
+            if T is not None and xb - xa > T:
                 break
-            threshold = min(threshold, abs(x - xs[b]))
-    threshold += 4 * r_max + 2.0 ** -40 * max(1.0, max(abs(x) for x in c))
-
-    pairs = []
-    for a, x in enumerate(xs):
-        for b in range(a + 1, n):
-            if xs[b].real - x.real > threshold:
-                break
-            if abs(x - xs[b]) <= threshold:
-                i, j = order[a], order[b]
-                pairs.append((min(i, j), max(i, j)))
-    best = None
-    for i, j in sorted(pairs):
-        d = (roots[i] - roots[j]).abs()
-        if best is None or d.lower < best.lower:
-            best = d
-    return best
+            d2 = (xb - xa) ** 2 + (yb - ya) ** 2
+            if best is None or d2 < best:
+                best, T = d2, isqrt(d2) + 2 * r_max + 1
+            if d2 < T * T:
+                near.append((d2, min(i, j), max(i, j)))
+    lo, i, j, d2 = min((isqrt(d2) - discs[i][2] - discs[j][2], i, j, d2)
+                       for d2, i, j in near if d2 < T * T)
+    return lo, (isqrt(d2 - 1) + 1 if d2 else 0) + discs[i][2] + discs[j][2]
 
 
-def _roots_disjoint(roots: Sequence[ComplexEnclosure], sep: RealEnclosure | None) -> bool:
-    """True when the separation lower bound exceeds 2 sqrt 2 times the largest
-    ball radius r: the centres are then more than 2 sqrt 2 r apart, so the
-    discs of radius sqrt 2 r that cover the balls are pairwise disjoint."""
-    if sep is None:
-        return True
-    r = max(Fraction(*libmp.to_rational(x.rad)) for root in roots for x in (root.re, root.im))
-    return sep.sign() > 0 and sep.sqr().gt(8 * r * r)
+def _modulus_deviations(discs: RootDiscs) -> list[tuple[int, int]]:
+    """[(lo, hi), ...]: for every x in the i-th disc, | |x| - 1 | lies in
+    [lo_i, hi_i] 2^-prec, in exact integers.
 
-
-def _modulus_deviations(roots: Sequence[ComplexEnclosure]) -> tuple[int, list[tuple[int, int]]]:
-    """(s, [(lo, hi), ...]): for every x in the i-th ball, | |x| - 1 | lies in
-    [lo_i, hi_i] 2^-s, in exact integers.
-
-    s is the largest number of fractional bits among the balls' midpoints
-    and radii, so each ball is exactly a +- ra, b +- rb in units of 2^-s
-    (`libmp.to_fixed` is exact there).  For x = u + i v in the ball,
-    max(|a| - ra, 0) <= |u| <= |a| + ra and likewise for v, so
-    N <= |x|^2 2^2s <= H with N = max(|a| - ra, 0)^2 + max(|b| - rb, 0)^2 and
-    H = (|a| + ra)^2 + (|b| + rb)^2.  isqrt(N) = floor(sqrt N), and
-    isqrt(H - 1) + 1 = ceil(sqrt H) for H >= 1, so
-    L = isqrt(N) <= |x| 2^s <= U = ceil(sqrt H).  t -> |t - 2^s| is convex,
-    so on [L, U] its largest value is at an end, hi = max(2^s - L, U - 2^s),
-    and its smallest is 0 when L <= 2^s <= U, else the distance from 2^s to
-    the nearer end: lo = max(L - 2^s, 2^s - U, 0).
+    For a disc of centre c 2^-prec and radius r 2^-prec,
+    |c| - r <= |x| 2^prec <= |c| + r.  isqrt(N) = floor(sqrt N), and
+    isqrt(N - 1) + 1 = ceil(sqrt N) for N >= 1, so with N = |c|^2,
+    L = max(isqrt(N) - r, 0) <= |x| 2^prec <= U = ceil(sqrt N) + r.
+    t -> |t - 2^prec| is convex, so on [L, U] its largest value is at an end,
+    hi = max(2^prec - L, U - 2^prec), and its smallest is 0 when
+    L <= 2^prec <= U, else the distance from 2^prec to the nearer end:
+    lo = max(L - 2^prec, 2^prec - U, 0).
     """
-    parts = [(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in roots]
-    s = max([0] + [-x[2] for q in parts for x in q if x[1]])
-    one = 1 << s
+    one = 1 << discs.prec
     devs = []
-    for q in parts:
-        a, ra, b, rb = (abs(libmp.to_fixed(x, s)) for x in q)
-        near = max(a - ra, 0) ** 2 + max(b - rb, 0) ** 2
-        far = (a + ra) ** 2 + (b + rb) ** 2
-        lo_mod, hi_mod = isqrt(near), isqrt(far - 1) + 1 if far else 0
+    for xr, xi, rad in discs:
+        N = xr * xr + xi * xi
+        lo_mod, hi_mod = max(isqrt(N) - rad, 0), (isqrt(N - 1) + 1 if N else 0) + rad
         devs.append((max(lo_mod - one, one - hi_mod, 0), max(one - lo_mod, hi_mod - one)))
-    return s, devs
+    return devs
 
 
 def verify_by_roots(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
-    """Cross-validation report: every certified root ball within ROOT_TOL of
+    """Cross-validation report: every certified root disc within ROOT_TOL of
     |z| = 1; max_mod_dev is the largest | |z| - 1 | (the first on ties).
 
-    Each ball holds a disc that contains a root; `certified-true` also needs
-    the discs pairwise disjoint, so that each holds exactly one of the n
-    roots.  A ball is on the circle when its upper end hi of | |z| - 1 |
-    (`_modulus_deviations`) is below ROOT_TOL = num/den, hi den < num 2^s,
-    and off it when its lower end is above, lo den > num 2^s: exact integer
-    comparisons.  max_mod_dev is the ball [lo, hi] 2^-s of the largest hi,
-    made once.  An undecided result is retried at doubled precision through
-    `enclosure.escalate`; a refutation is final.  The detail counts the
-    polished roots, names the seed source and gives the bits of the attempt
-    that decided.
+    Each disc holds exactly one root; `certified-true` also needs the discs
+    pairwise disjoint (`simplicity_check`'s lo > 0), so that they hold n
+    distinct roots, all of them.  A disc is on the circle when its upper end
+    hi of | |z| - 1 | (`_modulus_deviations`) is below ROOT_TOL = num/den,
+    hi den < num 2^prec, and off it when its lower end is above,
+    lo den > num 2^prec: exact integer comparisons.  Only the two report
+    balls are made: max_mod_dev, the ball [lo, hi] 2^-prec of the largest
+    hi, and min_root_sep, the separation [lo, hi] 2^-prec.  An undecided
+    result is retried at doubled precision through `enclosure.escalate`; a
+    refutation is final.  The detail counts the polished roots and the
+    fixed-point Newton passes, names the seed source and gives the bits of
+    the attempt that decided.
     """
     n = poly.strip_origin().degree
     num, den = ROOT_TOL.numerator, ROOT_TOL.denominator
 
     def attempt(b: int) -> tuple[bool, VerificationReport]:
-        roots = find_roots(poly, b)
-        s, devs = _modulus_deviations(roots)
-        tol = num << s
+        discs = find_roots(poly, b)
+        prec = discs.prec
+        devs = _modulus_deviations(discs)
+        tol = num << prec
         dev = None
-        if roots:
-            i = max(range(len(devs)), key=lambda i: devs[i][1])
-            lo, hi = devs[i]
-            dev = fixed.to_ball(lo + hi, hi - lo, s + 1, roots[i].prec)
-        sep = simplicity_check(roots)
+        if discs:
+            lo, hi = max(devs, key=lambda d: d[1])
+            dev = fixed.to_ball(lo + hi, hi - lo, prec + 1, prec)
+        sep = simplicity_check(discs)
         on_circle = sum(1 for _, hi in devs if hi * den < tol)
         refuted = any(lo * den > tol for lo, _ in devs)
-        certified = on_circle == n and _roots_disjoint(roots, sep)
+        certified = on_circle == n and (sep is None or sep[0] > 0)
         verdict = CERTIFIED_TRUE if certified else (CERTIFIED_FALSE if refuted else INDETERMINATE)
+        sep_ball = None if sep is None else fixed.to_ball(sep[0] + sep[1], sep[1] - sep[0],
+                                                          prec + 1, prec)
         return verdict != INDETERMINATE, VerificationReport(
-            poly.family, poly.k, "roots", on_circle, n, dev, sep, certified,
+            poly.family, poly.k, "roots", on_circle, n, dev, sep_ball, certified,
             origin_zeros=poly.origin_multiplicity,
-            detail={"n_roots": len(roots), "polished": roots.polished, "seeds": roots.seeds,
-                    "bits": b},
+            detail={"n_roots": len(discs), "polished": discs.polished, "passes": discs.passes,
+                    "seeds": discs.seeds, "bits": b},
             verdict=verdict)
 
     return escalate(attempt, bits)[1]

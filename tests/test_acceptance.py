@@ -61,11 +61,12 @@ def test_criterion_1_p_sign_count_to_200():
             break
     min_sep = None
     for k in range(2, 61):
-        sep = simplicity_check(find_roots(build_P(k)))
-        if not sep.gt(F(1, 10 ** 10)):
+        discs = find_roots(build_P(k))
+        lo, _ = simplicity_check(discs)
+        if not lo * 10 ** 10 > 1 << discs.prec:
             ok = False
             break
-        v = float(sep.lower)
+        v = lo / 2 ** discs.prec
         min_sep = v if min_sep is None or v < min_sep else min_sep
     report("P_k sign-count 2..200 + simplicity k<=60", ok, t0,
            f"min separation {min_sep:.3e}")

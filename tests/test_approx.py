@@ -98,7 +98,7 @@ def test_approx1_seed_on_circle():
     # the seed root itself (P_2 root) is on the circle to 1e-20
     from circlezero.families import build_P
     from circlezero.roots import find_roots
-    roots = find_roots(build_P(2), 128)
+    roots = find_roots(build_P(2), 128).balls()
     for r in roots:
         assert (r.abs() - 1).abs().lt(F(1, 10 ** 20))
 

@@ -32,7 +32,6 @@ from circlezero.families import (
     FAMILIES,
     FamilyPoly,
     ZetaCoefficient,
-    ball_horner,
     build_family,
     build_P,
     build_Q,
@@ -44,7 +43,7 @@ from circlezero.families import (
 from circlezero.fixed import GUARD, TABLE_ERR, from_ball
 from circlezero.oscillation import _q_eval, _w_eval, alternating_verify
 from circlezero.reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE
-from circlezero.roots import RootBalls, find_roots, simplicity_check, verify_by_roots
+from circlezero.roots import RootDiscs, find_roots, simplicity_check, verify_by_roots
 from circlezero.signcount import (
     _first_grid,
     _TrigEvaluator,
@@ -999,18 +998,18 @@ def test_find_roots_S2_quadratic_oracle():
     # 5 z^2 + 6 z + 5: roots (-3 +- 4i)/5, modulus 1, distance 8/5
     roots = find_roots(build_S(2))
     assert len(roots) == 2
-    for r in roots:
+    for r in roots.balls():
         assert r.re.contains(F(-3, 5))
         assert abs(r.im.midpoint) - mp.mpf(4) / 5 < 1e-30
         assert (r.abs() - 1).abs().lt(F(1, 10 ** 30))
-    sep = simplicity_check(roots)
-    assert sep.contains(F(8, 5))
+    lo, hi = simplicity_check(roots)
+    assert 0 < lo * 5 <= 8 << roots.prec <= hi * 5 and hi - lo < 2 ** (roots.prec - 100)
 
 
 def test_find_roots_Q2():
     roots = find_roots(build_Q(2))
     assert len(roots) == 2
-    fourth = [r for r in roots if r.im.sign() < 0][0]
+    fourth = [r for r in roots.balls() if r.im.sign() < 0][0]
     assert abs(float(fourth.re.midpoint) - 0.92) < 0.01
     assert abs(float(fourth.im.midpoint) + 0.39) < 0.01
 
@@ -1018,7 +1017,8 @@ def test_find_roots_Q2():
 def test_find_roots_degree_one():
     roots = find_roots(build_S(1))
     assert len(roots) == 1
-    assert roots[0].re.contains(F(-1)) and roots[0].im.contains(F(0))
+    (xr, xi, rad), one = roots[0], 1 << roots.prec
+    assert abs(xr + one) <= rad and abs(xi) <= rad
 
 
 def test_aberth_seeds_S2():
@@ -1039,11 +1039,11 @@ def test_aberth_derivative_zero_at_seed():
 
 
 def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
-    # one fixed.horner_pd pass per Newton evaluation, none for certification:
-    # the pass whose step is below 2^-(bits + 16) certifies its own x, so
-    # each polished root has exactly one such pass, at its ball's centre.
-    # P_20 has no real root, so only the upper half is polished and each
-    # lower ball is its partner with Im negated and the same radius
+    # the roots workload's polynomials: two fixed.horner_pd passes per
+    # polished root, the second of which certifies the point its own Newton
+    # step lands on (x - S, with S = floor(2^prec p(x)/p'(x)) from that pass);
+    # no pass certifies without stepping, and no point is evaluated twice.
+    # Each lower disc of a mirrored pair is its partner with Im negated
     calls = []
     real = fixed.horner_pd
 
@@ -1053,21 +1053,23 @@ def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
         return out
 
     monkeypatch.setattr(fixed, "horner_pd", counted)
-    roots = find_roots(build_P(20), 128)
-    n = len(roots)
-    assert n == 40 and roots.polished == n // 2
-    prec = 128 + roots_mod.ROOT_GUARD
-    short = sorted((xr, xi) for xr, xi, (pr, pi, dr, di) in calls
-                   if abs(complex(pr, pi) / complex(dr, di)) < 2.0 ** -144)
-    upper = [r for r in roots if r.im.sign() > 0]
-    lower = [r for r in roots if r.im.sign() < 0]
-    assert len(upper) == len(lower) == n // 2
-    assert short == sorted((libmp.to_fixed(r.re.mid, prec), libmp.to_fixed(r.im.mid, prec))
-                           for r in upper)
-    mirrored = {(r.re.mid, r.re.rad, libmp.mpf_neg(r.im.mid), r.im.rad) for r in upper}
-    assert {(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in lower} == mirrored
-    assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)   # no point evaluated twice
-    assert n // 2 < len(calls) <= n // 2 * (roots_mod.POLISH_SWEEPS + 1)
+    for fam, k in (("P", 20), ("Q", 20), ("W", 20), ("Y", 42), ("S", 40), ("R", 20), ("P", 26)):
+        calls.clear()
+        roots = find_roots(build_family(fam, k), 128)
+        prec = roots.prec
+        assert len(calls) == roots.passes == 2 * roots.polished, (fam, k)
+        assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)
+        landed = set()
+        for xr, xi, (pr, pi, dr, di) in calls[1::2]:
+            den = dr * dr + di * di
+            landed.add((xr - ((pr * dr + pi * di) << prec) // den,
+                        xi - ((pi * dr - pr * di) << prec) // den))
+        centres = {(xr, xi) for xr, xi, _ in roots}
+        assert landed <= centres and len(landed) == roots.polished
+        assert {(xr, -xi) for xr, xi in centres - landed} <= landed
+        for xr, xi, rad in roots:
+            assert (xr, -xi, rad) in roots or (xr, xi) in landed
+            assert 0 < rad <= 1 << (prec - 128 - 16)
 
 
 def _exact_pd(C, xr, xi, prec):
@@ -1134,18 +1136,147 @@ def test_horner_pd_budget_near_tight_at_the_imaginary_axis():
     assert ed == 74 and _within(d, out[2:], ed, 3 * prec) and not _within(d, out[2:], 51, 3 * prec)
 
 
+def _d2_sum(coeffs, errs, X):
+    """sum k (k - 1) (|C_k| + e_k) X^(k-2) over k >= 2, exactly."""
+    return sum(k * (k - 1) * (abs(c) + e) * X ** (k - 2)
+               for k, (c, e) in enumerate(zip(coeffs, errs)) if k >= 2)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 1 << 30), min_size=2, max_size=80), st.integers(112, 200),
-       st.integers(1, 1 << 40))
-def test_budget_memo_rounds_the_bound_up(errs, prec, frac):
+@given(st.data(), st.integers(112, 200), st.integers(1, 1 << 40))
+def test_budget_memo_rounds_the_bound_up(data, prec, frac):
     # the memo's X is xabs 2^-prec rounded up, so its budget is never below
-    # the budget at X = xabs 2^-prec itself, and a repeated X reads the memo
-    budget = roots_mod._budget_memo(errs, prec)
+    # the budget at X = xabs 2^-prec itself, and a repeated X reads the memo;
+    # K bounds sum k (k - 1) (|C_k| + e_k) X^(k-2), recomputed in Fractions,
+    # and exceeds that sum at the rounded X only by the rounding up of each
+    # Horner step, less than one unit, carried by the powers of X
+    errs = data.draw(st.lists(st.integers(0, 1 << 30), min_size=2, max_size=80), label="errs")
+    coeffs = data.draw(st.lists(st.integers(-(1 << prec + 8), 1 << prec + 8), min_size=len(errs),
+                                max_size=len(errs)), label="coeffs")
+    budget = roots_mod._budget_memo(coeffs, errs, prec)
+    g = (16 * len(errs)).bit_length()
     for xabs in ((1 << prec) - frac, (1 << prec) + frac, (3 << prec - 1) + frac):
-        ep, ed = budget(xabs)
+        ep, ed, K = budget(xabs)
         at = fixed.pd_budget(errs, xabs, prec)
         assert ep >= at[0] and ed >= at[1]
-        assert budget(xabs) == (ep, ed)
+        assert K >= _d2_sum(coeffs, errs, F(xabs, 1 << prec))
+        X = F(-(-xabs >> (prec - g)), 1 << g)
+        assert K < _d2_sum(coeffs, errs, X) + len(errs) * max(1, X) ** len(errs)
+        assert budget(xabs) == (ep, ed, K)
+
+
+def _sqrt_bounds(q):
+    """(lo, hi) with lo <= sqrt q <= hi, Fractions 2^-64 apart, for q >= 0."""
+    r = math.isqrt(math.floor(q * 4 ** 64))
+    return F(r, 2 ** 64), F(r + 1, 2 ** 64)
+
+
+def _check_rouche_radius(P, D, ep, ed, K, prec):
+    """The step S the caller takes, and the radius r that `_rouche_radius`
+    gives for it, checked against delta and the Rouche condition recomputed
+    in Fractions: r > delta >= |x' - z_L| 2^prec and
+    K (r + |S|)^2 < 2 (|D| - ed) (r - delta) 2^prec."""
+    den = D[0] ** 2 + D[1] ** 2
+    S = (((P[0] * D[0] + P[1] * D[1]) << prec) // den, ((P[1] * D[0] - P[0] * D[1]) << prec) // den)
+    r = roots_mod._rouche_radius(P, D, S, ep, ed, K, prec)
+    if r is None:
+        return None
+    d_lo, p_hi = _sqrt_bounds(F(den))[0], _sqrt_bounds(F(P[0] ** 2 + P[1] ** 2))[1]
+    assert d_lo > ed
+    # 2^prec P/D - S, the floor's part of |x' - z_L|
+    phi = (F((P[0] * D[0] + P[1] * D[1]) << prec, den) - S[0],
+           F((P[1] * D[0] - P[0] * D[1]) << prec, den) - S[1])
+    delta = (d_lo * ep + p_hi * ed) * 2 ** prec / (d_lo * (d_lo - ed))
+    delta += _sqrt_bounds(phi[0] ** 2 + phi[1] ** 2)[1]
+    s_hi = _sqrt_bounds(F(S[0] ** 2 + S[1] ** 2))[1]
+    assert r > delta
+    assert K * (r + s_hi) ** 2 < 2 * (d_lo - ed) * (r - delta) * 2 ** prec
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rouche_radius_against_exact_recomputation(data):
+    # P, D and the budgets over wide ranges: a small |D| against ed, a large
+    # ep (delta dominates) and a large K (the quadratic term dominates)
+    prec = data.draw(st.integers(24, 96), label="prec")
+    big = 1 << prec + 8
+    P = (data.draw(st.integers(-big, big)), data.draw(st.integers(-big, big)))
+    D = (data.draw(st.integers(-big, big)), data.draw(st.integers(-big, big)))
+    ep, ed = data.draw(st.integers(0, 1 << 24)), data.draw(st.integers(0, 1 << 24))
+    K = data.draw(st.integers(0, 1 << prec + 40) | st.integers(0, 1 << 12), label="K")
+    if D == (0, 0):
+        D = (1, 0)
+    _check_rouche_radius(P, D, ep, ed, K, prec)
+
+
+def test_rouche_radius_from_delta_or_none():
+    # delta alone sets the radius when K = 0 (a linear p): 2^20 units of
+    # p(x)'s error over |p'(x)| = 1, plus the floor's 2; with the step 2^30
+    # units, a K of 2^140 leaves no radius: K r^2 < A r needs r < 2^-11
+    prec = 64
+    assert _check_rouche_radius((0, 0), (1 << prec, 0), 1 << 20, 0, 0, prec) == (1 << 20) + 3
+    assert _check_rouche_radius((1 << 30, 0), (1 << prec, 0), 0, 0, 1 << 80, prec) is not None
+    assert _check_rouche_radius((1 << 30, 0), (1 << prec, 0), 0, 0, 1 << 140, prec) is None
+
+
+def _oracle_roots(p):
+    """mpmath.polyroots at 120 digits of p's coefficients, valued at 450 bits."""
+    balls = p.coefficient_balls(450)[:p.degree + 1]
+    with mp.workdps(120):
+        return mp.polyroots([b.midpoint for b in reversed(balls)], maxsteps=400, extraprec=800)
+
+
+@pytest.mark.parametrize("fam", ["P", "Q", "W", "Y", "S", "R"])
+def test_find_roots_each_disc_holds_exactly_one_root(fam):
+    # every oracle root lies in exactly one disc, and every disc holds
+    # exactly one oracle root, at the default and an escalated precision
+    for k in range(FAMILIES[fam].min_k, 9):
+        p = build_family(fam, k).strip_origin()
+        oracle = _oracle_roots(p)
+        for bits in (128, 256):
+            discs = find_roots(p, bits)
+            assert len(discs) == p.degree == len(oracle)
+            with mp.workdps(120):
+                unit = mp.ldexp(1, -discs.prec)
+                inside = [[abs(w - mp.mpc(xr, xi) * unit) < rad * unit for xr, xi, rad in discs]
+                          for w in oracle]
+            assert all(sum(row) == 1 for row in inside), (fam, k, bits)
+            assert all(sum(col) == 1 for col in zip(*inside)), (fam, k, bits)
+
+
+def _near_circle_poly(*roots):
+    """prod (z^2 - 2 rho c z + rho^2) over (rho, c): roots rho (c +- i sqrt(1 - c^2))."""
+    coeffs = [F(1)]
+    for rho, c in roots:
+        quad = [rho * rho, -2 * c * rho, F(1)]
+        coeffs = [sum(coeffs[i] * quad[j - i] for i in range(len(coeffs)) if 0 <= j - i < 3)
+                  for j in range(len(coeffs) + 2)]
+    return _rational_poly(+1, *coeffs)
+
+
+_OUT, _IN = 1 + F(1, 10 ** 15), 1 - F(1, 10 ** 15)
+
+
+@pytest.mark.parametrize("roots", [((_OUT, F(3, 5)),), ((_IN, F(3, 5)),),
+                                   ((_OUT, F(3, 5)), (_IN, F(-5, 13)))],
+                         ids=["1+1e-15", "1-1e-15", "both"])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_roots_near_circle_never_certified(roots, bits):
+    # roots at modulus 1 +- 1e-15 of an input that is not self-inversive: the
+    # discs prove them off the circle, never on it
+    poly = _near_circle_poly(*roots)
+    assert not poly.self_inversive_ok()
+    rep = verify_by_roots(poly, bits)
+    assert rep.verdict == CERTIFIED_FALSE and rep.zeros_on_circle == 0
+    assert rep.max_mod_dev.gt(F(9, 10 ** 16)) and rep.max_mod_dev.lt(F(11, 10 ** 16))
+
+
+def test_roots_module_binds_no_libmp():
+    # the route reads no mpmath internals: discs, separation and moduli are
+    # integers, and the two report balls come from fixed.to_ball
+    assert not any(v is libmp or (getattr(v, "__module__", None) or "").startswith("mpmath.libmp")
+                   for v in vars(roots_mod).values())
 
 
 def test_find_roots_budget_once_per_bound_and_no_history(monkeypatch):
@@ -1160,20 +1291,17 @@ def test_find_roots_budget_once_per_bound_and_no_history(monkeypatch):
     assert roots.polished == 60 and 1 <= len(calls) <= 3
     monkeypatch.undo()
 
-    def balls(rs):
-        return [(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in rs]
-
     script = ("from circlezero.families import build_P\n"
               "from circlezero.roots import find_roots\n"
-              "print([(r.re.mid, r.re.rad, r.im.mid, r.im.rad) for r in find_roots(build_P(20))])\n")
+              "print(list(find_roots(build_P(20))))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    first, second = balls(find_roots(build_P(20))), balls(find_roots(build_P(20)))
+    first, second = list(find_roots(build_P(20))), list(find_roots(build_P(20)))
     find_roots(build_R(20))
-    assert proc.stdout.strip() == repr(first) and first == second == balls(find_roots(build_P(20)))
+    assert proc.stdout.strip() == repr(first) and first == second == list(find_roots(build_P(20)))
 
 
 def test_find_roots_repeated_root_fails():
@@ -1198,101 +1326,119 @@ def test_find_roots_binds_coefficients_once_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("fam,k", [("P", 10), ("S", 40), ("Y", 42), ("R", 5)])
-def test_find_roots_radius_covers_residual_bound(fam, k):
-    # every radius is at least n |p(x)| / |p'(x)| at its centre, evaluated in
-    # ball arithmetic 64 bits beyond the fixed-point pass
+def test_find_roots_discs_pass_the_rouche_test_recomputed(monkeypatch, fam, k):
+    # the pass that certifies each polished disc, recomputed: its p(x) and
+    # p'(x) within the budget of the exact fixed-point polynomial (Fractions),
+    # its K at least the exact sum over a disc that holds x' and the circle,
+    # and its radius passing the Rouche condition in Fractions
     p = build_family(fam, k).strip_origin()
-    n = p.degree
-    roots = find_roots(p, 128)
-    prec = 128 + 48 + 64
-    balls = p.coefficient_balls(prec)[:n + 1]
-    dballs = [balls[j] * j for j in range(1, n + 1)]
-    for r in roots:
-        assert r.re.rad == r.im.rad
-        x = ComplexEnclosure(RealEnclosure(r.re.mid, libmp.fzero, prec),
-                             RealEnclosure(r.im.mid, libmp.fzero, prec))
-        bound = ball_horner(balls, x, prec).abs() * n / ball_horner(dballs, x, prec).abs()
-        assert r.re.radius >= bound.lower, (fam, k)
+    seen = []
+    real = roots_mod._rouche_radius
+
+    def recorded(P, D, S, ep, ed, K, prec):
+        r = real(P, D, S, ep, ed, K, prec)
+        seen.append((points[-1], (P, D, S, ep, ed, K, r)))
+        return r
+
+    monkeypatch.setattr(roots_mod, "_rouche_radius", recorded)
+    points = []
+    horner = fixed.horner_pd
+    monkeypatch.setattr(fixed, "horner_pd", lambda c, xr, xi, prec: points.append((xr, xi)) or
+                        horner(c, xr, xi, prec))
+    discs = find_roots(p, 128)
+    monkeypatch.undo()
+    prec = discs.prec
+    _, C, E = p.fixed_coefficients(prec, p.degree + 1)
+    certified = {}
+    for (xr, xi), (P, D, S, ep, ed, K, r) in seen:
+        if r is not None and r <= 1 << (prec - 128 - 16):
+            certified[(xr - S[0], xi - S[1])] = r
+            assert _check_rouche_radius(P, D, ep, ed, K, prec) == r
+            xp, xd = _exact_pd(C, xr, xi, prec)
+            n = len(C) - 1
+            assert _within(xp, P, ep, prec * n) and _within(xd, D, ed, prec * (n - 1))
+            X = (_sqrt_bounds(F(xr * xr + xi * xi))[1] + _sqrt_bounds(F(S[0] ** 2 + S[1] ** 2))[1]
+                 + r) / 2 ** prec
+            assert K >= _d2_sum(C, E, X)
+    assert len(certified) == discs.polished
+    assert all(certified.get((xr, xi), rad) == rad for xr, xi, rad in discs)
 
 
-def _all_pairs_min(roots):
-    """The reference scan: the distance ball of smallest lower bound over all
+def _all_pairs_min(discs):
+    """The reference scan: (lo, hi) of the pair of smallest lo over all
     pairs, the first in (i, j) order on ties."""
     best = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = (roots[i] - roots[j]).abs()
-            if best is None or d.lower < best.lower:
-                best = d
+    for i, (xa, ya, ra) in enumerate(discs):
+        for xb, yb, rb in discs[i + 1:]:
+            d2 = (xa - xb) ** 2 + (ya - yb) ** 2
+            lo = math.isqrt(d2) - ra - rb
+            if best is None or lo < best[0]:
+                best = (lo, (math.isqrt(d2 - 1) + 1 if d2 else 0) + ra + rb)
     return best
+
+
+def _discs(*discs, prec=176):
+    """RootDiscs from (re, im, rad) Fractions, each floored to units of 2^-prec."""
+    return RootDiscs([tuple(math.floor(v * 2 ** prec) for v in d) for d in discs], prec,
+                     len(discs), "grid", 0)
 
 
 @pytest.mark.parametrize("fam,k", [("P", 20), ("R", 5), ("Y", 42)])
 def test_simplicity_check_matches_all_pairs_scan(fam, k):
     roots = find_roots(build_family(fam, k))
-    sep, best = simplicity_check(roots), _all_pairs_min(roots)
-    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
+    assert simplicity_check(roots) == _all_pairs_min(roots)
 
 
 _GRID = st.sampled_from([F(0), F(1), F(-1), F(1, 3), F(5, 2), F(1, 10 ** 12)])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_GRID, _GRID, st.sampled_from([F(1, 2 ** 100), F(1, 10), F(1), F(3)])),
+@given(st.lists(st.tuples(_GRID, _GRID, st.sampled_from([F(0), F(1, 2 ** 100), F(1, 10), F(1), F(3)])),
                 min_size=2, max_size=10),
        st.lists(st.integers(0, 9), max_size=3))
-def test_simplicity_check_matches_all_pairs_scan_random(balls, copies):
+def test_simplicity_check_matches_all_pairs_scan_random(discs, copies):
     # few distinct coordinates, so real parts repeat and centres coincide;
-    # radii up to 3, so a far pair's wide balls can beat the closest centres
-    roots = [_ball(re, im, rad) for re, im, rad in balls]
-    roots += [roots[i % len(roots)] for i in copies]          # exact duplicates
-    sep, best = simplicity_check(roots), _all_pairs_min(roots)
-    assert (sep.mid, sep.rad, sep.prec) == (best.mid, best.rad, best.prec)
+    # radii up to 3, so a far pair's wide discs can beat the closest centres
+    discs += [discs[i % len(discs)] for i in copies]          # exact duplicates
+    roots = _discs(*discs)
+    assert simplicity_check(roots) == _all_pairs_min(roots)
 
 
 def test_simplicity_check_wide_balls_beat_closer_centres():
-    # the closest centres (distance 1) have tight balls; the pair at distance
-    # 101/100 has radius 1/10 balls, so its lower bound is smaller
-    roots = [_ball(F(0), F(0), F(1, 10 ** 30)), _ball(F(1), F(0), F(1, 10 ** 30)),
-             _ball(F(5), F(0), F(1, 10)), _ball(F(601, 100), F(0), F(1, 10))]
-    sep = simplicity_check(roots)
-    want = (roots[2] - roots[3]).abs()
-    assert (sep.mid, sep.rad) == (want.mid, want.rad) and sep.lower < 1
+    # the closest centres (distance 1) have tight discs; the pair at distance
+    # 101/100 has radius 1/10 discs, so its lower bound is smaller
+    tiny = F(1, 10 ** 30)
+    roots = _discs((F(0), F(0), tiny), (F(1), F(0), tiny), (F(5), F(0), F(1, 10)),
+                   (F(601, 100), F(0), F(1, 10)))
+    lo, hi = simplicity_check(roots)
+    assert (lo, hi) == _all_pairs_min(roots[2:]) and lo < 1 << roots.prec
 
 
 def test_simplicity_check_memory_linear_in_roots():
-    # 2,000 roots (the degree of P_999): the float prefilter sweeps the
-    # centres by real part and holds only the near pairs, not all n(n-1)/2
+    # 2,000 discs on the circle (the degree of P_999): the sweep over the
+    # centres by real part holds only the near pairs, not all n(n-1)/2
     import tracemalloc
 
-    n = 2000
-    pi = RealEnclosure.pi(128)
-    roots = []
-    for j in range(n):
-        c, s = ball_cos_sin(pi * F(2 * j + 1, n))
-        roots.append(ComplexEnclosure(c, s))
+    n, prec = 2000, 176
+    discs = RootDiscs([(int(math.cos(t) * 2 ** 52) << prec - 52, int(math.sin(t) * 2 ** 52) << prec - 52,
+                        1 << 30) for t in (math.pi * (2 * j + 1) / n for j in range(n))],
+                      prec, n, "grid", 0)
     tracemalloc.start()
     try:
-        sep = simplicity_check(roots)
+        lo, hi = simplicity_check(discs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
-    assert abs(float(sep.midpoint) - 2 * math.sin(math.pi / n)) < 1e-12
-
-
-def _ball(re: Fraction, im: Fraction, rad: Fraction, prec: int = 176) -> ComplexEnclosure:
-    r = RealEnclosure.exact(rad, prec).mid
-    return ComplexEnclosure(RealEnclosure(RealEnclosure.exact(re, prec).mid, r, prec),
-                            RealEnclosure(RealEnclosure.exact(im, prec).mid, r, prec))
+    assert abs(lo / 2 ** prec - 2 * math.sin(math.pi / n)) < 1e-12
 
 
 def test_verify_by_roots_overlapping_discs_not_certified(monkeypatch):
-    # two balls within 1e-20 of the circle whose centres are closer than
+    # two discs within 1e-20 of the circle whose centres are closer than
     # their radii: the count could be one double root, so no certificate
     tiny = F(1, 2 ** 80)
-    roots = [_ball(F(1), F(0), 2 * tiny), _ball(F(1), tiny, 2 * tiny)]
-    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(roots, 2, "grid"))
+    roots = _discs((F(1), F(0), 2 * tiny), (F(1), tiny, 2 * tiny))
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: roots)
     rep = verify_by_roots(build_S(2))
     assert rep.zeros_on_circle == 2 and rep.degree_nontrivial == 2
     assert not rep.certified and rep.verdict != CERTIFIED_TRUE
@@ -1302,14 +1448,13 @@ def test_verify_by_roots_escalates_indeterminate_only(monkeypatch):
     calls = []
     real = roots_mod.find_roots
 
-    wide = RealEnclosure.exact(F(1, 10 ** 10), 64).mid
-
     def first_wide(poly, bits):
         calls.append(bits)
         roots = real(poly, bits)
         if len(calls) == 1:   # radius 1e-10: neither on nor off the circle at 1e-20
-            roots = RootBalls([ComplexEnclosure(RealEnclosure(r.re.mid, wide, r.re.prec), r.im)
-                               for r in roots], roots.polished, roots.seeds)
+            wide = (1 << roots.prec) // 10 ** 10
+            roots = RootDiscs([(xr, xi, wide) for xr, xi, _ in roots], roots.prec,
+                              roots.polished, roots.seeds, roots.passes)
         return roots
 
     monkeypatch.setattr(roots_mod, "find_roots", first_wide)
@@ -1329,7 +1474,7 @@ def test_verify_by_roots_W2():
     assert rep.certified
     assert float(rep.max_mod_dev.upper) < 1e-25
     assert rep.min_root_sep.gt(F(1, 10))
-    assert rep.detail == {"n_roots": 4, "polished": 2, "seeds": "grid", "bits": 128}
+    assert rep.detail == {"n_roots": 4, "polished": 2, "passes": 4, "seeds": "grid", "bits": 128}
 
 
 def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
@@ -1364,13 +1509,13 @@ def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, 
     # a seed within MIRROR_TOL of the real axis (the forced zero -1 of odd
     # degree, R's four real roots) is polished on its own, not mirrored
     seeds = []
-    real = roots_mod._newton_ball
+    real = roots_mod._newton_disc
 
     def recorded(poly, coeffs, budget, xr, xi, prec, bits):
         seeds.append(complex(xr, xi) / 2 ** prec)
         return real(poly, coeffs, budget, xr, xi, prec, bits)
 
-    monkeypatch.setattr(roots_mod, "_newton_ball", recorded)
+    monkeypatch.setattr(roots_mod, "_newton_disc", recorded)
     rep = verify_by_roots(build_family(fam, k))
     n = rep.degree_nontrivial
     assert (rep.verdict, rep.zeros_on_circle, rep.detail["n_roots"]) == (verdict, on_circle, n)
@@ -1381,39 +1526,42 @@ def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, 
 
 def test_verify_by_roots_modulus_decided_in_integers(monkeypatch):
     # on, off or undecided against ROOT_TOL by exact integer comparisons of
-    # each ball's | |z| - 1 | enclosure; no ball modulus is formed
-    tiny, wide = F(1, 2 ** 100), RealEnclosure.exact(F(1, 10 ** 10), 176).mid
-    on, conj, off_im, off_re = (_ball(re, im, tiny) for re, im in
+    # each disc's | |z| - 1 | enclosure; no ball is formed but the two the
+    # report prints
+    tiny, wide = F(1, 2 ** 100), F(1, 10 ** 10)
+    on, conj, off_im, off_re = ((re, im, tiny) for re, im in
                                 ((F(3, 5), F(4, 5)), (F(3, 5), F(-4, 5)), (F(3, 5), F(1, 2)), (F(1, 5), F(4, 5))))
-    wide_im = ComplexEnclosure(conj.re, RealEnclosure(conj.im.mid, wide, 176))
-    wide_re = ComplexEnclosure(RealEnclosure(conj.re.mid, wide, 176), conj.im)
-    moduli = []
-    real_abs = ComplexEnclosure.abs
-    monkeypatch.setattr(ComplexEnclosure, "abs", lambda z: moduli.append(z) or real_abs(z))
-    for balls, verdict, on_circle in (([on, conj], CERTIFIED_TRUE, 2),
+    wide_disc = (F(3, 5), F(-4, 5), wide)
+    made = []
+    to_ball = fixed.to_ball
+    monkeypatch.setattr(fixed, "to_ball", lambda *a: made.append(a) or to_ball(*a))
+    monkeypatch.setattr(roots_mod, "ComplexEnclosure", None)    # no per-root ball
+    for discs, verdict, on_circle in (([on, conj], CERTIFIED_TRUE, 2),
                                       ([on, conj, off_im], CERTIFIED_FALSE, 2),
                                       ([on, conj, off_re], CERTIFIED_FALSE, 2),
-                                      ([on, wide_im], INDETERMINATE, 1),
-                                      ([on, wide_re], INDETERMINATE, 1)):
-        monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls(balls, 1, "grid"))
-        rep = verify_by_roots(build_S(len(balls)))     # degree = number of balls
+                                      ([on, wide_disc], INDETERMINATE, 1)):
+        made.clear()
+        calls = []
+        monkeypatch.setattr(roots_mod, "find_roots",
+                            lambda poly, bits: calls.append(bits) or _discs(*discs))
+        rep = verify_by_roots(build_S(len(discs)))     # degree = number of discs
         assert (rep.verdict, rep.zeros_on_circle) == (verdict, on_circle)
+        assert len(made) == 2 * len(calls)
         dev = rep.max_mod_dev
         assert {CERTIFIED_TRUE: dev.lt(roots_mod.ROOT_TOL), CERTIFIED_FALSE: dev.gt(F(1, 10)),
                 INDETERMINATE: not dev.lt(roots_mod.ROOT_TOL) and not dev.gt(roots_mod.ROOT_TOL)}[verdict]
-        assert not any(z is b for z in moduli for b in balls)   # only the separation check's
 
 
 @pytest.mark.parametrize("offset,verdict,on_circle", [
     (0, INDETERMINATE, 0), (-1, CERTIFIED_TRUE, 1), (1, CERTIFIED_FALSE, 0)],
     ids=["at-tol", "below", "above"])
 def test_verify_by_roots_modulus_exactly_at_tol(monkeypatch, offset, verdict, on_circle):
-    # a dyadic tolerance, so a point ball can sit exactly on it: |x| - 1 = tol
+    # a dyadic tolerance, so a point disc can sit exactly on it: |x| - 1 = tol
     # is neither below nor above tol; one unit of 2^-200 either way decides
     tol = F(1, 2 ** 70)
-    x = _ball(1 + tol + F(offset, 2 ** 200), F(0), F(0), prec=256)
+    x = _discs((1 + tol + F(offset, 2 ** 200), F(0), F(0)), prec=256)
     monkeypatch.setattr(roots_mod, "ROOT_TOL", tol)
-    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: RootBalls([x], 1, "grid"))
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: x)
     rep = verify_by_roots(build_S(1))
     assert (rep.verdict, rep.zeros_on_circle) == (verdict, on_circle)
     dev = rep.max_mod_dev
@@ -1424,23 +1572,20 @@ _DYADIC = st.integers(-2 ** 12, 2 ** 12).map(lambda v: F(v, 2 ** 10))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_DYADIC, _DYADIC, st.integers(0, 2 ** 8).map(lambda v: F(v, 2 ** 12)),
-                          st.integers(0, 2 ** 8).map(lambda v: F(v, 2 ** 14))),
+@given(st.lists(st.tuples(_DYADIC, _DYADIC, st.integers(0, 2 ** 10).map(lambda v: F(v, 2 ** 12))),
                 min_size=1, max_size=4))
-def test_modulus_deviations_enclose_every_point(balls):
-    # for each ball, | |x| - 1 | at its corners, at the point nearest 0 and at
-    # its centre lies in [lo, hi] 2^-s, and the enclosure is no wider than the
-    # true range plus two units of 2^-s (one of isqrt rounding per end)
-    roots = [ComplexEnclosure(RealEnclosure(RealEnclosure.exact(a, 64).mid, RealEnclosure.exact(ra, 64).mid, 64),
-                              RealEnclosure(RealEnclosure.exact(b, 64).mid, RealEnclosure.exact(rb, 64).mid, 64))
-             for a, b, ra, rb in balls]
-    s, devs = roots_mod._modulus_deviations(roots)
-    for (a, b, ra, rb), (lo, hi) in zip(balls, devs):
-        near = math.sqrt(max(abs(a) - ra, 0) ** 2 + max(abs(b) - rb, 0) ** 2)
-        far = math.sqrt((abs(a) + ra) ** 2 + (abs(b) + rb) ** 2)
-        points = [near, far, math.sqrt(a * a + b * b)]
-        points += [math.sqrt((a + u) ** 2 + (b + v) ** 2) for u in (-ra, ra) for v in (-rb, rb)]
-        unit = 2.0 ** -s
+def test_modulus_deviations_enclose_every_point(discs):
+    # for each disc, | |x| - 1 | at its centre, at its points nearest to and
+    # farthest from 0 and at eight points of its circle lies in [lo, hi]
+    # 2^-prec, and the enclosure is no wider than the true range plus two
+    # units (one of isqrt rounding per end)
+    roots = _discs(*discs, prec=16)
+    unit = 2.0 ** -roots.prec
+    for (a, b, r), (lo, hi) in zip(discs, roots_mod._modulus_deviations(roots)):
+        c = math.hypot(a, b)
+        near, far = max(c - r, 0), c + r
+        points = [near, far, c]
+        points += [abs(complex(a, b) + float(r) * cmath.exp(1j * math.pi * t / 4)) for t in range(8)]
         for mod in points:
             assert lo * unit - 1e-12 <= abs(mod - 1) <= hi * unit + 1e-12
         true_hi = max(abs(near - 1), abs(far - 1))
@@ -1450,7 +1595,7 @@ def test_modulus_deviations_enclose_every_point(balls):
 
 def test_root_count_conservation_R():
     poly = build_R(5)
-    roots = find_roots(poly)
+    roots = find_roots(poly).balls()
     on_circle = sum(1 for r in roots if (r.abs() - 1).abs().lt(F(1, 10 ** 20)))
     off_circle = sum(1 for r in roots if (r.abs() - 1).abs().gt(F(1, 10 ** 20)))
     assert on_circle + off_circle + poly.origin_multiplicity == poly.degree
