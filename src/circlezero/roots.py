@@ -17,7 +17,7 @@ from .enclosure import ComplexEnclosure, escalate
 from .errors import NumericError
 from .families import FamilyPoly
 from .reports import CERTIFIED_FALSE, CERTIFIED_TRUE, INDETERMINATE, VerificationReport
-from .signcount import _first_grid, _TrigEvaluator
+from .signcount import _first_grid, counted_form
 
 ABERTH_SWEEPS = 200      # float Aberth sweeps that seed the polish
 SEED_STEPS = 8           # float Newton steps that bring a grid seed to Aberth quality
@@ -73,49 +73,30 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
     counter's first grid; None when its certified brackets do not account
     for every root.
 
-    The counted polynomial q is p itself for even n, and for odd n the
-    quotient p / (z + eps), reciprocal of degree n - 1 (see
-    `signcount.deflate_forced_zero`), formed here in the fixed point of
-    `fixed_coeffs`: from c_0 = eps q_0 and c_j = q_(j-1) + eps q_j,
-    q_j = eps (c_j - q_(j-1)), whose error is the sum of e_0 .. e_j.  One
-    `_TrigEvaluator.grid_values` transform of q's trig polynomial g on the
-    first grid theta_j = j pi / M, M = `_first_grid(m)`, gives certified signs.
-    Every point must have one, apart from the forced zeros g(0) = g(pi) = 0
-    when q has eps = -1, and the sign changes must number m (m - 1 for
-    eps = -1): with the real seeds z = -eps for odd n and +-1 for eps = -1,
-    that is all n roots, one simple circle zero in each bracket.  Each
-    bracket gives the angle where the straight line through its two grid
-    values crosses 0; up to SEED_STEPS float Newton steps on `floats` move
-    e^(i theta) until a step is below 1e-13, as Aberth's stop.  A seed whose
-    argument leaves its bracket is not trusted, and the caller falls back to
-    Aberth, so no two seeds can polish to the same root.  The seeds are the
-    upper ones, the real ones and the conjugates of the upper ones.
+    `signcount.counted_form` gives, from `fixed_coeffs`, the counted
+    polynomial q of degree 2m (p, or for odd n the quotient p / (z + eps))
+    and the real zeros its trig polynomial g leaves out.  One
+    `_TrigEvaluator.grid_values` transform of g on the first grid
+    theta_j = j pi / M, M = `_first_grid(m)`, gives certified signs.  Every
+    point must have one, apart from the forced zeros g(0) = g(pi) = 0 when q
+    has eps = -1, and the sign changes must number m (m - 1 for eps = -1):
+    with the real zeros as seeds, that is all n roots, one simple circle
+    zero in each bracket.  Each bracket gives the angle where the straight
+    line through its two grid values crosses 0; up to SEED_STEPS float
+    Newton steps on `floats` move e^(i theta) until a step is below 1e-13,
+    as Aberth's stop.  A seed whose argument leaves its bracket is not
+    trusted, and the caller falls back to Aberth, so no two seeds can polish
+    to the same root.  The seeds are the upper ones, the real ones and the
+    conjugates of the upper ones.
     """
-    n, eps = p.degree, p.epsilon
-    emax, C, E = fixed_coeffs
-    real = []
-    if n % 2:
-        real.append(float(-eps))
-        m, q, e = (n - 1) // 2, 0, 0
-        Q, Eq = [], []
-        for c, ec in zip(C, E[:m + 1]):
-            q, e = eps * (c - q), e + ec
-            Q.append(q)
-            Eq.append(e)
-        C, E, eps = Q, Eq, 1
-    else:
-        m = n // 2
-        C, E = C[:m + 1], E[:m + 1]
-    if eps < 0:
-        real += [1.0, -1.0]
-    ev = _TrigEvaluator(eps, (emax, C, E), prec)
+    ev, m, real = counted_form(p.epsilon, p.degree, fixed_coeffs, prec)
     M = _first_grid(m)
     values = ev.grid_values(M)
-    first, last = (0, M) if eps > 0 else (1, M - 1)
+    first, last = (1, M - 1) if ev.use_sin else (0, M)
     if any(abs(v) <= ev.budget for v in values[first:last + 1]):
         return None
     brackets = [j for j in range(first, last) if (values[j] > 0) != (values[j + 1] > 0)]
-    if len(brackets) != m - (eps < 0):
+    if len(brackets) != m - ev.use_sin:
         return None
     rev = floats[::-1]
     upper = []
@@ -136,7 +117,7 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
         if not j * cmath.pi <= M * atan2(z.imag, z.real) <= (j + 1) * cmath.pi:
             return None
         upper.append(z)
-    return upper + real + [z.conjugate() for z in upper]
+    return upper + [float(x) for x in real] + [z.conjugate() for z in upper]
 
 
 def _budget_memo(coeffs: list[int], errs: list[int],

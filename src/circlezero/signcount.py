@@ -4,17 +4,21 @@ For a self-inversive p of even degree 2m, g(theta) = e^(-i m theta) p(e^(i theta
 is a real cosine sum (eps = +1) or i times a real sine sum (eps = -1); its
 certified sign changes on power-of-two grids theta = j pi / M, each grid one
 fixed-point radix-2 transform with an a-priori budget, count the circle
-zeros.  An odd degree first divides out its forced zero z = -eps exactly in
-Q[lam], so every degree takes this one route.
+zeros.  An odd degree first divides out its forced zero z = -eps once, in
+the fixed point of p's own coefficients (`counted_form`, which the roots
+seeder shares), so every degree takes this one route.  A quotient
+coefficient may exceed the 2^emax that bounds p's, and the budget's proof
+does not assume it does not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import fixed
 from .errors import DomainError, PrecisionError
-from .families import FamilyPoly
+from .families import ZERO_COEFF, FamilyPoly
 from .reports import VerificationReport
 
 
@@ -70,8 +74,10 @@ class _TrigEvaluator:
     degree n = 2m: q_0 = c_m, q_r = 2 c_(m-r) with trig = cos (eps = +1), or
     q_r = -2 c_(m-r) with trig = sin (eps = -1; c_m = 0 by the symmetry).
     `coefficients` = (E, C, e) holds c_0 .. c_m in fixed point at `prec`, as
-    `FamilyPoly.fixed_coefficients` gives them: c_j = 2^(E - prec) (C_j +- e_j);
-    with emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
+    `counted_form` gives them: c_j = 2^(E - prec) (C_j +- e_j).  When p is
+    the quotient of an odd-degree input, 2^E bounds the input's coefficients,
+    and a quotient coefficient may exceed it, so |C_j| may exceed 2^prec; the
+    budget below assumes no bound on |C_j|.  With emax = E + 1, each doubled 2 c_(m-r) is C_(m-r) +- e_(m-r) in units of
     2^(emax - prec), and c_m is C_m / 2 floored, within e_m / 2 + 1/2 units.
 
     `grid_values(M)` returns g(j pi / M) for j = 0 .. M, each within `budget`,
@@ -124,106 +130,108 @@ class _TrigEvaluator:
         return _half_dft(self.terms, fixed.cos_table(self.prec, M), self.prec)[self.use_sin]
 
 
-def _factor_sign_count(p: FamilyPoly, bits: int) -> VerificationReport:
-    """Sign counting for an origin-stripped self-inversive p of even degree,
-    whose symmetry c_(n-j) = eps c_j the caller has checked.
+def counted_form(epsilon: int, n: int, coefficients: tuple[int, list[int], list[int]],
+                 prec: int) -> tuple[_TrigEvaluator, int, list[int]]:
+    """(ev, m, real) for an origin-stripped self-inversive p of degree n,
+    whose symmetry c_(n-j) = eps c_j the caller has checked exactly: the
+    `_TrigEvaluator` of the counted polynomial q, half of q's degree, and
+    the real zeros of p that the sign changes of q's trig polynomial on
+    (0, pi) do not count.  `coefficients` = (E, C, e) holds at least
+    c_0 .. c_(n//2) in fixed point at prec, as
+    `FamilyPoly.fixed_coefficients` gives them.
 
-    With n = 2m, e^(-i m theta) p(e^(i theta)) is g(theta) (eps = +1) or
-    i g(theta) (eps = -1) for the real trig polynomial g of `_TrigEvaluator`,
-    which vanishes exactly at the circle-zero angles of p; each certified sign
-    change of g on (0, pi) is one conjugate pair of zeros.  Each grid
-    theta = j pi / M, j = 0 .. M, is one transform (`grid_values`) with one
-    budget.  For eps = -1 the symmetry forces p(1) = p(-1) = 0.  For eps = +1,
-    p(1) = g(0) and p(-1) = (-1)^m g(pi) take their certified signs from the
-    first grid's transform; only an undecided sign runs the exact zero test
-    in Q[lam].  The grid starts at the smallest power of two M >= max(3m, 32)
-    and doubles up to five times; a doubled grid is transformed whole but
-    only its odd j are new.  `evaluations` counts the grid points whose sign
-    was taken, M - 1, not arithmetic operations.
+    For even n, q = p.  For odd n, the pairs c_j, c_(n-j) = eps c_j cancel
+    at z = -eps, and q = p / (z + eps) is reciprocal of even degree n - 1:
+    from c_0 = eps q_0 and c_j = q_(j-1) + eps q_j,
+    q_j = eps (c_j - q_(j-1)), formed in the units of p's coefficients with
+    error at most e_0 + ... + e_j.  The real zeros are -eps for odd n, and
+    +1 and -1 when q has eps = -1, where the symmetry forces q(1) = q(-1) = 0.
     """
-    n = p.degree
+    emax, C, E = coefficients
     m = n // 2
-    if n == 0:
-        if p.coeffs[0].is_zero():
-            raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
-        # a nonzero constant has no zeros
-        return VerificationReport(p.family, p.k, "sign-count", 0, 0, None, None, True,
-                                  detail={"grid": 0, "changes": 0, "boundary_zeros": 0,
-                                          "factored": True, "evaluations": 0})
-
-    # g's coefficients come from c_0..c_m; the upper half mirrors them
-    prec = bits + fixed.GUARD
-    ev = _TrigEvaluator(p.epsilon, p.fixed_coefficients(prec, m + 1), prec)
-    budget = ev.budget
-
-    def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M
-        return [1 if v > budget else (-1 if v < -budget else 0) for v in ev.grid_values(M)]
-
-    M = _first_grid(m)
-    signs = signs_of(M)
-    if p.epsilon < 0:
-        boundary = 2   # c_(n-j) = -c_j forces p(1) = p(-1) = 0
-    else:
-        boundary = 0
-        for point, j in ((1, 0), (-1, M)):
-            if signs[j] == 0:
-                if not p.eval_rational(Fraction(point)).is_zero():
-                    raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
-                boundary += 1
-    # 2 * target + boundary must reach n even when boundary is odd
-    target = (n - boundary + 1) // 2
-    signs = [0] + signs[1:M]   # signs[j]: g(j pi / M) on the open interval
-    for grids in range(1, 7):
-        seq = [s for s in signs if s]
-        changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-        if changes >= target or grids == 6:
-            break
-        M *= 2
-        odd = signs_of(M)[1::2]
-        signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
-    certified = changes >= target
-    return VerificationReport(p.family, p.k, "sign-count",
-                              n if certified else 2 * changes + boundary, n, None, None,
-                              certified,
-                              detail={"grid": M, "changes": changes, "boundary_zeros": boundary,
-                                      "factored": True, "evaluations": M - 1})
+    C, E = C[:m + 1], E[:m + 1]
+    real = []
+    if n % 2:
+        real.append(-epsilon)
+        Q = [epsilon * C[0]]
+        for c in C[1:]:
+            Q.append(epsilon * (c - Q[-1]))
+        C, E, epsilon = Q, list(accumulate(E)), 1
+    if epsilon < 0:
+        real += [1, -1]
+    return _TrigEvaluator(epsilon, (emax, C, E), prec), m, real
 
 
-def deflate_forced_zero(p: FamilyPoly) -> FamilyPoly:
-    """p(z) / (z + eps) for an origin-stripped self-inversive p of odd degree.
-
-    The pairs c_j, c_(n-j) = eps c_j cancel at z = -eps, so synthetic division
-    leaves no remainder and a reciprocal quotient of even degree n - 1
-    (eps = +1).  The caller checks the symmetry; see `verify_by_sign_count`.
-    """
-    n, eps = p.degree, p.epsilon
-    q = [p.coeffs[n]]
-    for c in reversed(p.coeffs[1:n]):
-        q.append(c - q[-1] if eps > 0 else c + q[-1])
-    q.reverse()
-    return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1,
-                      note=(p.note + f" /(z{eps:+d})").strip())
+def _counted_vanishes(p: FamilyPoly, x: int) -> bool:
+    """q(x) = 0 exactly in Q[lam], x = +-1, for the counted q of
+    `counted_form`, read from p itself: q(x) = p(x) / (x + eps) away from an
+    odd degree's forced zero, and q(-eps) = p'(-eps) at it."""
+    if p.degree % 2 and x == -p.epsilon:
+        return sum((c * (j * x ** (j - 1)) for j, c in enumerate(p.coeffs) if j),
+                   ZERO_COEFF).is_zero()
+    return p.eval_rational(Fraction(x)).is_zero()
 
 
 def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationReport:
     """Route a family polynomial through the sign counter.
 
-    The symmetry c_(n-j) = eps c_j of the origin-stripped polynomial is
-    checked exactly first; every later step relies on it.  Odd nontrivial
-    degrees then divide out their forced zero z = -eps exactly; the
-    even-degree quotient is counted and the deflated zero added.
+    The symmetry c_(n-j) = eps c_j of the origin-stripped polynomial p is
+    checked exactly first; every later step relies on it.  `counted_form`
+    gives the counted polynomial q of degree 2m (p itself, or for odd n the
+    quotient p / (z + eps)) and the real zeros it leaves out.  On the circle,
+    e^(-i m theta) q(e^(i theta)) is g(theta) (eps = +1) or i g(theta)
+    (eps = -1) for the real trig polynomial g of `_TrigEvaluator`, which
+    vanishes exactly at the circle-zero angles of q; each certified sign
+    change of g on (0, pi) is one conjugate pair of zeros.  Each grid
+    theta = j pi / M, j = 0 .. M, is one transform (`grid_values`) with one
+    budget.  When q has eps = +1, q(1) = g(0) and q(-1) = (-1)^m g(pi) take
+    their certified signs from the first grid's transform; only an undecided
+    sign runs the exact zero test in Q[lam] (`_counted_vanishes`).  The grid
+    starts at the smallest power of two M >= max(3m, 32) and doubles up to
+    five times; a doubled grid is transformed whole but only its odd j are
+    new.  `boundary_zeros` counts q's zeros at +-1, `deflated` names an odd
+    degree's forced zero, and `evaluations` counts the grid points whose
+    sign was taken, M - 1, not arithmetic operations.
     """
     p = poly.strip_origin()
     if not p.self_inversive_ok():
         raise DomainError(f"{poly.family}_{poly.k}: c_(n-j) != {p.epsilon:+d} c_j, "
                           "not self-inversive")
     n = p.degree
-    if n % 2 == 0:
-        rep = _factor_sign_count(p, bits)
-    else:
-        rep = _factor_sign_count(deflate_forced_zero(p), bits)
-        rep.zeros_on_circle += 1
-        rep.degree_nontrivial = n
-        rep.detail["deflated"] = str(-p.epsilon)
-    rep.origin_zeros = poly.origin_multiplicity
-    return rep
+    if n == 0 and p.coeffs[0].is_zero():
+        raise DomainError(f"{p.family}_{p.k}: zero polynomial has no sign pattern")
+    prec = bits + fixed.GUARD
+    ev, m, real = counted_form(p.epsilon, n, p.fixed_coefficients(prec, n // 2 + 1), prec)
+    boundary = len(real) - n % 2   # q's zeros at +-1
+    M = changes = 0
+    if m:   # a constant q has no zeros
+        budget = ev.budget
+
+        def signs_of(M: int) -> list[int]:   # certified signs of g(j pi / M), j = 0 .. M
+            return [1 if v > budget else (-1 if v < -budget else 0) for v in ev.grid_values(M)]
+
+        M = _first_grid(m)
+        signs = signs_of(M)
+        if not ev.use_sin:
+            for point, j in ((1, 0), (-1, M)):
+                if signs[j] == 0:
+                    if not _counted_vanishes(p, point):
+                        raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
+                    boundary += 1
+        signs = [0] + signs[1:M]   # signs[j]: g(j pi / M) on the open interval
+        for grids in range(1, 7):
+            seq = [s for s in signs if s]
+            changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+            if 2 * changes + boundary >= 2 * m or grids == 6:
+                break
+            M *= 2
+            odd = signs_of(M)[1::2]
+            signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
+    certified = 2 * changes + boundary >= 2 * m
+    detail = {"grid": M, "changes": changes, "boundary_zeros": boundary, "factored": True,
+              "evaluations": max(M - 1, 0)}
+    if n % 2:
+        detail["deflated"] = str(-p.epsilon)
+    return VerificationReport(p.family, p.k, "sign-count",
+                              n if certified else 2 * changes + boundary + n % 2, n, None, None,
+                              certified, origin_zeros=poly.origin_multiplicity, detail=detail)

@@ -30,7 +30,6 @@ from circlezero.families import (
     s_at_one,
     y_coeff_sum,
 )
-from circlezero.signcount import deflate_forced_zero
 from circlezero.verify import verify_family
 
 F = Fraction
@@ -328,16 +327,27 @@ def test_P_fixed_coefficients_enclose_exact(prec):
         assert max(e) <= 4 and max(abs(x) for x in C).bit_length() <= prec, (p.family, p.k)
 
 
+def _deflate(p):
+    """p(z) / (z + eps) by exact synthetic division, for an origin-stripped
+    self-inversive p of odd degree: a reciprocal quotient with no product form."""
+    n, eps = p.degree, p.epsilon
+    q = [p.coeffs[n]]
+    for c in reversed(p.coeffs[1:n]):
+        q.append(c - q[-1] if eps > 0 else c + q[-1])
+    q.reverse()
+    return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1)
+
+
 def _generic_polys():
     return ([build_S(k) for k in (1, 2, 3, 10, 31, 60)]
             + [abs_square_poly(k) for k in range(2, 6)]
-            + [deflate_forced_zero(build_Y(k).strip_origin()) for k in (3, 11, 31)]
-            + [deflate_forced_zero(build_S(9))])
+            + [_deflate(build_Y(k).strip_origin()) for k in (3, 11, 31)]
+            + [_deflate(build_S(9))])
 
 
 @pytest.mark.parametrize("prec", [160, 288])
 def test_generic_fixed_coefficients_enclose_exact(prec):
-    # every c_j of S, |P_k(iz)|^2 and a deflated quotient lies in
+    # every c_j of S, |P_k(iz)|^2 and an exact deflated quotient lies in
     # 2^(emax - prec) (C_j +- e_j), 2^emax bounds every |c_j|, and a shorter
     # read gives the same integers; lam and lam^2 are taken at four times the precision
     for p in _generic_polys():
@@ -410,13 +420,15 @@ def test_P_lazy_coeffs_equal_eager_build(k):
 
 def test_P_sign_count_and_roots_form_no_exact_coefficient(monkeypatch):
     # the one exact former sees no call from the sign counter (P, Q, W, R and
-    # even-k Y; odd-k Y deflates exactly) or from the roots route
+    # Y, whose odd degrees divide out their forced zero in fixed point) or
+    # from the roots route
     calls = []
     orig = families._b_product
     monkeypatch.setattr(families, "_b_product", lambda *a: calls.append(a) or orig(*a))
     for k in (2, 3, 10, 51, 200, 999):
         assert verify_family("P", k, "sign-count")[0].certified, k
-    sign_counts = {"Q": (2, 3, 10, 51), "W": (2, 3, 10, 51), "Y": (4, 10, 52), "R": (1, 2, 10)}
+    sign_counts = {"Q": (2, 3, 10, 51), "W": (2, 3, 10, 51), "Y": (4, 10, 52, *range(3, 62, 2)),
+                   "R": (1, 2, 10)}
     for fam, ks in sign_counts.items():
         for k in ks:
             assert verify_family(fam, k, "sign-count")[0].certified == (fam != "R"), (fam, k)

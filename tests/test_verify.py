@@ -47,7 +47,7 @@ from circlezero.roots import RootDiscs, find_roots, simplicity_check, verify_by_
 from circlezero.signcount import (
     _first_grid,
     _TrigEvaluator,
-    deflate_forced_zero,
+    counted_form,
     verify_by_sign_count,
 )
 from circlezero.verify import (
@@ -739,6 +739,27 @@ def _rational_poly(eps, *coeffs):
                       tuple(ZetaCoefficient.rational(c) for c in coeffs), eps)
 
 
+def _deflate(p):
+    """p(z) / (z + eps) by exact synthetic division in Q[lam], for an
+    origin-stripped self-inversive p of odd degree: the reference quotient
+    that `counted_form` forms in fixed point."""
+    n, eps = p.degree, p.epsilon
+    q = [p.coeffs[n]]
+    for c in reversed(p.coeffs[1:n]):
+        q.append(c - q[-1] if eps > 0 else c + q[-1])
+    q.reverse()
+    return FamilyPoly(p.family, p.k, p.pi_power, tuple(q), +1)
+
+
+# eps = -1 at odd degree: z^3 - 1, (z - 1)(z^2 + 3z + 1), and (z - 1) times a
+# reciprocal sextic whose coefficients no power of two floors exactly
+_EPS_MINUS_ONE = {
+    "z^3-1": (-1, 0, 0, 1),
+    "z^3+2z^2-2z-1": (-1, -2, 2, 1),
+    "(z-1)q6": (-1, F(2, 3), F(4, 21), F(-2, 35), F(2, 35), F(-4, 21), F(-2, 3), 1),
+}
+
+
 def test_sign_count_deflates_eps_minus_one():
     # z^3 - 1 (eps = -1): the forced zero is z = +1, the quotient z^2 + z + 1
     rep = verify_by_sign_count(_rational_poly(-1, -1, 0, 0, 1))
@@ -803,11 +824,16 @@ def test_sign_count_detail_keys_uniform():
 
 
 @pytest.mark.parametrize("fam,k", [(f, k) for f in "SY" for k in range(1, 62, 2)
-                                    if (f, k) != ("Y", 1)])
-def test_sign_count_odd_degree_deflation_exact(fam, k):
-    poly = build_family(fam, k)
+                                   if (f, k) != ("Y", 1)]
+                         + [(name, len(c) - 1) for name, c in _EPS_MINUS_ONE.items()])
+def test_sign_count_odd_degree_deflation_exact(fam, k, monkeypatch):
+    # the counted form divides out the forced zero in fixed point: its
+    # integers (C, E) enclose every coefficient of the exact quotient,
+    # 2^(emax - prec) (C_j +- E_j), which (z + eps) q == p checks
+    poly = _rational_poly(-1, *_EPS_MINUS_ONE[fam]) if fam in _EPS_MINUS_ONE else \
+        build_family(fam, k)
     p = poly.strip_origin()
-    q = deflate_forced_zero(p)
+    q = _deflate(p)
     eps = p.epsilon
     assert q.degree == p.degree - 1 and q.epsilon == 1
     # (z + eps) q(z) == p(z) coefficientwise in Q[lam]
@@ -816,16 +842,54 @@ def test_sign_count_odd_degree_deflation_exact(fam, k):
         prod[j + 1] = prod[j + 1] + c
         prod[j] = prod[j] + c * eps
     assert tuple(prod) == p.coeffs
+    seen = []
+    evaluator = signcount._TrigEvaluator
+    monkeypatch.setattr(signcount, "_TrigEvaluator",
+                        lambda e, coeffs, prec: seen.append((e, coeffs)) or evaluator(e, coeffs, prec))
+    prec = 128 + GUARD
+    _, m, real = counted_form(eps, p.degree, p.fixed_coefficients(prec, p.degree // 2 + 1), prec)
+    ((e, (emax, C, E)),) = seen
+    assert (e, m, real, len(C), len(E)) == (1, q.degree // 2, [-eps], m + 1, m + 1)
+    unit = F(2) ** (emax - prec)
+    for j in range(m + 1):
+        assert abs(q.coeffs[j].a - C[j] * unit) <= E[j] * unit, (fam, k, j)
+    if fam in _EPS_MINUS_ONE:
+        return
     rep = verify_by_sign_count(poly)
     assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial == p.degree
     assert rep.origin_zeros == (1 if fam == "Y" else 0)
     assert rep.degree_nontrivial == (k if fam == "S" else k - 2)
 
 
+@pytest.mark.parametrize("eps,coeffs,double", [(+1, (1, 3, 3, 1), -1), (+1, (1, -1, -1, 1), 1),
+                                               (-1, (-1, 3, -3, 1), 1), (-1, (-1, -1, 1, 1), -1)],
+                         ids=["(z+1)^3", "(z+1)(z-1)^2", "(z-1)^3", "(z-1)(z+1)^2"])
+def test_sign_count_exact_boundary_test_on_a_deflated_input(eps, coeffs, double, monkeypatch):
+    # the quotient q = p / (z + eps) is (z - double)^2, whose value at
+    # z = double no grid value can sign; its exact zero test reads p itself:
+    # q(-eps) = p'(-eps) at the forced zero, q(eps) = p(eps) / (2 eps) at the
+    # other end.  The report is the one the exact quotient in Q[lam] gave
+    tested = []
+    vanishes = signcount._counted_vanishes
+    monkeypatch.setattr(signcount, "_counted_vanishes",
+                        lambda p, x: tested.append((x, vanishes(p, x))) or tested[-1][1])
+    rep = verify_by_sign_count(_rational_poly(eps, *coeffs))
+    assert tested == [(double, True)]
+    assert rep.to_doc() == {
+        "family": "S", "k": 3, "method": "sign-count", "zeros_on_circle": 2,
+        "degree_nontrivial": 3, "origin_zeros": 0, "certified": False,
+        "verdict": INDETERMINATE, "max_mod_dev_mid": "", "max_mod_dev_rad": "",
+        "min_root_sep_mid": "", "min_root_sep_rad": "",
+        "detail": {"grid": 1024, "changes": 0, "boundary_zeros": 1, "factored": True,
+                   "evaluations": 1023, "deflated": str(-eps)}}
+
+
 def _evaluator(p, bits):
-    """The sign counter's evaluator: p's coefficients read at bits + GUARD."""
+    """The sign counter's evaluator: p's coefficients read at bits + GUARD,
+    through `counted_form`."""
     prec = bits + fixed.GUARD
-    return _TrigEvaluator(p.epsilon, p.fixed_coefficients(prec, p.degree // 2 + 1), prec)
+    return counted_form(p.epsilon, p.degree, p.fixed_coefficients(prec, p.degree // 2 + 1),
+                        prec)[0]
 
 
 @pytest.mark.parametrize("k", [20, 200])
@@ -836,15 +900,16 @@ def test_trig_evaluator_scaled_coefficients_fit_prec(k):
     assert max(abs(c).bit_length() for c in ev.terms) <= ev.prec
 
 
-@pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10),
-                               deflate_forced_zero(build_S(31))],
+@pytest.mark.parametrize("p", [build_P(2), build_P(5), build_P(10), build_S(31)],
                          ids=["P2", "P5", "P10", "S31-deflated"])
 def test_trig_evaluator_matches_power_basis(p):
-    # on |z| = 1, e^(-i m theta) p(e^(i theta)) is g(theta) for eps = +1 and
-    # i g(theta) for eps = -1, with g the evaluator's trig polynomial
+    # on |z| = 1, e^(-i m theta) q(e^(i theta)) is g(theta) for eps = +1 and
+    # i g(theta) for eps = -1, with g the evaluator's trig polynomial of the
+    # counted q: p itself, or for odd degree the reference quotient
     bits = 128
     prec = bits + 32
     ev = _evaluator(p, bits)
+    p = _deflate(p) if p.degree % 2 else p
     m = p.degree // 2
     M = _first_grid(m)
     pi = RealEnclosure.pi(prec)
@@ -915,7 +980,7 @@ def _certified_sign(v, budget):
 
 
 @pytest.mark.parametrize("p", [build_P(80), build_P(81), build_P(258), build_P(351),
-                               build_P(450), deflate_forced_zero(build_S(31))],
+                               build_P(450), _deflate(build_S(31))],
                          ids=["P80", "P81", "P258", "P351", "P450", "S31-deflated"])
 def test_transform_matches_dot_products(p):
     # on the first grid, at every j = 0 .. M, the transform's interval
@@ -950,7 +1015,7 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
     monkeypatch.setattr(_TrigEvaluator, "grid_values", recording)
     rep = verify_by_sign_count(poly)
     p = poly.strip_origin()
-    p = deflate_forced_zero(p) if p.degree % 2 else p
+    p = _deflate(p) if p.degree % 2 else p
     M0 = signcount._first_grid(p.degree // 2)
     assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial
     assert rep.detail["grid"] == M0 << doublings
@@ -1653,7 +1718,7 @@ def test_roots_short_bracket_count_falls_back_to_aberth(monkeypatch, fam, k, sho
     if short == "coarse-grid":
         monkeypatch.setattr(roots_mod, "_first_grid", lambda m: 4)
     else:
-        monkeypatch.setattr(roots_mod._TrigEvaluator, "grid_values", _zero_at_one_point)
+        monkeypatch.setattr(_TrigEvaluator, "grid_values", _zero_at_one_point)
     rep = verify_by_roots(poly)
     assert len(calls) == 1 and rep.detail["seeds"] == "aberth"
     assert (rep.verdict, rep.zeros_on_circle, rep.detail["polished"], rep.detail["bits"]) == \
