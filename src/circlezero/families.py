@@ -4,12 +4,13 @@ Every family polynomial is stored pi-normalized: coefficients live in the ring
 Q[lam] where lam = zeta(2k-1)/pi^(2k-1) is a formal generator, and `pi_power`
 records the power of pi divided out.  The generator is only bound to a
 certified enclosure at evaluation time, so coefficient identities stay exact.
-What each family's build needs is one row of `FAMILIES`.  P, Q, W, Y and R
-share one product form (`ProductForm`): every coefficient is a dyadic weight
-times b_j b_(K-j), b_j = B_2j / (2j)!, plus lam terms for P and Q.  The
-sign, roots, criteria and oscillation routes read them as integer products
-of a per-precision table of b_j, and the exact coefficients are formed only
-when read.  S is built from Euler numbers.
+What each family's build needs is one row of `FAMILIES`.  All six families
+are one product form (`ProductForm`): every coefficient is a weight times
+x_j x_(K-j), plus lam terms for P and Q, where x_j = B_2j / (2j)! with a
+dyadic weight for R, P, Q, W and Y, and x_j = E_2j / (2j)! with the weight
+(2k)! for S.  The sign, roots, criteria and oscillation routes read them as
+integer products of a per-precision table of x_j, and the exact
+coefficients are formed only when read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from mpmath import libmp
@@ -27,7 +28,7 @@ from mpmath import libmp
 from . import fixed
 from .enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from .errors import DomainError
-from .exact import bernoulli, binomial, euler
+from .exact import bernoulli, euler
 
 
 @dataclass(frozen=True)
@@ -243,36 +244,37 @@ class FamilyPoly:
         }
 
 
-def _b_product(j: int, i: int, weight: int = 1, shift: int = 0) -> Fraction:
-    """b_j b_i weight 2^shift, b_j = B_2j / (2j)!, as one Fraction of
-    integer products: the numerators and denominators of B_2j and B_2i, the
-    two factorials and the dyadic weight, with one gcd and no intermediate
+def _b_product(sequence: Callable, j: int, i: int, weight: int = 1, shift: int = 0) -> Fraction:
+    """x_j x_i weight 2^shift, x_j = X_2j / (2j)!, X = `sequence`, as one
+    Fraction of integer products: the numerators and denominators of X_2j and
+    X_2i, the two factorials and the weight, with one gcd and no intermediate
     Fraction.  Every exact coefficient of a product form is formed here."""
-    bj, bi = bernoulli(2 * j), bernoulli(2 * i)
+    bj, bi = sequence(2 * j), sequence(2 * i)
     num = bj.numerator * bi.numerator * weight
     den = bj.denominator * bi.denominator * math.factorial(2 * j) * math.factorial(2 * i)
     return Fraction(num << shift, den) if shift >= 0 else Fraction(num, den << -shift)
 
 
-# prec -> [(a_j, f_j) for j = 0, 1, ...] with b_j in [a_j, a_j + 1) 2^f_j: one
-# table per working precision for the process, grown with the Bernoulli table
-_B_FIXED: dict[int, list[tuple[int, int]]] = {}
+# (sequence, prec) -> [(a_j, f_j) for j = 0, 1, ...] with x_j in [a_j, a_j + 1)
+# 2^f_j: one table per sequence and working precision, grown with the exact table
+_B_FIXED: dict[tuple[Callable, int], list[tuple[int, int]]] = {}
 _B_FIXED_LOCK = threading.Lock()
 
 
-def _b_fixed(prec: int, n: int) -> list[tuple[int, int]]:
-    """The table of b_j = B_2j / (2j)! at `prec`, holding at least j = 0 .. n.
+def _b_fixed(sequence: Callable, prec: int, n: int) -> list[tuple[int, int]]:
+    """The table of x_j = X_2j / (2j)!, X = `sequence`, at `prec`, to j >= n.
 
-    Entry j is the integer a_j = floor(b_j 2^-f_j) of prec + 8 or 9 bits, so
-    b_j lies in [a_j, a_j + 1) 2^f_j: one floor division of B_2j's numerator
-    by its denominator times (2j)!, with no gcd and no exact b_j formed."""
-    table = _B_FIXED.setdefault(prec, [])
+    Entry j is the integer a_j = floor(x_j 2^-f_j) of prec + 8 or 9 bits, so
+    x_j lies in [a_j, a_j + 1) 2^f_j: one floor division of X_2j's numerator
+    by its denominator (1 for an Euler number) times (2j)!, with no gcd and
+    no exact x_j formed."""
+    table = _B_FIXED.setdefault((sequence, prec), [])
     if len(table) <= n:
-        bernoulli(2 * n)  # grows the Bernoulli table in one step, not one per entry
+        sequence(2 * n)  # grows the exact table in one step, not one per entry
         with _B_FIXED_LOCK:
             fact = math.factorial(2 * len(table))
             for j in range(len(table), n + 1):
-                b = bernoulli(2 * j)
+                b = sequence(2 * j)
                 den = b.denominator * fact
                 f = abs(b.numerator).bit_length() - den.bit_length() - prec - 8
                 table.append(((b.numerator << -f) // den, f))
@@ -290,21 +292,27 @@ def _dyadic_weight(k: int, j: int, t: int) -> int:
     return ((1 << (2 * j)) - t) * ((1 << (2 * k - 2 * j)) - t)
 
 
+# n! for the last n: S's weight (2k)!, read once per j, is computed once per k
+_factorial = lru_cache(maxsize=1)(math.factorial)
+
+
 @dataclass(frozen=True)
 class FamilyRow:
     """Every fact about one family's build.
 
-    A product-form row gives c_(stride j) = w(k, j) b_j b_(K-j) for
-    j = 0 .. K, K = k + partner, b_j = B_2j / (2j)!, with the dyadic weight
-    w(k, j) = n 2^x returned as (n, x), and w(k, K - j) = eps w(k, j).  A row
-    with `lam` adds eps L lam at z^1 and L lam at z^(2k-1), L = lam(k).  S,
-    an Euler-number family, has no weight.
+    Every row is a product form: c_(stride j) = w(k, j) x_j x_(K-j) for
+    j = 0 .. K, K = k + partner, x_j = X_2j / (2j)! for the exact `sequence`
+    X, with the weight w(k, j) = n 2^x returned as (n, x), and
+    w(k, K - j) = eps w(k, j).  S reads the Euler numbers with w = (2k)!, the
+    others the Bernoulli numbers with a dyadic weight.  A row with `lam` adds
+    eps L lam at z^1 and L lam at z^(2k-1), L = lam(k).
     """
 
     min_k: int
     pi_power: Callable[[int], int]
     epsilon: Callable[[int], int]
-    weight: Callable[[int, int], tuple[int, int]] | None = None
+    weight: Callable[[int, int], tuple[int, int]]
+    sequence: Callable[[int], Fraction | int] = bernoulli
     partner: int = 0
     stride: int = 2
     lam: Callable[[int], int] | None = None
@@ -323,16 +331,9 @@ FAMILIES: dict[str, FamilyRow] = {
     "W": FamilyRow(2, lambda k: 2 * k - 1, _sign,
                    lambda k, j: (_sign(j) * _dyadic_weight(k, j, 2), 2 * k - 1),
                    note="closed form = 2 x combination"),
-    "S": FamilyRow(1, lambda k: 0, lambda k: 1),
+    "S": FamilyRow(1, lambda k: 0, lambda k: 1, lambda k, j: (_factorial(2 * k), 0),
+                   sequence=euler, stride=1),
 }
-
-
-def _row(family: str, k: int) -> FamilyRow:
-    """The family's row, with k checked against its min_k."""
-    row = FAMILIES[family]
-    if k < row.min_k:
-        raise DomainError(f"build_{family} needs k >= {row.min_k}, got {k}")
-    return row
 
 
 class ProductForm(FamilyPoly):
@@ -346,9 +347,11 @@ class ProductForm(FamilyPoly):
     """
 
     def __init__(self, family: str, k: int, shift: int = 0):
-        row = _row(family, k)
+        row = FAMILIES[family]
+        if k < row.min_k:
+            raise DomainError(f"build_{family} needs k >= {row.min_k}, got {k}")
         K = k + row.partner
-        bernoulli(2 * K)  # grows the Bernoulli table; raises past its cap
+        row.sequence(2 * K)  # grows the exact table; raises past its cap
         note = f"{row.note} /z^{shift}".strip() if shift else row.note
         # c_0 = eps c_N vanishes only where w(k, 0) = 0 (Q, Y), and their z^1
         # term does not: the origin multiplicity m is 1 there, else 0
@@ -381,7 +384,7 @@ class ProductForm(FamilyPoly):
         for j in range(K // 2 + 1):
             n, x = row.weight(self.k, j)
             if n:
-                c = ZetaCoefficient.rational(_b_product(j, K - j, n, x))
+                c = ZetaCoefficient.rational(_b_product(row.sequence, j, K - j, n, x))
                 full[row.stride * j] = c
                 full[N - row.stride * j] = c if self.epsilon > 0 else -c
         if row.lam:   # z^1 and z^(N-1) hold no product term
@@ -394,14 +397,14 @@ class ProductForm(FamilyPoly):
 
     def fixed_coefficients(self, prec: int, count: int) -> tuple[int, list[int], list[int]]:
         """As `FamilyPoly.fixed_coefficients`, from integer products: with
-        b_j in [a_j, a_j + 1) 2^f_j and w = n 2^x, the product term is
+        x_j in [a_j, a_j + 1) 2^f_j and w = n 2^x, the product term is
         (n a_j a_(K-j) + d) 2^(f_j + f_(K-j) + x) with
         |d| < |n| (|a_j| + |a_(K-j)| + 1), floored to the common unit.  The
         lam terms take lambda_k(k, prec) g bits finer, L <= 2^g, so that
         L (v +- e) shifted down g bits is within ceil(L e 2^-g) + 1 units
         (e itself when g = 0)."""
         row, K, N = self.row, self.K, self.N
-        b = _b_fixed(prec, K)
+        b = _b_fixed(row.sequence, prec, K)
         half = []   # (j, mantissa, its unit's exponent, error in that unit), j <= K/2
         for j in range(K // 2 + 1):
             n, x = row.weight(self.k, j)
@@ -459,6 +462,11 @@ def build_Y(k: int) -> FamilyPoly:
     return ProductForm("Y", k)
 
 
+def build_S(k: int) -> FamilyPoly:
+    """S_k: E_2j E_(2k-2j) C(2k,2j) = (2k)! e_j e_(k-j) at z^j, all of sign (-1)^k."""
+    return ProductForm("S", k)
+
+
 def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:
     """c1*P(z) - 2^2k P(z/2) - P(2z) with c1 = scale_z1, coefficientwise."""
     p = build_P(k)
@@ -467,14 +475,6 @@ def _combine_P(k: int, scale_z1: Fraction) -> tuple[ZetaCoefficient, ...]:
         factor = scale_z1 - Fraction(1 << (2 * k), 1 << j) - Fraction(1 << j)
         out.append(c * factor)
     return tuple(out)
-
-
-def build_S(k: int) -> FamilyPoly:
-    """S_k: integer coefficients E_2j E_(2k-2j) C(2k,2j), all of sign (-1)^k."""
-    row = _row("S", k)
-    coeffs = tuple(ZetaCoefficient.rational(euler(2 * j) * euler(2 * k - 2 * j)
-                                            * binomial(2 * k, 2 * j)) for j in range(k + 1))
-    return FamilyPoly("S", k, row.pi_power(k), coeffs, row.epsilon(k))
 
 
 def build_family(family: str, k: int) -> FamilyPoly:

@@ -14,7 +14,7 @@ from circlezero import families
 from circlezero.criteria import abs_square_coeffs, abs_square_poly
 from circlezero.enclosure import ComplexEnclosure, RealEnclosure, lambda_k
 from circlezero.errors import DomainError
-from circlezero.exact import bernoulli, binomial
+from circlezero.exact import bernoulli, binomial, euler
 from circlezero.families import (
     FAMILIES,
     FamilyPoly,
@@ -293,12 +293,22 @@ def _eager_P(k):
     return FamilyPoly("P", k, 2 * k - 1, tuple(coeffs), eps)
 
 
+def _eager_S(k):
+    """S_k as the eager exact build formed it, from its Euler numbers and
+    binomials: the reference for the product form."""
+    coeffs = tuple(ZetaCoefficient.rational(euler(2 * j) * euler(2 * k - 2 * j)
+                                            * binomial(2 * k, 2 * j)) for j in range(k + 1))
+    return FamilyPoly("S", k, 0, coeffs, 1)
+
+
 def _product_forms():
     """(polynomial, its exact coefficients) for every product form, stripped
-    Q and Y included; P's reference is `_eager_P`, the others' are checked
-    against the factorial closed forms above."""
+    Q and Y included; P's reference is `_eager_P`, S's is `_eager_S`, the
+    others' are checked against the factorial closed forms above."""
     for k in [*range(2, 201), 999]:
         yield build_P(k), _eager_P(k).coeffs
+    for k in [*range(1, 61), 200]:
+        yield build_S(k), _eager_S(k).coeffs
     for fam in "RQWY":
         for k in [*range(FAMILIES[fam].min_k, 41), 77, 200]:
             p = build_family(fam, k)
@@ -339,15 +349,14 @@ def _deflate(p):
 
 
 def _generic_polys():
-    return ([build_S(k) for k in (1, 2, 3, 10, 31, 60)]
-            + [abs_square_poly(k) for k in range(2, 6)]
+    return ([abs_square_poly(k) for k in range(2, 6)]
             + [_deflate(build_Y(k).strip_origin()) for k in (3, 11, 31)]
             + [_deflate(build_S(9))])
 
 
 @pytest.mark.parametrize("prec", [160, 288])
 def test_generic_fixed_coefficients_enclose_exact(prec):
-    # every c_j of S, |P_k(iz)|^2 and an exact deflated quotient lies in
+    # every c_j of |P_k(iz)|^2 and of an exact deflated quotient lies in
     # 2^(emax - prec) (C_j +- e_j), 2^emax bounds every |c_j|, and a shorter
     # read gives the same integers; lam and lam^2 are taken at four times the precision
     for p in _generic_polys():
@@ -397,9 +406,9 @@ def test_generic_fixed_coefficients_cover_the_whole_lam_ball(monkeypatch):
 def test_P_lazy_coeffs_equal_eager_build(k):
     # for every product form with k <= 60 (P alone above): degree, origin
     # multiplicity, eps, symmetry and strip_origin match a generic FamilyPoly
-    # built from the same exact coefficients, and P's coefficients match the
-    # eager build
-    for fam in "RPQWY" if k <= 60 else "P":
+    # built from the same exact coefficients, and P's and S's coefficients
+    # match their eager builds
+    for fam in "RPQWYS" if k <= 60 else "P":
         if k < FAMILIES[fam].min_k:
             continue
         p = build_family(fam, k)
@@ -416,15 +425,24 @@ def test_P_lazy_coeffs_equal_eager_build(k):
         assert s.to_doc() == rs.to_doc() and p.to_doc() == ref.to_doc(), (fam, k)
     if k >= 2:
         assert build_P(k).coeffs == _eager_P(k).coeffs
+    if k <= 60:
+        assert build_S(k).coeffs == _eager_S(k).coeffs
 
 
 def test_P_sign_count_and_roots_form_no_exact_coefficient(monkeypatch):
-    # the one exact former sees no call from the sign counter (P, Q, W, R and
-    # Y, whose odd degrees divide out their forced zero in fixed point) or
-    # from the roots route
-    calls = []
-    orig = families._b_product
+    # the one exact former sees no call from the sign counter (P, Q, W, R, S
+    # and Y, whose odd degrees divide out their forced zero in fixed point),
+    # from S's criteria or from the roots route, and no S_k built on the way
+    # holds exact coefficients afterwards
+    calls, built = [], []
+    orig, orig_S = families._b_product, families.build_S
     monkeypatch.setattr(families, "_b_product", lambda *a: calls.append(a) or orig(*a))
+    monkeypatch.setattr(families, "build_S", lambda k: built.append(orig_S(k)) or built[-1])
+    for k in (1, 2, 3, 10, 31, 51, 200):
+        for method in ("sign-count", "criteria"):
+            assert verify_family("S", k, method)[0].certified, (k, method)
+    for k in (3, 12, 40):
+        assert verify_family("S", k, "roots")[0].certified, k
     for k in (2, 3, 10, 51, 200, 999):
         assert verify_family("P", k, "sign-count")[0].certified, k
     sign_counts = {"Q": (2, 3, 10, 51), "W": (2, 3, 10, 51), "Y": (4, 10, 52, *range(3, 62, 2)),
@@ -435,3 +453,4 @@ def test_P_sign_count_and_roots_form_no_exact_coefficient(monkeypatch):
     for fam, k in (("P", 12), ("Q", 12), ("W", 11), ("Y", 13), ("R", 5)):
         assert verify_family(fam, k, "roots")[0].certified == (fam != "R"), (fam, k)
     assert calls == []
+    assert len(built) == 17 and all("coeffs" not in vars(p) for p in built)
