@@ -23,13 +23,18 @@ from .reports import VerificationReport
 
 
 def _first_grid(m: int) -> int:
-    """The first grid of a degree-2m count: the smallest power of two >= max(3m, 32)."""
-    return 1 << (max(3 * m, 32) - 1).bit_length()
+    """The first grid of a degree-2m count: the smallest power of two
+    >= max(2m, 32).  A certified count needs one certified point between
+    neighbouring zeros, and with the endpoint signs of g(0) and g(pi) kept,
+    2m points are enough in practice; the roots seeder, which needs a
+    close bracket for each seed, keeps its own finer grid."""
+    return 1 << (max(2 * m, 32) - 1).bit_length()
 
 
-def _half_dft(x: list[int], cos: tuple[int, ...], prec: int) -> tuple[list[int], list[int]]:
-    """(re, im) of X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M, from the
-    real integers x and `cos` = `fixed.cos_table(prec, M)`.
+def _half_dft(x: list[int], cos: tuple[int, ...], prec: int, imag: bool) -> list[int]:
+    """The real part (imag false) or the imaginary part (imag true) of
+    X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M, from the real integers
+    x and `cos` = `fixed.cos_table(prec, M)`.
 
     A radix-2 decimation-in-time transform of length N = 2M, pruned and
     halved.  The node at stride d transforms the real subsequence
@@ -39,7 +44,9 @@ def _half_dft(x: list[int], cos: tuple[int, ...], prec: int) -> tuple[list[int],
     sine, cos[jd - M/2].  A real input has a conjugate-symmetric transform, so
     each node keeps only j = 0 .. L, L = N / (2d), and one product
     t = w^j O_j gives X_j = E_j + t and X_(L-j) = conj(E_j - t).  Each
-    product is floored to whole units of 2^-prec per component.
+    product is floored to whole units of 2^-prec per component.  The top
+    node forms only the component asked for, from the same two floored
+    products, so each entry is the integer the full transform gives.
     """
     N = len(cos)
     quarter = N // 4
@@ -65,7 +72,24 @@ def _half_dft(x: list[int], cos: tuple[int, ...], prec: int) -> tuple[list[int],
             re[half - j], im[half - j] = er - tr, ti - ei
         return re, im
 
-    return node(x, 1)
+    M = N // 2
+    if not any(x[1:]):
+        return [0 if imag else x[0]] * (M + 1)
+    re, im = node(x[0::2], 2)
+    o_r, oi = node(x[1::2], 2)
+    out = im if imag else re
+    out += [0] * (M - M // 2)
+    for j in range(M // 2, -1, -1):   # node's loop at d = 1, one component only
+        wr, wi = cos[j], cos[j - quarter]
+        a, b = o_r.pop(), oi.pop()
+        e = out[j]
+        if imag:
+            t = (a * wi + b * wr) >> prec
+            out[j], out[M - j] = e + t, t - e
+        else:
+            t = (a * wr - b * wi) >> prec
+            out[j], out[M - j] = e + t, e - t
+    return out
 
 
 class _TrigEvaluator:
@@ -127,7 +151,7 @@ class _TrigEvaluator:
     def grid_values(self, M: int) -> list[int]:
         """g(j pi / M) for j = 0 .. M, each within `budget`: one `_half_dft`
         of the terms against the grid's cosine table."""
-        return _half_dft(self.terms, fixed.cos_table(self.prec, M), self.prec)[self.use_sin]
+        return _half_dft(self.terms, fixed.cos_table(self.prec, M), self.prec, self.use_sin)
 
 
 def counted_form(epsilon: int, n: int, coefficients: tuple[int, list[int], list[int]],
@@ -181,17 +205,27 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
     quotient p / (z + eps)) and the real zeros it leaves out.  On the circle,
     e^(-i m theta) q(e^(i theta)) is g(theta) (eps = +1) or i g(theta)
     (eps = -1) for the real trig polynomial g of `_TrigEvaluator`, which
-    vanishes exactly at the circle-zero angles of q; each certified sign
-    change of g on (0, pi) is one conjugate pair of zeros.  Each grid
+    vanishes exactly at the circle-zero angles of q.  Each grid
     theta = j pi / M, j = 0 .. M, is one transform (`grid_values`) with one
-    budget.  When q has eps = +1, q(1) = g(0) and q(-1) = (-1)^m g(pi) take
-    their certified signs from the first grid's transform; only an undecided
-    sign runs the exact zero test in Q[lam] (`_counted_vanishes`).  The grid
-    starts at the smallest power of two M >= max(3m, 32) and doubles up to
-    five times; a doubled grid is transformed whole but only its odd j are
-    new.  `boundary_zeros` counts q's zeros at +-1, `deflated` names an odd
-    degree's forced zero, and `evaluations` counts the grid points whose
-    sign was taken, M - 1, not arithmetic operations.
+    budget, so every certified sign is the sign of g there.  The count reads
+    the certified signs in order over the closed interval [0, pi], skipping
+    zeros: each change between two neighbouring nonzero signs at
+    theta_a < theta_b puts a zero of g in the open interval
+    (theta_a, theta_b), inside (0, pi), and these intervals are disjoint, so
+    each change is one conjugate pair of circle zeros of q other than +-1.
+    When q has eps = +1, q(1) = g(0) and q(-1) = (-1)^m g(pi) take their
+    certified signs from the first grid's transform and stay in the
+    sequence; only an undecided sign runs the exact zero test in Q[lam]
+    (`_counted_vanishes`), and a zero there counts in `boundary_zeros`, not
+    as a change.  When q has eps = -1, g(0) = g(pi) = 0, so both signs are
+    0 within the budget and the forced zeros count only among the real
+    zeros of `counted_form`.  The grid starts at M = `_first_grid(m)`, the
+    smallest power of two >= max(2m, 32), and doubles up to five times; a
+    doubled grid is transformed whole but only its odd j are new, and the
+    old index i, M included, becomes 2i.  `boundary_zeros` counts q's zeros
+    at +-1, `deflated` names an odd degree's forced zero, and `evaluations`
+    counts the interior grid points whose sign was taken, M - 1, not
+    arithmetic operations.
     """
     p = poly.strip_origin()
     if not p.self_inversive_ok():
@@ -211,14 +245,13 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
             return [1 if v > budget else (-1 if v < -budget else 0) for v in ev.grid_values(M)]
 
         M = _first_grid(m)
-        signs = signs_of(M)
+        signs = signs_of(M)   # signs[j]: g(j pi / M) on the closed interval [0, pi]
         if not ev.use_sin:
             for point, j in ((1, 0), (-1, M)):
                 if signs[j] == 0:
                     if not _counted_vanishes(p, point):
                         raise PrecisionError(f"boundary value indeterminate for {p.family}_{p.k}")
                     boundary += 1
-        signs = [0] + signs[1:M]   # signs[j]: g(j pi / M) on the open interval
         for grids in range(1, 7):
             seq = [s for s in signs if s]
             changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
@@ -226,7 +259,8 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
                 break
             M *= 2
             odd = signs_of(M)[1::2]
-            signs = [s for pair in zip(signs, odd) for s in pair]   # old index i is now 2i
+            # old index i is now 2i, the last (pi) included
+            signs = [s for pair in zip(signs, odd) for s in pair] + signs[-1:]
     certified = 2 * changes + boundary >= 2 * m
     detail = {"grid": M, "changes": changes, "boundary_zeros": boundary, "factored": True,
               "evaluations": max(M - 1, 0)}

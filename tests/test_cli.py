@@ -292,7 +292,7 @@ def test_env_bits_validated_like_flag(capsys, monkeypatch, value):
 # changed on purpose; a differing digest means the report contract moved
 JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
-     "de2f053962732da51dc850e7b73f694545089a9b64f17634b8ffc938ece545c7"),
+     "2ef5d8490b87e6304c666e30eb1a1503cd845f7137c67aa90482af1f84eed3cb"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "fa4efe0e6ad31c0256f39c7293fc7acfd58b5d176ceb0aead1daeccd56b9dcc5"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
@@ -303,7 +303,7 @@ JSON_DIGESTS = [
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
     # R never certifies, so every grid doubles and carries its signs over
     ("verify --family R --k-range 1..12 --method sign-count", EXIT_INDETERMINATE,
-     "1b1df4d8f57adb4765191309043e82e9c83161b322e4367d80e3b954557e6410"),
+     "104d31b3ac25dd66e2484a4d09afdb1f7623be31fbfa143da1561a3ff7dde1e3"),
 ]
 
 

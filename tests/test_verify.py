@@ -996,12 +996,16 @@ def test_transform_matches_dot_products(p):
         assert _certified_sign(v, ev.budget) == _certified_sign(w, ref_budget), j
 
 
-@pytest.mark.parametrize("poly,doublings", [(build_P(40), 2), (build_S(41), 1)],
-                         ids=["P40", "S41-deflated"])
-def test_sign_count_doubling_path(poly, doublings, monkeypatch):
+def _changes(signs):
+    seq = [s for s in signs if s]
+    return sum(a != b for a, b in zip(seq, seq[1:]))
+
+
+@pytest.mark.parametrize("poly", [build_P(40), build_S(41)], ids=["P40", "S41-deflated"])
+def test_sign_count_doubling_path(poly, monkeypatch):
     # a first grid a quarter of the usual size falls short of the count, so
-    # the grid doubles; a doubled grid keeps the coarse signs at even j and
-    # takes its odd j from its own transform
+    # the grid doubles; a doubled grid keeps the coarse signs at even j, the
+    # endpoint pi included, and takes its odd j from its own transform
     first_grid = signcount._first_grid
     monkeypatch.setattr(signcount, "_first_grid", lambda m: first_grid(m) // 4)
     grids = []
@@ -1016,7 +1020,12 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
     rep = verify_by_sign_count(poly)
     p = poly.strip_origin()
     p = _deflate(p) if p.degree % 2 else p
-    M0 = signcount._first_grid(p.degree // 2)
+    m = p.degree // 2
+    M0 = signcount._first_grid(m)
+    # m changes need m + 1 signs on [0, pi], so M >= m; both inputs (m = 40,
+    # eps = +1) certify on the first doubled grid that has that many
+    doublings = next(d for d in range(6) if M0 << d >= m)
+    assert doublings >= 1   # the quartered grid is too small, so the path is taken
     assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial
     assert rep.detail["grid"] == M0 << doublings
     assert rep.detail["evaluations"] == (M0 << doublings) - 1
@@ -1027,10 +1036,116 @@ def test_sign_count_doubling_path(poly, doublings, monkeypatch):
         ref, ref_budget = _dot_product_grid(p, 128, 2 * M)
         assert [_certified_sign(v, ev.budget) for v in fine[1::2]] == \
             [_certified_sign(w, ref_budget) for w in ref[1::2]]
-    # the carried-over signs agree with the last transform, so the count is its own
+    # the carried-over signs agree with the last transform, so the count is its
+    # own, read over the closed interval [0, pi]
     ev, M, last = grids[-1]
-    seq = [s for s in (_certified_sign(v, ev.budget) for v in last[1:M]) if s]
-    assert rep.detail["changes"] == sum(a != b for a, b in zip(seq, seq[1:]))
+    assert rep.detail["changes"] == _changes(_certified_sign(v, ev.budget) for v in last)
+
+
+def test_sign_count_P16_counts_endpoint_signs():
+    # P_16 (m = 16, eps = +1) has 15 sign changes inside (0, pi) on its first
+    # grid M = 32, one short of 16; the certified nonzero sign of
+    # g(0) = P_16(1) gives the 16th, so it certifies with no doubling
+    p = build_P(16)
+    ev = _evaluator(p, 128)
+    signs = [_certified_sign(v, ev.budget) for v in ev.grid_values(_first_grid(16))]
+    assert len(signs) == 33 and signs[0] and signs[32]
+    assert (_changes(signs[1:32]), _changes(signs)) == (15, 16)
+    rep = verify_by_sign_count(p)
+    assert rep.certified and rep.zeros_on_circle == 32
+    assert (rep.detail["grid"], rep.detail["changes"], rep.detail["boundary_zeros"]) == (32, 16, 0)
+
+
+@pytest.mark.parametrize("coeffs,on_circle", [
+    ((-1, 0, 0, 0, 1), 4),                  # z^4 - 1
+    ((-1, F(5, 2), 0, F(-5, 2), 1), 2),     # (z^2 - 1)(z - 2)(z - 1/2)
+], ids=["z^4-1", "(z^2-1)(z^2-5z/2+1)"])
+def test_sign_count_eps_minus_one_forced_zeros_counted_once(coeffs, on_circle, monkeypatch):
+    # with eps = -1, g(0) = g(pi) = 0: both signs are 0 within the budget on
+    # every grid, so z = +-1 count once, among the real zeros, and the second
+    # input, whose other zeros are off the circle, is not certified
+    grids = []
+    grid_values = _TrigEvaluator.grid_values
+
+    def recording(ev, M):
+        values = grid_values(ev, M)
+        grids.append([_certified_sign(v, ev.budget) for v in values])
+        return values
+
+    monkeypatch.setattr(_TrigEvaluator, "grid_values", recording)
+    rep = verify_by_sign_count(_rational_poly(-1, *coeffs))
+    assert all(signs[0] == signs[-1] == 0 for signs in grids)
+    assert rep.detail["boundary_zeros"] == 2
+    assert rep.detail["changes"] == (on_circle - 2) // 2
+    assert rep.zeros_on_circle == on_circle and rep.certified == (on_circle == 4)
+    assert len(grids) == (1 if rep.certified else 6)
+
+
+def test_sign_count_families_certify_on_first_grid():
+    # with the endpoint signs kept, no P, Q, W, Y or S count up to k = 60
+    # doubles its grid
+    for fam in "PQWYS":
+        for k in range(FAMILIES[fam].min_k, 61):
+            rep = verify_by_sign_count(build_family(fam, k))
+            m = rep.degree_nontrivial // 2
+            assert rep.certified, (fam, k)
+            assert rep.detail["grid"] == (_first_grid(m) if m else 0), (fam, k)
+
+
+def _full_half_dft(x, cos, prec):
+    """(re, im) of X_j = sum_r x_r e^(i pi r j / M) for j = 0 .. M: the
+    transform whose top node formed both components, kept as the reference
+    for the one-component top node of `signcount._half_dft`."""
+    N = len(cos)
+    quarter = N // 4
+
+    def node(x, d):
+        half = N // (2 * d)
+        if not any(x[1:]):
+            return [x[0] if x else 0] * (half + 1), [0] * (half + 1)
+        re, im = node(x[0::2], 2 * d)
+        o_r, oi = node(x[1::2], 2 * d)
+        re += [0] * (half - half // 2)
+        im += [0] * (half - half // 2)
+        for j in range(half // 2, -1, -1):
+            wr, wi = cos[j * d], cos[j * d - quarter]
+            a, b = o_r.pop(), oi.pop()
+            tr = (a * wr - b * wi) >> prec
+            ti = (a * wi + b * wr) >> prec
+            er, ei = re[j], im[j]
+            re[j], im[j] = er + tr, ei + ti
+            re[half - j], im[half - j] = er - tr, ti - ei
+        return re, im
+
+    return node(x, 1)
+
+
+_DFT_TERM = st.one_of(st.just(0), st.integers(-(1 << 200), 1 << 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([32, 64, 128]), st.data())
+def test_half_dft_one_component_equals_full_transform(M, data):
+    # the top node forms only the component asked for, from the same floored
+    # products: each is the full transform's, integer for integer, also when
+    # the top node is a copy (one nonzero input)
+    x = data.draw(st.lists(_DFT_TERM, min_size=1, max_size=M // 2 + 1))
+    prec = 160
+    cos = fixed.cos_table(prec, M)
+    full = _full_half_dft(x, cos, prec)
+    for imag in (False, True):
+        assert signcount._half_dft(x, cos, prec, imag) == full[imag]
+
+
+@pytest.mark.parametrize("k", [5, 16, 49, 450])
+def test_half_dft_one_component_on_family_terms(k):
+    # the same on the terms of P_k (eps = -1 at odd k), on the counter's grid
+    ev = _evaluator(build_P(k), 128)
+    cos = fixed.cos_table(ev.prec, _first_grid(k))
+    full = _full_half_dft(ev.terms, cos, ev.prec)
+    assert ev.grid_values(_first_grid(k)) == full[ev.use_sin]
+    for imag in (False, True):
+        assert signcount._half_dft(ev.terms, cos, ev.prec, imag) == full[imag]
 
 
 def test_sign_count_reports_independent_of_table_history():
@@ -1716,7 +1831,7 @@ def test_roots_short_bracket_count_falls_back_to_aberth(monkeypatch, fam, k, sho
     assert want.detail["seeds"] == "grid"
     calls = _count_aberth(monkeypatch)
     if short == "coarse-grid":
-        monkeypatch.setattr(roots_mod, "_first_grid", lambda m: 4)
+        monkeypatch.setattr(roots_mod, "_seed_grid", lambda m: 4)
     else:
         monkeypatch.setattr(_TrigEvaluator, "grid_values", _zero_at_one_point)
     rep = verify_by_roots(poly)
