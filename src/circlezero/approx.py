@@ -270,8 +270,13 @@ def matched_leading_digits(est_raw, ref: RealEnclosure, max_digits: int = 36) ->
     return min(count, max_digits)
 
 
-def _zeta3_reference(bits: int) -> RealEnclosure:
-    return zeta_odd(3, max(192, bits + 64))
+def _approx_result(scheme: str, root, steps: int, est_mid, g_ball, wp: int,
+                   bits: int) -> ApproxResult:
+    """A scheme's root as a point ball, |g| there, and its digits of zeta(3)."""
+    root_ball = _point_complex(root, wp)
+    est = RealEnclosure(est_mid._mpf_, libmp.fzero, wp)
+    matched = matched_leading_digits(est.mid, zeta_odd(3, max(192, bits + 64)))
+    return ApproxResult(scheme, root_ball, est, matched, g_ball(root_ball, wp).abs(), steps)
 
 
 def approx1_zeta3(bits: int = 128, seed_convention: str = "principal") -> ApproxResult:
@@ -309,12 +314,7 @@ def approx1_zeta3(bits: int = 128, seed_convention: str = "principal") -> Approx
         root, steps = _damped_newton(g, gp, z0, wp, tol_bits=bits + 8)
         est_mid = (pi ** 3 * (root ** 4 + 5 * root ** 2 + 1) / (90 * (root ** 3 + root))).real
 
-    root_ball = _point_complex(root, wp)
-    resid = _g1_ball(root_ball, wp).abs()
-    est = RealEnclosure(est_mid._mpf_, libmp.fzero, wp)
-    ref = _zeta3_reference(bits)
-    matched = matched_leading_digits(est.mid, ref)
-    return ApproxResult("approx1", root_ball, est, matched, resid, steps)
+    return _approx_result("approx1", root, steps, est_mid, _g1_ball, wp, bits)
 
 
 def approx2_zeta3(bits: int = 128) -> ApproxResult:
@@ -338,12 +338,7 @@ def approx2_zeta3(bits: int = 128) -> ApproxResult:
         root, steps = _damped_newton(g, gp, mp.mpc("0.92", "-0.39"), wp, tol_bits=bits + 8)
         est_mid = (pi ** 3 * root / (14 * (1 + root ** 2))).real
 
-    root_ball = _point_complex(root, wp)
-    resid = _g2_ball(root_ball, wp).abs()
-    est = RealEnclosure(est_mid._mpf_, libmp.fzero, wp)
-    ref = _zeta3_reference(bits)
-    matched = matched_leading_digits(est.mid, ref)
-    return ApproxResult("approx2", root_ball, est, matched, resid, steps)
+    return _approx_result("approx2", root, steps, est_mid, _g2_ball, wp, bits)
 
 
 def _point_complex(z, prec: int) -> ComplexEnclosure:

@@ -221,40 +221,29 @@ def cmd_identity(args) -> int:
     ks = _parse_k_range(args)
     rows: list[dict] = []
     ok = True
-    if args.which == "ramanujan":
-        zs = [_parse_fraction(z) for z in (args.z or ["1/2", "1", "3/2"])]
+    if args.which in ("ramanujan", "sech"):
+        if args.which == "ramanujan":
+            parse, last, residual = _parse_fraction, "3/2", approx_mod.ramanujan_identity_residual
+        else:
+            parse, last, residual = _rational, "2", approx_mod.sech_identity_residual
+        zs = [parse(z) for z in (args.z or ["1/2", "1", last])]
         for k in ks:
             for z in zs:
-                se = approx_mod.ramanujan_identity_residual(k, z, args.n_terms, args.bits)
-                doc = se.to_doc()
-                rows.append(doc)
-                ok = ok and doc["encloses_zero"]
-    elif args.which == "sech":
-        zs = [_rational(z) for z in (args.z or ["1/2", "1", "2"])]
-        for k in ks:
-            for z in zs:
-                se = approx_mod.sech_identity_residual(k, z, args.n_terms, args.bits)
-                doc = se.to_doc()
-                rows.append(doc)
-                ok = ok and doc["encloses_zero"]
+                rows.append(residual(k, z, args.n_terms, args.bits).to_doc())
+                ok = ok and rows[-1]["encloses_zero"]
     elif args.which == "observation":
         for k in ks:
             exact_ok, residual = observation_identity(k, max(args.bits, 256))
-            rows.append({"k": k, "exact": exact_ok,
-                         "residual_mid": residual.str_pair()[0],
-                         "residual_rad": residual.str_pair()[1],
+            mid, rad = residual.str_pair()
+            rows.append({"k": k, "exact": exact_ok, "residual_mid": mid, "residual_rad": rad,
                          "encloses_zero": residual.contains_zero()})
             ok = ok and exact_ok
-    elif args.which == "qk-sum":
+    elif args.which in ("qk-sum", "sk-at-1"):
+        sides, name = ((fam_mod.y_coeff_sum, "sum") if args.which == "qk-sum"
+                       else (fam_mod.s_at_one, "abs_value_at_1"))
         for k in ks:
-            lhs, rhs = fam_mod.y_coeff_sum(k)
-            rows.append({"k": k, "sum": fam_mod.fraction_str(lhs),
-                         "closed_form": fam_mod.fraction_str(rhs), "equal": lhs == rhs})
-            ok = ok and lhs == rhs
-    elif args.which == "sk-at-1":
-        for k in ks:
-            lhs, rhs = fam_mod.s_at_one(k)
-            rows.append({"k": k, "abs_value_at_1": fam_mod.fraction_str(lhs),
+            lhs, rhs = sides(k)
+            rows.append({"k": k, name: fam_mod.fraction_str(lhs),
                          "closed_form": fam_mod.fraction_str(rhs), "equal": lhs == rhs})
             ok = ok and lhs == rhs
     elif args.which == "combination-vs-closed-form":

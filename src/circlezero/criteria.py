@@ -2,7 +2,8 @@
 |A_top| - sum |c A_j - A_top| certified positive puts every zero of a
 reciprocal/self-inversive polynomial on the unit circle.  The margin is exact
 when the polynomial and c are rational, an integer sum with one integer
-error otherwise, read from `FamilyPoly.fixed_coefficients`.
+error otherwise, read from `FamilyPoly.fixed_coefficients`; the Schinzel
+constants of S and Y are `fixed.pi_multiple` pairs.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ def _margin_fixed(poly: FamilyPoly, n: int, c: tuple[int, int],
     return M, E, 2 * prec - emax
 
 
-def _criteria_verdict(margin: RealEnclosure) -> str:
-    return {1: CERTIFIED_TRUE, -1: CERTIFIED_FALSE, 0: INDETERMINATE}[margin.sign()]
-
-
 def lakatos_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
     """Lakatos condition: |A_top| >= sum |A_j - A_top| on a reciprocal polynomial."""
     return _margin_check(poly, Fraction(1), bits, "lakatos")
@@ -65,8 +62,8 @@ def lakatos_check(poly: FamilyPoly, bits: int = 128) -> CriteriaReport:
 def schinzel_check(poly: FamilyPoly, c, bits: int = 128) -> CriteriaReport:
     """Schinzel condition with d = 1: |A_top| >= sum |c A_j - A_top|.
 
-    `c` may be a Fraction (exact path when the polynomial is rational) or a
-    callable bits -> RealEnclosure for irrational constants.
+    `c` is a Fraction (exact path when the polynomial is rational) or, for
+    an irrational constant, a callable prec -> `fixed` pair (v, e).
     """
     return _margin_check(poly, c, bits, "schinzel")
 
@@ -78,31 +75,34 @@ def _margin_check(poly: FamilyPoly, c, bits: int, criterion: str) -> CriteriaRep
         # the exact margin always decides, so it is the first and only attempt
         exact = _margin_exact([x.a for x in p.coeffs[:n]], Fraction(c))
         _, margin = escalate(lambda b: (True, RealEnclosure.exact(exact, b)), bits)
+        verdict = {1: CERTIFIED_TRUE, -1: CERTIFIED_FALSE, 0: INDETERMINATE}[margin.sign()]
         return CriteriaReport(poly.family, poly.k, criterion, RealEnclosure.exact(Fraction(c), bits),
-                              margin, _criteria_verdict(margin), exact=True)
+                              margin, verdict, exact=True)
 
-    def attempt(b: int) -> tuple[bool, tuple[RealEnclosure, int, int, int, int]]:
-        c_ball = c(b) if callable(c) else RealEnclosure.exact(Fraction(c), b)
+    def attempt(b: int) -> tuple[bool, tuple[tuple[int, int], int, int, int, int]]:
         prec = b + fixed.GUARD
-        M, E, q = _margin_fixed(p, n, fixed.from_ball(c_ball, prec), prec)
-        return abs(M) > E, (c_ball, M, E, q, b)
+        cv = c(prec) if callable(c) else fixed.from_ball(RealEnclosure.exact(Fraction(c), b), prec)
+        M, E, q = _margin_fixed(p, n, cv, prec)
+        return abs(M) > E, (cv, M, E, q, b)
 
-    # only an undecided margin is retried; the ball is made once, for the report
-    _, (c_ball, M, E, q, b) = escalate(attempt, bits)
+    # only an undecided margin is retried; c's ball is made once, for the report
+    _, (cv, M, E, q, b) = escalate(attempt, bits)
+    c_ball = (fixed.to_ball(*cv, b + fixed.GUARD, b) if callable(c)
+              else RealEnclosure.exact(Fraction(c), b))
     verdict = CERTIFIED_TRUE if M > E else CERTIFIED_FALSE if M < -E else INDETERMINATE
     return CriteriaReport(poly.family, poly.k, criterion, c_ball, fixed.to_ball(M, E, q, b), verdict)
 
 
-def schinzel_constant_S(k: int) -> Callable[[int], RealEnclosure]:
-    """c = pi / (4 (1 + 3^(-1-2k))) for S_k."""
+def schinzel_constant_S(k: int) -> Callable[[int], tuple[int, int]]:
+    """c = pi / (4 (1 + 3^(-1-2k))) for S_k, as prec -> `fixed.pi_multiple`."""
     scale = Fraction(3 ** (1 + 2 * k), 4 * (3 ** (1 + 2 * k) + 1))
-    return lambda bits: RealEnclosure.pi(bits) * scale
+    return lambda prec: fixed.pi_multiple(scale, 1, prec)
 
 
-def schinzel_constant_Y(k: int) -> Callable[[int], RealEnclosure]:
-    """c = pi^2 (1 - 2^(2-2k)) / (8 (1 - 2^(3-2k))) for Y_k/z."""
+def schinzel_constant_Y(k: int) -> Callable[[int], tuple[int, int]]:
+    """c = pi^2 (1 - 2^(2-2k)) / (8 (1 - 2^(3-2k))) for Y_k/z, likewise."""
     scale = (1 - Fraction(2) ** (2 - 2 * k)) / (8 * (1 - Fraction(2) ** (3 - 2 * k)))
-    return lambda bits: RealEnclosure.pi(bits).pow_int(2) * scale
+    return lambda prec: fixed.pi_multiple(scale, 2, prec)
 
 
 def abs_square_coeffs(k: int) -> tuple[ZetaCoefficient, ...]:

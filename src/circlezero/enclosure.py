@@ -70,6 +70,19 @@ def _ulp(x, prec: int) -> tuple:
     return mpf_mul(mpf_abs(x), from_man_exp(1, 1 - prec), RAD_PREC, "u")
 
 
+def _pow_int(x, n: int, one):
+    """x^n by binary powering from `one`, a ball of 1; 1 / x^-n for n < 0."""
+    if n < 0:
+        return one / _pow_int(x, -n, one)
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
+
+
 class RealEnclosure:
     """A real number known to lie in [mid - rad, mid + rad]."""
 
@@ -197,18 +210,11 @@ class RealEnclosure:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = min(self.prec, o.prec)
-        mid = mpf_sub(self.mid, o.mid, p, "n")
-        rad = _up(_up(self.rad, o.rad, mpf_add), _ulp(mid, p), mpf_add)
-        return RealEnclosure(mid, rad, p)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+        return NotImplemented if o is None else o + -self
 
     def __neg__(self):
         return RealEnclosure(mpf_neg(self.mid), self.rad, self.prec)
@@ -245,9 +251,7 @@ class RealEnclosure:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        return NotImplemented if o is None else o / self
 
     def shift(self, e: int) -> "RealEnclosure":
         """Exact scaling by 2^e."""
@@ -287,16 +291,7 @@ class RealEnclosure:
         return RealEnclosure.from_endpoints(lo2, hi2, self.prec)
 
     def pow_int(self, n: int) -> "RealEnclosure":
-        if n < 0:
-            return RealEnclosure.exact(1, self.prec) / self.pow_int(-n)
-        result = RealEnclosure.exact(1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _pow_int(self, n, RealEnclosure.exact(1, self.prec))
 
     # -- queries ----------------------------------------------------------
 
@@ -419,15 +414,11 @@ class ComplexEnclosure:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexEnclosure(self.re - o.re, self.im - o.im)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+        return NotImplemented if o is None else o + -self
 
     def __neg__(self):
         return ComplexEnclosure(-self.re, -self.im)
@@ -451,9 +442,7 @@ class ComplexEnclosure:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        return NotImplemented if o is None else o / self
 
     def abs2(self) -> RealEnclosure:
         return self.re.sqr() + self.im.sqr()
@@ -464,16 +453,7 @@ class ComplexEnclosure:
     __abs__ = abs
 
     def pow_int(self, n: int) -> "ComplexEnclosure":
-        if n < 0:
-            return ComplexEnclosure.exact(1, 0, self.prec) / self.pow_int(-n)
-        result = ComplexEnclosure.exact(1, 0, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _pow_int(self, n, ComplexEnclosure.exact(1, 0, self.prec))
 
     def contains_zero(self) -> bool:
         return self.re.sign() == 0 and self.im.sign() == 0

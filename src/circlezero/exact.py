@@ -12,7 +12,8 @@ import math
 import threading
 from fractions import Fraction
 
-from .enclosure import escalate, pi_power_bounds
+from . import fixed
+from .enclosure import escalate
 from .errors import CapacityError, DomainError, PrecisionError
 
 DEFAULT_CAP = 4096
@@ -151,28 +152,18 @@ def bernoulli_half_value(n: int) -> Fraction:
 def _pi_power_sides(value: Fraction, num: Fraction, power: int, scales: tuple,
                     bits: int, what: str) -> list[int]:
     """For each s in scales: +1 if value > num / (pi^power s) is certified, -1
-    if value < it, for positive value, num and s.
-
-    At a precision prec of the escalation, pi^power lies in
-    [L, U] 2^(x - power W) (`enclosure.pi_power_bounds`, the bracket of
-    `lambda_k`, W = prec + bit_length(power) + 8, so ln(U/L) < 2^-(prec+4)).
-    With value s / num = a / b cross-multiplied over integers, the side is
-    decided by integer comparisons: above when a L 2^(x - power W) > b,
-    below when a U 2^(x - power W) < b.  Only a side still undecided is
-    taken again at the next precision.
-    """
+    if value < it, for positive value, num and s: the side of 1 that
+    value s pi^power / num is on, read from its `fixed.pi_multiple` pair at
+    each precision of the escalation.  Only a side still undecided is taken
+    again at the next precision."""
+    ratios = [value * s / num for s in scales]
     sides = [0] * len(scales)
 
     def attempt(prec: int) -> tuple[bool, list[int]]:
-        W = prec + power.bit_length() + 8
-        L, U, x = pi_power_bounds(power, W)
-        e = x - power * W
-        for i, s in enumerate(scales):
+        for i, q in enumerate(ratios):
             if not sides[i]:
-                a = value.numerator * s.numerator * num.denominator
-                b = num.numerator * value.denominator * s.denominator
-                a, b = (a, b << -e) if e < 0 else (a << e, b)
-                sides[i] = (a * L > b) - (a * U < b)
+                v, e = fixed.pi_multiple(q, power, prec)
+                sides[i] = (v - e > 1 << prec) - (v + e < 1 << prec)
         return 0 not in sides, sides
 
     decided, sides = escalate(attempt, bits)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from mpmath import libmp
 
@@ -110,27 +110,12 @@ def fraction_str(q: Fraction) -> str:
 ZERO_COEFF = ZetaCoefficient()
 
 
-def ball_horner(coeffs: Sequence[RealEnclosure], z: ComplexEnclosure,
-                bits: int) -> ComplexEnclosure:
-    """sum coeffs[j] z^j by Horner's rule in ball arithmetic at `bits`."""
-    acc = ComplexEnclosure.exact(0, 0, bits)
-    for c in reversed(coeffs):
-        acc = acc * z + ComplexEnclosure.from_real(c)
-    return acc
-
-
 def _magnitude(x: Fraction) -> int:
     """The least E with |x| < 2^E, for x != 0."""
     n, d = abs(x.numerator), x.denominator
     E = n.bit_length() - d.bit_length()
     # 2^(E-1) < |x| < 2^(E+1): one comparison decides between E and E + 1
     return E + 1 if (n >> E if E >= 0 else n << -E) >= d else E
-
-
-def _floor_shift(q: Fraction, s: int) -> int:
-    """floor(q 2^s): one floor division."""
-    n, d = q.numerator, q.denominator
-    return (n << s) // d if s >= 0 else n // (d << -s)
 
 
 @dataclass(frozen=True)
@@ -215,15 +200,19 @@ class FamilyPoly:
             raise DomainError(f"{self.family}_{self.k}: zero coefficients")
         emax = max(mags)
         s = prec - emax
-        C = [_floor_shift(v, s) for v in values]
+        C = [fixed.floor_shift(v, s) for v in values]
         e = [1] * len(values)
         for j, R in radii.items():
-            e[j] -= _floor_shift(-R, s)
+            e[j] -= fixed.floor_shift(-R, s)
         return emax, C, e
 
     def eval_ball(self, z: ComplexEnclosure, bits: int) -> ComplexEnclosure:
-        """Horner evaluation of the normalized polynomial (pi power NOT applied)."""
-        return ball_horner(self.coefficient_balls(bits), z, bits)
+        """Horner evaluation of the normalized polynomial (pi power NOT
+        applied) in ball arithmetic at `bits`."""
+        acc = ComplexEnclosure.exact(0, 0, bits)
+        for c in reversed(self.coefficient_balls(bits)):
+            acc = acc * z + ComplexEnclosure.from_real(c)
+        return acc
 
     def eval_rational(self, z: Fraction) -> ZetaCoefficient:
         """Exact Horner evaluation at a rational point, in Q[lam]."""

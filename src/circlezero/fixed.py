@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from mpmath import libmp
 
-from .enclosure import RAD_PREC, RealEnclosure, ball_cos_sin
+from .enclosure import RAD_PREC, RealEnclosure, ball_cos_sin, pi_power_bounds
 from .errors import PrecisionError
 
 # Bits of fixed point kept beyond the requested precision by the sign counter
@@ -31,6 +31,48 @@ def from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
     the midpoint and floor(2^prec rad) > 2^prec rad - 1: the error
     e = floor(2^prec rad) + 2 covers the radius and the rounding."""
     return libmp.to_fixed(x.mid, prec), libmp.to_fixed(x.rad, prec) + 2
+
+
+@lru_cache(maxsize=256)
+def pi_multiple(q: Fraction, n: int, prec: int) -> tuple[int, int]:
+    """(v, e) for q pi^n, n != 0, with e <= 1: cached, and one integer
+    bracket of pi^|n| (`enclosure.pi_power_bounds`) away from mpmath's pi.
+
+    With q = a/b, |q pi^n| < 2^m for the m below (pi < 2^2).  With
+    r = bit_length(|n|) and W = prec + m + r + 8, pi^|n| lies in [L, U] 2^s,
+    s = x - |n| W, with ln(U/L) < 2^(r + 4 - W).  So 2^prec q pi^n lies
+    between a L 2^(prec+s) / b and a U 2^(prec+s) / b for n > 0, and
+    between a 2^(prec-s) / (b U) and a 2^(prec-s) / (b L) for n < 0, the
+    first of each pair the lower end when a >= 0; for a < 0, L and U swap.
+    lo is the floor of the lower end, hi the ceiling of the upper, so
+    v = floor((lo + hi)/2) and e = hi - v >= v - lo enclose it.  The ends
+    differ by the one nearer 0, at most 2^(prec+m), times U/L - 1 < 2 ln(U/L):
+    hi - lo < 2^(prec+m+r+5-W) + 2 = 2^-3 + 2, so hi - lo <= 2 and e <= 1.
+    """
+    a, b = q.numerator, q.denominator
+    m = max(0, a.bit_length() - b.bit_length() + 1 + 2 * max(n, 0))
+    W = prec + m + abs(n).bit_length() + 8
+    L, U, x = pi_power_bounds(abs(n), W)
+    if a < 0:
+        L, U = U, L
+    t = prec + x - abs(n) * W if n > 0 else prec - x + abs(n) * W
+    ends = [(a * L, b), (a * U, b)] if n > 0 else [(a, b * U), (a, b * L)]
+    (n0, d0), (n1, d1) = [(u << t, w) if t >= 0 else (u, w << -t) for u, w in ends]
+    lo, hi = n0 // d0, -(-n1 // d1)
+    v = (lo + hi) >> 1
+    return v, hi - v
+
+
+def rotation(x: Fraction, wp: int) -> tuple[int, int, int, int]:
+    """e^(i pi x) as a Gaussian fixed-point ball (c, ec, s, es) at wp: one `ball_cos_sin`."""
+    c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * x)
+    return (*from_ball(c, wp), *from_ball(s, wp))
+
+
+def floor_shift(q: Fraction | float, s: int) -> int:
+    """floor(q 2^s), exactly, for a Fraction or a float: one floor division."""
+    n, d = q.as_integer_ratio()
+    return (n << s) // d if s >= 0 else n // (d << -s)
 
 
 def to_ball(v: int, e: int, prec: int, bits: int) -> RealEnclosure:
@@ -140,10 +182,10 @@ def cos_table(prec: int, M: int) -> tuple[int, ...]:
     TABLE_ERR units.  A pure function of (prec, M), cached, so no result
     depends on which tables a process built before.
 
-    One `ball_cos_sin`, with pi 8 bits finer than the working precision
-    wp = prec + G, G = bit_length(M) + 8, gives w = e^(i pi / M) as two balls
-    at wp.  The chain z_0 = 2^wp, z_t = z_(t-1) w runs in Gaussian integers
-    through `gauss_mul`, so every component carries an exact error bound E.
+    One `rotation` gives w = e^(i pi / M) at the working precision
+    wp = prec + G, G = bit_length(M) + 8.  The chain z_0 = 2^wp,
+    z_t = z_(t-1) w runs in Gaussian integers through `gauss_mul`, so every
+    component carries an exact error bound E.
     Shifted down by G bits (floored), a component is off by less than
     E 2^-G + 1 <= (E >> G) + 2 units, and each entry is checked against
     TABLE_ERR by that.  cos(pi t / M) is Re z_t for
@@ -159,8 +201,7 @@ def cos_table(prec: int, M: int) -> tuple[int, ...]:
     """
     G = M.bit_length() + 8
     wp = prec + G
-    c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * Fraction(1, M))
-    w = (*from_ball(c, wp), *from_ball(s, wp))
+    w = rotation(Fraction(1, M), wp)
     chain = [(1 << wp, 0, 0, 0)]
     for _ in range(M // 4):
         chain.append(gauss_mul(chain[-1], w, wp))

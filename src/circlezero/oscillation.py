@@ -1,22 +1,22 @@
 """The oscillation lemma for W_k and Q_k: a trigonometric comparison function
 certified alternating on an explicit sample grid, with |f| > d at every
 point, while the coefficient-difference sum bounds the approximation error
-uniformly below d.  The comparison function and the uniform bound are
+uniformly below d.  The comparison function, the uniform bound and j0 are
 fixed-point formulas (`fixed`), the bound over the integer coefficients of
-`FamilyPoly.fixed_coefficients`; what each family contributes is an
-`OscillationSpec` in `verify.FAMILY_SPECS`.
+`FamilyPoly.fixed_coefficients`, every rational times a power of pi one
+`fixed.pi_multiple`.  What each family contributes is an `OscillationSpec`
+in `verify.FAMILY_SPECS`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import fixed
-from .enclosure import RealEnclosure, ball_cos_sin, escalate
+from .enclosure import escalate
 from .errors import DomainError, PrecisionError
 from .families import FamilyPoly
 from .reports import OscillationReport, VerificationReport
@@ -30,36 +30,16 @@ class OscillationSpec:
     """What the oscillation lemma needs for one family (W or Q)."""
 
     d: Fraction                                   # oscillation distance
-    j0_denominator: Callable[[RealEnclosure], RealEnclosure]  # pi -> arccos denominator
+    j0_denominator: Callable[[int], tuple[int, int]]  # prec -> arccos denominator (v, e)
     min_k: int                                    # smaller k take the sign-count route
     evaluator: Callable[[int], Evaluator]
-    uniform_bound: Callable[[FamilyPoly, int], RealEnclosure]
+    uniform_bound: Callable[[FamilyPoly, int], tuple[int, int, int]]   # (v, e, prec)
     drop_halves: bool                             # drop the two positive boundary halves
 
 
-_Constants = namedtuple("_Constants", "pi2_6 pi2_3 inv_pi2 two_pi four_pi")
-
-
-@lru_cache(maxsize=8)
-def _constants(prec: int) -> _Constants:
-    """The k-independent constants pi^2/6, pi^2/3, 1/pi^2, 2/pi and 4/pi,
-    made once per precision from one pi ball 8 bits finer, as fixed-point
-    (value, error) pairs at prec."""
-    pi = RealEnclosure.pi(prec + 8)
-    pi2 = pi * pi
-    return _Constants(*(fixed.from_ball(x, prec) for x in (
-        pi2 * Fraction(1, 6), pi2 * Fraction(1, 3), 1 / pi2, 2 / pi, 4 / pi)))
-
-
-@lru_cache(maxsize=8)
-def _fixed_x(spec: OscillationSpec, prec: int) -> tuple[int, int]:
-    """x = d / denominator(pi), the cosine of pi alpha, as (value, error) at prec."""
-    x = RealEnclosure.exact(spec.d, prec + 8) / spec.j0_denominator(RealEnclosure.pi(prec + 8))
-    return fixed.from_ball(x, prec)
-
-
 def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
-    """j0 = floor((k-1) alpha) + 1, alpha = arccos(x) / pi.
+    """j0 = floor((k-1) alpha) + 1, alpha = arccos(x) / pi, x = d / denominator
+    by one `fixed.div` of d's floor (within one unit) by the spec's pair.
 
     cos is decreasing on [0, pi], so floor((k-1) alpha) is the number of j
     in 1..k-1 with cos(pi j/(k-1)) >= x.  Those cosines are the even entries
@@ -70,7 +50,7 @@ def _alpha_j0(k: int, spec: OscillationSpec, bits: int = 128) -> int:
     """
     def attempt(b: int) -> tuple[bool, int]:
         prec = b + fixed.GUARD
-        x, ex = _fixed_x(spec, prec)
+        x, ex = fixed.div(fixed.floor_shift(spec.d, prec), 1, *spec.j0_denominator(prec), prec)
         table, err = fixed.cos_table(prec, 2 * (k - 1)), fixed.TABLE_ERR
         above = sum(1 for j in range(1, k) if table[2 * j] - err >= x + ex)
         below = sum(1 for j in range(1, k) if table[2 * j] + err < x - ex)
@@ -100,14 +80,13 @@ def sample_points(spec: OscillationSpec, k: int) -> list[int | Fraction]:
 @lru_cache(maxsize=16)
 def _rotation_powers(x: Fraction, k: int, prec: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
     """m -> (cos(m pi x), sin(m pi x)) as fixed-point (value, error) pairs at
-    prec, for m = 1, k-3, k-2, k-1 and k, from one `ball_cos_sin`.
+    prec, for m = 1, k-3, k-2, k-1 and k, from one `fixed.rotation`.
 
-    z = e^(i pi x) enters at wp = prec + G, G = 2 bit_length(k) + 8, from one
-    `ball_cos_sin` with pi 8 bits finer.  z^(k-3) is z times the binary
-    power z^(k-4), and the next three powers multiply by z once more, each
-    product in Gaussian integers through `fixed.gauss_mul`, so every
-    component carries an exact error bound E.  Shifted down by G bits
-    (floored), as `fixed.cos_table` does, a component is off by less than
+    z = e^(i pi x) enters at wp = prec + G, G = 2 bit_length(k) + 8.  z^(k-3)
+    is z times the binary power z^(k-4), and the next three powers multiply
+    by z once more, each product in Gaussian integers through
+    `fixed.gauss_mul`, so every component carries an exact error bound E.
+    Shifted down by G bits (floored), as `fixed.cos_table` does, a component is off by less than
     E 2^-G + 1 <= (E >> G) + 2 units.  A product's component error is at
     most about sqrt(2) times the sum of its factors' plus four units, so
     over log2(k) squarings E stays below a few k^(3/2) units (about 6k
@@ -116,8 +95,7 @@ def _rotation_powers(x: Fraction, k: int, prec: int) -> dict[int, tuple[tuple[in
     """
     G = 2 * k.bit_length() + 8
     wp = prec + G
-    c, s = ball_cos_sin(RealEnclosure.pi(wp + 8) * x)
-    z = p = (*fixed.from_ball(c, wp), *fixed.from_ball(s, wp))
+    z = p = fixed.rotation(x, wp)
     base, n = z, k - 4
     while n:
         if n & 1:
@@ -184,24 +162,25 @@ def _q_rho(k: int) -> Fraction:
     return 8 * (1 - Fraction(2) ** (3 - 2 * k)) / (1 - Fraction(2) ** (2 - 2 * k))
 
 
+def _pi_plus(q: Fraction, n: int, c: int) -> Callable[[int], tuple[int, int]]:
+    """prec -> q pi^n + c as a fixed-point pair: a j0 denominator."""
+    def pair(prec: int) -> tuple[int, int]:
+        v, e = fixed.pi_multiple(q, n, prec)
+        return v + (c << prec), e
+    return pair
+
+
 def _w_eval(k: int) -> Evaluator:
     """w_k(theta) = 2 cos(k theta) + (pi^2/3) cos((k-2) theta) + rho sin((k-3) theta)/sin(theta)."""
     return _comparison(k, (0, k), (0, k - 2), lambda prec: (
-        _constants(prec).pi2_3, fixed.from_ball(RealEnclosure.exact(_w_rho(k), prec + 8), prec)))
+        fixed.pi_multiple(Fraction(1, 3), 2, prec), (fixed.floor_shift(_w_rho(k), prec), 1)))
 
 
 def _q_eval(k: int) -> Evaluator:
-    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta);
-    rho/pi^2 is rho's floor (within one unit) times `_constants`' 1/pi^2, one
-    `fixed.mul`, as the centre of `_q_uniform_bound` is."""
+    """q_k(theta) = 2 cos((k-2) theta) + (4/pi) sin((k-1) theta) + (rho/pi^2) sin((k-3) theta)/sin(theta)."""
     rho = _q_rho(k)
-
-    def constants(prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        consts = _constants(prec)
-        return consts.four_pi, fixed.mul((rho.numerator << prec) // rho.denominator, 1,
-                                         *consts.inv_pi2, prec)
-
-    return _comparison(k, (0, k - 2), (1, k - 1), constants)
+    return _comparison(k, (0, k - 2), (1, k - 1), lambda prec: (
+        fixed.pi_multiple(Fraction(4), -1, prec), fixed.pi_multiple(rho, -2, prec)))
 
 
 def alternating_verify(f: Evaluator, points: Sequence, d: Fraction, unit: int,
@@ -244,40 +223,40 @@ def alternating_verify(f: Evaluator, points: Sequence, d: Fraction, unit: int,
     return OscillationReport(list(points), unit, signs, min_abs, order, d)
 
 
-def _uniform_bound(poly: FamilyPoly, bits: int, rho: Fraction, scale: tuple[int, int] | None,
-                   base: int, extra: int, const: tuple[int, int]) -> RealEnclosure:
-    """sum_{j=2}^{k-2} |A_j/A - r| + 2 |a_extra/A - const|, A = a_base, with
-    a_i = (-1)^floor(i/2) c_i (A_j = a_2j, the even coefficients at iz) and
-    r = rho times scale (or rho alone); scale and const are fixed-point
-    pairs at prec = bits + `fixed.GUARD`.  The c_i are `fixed_coefficients`
-    C_i +- e_i over one unit, so each ratio is one `fixed.div`; rho is one
-    floor, within one unit.  One sum, one error: | |x| - |y| | <= |x - y|.
+def _uniform_bound(poly: FamilyPoly, bits: int, base: int, extra: int,
+                   constants: Callable[[int], tuple[tuple[int, int], tuple[int, int]]]
+                   ) -> tuple[int, int, int]:
+    """sum_{j=2}^{k-2} |A_j/A - r| + 2 |a_extra/A - c| as (v, e, prec), A = a_base,
+    with a_i = (-1)^floor(i/2) c_i (A_j = a_2j, the even coefficients at
+    iz); constants(prec) gives (r, c) as fixed-point pairs at
+    prec = bits + `fixed.GUARD`.  The c_i are `fixed_coefficients`
+    C_i +- e_i over one unit, so each ratio is one `fixed.div`.  One sum,
+    one error: | |x| - |y| | <= |x - y|.
     """
     k, prec = poly.k, bits + fixed.GUARD
     _, C, e = poly.fixed_coefficients(prec, 2 * k - 3)
     a = [(-C[i] if i // 2 % 2 else C[i], e[i]) for i in range(2 * k - 3)]
-    r = (rho.numerator << prec) // rho.denominator
-    c, ec = fixed.mul(r, 1, *scale, prec) if scale else (r, 1)
+    (r, er), (c, ec) = constants(prec)
     total = err = 0
     for j in range(2, k - 1):
         q, eq = fixed.div(*a[2 * j], *a[base], prec)
-        total, err = total + abs(q - c), err + eq + ec
+        total, err = total + abs(q - r), err + eq + er
     q, eq = fixed.div(*a[extra], *a[base], prec)
-    c, ec = const
-    return fixed.to_ball(total + 2 * abs(q - c), err + 2 * (eq + ec), prec, bits)
+    return total + 2 * abs(q - c), err + 2 * (eq + ec), prec
 
 
-def _w_uniform_bound(w: FamilyPoly, bits: int) -> RealEnclosure:
+def _w_uniform_bound(w: FamilyPoly, bits: int) -> tuple[int, int, int]:
     """2 |A_1/A_0 - pi^2/6| + sum_{j=2}^{k-2} |A_j/A_0 - 2/(1-2^(1-2k))|."""
-    return _uniform_bound(w, bits, _w_rho(w.k), None, 0, 2, _constants(bits + fixed.GUARD).pi2_6)
+    return _uniform_bound(w, bits, 0, 2, lambda prec: (
+        (fixed.floor_shift(_w_rho(w.k), prec), 1), fixed.pi_multiple(Fraction(1, 6), 2, prec)))
 
 
-def _q_uniform_bound(q: FamilyPoly, bits: int) -> RealEnclosure:
+def _q_uniform_bound(q: FamilyPoly, bits: int) -> tuple[int, int, int]:
     """sum_{j=2}^{k-2} |A_j/A_1 - rho/pi^2| + 2 |(-1)^k zeta(2k-1)(2^(2k-1)-1)/A_1 - 2/pi|;
     over pi^(2k-1), the last numerator is c_1 = eps (2^(2k-1) - 1) lambda_k,
     eps = (-1)^k, which `fixed_coefficients` carries."""
-    consts = _constants(bits + fixed.GUARD)
-    return _uniform_bound(q, bits, _q_rho(q.k), consts.inv_pi2, 2, 1, consts.two_pi)
+    return _uniform_bound(q, bits, 2, 1, lambda prec: (
+        fixed.pi_multiple(_q_rho(q.k), -2, prec), fixed.pi_multiple(Fraction(2), -1, prec)))
 
 
 def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> VerificationReport:
@@ -287,9 +266,10 @@ def oscillation_report(poly: FamilyPoly, spec: OscillationSpec, bits: int) -> Ve
     k = poly.k
     target = poly.strip_origin().degree
     osc = alternating_verify(spec.evaluator(k), sample_points(spec, k), spec.d, 2 * (k - 1), bits)
-    bound = osc.uniform_bound = spec.uniform_bound(poly, bits)
-    certified = bool(bound.lt(spec.d) and osc.order_achieved >= target
-                     and all(s != 0 for s in osc.signs))
+    v, e, prec = spec.uniform_bound(poly, bits)
+    osc.uniform_bound = fixed.to_ball(v, e, prec, bits)
+    below_d = (v + e) * spec.d.denominator < spec.d.numerator << prec
+    certified = below_d and osc.order_achieved >= target and all(s != 0 for s in osc.signs)
     return VerificationReport(poly.family, k, "oscillation", target if certified else 0, target,
                               None, None, certified, origin_zeros=poly.origin_multiplicity,
                               detail={"oscillation": {"k": k, **osc.to_doc()}})

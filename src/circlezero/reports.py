@@ -127,8 +127,7 @@ def csv_text(columns: list[str], rows: list[dict]) -> str:
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
                             lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -138,6 +137,4 @@ def table_text(columns: list[str], rows: list[dict]) -> str:
               for i, c in enumerate(columns)]
     def fmt(vals):
         return "  ".join(v.ljust(w) for v, w in zip(vals, widths)).rstrip()
-    lines = [fmt(columns)]
-    lines += [fmt(row) for row in cells]
-    return "\n".join(lines) + "\n"
+    return "\n".join([fmt(columns)] + [fmt(row) for row in cells]) + "\n"

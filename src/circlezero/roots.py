@@ -242,14 +242,6 @@ def _newton_disc(poly: FamilyPoly, coeffs: list[int],
                        family=poly.family, k=poly.k, last_move=isqrt(move2) / (1 << prec))
 
 
-def _fixed_seed(v: float, prec: int) -> int:
-    """floor(v 2^prec), exactly: a double is an integer over a power of two.
-    (float(2^prec) itself overflows beyond prec = 1023, which the escalated
-    precisions reach.)"""
-    num, den = v.as_integer_ratio()
-    return (num << prec) // den
-
-
 class RootDiscs(list):
     """`find_roots`'s discs (xr, xi, rad): the disc of centre
     (xr + i xi) 2^-prec and radius rad 2^-prec holds exactly one root.
@@ -329,8 +321,9 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootDiscs:
     if mirror:
         seeds = upper + near_real
     budget = _budget_memo(coeffs, errs, prec)
-    polished = [_newton_disc(poly, coeffs, budget, _fixed_seed(w.real, prec),
-                             _fixed_seed(w.imag, prec), prec, bits) for w in seeds]
+    # floored from the seed's exact ratio: float(2^prec) overflows past prec = 1023
+    polished = [_newton_disc(poly, coeffs, budget, fixed.floor_shift(w.real, prec),
+                             fixed.floor_shift(w.imag, prec), prec, bits) for w in seeds]
     z = [disc[:3] for disc in polished]
     if mirror:
         z += [(xr, -xi, rad) for xr, xi, rad in z[:len(upper)]]

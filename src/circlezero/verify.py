@@ -9,8 +9,9 @@ dispatch over the routes, one to a module:
 The integer routes share the fixed-point convention of `fixed`, and every
 route returns the dataclasses of `reports`.  What the paper proves per
 family lives in one table, FAMILY_SPECS: the Schinzel constant (none:
-Lakatos, c = 1) and, for W and Q, the oscillation data; what it takes to
-build one, the smallest k included, is `families.FAMILIES`.
+Lakatos, c = 1) and, for W and Q, the oscillation data, all as fixed-point
+pairs; what it takes to build one, the smallest k included, is
+`families.FAMILIES`.
 Every route takes the built polynomial and reads its target count and origin
 zeros from `strip_origin()`; every ball check that cannot decide yet
 escalates its precision through `enclosure.escalate`.
@@ -23,10 +24,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .criteria import lakatos_check, schinzel_check, schinzel_constant_S, schinzel_constant_Y
-from .enclosure import RealEnclosure
 from .errors import DomainError
 from .families import FamilyPoly, build_family
-from .oscillation import (OscillationSpec, _q_eval, _q_uniform_bound, _w_eval,
+from .oscillation import (OscillationSpec, _pi_plus, _q_eval, _q_uniform_bound, _w_eval,
                           _w_uniform_bound, oscillation_report, sample_points)
 from .reports import CERTIFIED_TRUE, CriteriaReport, VerificationReport
 # find_roots and simplicity_check too: bench/spans.py wraps them by name here
@@ -38,20 +38,20 @@ from .signcount import verify_by_sign_count
 class FamilySpec:
     """The coefficient theorem that certifies one family."""
 
-    # k -> Schinzel constant c (a bits -> ball callable); None: Lakatos, c = 1
-    schinzel: Callable[[int], Callable[[int], RealEnclosure]] | None = None
+    # k -> Schinzel constant c (a prec -> (v, e) callable); None: Lakatos, c = 1
+    schinzel: Callable[[int], Callable[[int], tuple[int, int]]] | None = None
     oscillation: OscillationSpec | None = None
 
 
 FAMILY_SPECS: dict[str, FamilySpec] = {
     "Q": FamilySpec(oscillation=OscillationSpec(
         d=Fraction(3, 100),
-        j0_denominator=lambda pi: RealEnclosure.exact(2, pi.prec) - 16 / (pi * pi),
+        j0_denominator=_pi_plus(Fraction(-16), -2, 2),     # 2 - 16/pi^2
         min_k=6, evaluator=_q_eval, uniform_bound=_q_uniform_bound, drop_halves=True)),
     "Y": FamilySpec(schinzel=schinzel_constant_Y),
     "W": FamilySpec(oscillation=OscillationSpec(
         d=Fraction(3, 10),
-        j0_denominator=lambda pi: pi * pi * Fraction(1, 3) - 2,
+        j0_denominator=_pi_plus(Fraction(1, 3), 2, -2),    # pi^2/3 - 2
         min_k=11, evaluator=_w_eval, uniform_bound=_w_uniform_bound, drop_halves=False)),
     "S": FamilySpec(schinzel=schinzel_constant_S),
 }

@@ -294,11 +294,11 @@ JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
      "2ef5d8490b87e6304c666e30eb1a1503cd845f7137c67aa90482af1f84eed3cb"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
-     "fa4efe0e6ad31c0256f39c7293fc7acfd58b5d176ceb0aead1daeccd56b9dcc5"),
+     "8531b486d916bff955b801e445c5d5e6f646dd9947468350b18230aacf4e97de"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,
-     "a8ca5d22372c258785d8124ab0e582e1b98fe03034badc0e9c79200916e0141d"),
+     "2e39a69a21cc0a5e0682feb96a49d1459ef21ad23036e5163c4c1902275284ef"),
     ("criteria --family R,S,Y --k-range 3..30", EXIT_REFUTED,
-     "0c930deb031a6b947b1bb7094f1b5b0bc8f7f2b34f3762b6f019d68955705fa9"),
+     "132f3d60037d50aa45aa0ce4286e8898d65653f6850f196110612aa2933c84f1"),
     ("identity combination-vs-closed-form --k-range 2..30", EXIT_OK,
      "67bd8df36f9e6f5adb55f41c6701c99ff770412b9d46e9799e64d753927661ef"),
     # R never certifies, so every grid doubles and carries its signs over

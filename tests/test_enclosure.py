@@ -29,6 +29,8 @@ from circlezero.enclosure import (
     _borwein_weights,
     _pow_bounds,
 )
+from circlezero import fixed
+from circlezero.criteria import schinzel_constant_S, schinzel_constant_Y
 from circlezero.errors import DomainError
 
 
@@ -331,3 +333,80 @@ def test_lambda_k_independent_of_call_order():
     backward = {a: lambda_k(*a) for a in reversed(args)}
     assert all((forward[a].mid, forward[a].rad, forward[a].prec)
                == (backward[a].mid, backward[a].rad, backward[a].prec) for a in args)
+
+
+# -- fixed.pi_multiple: the one source of q pi^n on the routes ----------------
+
+_ROUTE_PRECS = [b + fixed.GUARD for b in (64, 100, 128, 256, 500, 1024, 2048)]
+_SCHINZEL_KS = sorted({1, 2, 3, 2047, 2048, *random.Random(28).sample(range(4, 2047), 20)})
+
+
+def _near(q: Fraction, n: int, prec: int, v: int, e: int) -> bool:
+    """|q pi^n 2^prec - v| <= e, with q pi^n from mpmath 200 bits finer."""
+    with mp.workprec(prec + 200):
+        ref = mp.mpf(q.numerator) / q.denominator * mp.pi ** n * mp.mpf(2) ** prec
+        return abs(ref - v) <= e
+
+
+def test_pi_multiple_encloses_every_route_constant():
+    # pi^2/6, pi^2/3, 1/pi^2, 2/pi, 4/pi, 16/pi^2 and rho_Q(k)/pi^2, k = 6..800,
+    # each with both signs, at every precision from 64 + GUARD to 2048 + GUARD:
+    # v +- e holds q pi^n, and e is the one unit the docstring proves
+    from circlezero.oscillation import _q_rho
+
+    cases = [(Fraction(1, 6), 2), (Fraction(1, 3), 2), (Fraction(1), -2), (Fraction(2), -1), (Fraction(4), -1), (Fraction(16), -2)]
+    cases += [(_q_rho(k), -2) for k in range(6, 801)]
+    for prec in _ROUTE_PRECS:
+        for q, n in cases:
+            for signed in (q, -q):
+                v, e = fixed.pi_multiple(signed, n, prec)
+                assert e <= 1 and _near(signed, n, prec, v, e), (signed, n, prec)
+
+
+def test_pi_multiple_holds_for_a_wide_bracket(monkeypatch):
+    # the enclosure rests only on L 2^s <= pi^|n| <= U 2^s, however wide: with
+    # the bracket widened by 2^-20 of itself either way, q pi^n is still held,
+    # for both signs of q and of n, now by an e of many units
+    from circlezero import enclosure
+
+    def wide(n, W):
+        L, U, x = enclosure.pi_power_bounds(n, W)
+        return L - (L >> 20), U + (U >> 20), x
+
+    monkeypatch.setattr(fixed, "pi_power_bounds", wide)
+    fixed.pi_multiple.cache_clear()
+    try:
+        for prec in _ROUTE_PRECS:
+            for q in (Fraction(1, 3), Fraction(16), Fraction(3 ** 9, 4 * (3 ** 9 + 1))):
+                for signed in (q, -q):
+                    for n in (-2, -1, 1, 2):
+                        v, e = fixed.pi_multiple(signed, n, prec)
+                        assert e > 1 << (prec - 32) and _near(signed, n, prec, v, e), (signed, n, prec)
+    finally:
+        fixed.pi_multiple.cache_clear()
+
+
+def test_schinzel_constants_enclose_the_papers_constants():
+    # the route's S and Y constants at sampled k in 1..2048, against
+    # pi / (4 (1 + 3^(-1-2k))) and pi^2 (1 - 2^(2-2k)) / (8 (1 - 2^(3-2k)))
+    for prec in _ROUTE_PRECS:
+        for k in _SCHINZEL_KS:
+            s_scale = Fraction(3 ** (1 + 2 * k), 4 * (3 ** (1 + 2 * k) + 1))
+            y_scale = (1 - Fraction(2) ** (2 - 2 * k)) / (8 * (1 - Fraction(2) ** (3 - 2 * k)))
+            for constant, scale, n in ((schinzel_constant_S, s_scale, 1),
+                                       (schinzel_constant_Y, y_scale, 2)):
+                v, e = constant(k)(prec)
+                assert e <= 1 and _near(scale, n, prec, v, e), (constant.__name__, k, prec)
+
+
+def test_pi_multiple_j0_denominators():
+    # the W and Q arccos denominators pi^2/3 - 2 and 2 - 16/pi^2 as the route
+    # reads them, against mpmath 200 bits finer
+    from circlezero.verify import FAMILY_SPECS
+
+    refs = {"W": lambda: mp.pi ** 2 / 3 - 2, "Q": lambda: 2 - 16 / mp.pi ** 2}
+    for prec in _ROUTE_PRECS:
+        for family, ref in refs.items():
+            v, e = FAMILY_SPECS[family].oscillation.j0_denominator(prec)
+            with mp.workprec(prec + 200):
+                assert abs(ref() * mp.mpf(2) ** prec - v) <= e, (family, prec)

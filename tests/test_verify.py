@@ -52,6 +52,8 @@ from circlezero.signcount import (
 )
 from circlezero.verify import (
     FAMILY_SPECS,
+    criteria_check,
+    oscillation_verify,
     oscillation_samples,
     oscillation_verify_Q,
     oscillation_verify_W,
@@ -180,18 +182,19 @@ def test_criteria_margin_ball_contains_finer_margin():
 
 def test_criteria_straddling_c_escalates_to_indeterminate():
     # S_2 = 5 + 6z + 5z^2 has margin 20 - 16c for c >= 1, zero at c = 5/4: a c
-    # ball that keeps straddling 5/4 is retried at every precision and never
-    # certifies
+    # pair, 5/4 +- 2^-40, that keeps straddling 5/4 is retried at every
+    # precision and never certifies
     seen = []
 
-    def c(bits):
-        seen.append(bits)
-        return RealEnclosure(libmp.from_man_exp(5, -2), libmp.from_man_exp(1, -40), bits)
+    def c(prec):
+        seen.append(prec)
+        return 5 << (prec - 2), 1 << (prec - 40)
 
     rep = schinzel_check(build_S(2), c)
-    assert seen == [128, 256, 512, 1024, 2048]
+    assert seen == [b + GUARD for b in (128, 256, 512, 1024, 2048)]
     assert rep.holds == INDETERMINATE and not rep.exact
     assert rep.margin.contains_zero() and rep.margin.prec == 2048
+    assert rep.c.contains(F(5, 4)) and rep.c.prec == 2048
 
 
 class _FixedPoly:
@@ -224,17 +227,23 @@ def test_margin_fixed_bound_holds_at_every_corner(terms, c_term, emax):
     assert abs(margin - F(M, 2 ** q)) <= F(E, 2 ** q)
 
 
-def test_criteria_route_makes_no_ball_operation(monkeypatch):
-    # lambda_k, the generic fixed_coefficients and the margin loop run on
-    # integers: no RealEnclosure operator is called inside them
-    from circlezero import criteria
-
+def _count_ball_operations(monkeypatch) -> list[str]:
+    """The names of the RealEnclosure operators called from now on, in order."""
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "abs", "pow_int", "shift", "sqrt", "sqr"):
         orig = getattr(RealEnclosure, name)
         monkeypatch.setattr(RealEnclosure, name,
                             lambda *a, _o=orig, _n=name, **kw: calls.append(_n) or _o(*a, **kw))
+    return calls
+
+
+def test_criteria_route_makes_no_ball_operation(monkeypatch):
+    # lambda_k, the generic fixed_coefficients and the margin loop run on
+    # integers: no RealEnclosure operator is called inside them
+    from circlezero import criteria
+
+    calls = _count_ball_operations(monkeypatch)
     for k in (2, 3, 21, 100, 450, 2048):
         lambda_k(k, 128)
     assert calls == []
@@ -246,6 +255,26 @@ def test_criteria_route_makes_no_ball_operation(monkeypatch):
     assert calls == []
     RealEnclosure.pi(64) * 2    # the counter sees a ball operation
     assert calls == ["__mul__"]
+
+
+def test_pi_multiple_constants_make_no_ball_operation(monkeypatch):
+    # with their cosine tables and off-grid rotations built, the Schinzel
+    # certificates of S and Y and the oscillation certificates of W_12 and
+    # Q_12 call no RealEnclosure operator: their constants, the j0
+    # denominators included, are fixed.pi_multiple pairs, made afresh here,
+    # and the reports are the ones the first run gave
+    polys = [build_S(1), build_S(9), build_Y(2), build_Y(13), build_W(12), build_Q(12)]
+    route = {"S": criteria_check, "Y": criteria_check, "W": oscillation_verify,
+             "Q": oscillation_verify}
+    docs = [route[p.family](p).to_doc() for p in polys]
+    fixed.pi_multiple.cache_clear()
+    calls = _count_ball_operations(monkeypatch)
+    reports = [route[p.family](p) for p in polys]
+    assert calls == []
+    assert fixed.pi_multiple.cache_info().misses > 0
+    assert [r.holds for r in reports[:4]] == [CERTIFIED_TRUE] * 4
+    assert reports[4].certified and reports[5].certified
+    assert [r.to_doc() for r in reports] == docs
 
 
 def test_observation_identity_examples():
@@ -404,12 +433,19 @@ def test_min_abs_is_smallest_exact_upper_end_across_precisions():
     assert fixed.from_ball(rep.min_abs, 160) == (near, 13 + 2)
 
 
-def _j0_by_arccos(k, spec, bits=128):
+# the arccos denominators of W and Q as balls, independent of the route's pairs
+_J0_DENOMINATORS = {"W": lambda pi: pi * pi * F(1, 3) - 2,
+                    "Q": lambda pi: RealEnclosure.exact(2, pi.prec) - 16 / (pi * pi)}
+
+
+def _j0_by_arccos(k, family, bits=128):
     """j0 = floor((k-1) alpha) + 1 with alpha certified from its arccos
-    formula, escalating until the floor is decided."""
+    formula in ball arithmetic, escalating until the floor is decided."""
+    d = FAMILY_SPECS[family].oscillation.d
+
     def attempt(b):
         pi = RealEnclosure.pi(b)
-        alpha = ball_acos(RealEnclosure.exact(spec.d, b) / spec.j0_denominator(pi)) / pi
+        alpha = ball_acos(RealEnclosure.exact(d, b) / _J0_DENOMINATORS[family](pi)) / pi
         x = alpha * (k - 1)
         lo, hi = int(mp.floor(x.lower)), int(mp.floor(x.upper))
         return lo == hi, lo + 1
@@ -436,7 +472,7 @@ def test_j0_from_table_matches_arccos(family, monkeypatch):
     precs = _table_precisions(monkeypatch)
     table_j0 = [oscillation._alpha_j0(k, spec) for k in range(spec.min_k, 400)]
     assert set(precs) == {128 + GUARD}
-    assert table_j0 == [_j0_by_arccos(k, spec) for k in range(spec.min_k, 400)]
+    assert table_j0 == [_j0_by_arccos(k, family) for k in range(spec.min_k, 400)]
 
 
 def test_j0_fallback_when_table_cannot_separate(monkeypatch):
@@ -454,7 +490,7 @@ def test_j0_exact_boundary_raises_naming_k():
     # d / denominator = 1/2 = cos(pi/3) with 3 | k - 1: the table entry j =
     # (k-1)/3 equals x, and no precision of the escalation decides it
     spec = FAMILY_SPECS["W"].oscillation    # d = 3/10
-    spec = dataclasses.replace(spec, j0_denominator=lambda pi: RealEnclosure.exact(F(3, 5), pi.prec))
+    spec = dataclasses.replace(spec, j0_denominator=lambda prec: ((3 << prec) // 5, 1))
     with pytest.raises(PrecisionError, match="k=13"):
         oscillation._alpha_j0(13, spec)
 
@@ -479,17 +515,20 @@ def test_off_grid_powers_enclose_finer_reference(family, k):
 
 @pytest.mark.parametrize("family", ["W", "Q"])
 def test_one_cos_sin_per_off_grid_angle(family, monkeypatch):
-    # the two points just short of +-pi share |theta|: over a whole grid,
-    # one ball_cos_sin per precision, of that angle
+    # the two points just short of +-pi share |theta|: over a whole grid
+    # whose cosine tables are built, one ball_cos_sin per precision, of that
+    # angle (the tables and the rotation powers share `fixed.rotation`)
     calls = []
 
     def counted(x):
         calls.append(x)
         return ball_cos_sin(x)
 
-    monkeypatch.setattr(oscillation, "ball_cos_sin", counted)
-    oscillation._rotation_powers.cache_clear()
     k = 35
+    for bits in (128, 256):
+        fixed.cos_table(bits + GUARD, 2 * (k - 1))
+    monkeypatch.setattr(fixed, "ball_cos_sin", counted)
+    oscillation._rotation_powers.cache_clear()
     f = (_w_eval if family == "W" else _q_eval)(k)
     pts = oscillation_samples(family, k)
     for bits in (128, 256):
@@ -607,7 +646,7 @@ def test_uniform_bound_overlaps_exact_ratio_reference(family, k):
     # missing error term; and the bound is below the oscillation distance
     spec = FAMILY_SPECS[family].oscillation
     poly = build_family(family, k)
-    bound = spec.uniform_bound(poly, 128)
+    bound = fixed.to_ball(*spec.uniform_bound(poly, 128), 128)
     ref = _uniform_bound_reference(poly, 128 + 64)
     (mb, rb), (mr, rr) = ((F(*libmp.to_rational(x.mid)), F(*libmp.to_rational(x.rad)))
                           for x in (bound, ref))
