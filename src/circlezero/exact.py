@@ -153,17 +153,16 @@ def _pi_power_sides(value: Fraction, num: Fraction, power: int, scales: tuple,
                     bits: int, what: str) -> list[int]:
     """For each s in scales: +1 if value > num / (pi^power s) is certified, -1
     if value < it, for positive value, num and s: the side of 1 that
-    value s pi^power / num is on, read from its `fixed.pi_multiple` pair at
-    each precision of the escalation.  Only a side still undecided is taken
-    again at the next precision."""
+    value s pi^power / num is on, read from its `fixed.pi_multiples` pair at
+    each precision of the escalation, one pi bracket for all the scales.
+    Only a side still undecided is taken again at the next precision."""
     ratios = [value * s / num for s in scales]
     sides = [0] * len(scales)
 
     def attempt(prec: int) -> tuple[bool, list[int]]:
-        for i, q in enumerate(ratios):
-            if not sides[i]:
-                v, e = fixed.pi_multiple(q, power, prec)
-                sides[i] = (v - e > 1 << prec) - (v + e < 1 << prec)
+        todo = [i for i, side in enumerate(sides) if not side]
+        for i, (v, e) in zip(todo, fixed.pi_multiples([ratios[i] for i in todo], power, prec)):
+            sides[i] = (v - e > 1 << prec) - (v + e < 1 << prec)
         return 0 not in sides, sides
 
     decided, sides = escalate(attempt, bits)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from mpmath import libmp
 
@@ -35,32 +36,43 @@ def from_ball(x: RealEnclosure, prec: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def pi_multiple(q: Fraction, n: int, prec: int) -> tuple[int, int]:
-    """(v, e) for q pi^n, n != 0, with e <= 1: cached, and one integer
-    bracket of pi^|n| (`enclosure.pi_power_bounds`) away from mpmath's pi.
+    """(v, e) for q pi^n, n != 0, with e <= 1: `pi_multiples` of q alone,
+    cached."""
+    return pi_multiples((q,), n, prec)[0]
 
-    With q = a/b, |q pi^n| < 2^m for the m below (pi < 2^2).  With
-    r = bit_length(|n|) and W = prec + m + r + 8, pi^|n| lies in [L, U] 2^s,
-    s = x - |n| W, with ln(U/L) < 2^(r + 4 - W).  So 2^prec q pi^n lies
-    between a L 2^(prec+s) / b and a U 2^(prec+s) / b for n > 0, and
-    between a 2^(prec-s) / (b U) and a 2^(prec-s) / (b L) for n < 0, the
-    first of each pair the lower end when a >= 0; for a < 0, L and U swap.
-    lo is the floor of the lower end, hi the ceiling of the upper, so
-    v = floor((lo + hi)/2) and e = hi - v >= v - lo enclose it.  The ends
-    differ by the one nearer 0, at most 2^(prec+m), times U/L - 1 < 2 ln(U/L):
-    hi - lo < 2^(prec+m+r+5-W) + 2 = 2^-3 + 2, so hi - lo <= 2 and e <= 1.
+
+def pi_multiples(qs: Sequence[Fraction], n: int, prec: int) -> list[tuple[int, int]]:
+    """[(v, e), ...] for q pi^n, one pair per q in qs, n != 0, each with
+    e <= 1, all from one integer bracket of pi^|n|
+    (`enclosure.pi_power_bounds`) away from mpmath's pi.
+
+    With q = a/b, |q pi^n| < 2^m_q for m_q below (pi < 2^2); m is the
+    largest m_q.  With r = bit_length(|n|) and W = prec + m + r + 8, pi^|n|
+    lies in [L, U] 2^s, s = x - |n| W, with ln(U/L) < 2^(r + 4 - W).  So
+    2^prec q pi^n lies between a L 2^(prec+s) / b and a U 2^(prec+s) / b
+    for n > 0, and between a 2^(prec-s) / (b U) and a 2^(prec-s) / (b L)
+    for n < 0, the first of each pair the lower end when a >= 0; for a < 0,
+    L and U swap.  lo is the floor of the lower end, hi the ceiling of the
+    upper, so v = floor((lo + hi)/2) and e = hi - v >= v - lo enclose it.
+    The ends differ by the one nearer 0, at most 2^(prec+m_q), times
+    U/L - 1 < 2 ln(U/L): hi - lo < 2^(prec+m_q+r+5-W) + 2 <= 2^-3 + 2, so
+    hi - lo <= 2 and e <= 1.
     """
-    a, b = q.numerator, q.denominator
-    m = max(0, a.bit_length() - b.bit_length() + 1 + 2 * max(n, 0))
+    m = max(max(0, q.numerator.bit_length() - q.denominator.bit_length() + 1 + 2 * max(n, 0))
+            for q in qs)
     W = prec + m + abs(n).bit_length() + 8
-    L, U, x = pi_power_bounds(abs(n), W)
-    if a < 0:
-        L, U = U, L
+    lower, upper, x = pi_power_bounds(abs(n), W)
     t = prec + x - abs(n) * W if n > 0 else prec - x + abs(n) * W
-    ends = [(a * L, b), (a * U, b)] if n > 0 else [(a, b * U), (a, b * L)]
-    (n0, d0), (n1, d1) = [(u << t, w) if t >= 0 else (u, w << -t) for u, w in ends]
-    lo, hi = n0 // d0, -(-n1 // d1)
-    v = (lo + hi) >> 1
-    return v, hi - v
+    pairs = []
+    for q in qs:
+        a, b = q.numerator, q.denominator
+        L, U = (lower, upper) if a >= 0 else (upper, lower)
+        ends = [(a * L, b), (a * U, b)] if n > 0 else [(a, b * U), (a, b * L)]
+        (n0, d0), (n1, d1) = [(u << t, w) if t >= 0 else (u, w << -t) for u, w in ends]
+        lo, hi = n0 // d0, -(-n1 // d1)
+        v = (lo + hi) >> 1
+        pairs.append((v, hi - v))
+    return pairs
 
 
 def rotation(x: Fraction, wp: int) -> tuple[int, int, int, int]:

@@ -24,7 +24,7 @@ SEED_STEPS = 8           # float Newton steps that bring a grid seed to Aberth q
 POLISH_SWEEPS = 8        # fixed-point Newton steps per root
 ROOT_TOL = Fraction(1, 10 ** 20)  # | |z| - 1 | below which a root disc counts as on the circle
 ROOT_GUARD = 48          # fixed-point bits kept beyond the requested precision
-MIRROR_TOL = 1e-8        # |Im w| <= MIRROR_TOL max(1, |w|): a near-real seed, polished on its own
+MIRROR_TOL = 1e-8        # a seed within MIRROR_TOL max(1, |w|) of an axis is taken as on it
 
 
 def _horner_float(rev: list[float], x: complex) -> tuple[complex, complex]:
@@ -40,10 +40,12 @@ def _aberth_float(coeffs: list[float], n: int) -> list[complex]:
     """Float Aberth--Ehrlich seeds for the n roots of sum coeffs[j] z^j.
 
     Every sweep takes the correction w / (1 - w s), w = p(z_i)/p'(z_i) and
-    s = sum over j != i of 1/(z_i - z_j), of each moving root from the same
-    iterate.  A root whose correction is below 1e-13 stops moving, but stays
-    in the other roots' sums; a correction that divides by zero or is not
-    finite counts as 0."""
+    s = sum over j != i of 1/(z_i - z_j), added in the order of j, of each
+    moving root from the same iterate.  A root whose correction is below
+    1e-13 stops moving, but stays in the other roots' sums; a correction
+    that divides by zero or is not finite counts as 0.  `find_roots` calls
+    it on p itself, or for an even p on F with F(z^2) = p(z), at half the
+    degree."""
     rev = coeffs[::-1]
     z = [1.01 * cmath.exp(1j * (2.0 * cmath.pi * j / n + 0.37)) for j in range(n)]
     moving = list(range(n))
@@ -53,8 +55,12 @@ def _aberth_float(coeffs: list[float], n: int) -> list[complex]:
             x = z[i]
             p, d = _horner_float(rev, x)
             try:
+                s = 0
+                for j, y in enumerate(z):
+                    if j != i:
+                        s += 1 / (x - y)
                 w = p / d
-                c = w / (1 - w * sum([1 / (x - y) for y in z[:i] + z[i + 1:]]))
+                c = w / (1 - w * s)
             except ZeroDivisionError:
                 c = 0j
             corr.append(c if cmath.isfinite(c) else 0j)
@@ -76,8 +82,32 @@ def _seed_grid(m: int) -> int:
     return 1 << (max(3 * m, 32) - 1).bit_length()
 
 
+def _newton_float(rev: list[float], z: complex) -> complex:
+    """z after up to SEED_STEPS float Newton steps on the coefficients `rev`
+    from the top down.  It stops after a step s_i below 1e-13 (Aberth's
+    stop), after one with |s_i|^3 < 1e-17 |s_(i-1)|^2, where quadratic
+    convergence puts the next step below float resolution, so that no step
+    only confirms convergence, and before a step that divides by zero or is
+    not finite."""
+    last = 0.0
+    for _ in range(SEED_STEPS):
+        f, d = _horner_float(rev, z)
+        try:
+            step = f / d
+        except ZeroDivisionError:
+            break
+        if not cmath.isfinite(step):
+            break
+        z -= step
+        size = abs(step)
+        if size < 1e-13 or size ** 3 < 1e-17 * last * last:
+            break
+        last = size
+    return z
+
+
 def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], prec: int,
-                floats: list[float]) -> list[complex] | None:
+                floats: list[float], even: bool = False) -> list[complex] | None:
     """Seeds for the n roots of the origin-stripped p, whose symmetry
     c_(n-j) = eps c_j the caller has checked exactly, from the sign
     counter's transform on the seeder's grid; None when its certified
@@ -92,12 +122,14 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
     has eps = -1, and the sign changes must number m (m - 1 for eps = -1):
     with the real zeros as seeds, that is all n roots, one simple circle
     zero in each bracket.  Each bracket gives the angle where the straight
-    line through its two grid values crosses 0; up to SEED_STEPS float
-    Newton steps on `floats` move e^(i theta) until a step is below 1e-13,
-    as Aberth's stop.  A seed whose argument leaves its bracket is not
-    trusted, and the caller falls back to Aberth, so no two seeds can polish
-    to the same root.  The seeds are the upper ones, the real ones and the
-    conjugates of the upper ones.
+    line through its two grid values crosses 0, and float Newton steps on
+    `floats` (`_newton_float`) move e^(i theta) from there.  For an `even` p,
+    whose roots are closed under z -> -conj z (theta -> pi - theta), only
+    the brackets in (0, pi/2] take Newton steps: a bracket whose mirror
+    bracket below pi/2 has a seed z takes -conj z.  A seed whose argument
+    leaves its bracket is not trusted, and the caller falls back to Aberth,
+    so no two seeds can polish to the same root.  The seeds are the upper
+    ones, the real ones and the conjugates of the upper ones.
     """
     ev, m, real = counted_form(p.epsilon, p.degree, fixed_coeffs, prec)
     M = _seed_grid(m)
@@ -109,25 +141,17 @@ def _grid_seeds(p: FamilyPoly, fixed_coeffs: tuple[int, list[int], list[int]], p
     if len(brackets) != m - ev.use_sin:
         return None
     rev = floats[::-1]
-    upper = []
+    upper = {}
     for j in brackets:
-        v, w = values[j], values[j + 1]
-        z = cmath.rect(1.0, cmath.pi * (j + v / (v - w)) / M)
-        for _ in range(SEED_STEPS):
-            f, d = _horner_float(rev, z)
-            try:
-                step = f / d
-            except ZeroDivisionError:
-                break
-            if not cmath.isfinite(step):
-                break
-            z -= step
-            if abs(step) < 1e-13:
-                break
+        if even and M - 1 - j in upper:
+            z = -upper[M - 1 - j].conjugate()
+        else:
+            v, w = values[j], values[j + 1]
+            z = _newton_float(rev, cmath.rect(1.0, cmath.pi * (j + v / (v - w)) / M))
         if not j * cmath.pi <= M * atan2(z.imag, z.real) <= (j + 1) * cmath.pi:
             return None
-        upper.append(z)
-    return upper + [float(x) for x in real] + [z.conjugate() for z in upper]
+        upper[j] = z
+    return [*upper.values(), *map(float, real), *(z.conjugate() for z in upper.values())]
 
 
 def _budget_memo(coeffs: list[int], errs: list[int],
@@ -245,10 +269,10 @@ def _newton_disc(poly: FamilyPoly, coeffs: list[int],
 class RootDiscs(list):
     """`find_roots`'s discs (xr, xi, rad): the disc of centre
     (xr + i xi) 2^-prec and radius rad 2^-prec holds exactly one root.
-    `polished`: how many of them were Newton-polished (the others are mirror
-    images of polished ones); `seeds`: "grid" when the sign counter's first
-    grid seeded every root (a constant has none to seed), "aberth" when
-    float Aberth did; `passes`: the `fixed.horner_pd` passes of the polish."""
+    `polished`: how many of them were Newton-polished (the others are images
+    of polished ones under the symmetry group of `find_roots`); `seeds`:
+    "grid" when the sign counter's first grid seeded every root (a constant
+    has none to seed), "aberth" when float Aberth did; `passes`: the `fixed.horner_pd` passes of the polish."""
 
     def __init__(self, discs: list[tuple[int, int, int]], prec: int, polished: int,
                  seeds: str, passes: int):
@@ -265,6 +289,39 @@ class RootDiscs(list):
                 for xr, xi, rad in self]
 
 
+def _orbit_seeds(seeds: list[complex],
+                 even: bool) -> list[tuple[complex, tuple[tuple[int, int], ...]]]:
+    """[(w, images), ...]: the seeds to polish, each with the elements of
+    the symmetry group whose images of its disc `find_roots` adds.
+
+    The group G is generated by conjugation, and for an even p by negation
+    as well; besides the identity its elements are (1, -1), or (1, -1),
+    (-1, -1) and (-1, 1), (a, b) mapping x + iy to ax + iby.  A seed's cell
+    is the pair of signs of Re w (0 unless p is even) and Im w, a sign being
+    0 within tau = MIRROR_TOL max(1, |w|) of the axis, and G permutes the
+    cells.  In an orbit of cells that each hold as many seeds as the home
+    cell, the one with both signs >= 0, only the home cell's seeds are
+    polished, each with one element reaching each other cell of the orbit;
+    in any other orbit every seed is polished, with no image."""
+    group = ((1, -1), (-1, -1), (-1, 1)) if even else ((1, -1),)
+    cells: dict[tuple[int, int], list[complex]] = {}
+    for w in seeds:
+        tau = MIRROR_TOL * max(1.0, abs(w))
+        sr = (w.real > tau) - (w.real < -tau) if even else 0
+        cells.setdefault((sr, (w.imag > tau) - (w.imag < -tau)), []).append(w)
+    polish = []
+    for sr, si in sorted({(abs(sr), abs(si)) for sr, si in cells}):
+        home, orbit = cells.get((sr, si), []), {}
+        for a, b in group:
+            orbit.setdefault((a * sr, b * si), (a, b))
+        orbit.pop((sr, si), None)
+        if all(len(cells.get(c, ())) == len(home) for c in orbit):
+            polish += [(w, tuple(orbit.values())) for w in home]
+        else:
+            polish += [(w, ()) for c in ((sr, si), *orbit) for w in cells.get(c, ())]
+    return polish
+
+
 def find_roots(poly: FamilyPoly, bits: int = 128) -> RootDiscs:
     """All roots of the origin-stripped polynomial, as integer discs, each
     holding exactly one root, sorted by argument.
@@ -275,30 +332,33 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootDiscs:
     counter's transform on those same integers (`_grid_seeds`); when it
     fails the check, or the grid's brackets do not account for every root,
     float Aberth--Ehrlich (deterministic start: 1.01 * roots of unity rotated
-    by 0.37 rad) seeds instead.  Either way each seed starts a Newton polish
-    of its root on its own in fixed point, each pass one division by the
-    real quadratic with roots x and conj x (`fixed.horner_pd`); the pass
-    whose step lands close enough also certifies the point it lands on, by
-    Rouche's theorem, with integer error budgets evaluated once per bound on
-    |x| in the call (`_budget_memo`, `_newton_disc`).  Nothing below depends
-    on where the seeds came from.
+    by 0.37 rad) seeds instead, for an even p on F with F(z^2) = p(z) at
+    half the degree, each root w of F giving the seeds +-sqrt(w).  Either
+    way each seed starts a Newton polish of its root on its own in fixed
+    point, each pass one division by the real quadratic with roots x and
+    conj x (`fixed.horner_pd`); the pass whose step lands close enough also
+    certifies the point it lands on, by Rouche's theorem, with integer error
+    budgets evaluated once per bound on |x| in the call (`_budget_memo`,
+    `_newton_disc`).  Nothing below depends on where the seeds came from.
 
-    Every family has real coefficients (rationals and the real lam), so its
-    non-real roots come in conjugate pairs.  The seeds are split into upper
-    (Im w > tau), lower (Im w < -tau) and near-real ones, tau =
-    MIRROR_TOL max(1, |w|).  When there are as many upper seeds as lower,
-    only the upper and near-real seeds are polished, and each upper disc
-    (x, r) also gives the disc (conj x, r); otherwise every seed is
-    polished.  A mirrored disc holds exactly one root as well: the exact
-    polynomial (the budgets cover the coefficient errors) has real
-    coefficients, so conjugation maps its roots one to one onto its roots.
-    Each of the n discs thus holds one root whichever seeds were polished,
-    and the separation check over all n discs (`simplicity_check`) is what
-    proves they hold n distinct roots.  So soundness does not depend on tau:
-    a split that pairs the wrong seeds can put two discs around one root,
-    which costs the certificate, never gives a false one.  Tau only keeps
-    seeds near real roots from being taken for a pair; it sits far above
-    the 1e-13 stop of either seed source.
+    Every family has real coefficients (rationals and the real lam), so
+    conjugation maps the roots of the exact polynomial (the budgets cover
+    the coefficient errors) one to one onto its roots.  p is even when every
+    odd-index C_i and e_i is 0, so that its exact odd coefficients vanish
+    (W and R, polynomials in z^2); then negation maps its roots one to one
+    onto its roots as well.  `_orbit_seeds` picks one seed per orbit of the
+    group G these generate wherever the seeds fall into orbits of full
+    size, and each polished disc (x, r) also gives the discs (g x, r) for
+    the elements g it names, exact integer images; every other seed is
+    polished on its own.  An image disc holds exactly one root, since g
+    maps the roots one to one onto the roots.  Each of the n discs thus
+    holds one root whichever seeds were polished, and the separation check
+    over all n discs (`simplicity_check`) is what proves they hold n
+    distinct roots.  So soundness does not depend on how the seeds were
+    grouped: a grouping that pairs the wrong seeds can put two discs around
+    one root, which costs the certificate, never gives a false one.
+    MIRROR_TOL only keeps seeds near an axis from being taken for a pair;
+    it sits far above the 1e-13 stop of either seed source.
     """
     p = poly.strip_origin()
     n = p.degree
@@ -307,28 +367,27 @@ def find_roots(poly: FamilyPoly, bits: int = 128) -> RootDiscs:
         return RootDiscs([], prec, 0, "grid", 0)
     fixed_coeffs = p.fixed_coefficients(prec, n + 1)
     _, coeffs, errs = fixed_coeffs
+    even = not any(coeffs[1::2]) and not any(errs[1::2])
     one = 1 << prec
     floats = [c / one for c in coeffs]
-    seeds = _grid_seeds(p, fixed_coeffs, prec, floats) if p.self_inversive_ok() else None
+    seeds = _grid_seeds(p, fixed_coeffs, prec, floats, even) if p.self_inversive_ok() else None
     source = "grid"
     if seeds is None:
-        seeds, source = _aberth_float(floats, n), "aberth"
-    upper, lower, near_real = [], [], []
-    for w in seeds:
-        tau = MIRROR_TOL * max(1.0, abs(w))
-        (upper if w.imag > tau else lower if w.imag < -tau else near_real).append(w)
-    mirror = len(upper) == len(lower)
-    if mirror:
-        seeds = upper + near_real
+        source = "aberth"
+        if even:
+            seeds = [s for w in _aberth_float(floats[::2], n // 2)
+                     for s in (cmath.sqrt(w), -cmath.sqrt(w))]
+        else:
+            seeds = _aberth_float(floats, n)
     budget = _budget_memo(coeffs, errs, prec)
     # floored from the seed's exact ratio: float(2^prec) overflows past prec = 1023
-    polished = [_newton_disc(poly, coeffs, budget, fixed.floor_shift(w.real, prec),
-                             fixed.floor_shift(w.imag, prec), prec, bits) for w in seeds]
-    z = [disc[:3] for disc in polished]
-    if mirror:
-        z += [(xr, -xi, rad) for xr, xi, rad in z[:len(upper)]]
+    polished = [(_newton_disc(poly, coeffs, budget, fixed.floor_shift(w.real, prec),
+                              fixed.floor_shift(w.imag, prec), prec, bits), images)
+                for w, images in _orbit_seeds(seeds, even)]
+    z = [(a * xr, b * xi, rad) for (xr, xi, rad, _), images in polished
+         for a, b in ((1, 1), *images)]
     z.sort(key=lambda x: (atan2(x[1] / one, x[0] / one), x[0]))
-    return RootDiscs(z, prec, len(polished), source, sum(disc[3] for disc in polished))
+    return RootDiscs(z, prec, len(polished), source, sum(disc[3] for disc, _ in polished))
 
 
 def simplicity_check(discs: RootDiscs) -> tuple[int, int] | None:

@@ -1262,7 +1262,11 @@ def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
     # polished root, the second of which certifies the point its own Newton
     # step lands on (x - S, with S = floor(2^prec p(x)/p'(x)) from that pass);
     # no pass certifies without stepping, and no point is evaluated twice.
-    # Each lower disc of a mirrored pair is its partner with Im negated
+    # R_20 has the exact roots +-i, and its orbit's seed sqrt(w), w = -1 a
+    # root of F with F(z^2) = R_20(z), is within 1e-31 of i: that one root's
+    # first pass certifies.  Each disc not polished is the exact image of a
+    # polished one with the same radius: under conjugation, or for the even
+    # W and R also under negation or both
     calls = []
     real = fixed.horner_pd
 
@@ -1274,20 +1278,36 @@ def test_find_roots_certifies_at_its_last_newton_pass(monkeypatch):
     monkeypatch.setattr(fixed, "horner_pd", counted)
     for fam, k in (("P", 20), ("Q", 20), ("W", 20), ("Y", 42), ("S", 40), ("R", 20), ("P", 26)):
         calls.clear()
-        roots = find_roots(build_family(fam, k), 128)
+        poly = build_family(fam, k)
+        roots = find_roots(poly, 128)
         prec = roots.prec
-        assert len(calls) == roots.passes == 2 * roots.polished, (fam, k)
-        assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)
-        landed = set()
-        for xr, xi, (pr, pi, dr, di) in calls[1::2]:
-            den = dr * dr + di * di
-            landed.add((xr - ((pr * dr + pi * di) << prec) // den,
-                        xi - ((pi * dr - pr * di) << prec) // den))
         centres = {(xr, xi) for xr, xi, _ in roots}
-        assert landed <= centres and len(landed) == roots.polished
-        assert {(xr, -xi) for xr, xi in centres - landed} <= landed
+        assert len(calls) == roots.passes
+        assert len({(xr, xi) for xr, xi, _ in calls}) == len(calls)
+        runs, run = [], []     # (landing point, passes) of each polished root
+        for xr, xi, (pr, pi, dr, di) in calls:
+            assert not run or run[-1] == (xr, xi), (fam, k)   # a root's next pass starts where it landed
+            den = dr * dr + di * di
+            sr, si = ((pr * dr + pi * di) << prec) // den, ((pi * dr - pr * di) << prec) // den
+            assert (sr, si) != (0, 0)
+            run.append((xr - sr, xi - si))
+            if run[-1] in centres:
+                runs.append((run[-1], len(run)))
+                run = []
+        assert not run and len(runs) == len({x for x, _ in runs}) == roots.polished
+        short = [x for x, passes in runs if passes == 1]
+        if (fam, k) == ("R", 20):
+            assert sum(c.a * (-1) ** (j // 2) for j, c in enumerate(poly.coeffs) if j % 2 == 0) == 0
+            assert len(short) == 1 and abs(short[0][0]) + abs(short[0][1] - (1 << prec)) < 1 << (prec - 100)
+        else:
+            assert not short
+        assert all(passes in (1, 2) for _, passes in runs)
+        assert roots.passes == 2 * roots.polished - len(short), (fam, k)
+        landed = {x for x, _ in runs}
+        group = ((1, -1), (-1, -1), (-1, 1)) if fam in ("W", "R") else ((1, -1),)
         for xr, xi, rad in roots:
-            assert (xr, -xi, rad) in roots or (xr, xi) in landed
+            assert (xr, xi) in landed or any(
+                (a * xr, b * xi) in landed and (a * xr, b * xi, rad) in roots for a, b in group)
             assert 0 < rad <= 1 << (prec - 128 - 16)
 
 
@@ -1693,7 +1713,8 @@ def test_verify_by_roots_W2():
     assert rep.certified
     assert float(rep.max_mod_dev.upper) < 1e-25
     assert rep.min_root_sep.gt(F(1, 10))
-    assert rep.detail == {"n_roots": 4, "polished": 2, "passes": 4, "seeds": "grid", "bits": 128}
+    # W_2 is even: its four roots are one orbit of conjugation and negation
+    assert rep.detail == {"n_roots": 4, "polished": 1, "passes": 2, "seeds": "grid", "bits": 128}
 
 
 def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
@@ -1726,7 +1747,10 @@ def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
     ("Y", 43, CERTIFIED_TRUE, 41, 1), ("R", 7, CERTIFIED_FALSE, 12, 4)])
 def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, on_circle, near_real):
     # a seed within MIRROR_TOL of the real axis (the forced zero -1 of odd
-    # degree, R's four real roots) is polished on its own, not mirrored
+    # degree) is polished on its own, not mirrored by conjugation; the even
+    # R_7 polishes one seed per orbit of conjugation and negation: its four
+    # real roots +-a and +-1/a (a > 0) from a and 1/a, and its twelve circle
+    # roots from the three in the open first quadrant
     seeds = []
     real = roots_mod._newton_disc
 
@@ -1738,9 +1762,136 @@ def test_verify_by_roots_polishes_near_real_seeds(monkeypatch, fam, k, verdict, 
     rep = verify_by_roots(build_family(fam, k))
     n = rep.degree_nontrivial
     assert (rep.verdict, rep.zeros_on_circle, rep.detail["n_roots"]) == (verdict, on_circle, n)
-    assert rep.detail["polished"] == len(seeds) == (n + near_real) // 2
-    assert sum(abs(w.imag) <= roots_mod.MIRROR_TOL * max(1, abs(w)) for w in seeds) == near_real
-    assert all(w.imag > 0 for w in seeds if abs(w.imag) > roots_mod.MIRROR_TOL * max(1, abs(w)))
+    orbit = 4 if fam == "R" else 2      # the size of an orbit off the axes
+    assert rep.detail["polished"] == len(seeds) == (n - near_real) // orbit + near_real * 2 // orbit
+    on_axis = [w for w in seeds if abs(w.imag) <= roots_mod.MIRROR_TOL * max(1, abs(w))]
+    assert len(on_axis) == near_real * 2 // orbit
+    assert all(w.imag > 0 for w in seeds if w not in on_axis)
+    if fam == "R":
+        assert all(w.real > 0 for w in seeds)
+
+
+class _OddTerm(families.ProductForm):
+    """W_k or R_k with its fixed-point z^3 and z^(N-3) terms set to (C, e),
+    (C eps, e): the polynomial within those integers is W_k or R_k plus a
+    symmetric odd term of at most (|C| + e) units, so a self-inversive one
+    that is even only when the term is 0."""
+
+    def __init__(self, family, k, term):
+        super().__init__(family, k)
+        object.__setattr__(self, "term", term)
+
+    def fixed_coefficients(self, prec, count):
+        emax, C, e = super().fixed_coefficients(prec, count)
+        for i, sign in ((3, 1), (self.N - 3, self.epsilon)):
+            C[i], e[i] = sign * self.term[0], self.term[1]
+        return emax, C, e
+
+
+@pytest.mark.parametrize("term", [(0, 1), (1, 0)], ids=["C=0,e=1", "C=1,e=0"])
+@pytest.mark.parametrize("fam,k,verdict,on_circle,seeds,polished", [
+    ("W", 12, CERTIFIED_TRUE, 24, "grid", 12), ("R", 7, CERTIFIED_FALSE, 12, "aberth", 10)])
+def test_roots_odd_term_is_not_negation_mirrored(monkeypatch, term, fam, k, verdict, on_circle,
+                                                 seeds, polished):
+    # one odd coefficient (and its mirror) that is 0 within an error of one
+    # unit, or one unit: the integers do not prove p even, so only
+    # conjugation mirrors, Aberth runs at the full degree, and the report is
+    # the one of W_12 and R_7 with conjugation alone (polished 12 and 10)
+    started = []
+    real = roots_mod._newton_disc
+    monkeypatch.setattr(roots_mod, "_newton_disc", lambda poly, coeffs, budget, xr, xi, prec, bits:
+                        started.append(complex(xr, xi) / 2 ** prec) or
+                        real(poly, coeffs, budget, xr, xi, prec, bits))
+    calls = _count_aberth(monkeypatch)
+    rep = verify_by_roots(_OddTerm(fam, k, term))
+    n = rep.degree_nontrivial
+    assert (rep.verdict, rep.zeros_on_circle, rep.detail["n_roots"], rep.detail["seeds"],
+            rep.detail["polished"]) == (verdict, on_circle, n, seeds, polished)
+    assert calls == ([n] if seeds == "aberth" else [])
+    assert any(w.real < -0.1 for w in started) and len(started) == polished
+
+
+def _orbit_counts(discs):
+    """The orbits of the discs' roots under conjugation and negation, two
+    roots on an axis (|Re| or |Im| below 2^-100) or four off both, and
+    under conjugation alone, one real root or two others."""
+    tiny = 1 << (discs.prec - 100)
+    quarters = sum(2 if min(abs(xr), abs(xi)) < tiny else 1 for xr, xi, _ in discs)
+    halves = sum(2 if abs(xi) < tiny else 1 for _, xi, _ in discs)
+    assert quarters % 4 == 0 and halves % 2 == 0
+    return quarters // 4, halves // 2
+
+
+def test_even_families_polish_one_root_per_orbit(monkeypatch):
+    # W and R are polynomials in z^2: R_1..R_60 and W_2..W_60 keep the
+    # verdicts, counts and seed sources of the conjugate-only route (R: four
+    # real roots, the rest on the circle, Aberth seeds, refuted; W: every
+    # root on the circle, grid seeds), polishing one root per orbit
+    found = []
+    real = roots_mod.find_roots
+    monkeypatch.setattr(roots_mod, "find_roots", lambda poly, bits: found.append(real(poly, bits))
+                        or found[-1])
+    for fam, ks in (("R", range(1, 61)), ("W", range(2, 61))):
+        for k in ks:
+            found.clear()
+            rep = verify_by_roots(build_family(fam, k))
+            n = rep.degree_nontrivial
+            (discs,) = found
+            assert n == (2 * k + 2 if fam == "R" else 2 * k) == rep.detail["n_roots"]
+            assert (rep.verdict, rep.zeros_on_circle, rep.detail["seeds"]) == (
+                (CERTIFIED_FALSE, n - 4, "aberth") if fam == "R" else (CERTIFIED_TRUE, n, "grid"))
+            orbits, conjugate_orbits = _orbit_counts(discs)
+            assert rep.detail["polished"] == orbits < conjugate_orbits, (fam, k)
+
+
+def test_grid_seeds_skip_the_confirming_newton_step(monkeypatch):
+    # P_200's 200 grid seeds took 715 float Newton evaluations when each ran
+    # until a step fell below 1e-13; stopping once quadratic convergence puts
+    # the next step below float resolution takes fewer, and every root still
+    # certifies at its second fixed-point pass
+    calls = []
+    real = roots_mod._horner_float
+    monkeypatch.setattr(roots_mod, "_horner_float", lambda rev, x: calls.append(1) or real(rev, x))
+    roots = find_roots(build_P(200))
+    assert roots.seeds == "grid" and len(roots) == 400
+    assert roots.passes == 2 * roots.polished == 400
+    assert len(calls) < 715
+
+
+def _aberth_sliced(coeffs, n):
+    """`_aberth_float` as first written, each root's sum formed over the new
+    list z[:i] + z[i + 1:]: the reference its seeds must match bit for bit."""
+    rev = coeffs[::-1]
+    z = [1.01 * cmath.exp(1j * (2.0 * cmath.pi * j / n + 0.37)) for j in range(n)]
+    moving = list(range(n))
+    for _ in range(roots_mod.ABERTH_SWEEPS):
+        corr = []
+        for i in moving:
+            x = z[i]
+            p, d = roots_mod._horner_float(rev, x)
+            try:
+                w = p / d
+                c = w / (1 - w * sum([1 / (x - y) for y in z[:i] + z[i + 1:]]))
+            except ZeroDivisionError:
+                c = 0j
+            corr.append(c if cmath.isfinite(c) else 0j)
+        for i, c in zip(moving, corr):
+            z[i] -= c
+        moving = [i for i, c in zip(moving, corr) if abs(c) >= 1e-13]
+        if not moving:
+            break
+    return z
+
+
+@pytest.mark.parametrize("k", [20, 60])
+def test_aberth_seeds_match_the_sliced_sum(k):
+    # R_k at its full degree and, as the route runs it, at half the degree
+    p = build_R(k)
+    prec = 128 + roots_mod.ROOT_GUARD
+    floats = [c / 2 ** prec for c in p.fixed_coefficients(prec, p.degree + 1)[1]]
+    for coeffs in (floats, floats[::2]):
+        n = len(coeffs) - 1
+        assert roots_mod._aberth_float(coeffs, n) == _aberth_sliced(coeffs, n)
 
 
 def test_verify_by_roots_modulus_decided_in_integers(monkeypatch):
