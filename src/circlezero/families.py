@@ -181,7 +181,8 @@ class FamilyPoly:
         for a rational coefficient).  emax is the least E with
         |value| + R < 2^E over all of them, C_j the floor of
         value 2^(prec - emax) (one floor division, within one unit) and
-        e_j = ceil(R 2^(prec - emax)) + 1.
+        e_j = ceil(R 2^(prec - emax)) + 1, or C_j = e_j = 0 for an exact 0,
+        so that the integers show which coefficients vanish.
         """
         coeffs = self.coeffs[:count]
         values = [c.a for c in coeffs]
@@ -201,7 +202,7 @@ class FamilyPoly:
         emax = max(mags)
         s = prec - emax
         C = [fixed.floor_shift(v, s) for v in values]
-        e = [1] * len(values)
+        e = [0 if c.is_zero() else 1 for c in coeffs]
         for j, R in radii.items():
             e[j] -= fixed.floor_shift(-R, s)
         return emax, C, e

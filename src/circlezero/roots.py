@@ -271,8 +271,10 @@ class RootDiscs(list):
     (xr + i xi) 2^-prec and radius rad 2^-prec holds exactly one root.
     `polished`: how many of them were Newton-polished (the others are images
     of polished ones under the symmetry group of `find_roots`); `seeds`:
-    "grid" when the sign counter's first grid seeded every root (a constant
-    has none to seed), "aberth" when float Aberth did; `passes`: the `fixed.horner_pd` passes of the polish."""
+    "grid" when the sign counter's transform on the seeder's own grid
+    (`_seed_grid`) seeded every root (a constant has none to seed), "aberth"
+    when float Aberth did; `passes`: the `fixed.horner_pd` passes of the
+    polish."""
 
     def __init__(self, discs: list[tuple[int, int, int]], prec: int, polished: int,
                  seeds: str, passes: int):

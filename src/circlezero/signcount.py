@@ -24,11 +24,15 @@ from .reports import VerificationReport
 
 def _first_grid(m: int) -> int:
     """The first grid of a degree-2m count: the smallest power of two
-    >= max(2m, 32).  A certified count needs one certified point between
-    neighbouring zeros, and with the endpoint signs of g(0) and g(pi) kept,
-    2m points are enough in practice; the roots seeder, which needs a
-    close bracket for each seed, keeps its own finer grid."""
-    return 1 << (max(2 * m, 32) - 1).bit_length()
+    >= max(ceil(9m/8), 32).  A certified count needs one certified point
+    between neighbouring zeros, the endpoint signs of g(0) and g(pi)
+    included, and the families' zeros are spread close to evenly over the
+    circle, so a little over m points is enough in practice: of the P, Q,
+    W, Y and S counts with k <= 2048 only P_27 (M = 32) falls short and
+    doubles.  A short grid costs a doubling, never a wrong count.  The
+    roots seeder, which needs a close bracket for each seed, keeps its own
+    finer `roots._seed_grid`."""
+    return 1 << (max((9 * m + 7) // 8, 32) - 1).bit_length()
 
 
 def _half_dft(x: list[int], cos: tuple[int, ...], prec: int, imag: bool) -> list[int]:
@@ -150,7 +154,12 @@ class _TrigEvaluator:
 
     def grid_values(self, M: int) -> list[int]:
         """g(j pi / M) for j = 0 .. M, each within `budget`: one `_half_dft`
-        of the terms against the grid's cosine table."""
+        of the terms against the grid's cosine table.  The transform's
+        length 2M must exceed m: at 2M <= m a node at stride 2M would hold
+        two nonzero terms and no spectrum to combine them into."""
+        m = len(self.terms) - 1
+        if 2 * M <= m:
+            raise DomainError(f"grid M = {M} too coarse for m = {m}: the transform needs 2M > m")
         return _half_dft(self.terms, fixed.cos_table(self.prec, M), self.prec, self.use_sin)
 
 
@@ -220,12 +229,13 @@ def verify_by_sign_count(poly: FamilyPoly, bits: int = 128) -> VerificationRepor
     as a change.  When q has eps = -1, g(0) = g(pi) = 0, so both signs are
     0 within the budget and the forced zeros count only among the real
     zeros of `counted_form`.  The grid starts at M = `_first_grid(m)`, the
-    smallest power of two >= max(2m, 32), and doubles up to five times; a
-    doubled grid is transformed whole but only its odd j are new, and the
-    old index i, M included, becomes 2i.  `boundary_zeros` counts q's zeros
-    at +-1, `deflated` names an odd degree's forced zero, and `evaluations`
-    counts the interior grid points whose sign was taken, M - 1, not
-    arithmetic operations.
+    smallest power of two >= max(ceil(9m/8), 32), and doubles up to five
+    times, which only costs time: a grid too coarse for the count leaves it
+    short, never wrong.  A doubled grid is transformed whole but only its
+    odd j are new, and the old index i, M included, becomes 2i.
+    `boundary_zeros` counts q's zeros at +-1, `deflated` names an odd
+    degree's forced zero, and `evaluations` counts the interior grid points
+    whose sign was taken, M - 1, not arithmetic operations.
     """
     p = poly.strip_origin()
     if not p.self_inversive_ok():

@@ -292,7 +292,7 @@ def test_env_bits_validated_like_flag(capsys, monkeypatch, value):
 # changed on purpose; a differing digest means the report contract moved
 JSON_DIGESTS = [
     ("verify --family P,Q,W,Y,S --k-range 3..30 --method sign-count", EXIT_OK,
-     "2ef5d8490b87e6304c666e30eb1a1503cd845f7137c67aa90482af1f84eed3cb"),
+     "1bc51c87b04733d9db4d98fb3dd4a58a5bd07dfcb39874248023a362261b01f7"),
     ("verify --family S,Y --k-range 3..30 --method criteria", EXIT_OK,
      "8531b486d916bff955b801e445c5d5e6f646dd9947468350b18230aacf4e97de"),
     ("verify --family W,Q --k-range 7..30 --method oscillation", EXIT_OK,

@@ -1035,6 +1035,32 @@ def test_transform_matches_dot_products(p):
         assert _certified_sign(v, ev.budget) == _certified_sign(w, ref_budget), j
 
 
+@pytest.mark.parametrize("p,M", [(build_P(40), 32), (_deflate(build_S(81)), 32), (build_P(80), 64)],
+                         ids=["P40-M32", "S81-deflated-M32", "P80-M64"])
+def test_transform_below_m_matches_dot_products(p, M):
+    # with m/2 < M <= m the length-2M transform wraps terms r >= 2M onto
+    # r - 2M, and its values still overlap the dot products' within the
+    # budgets and certify the same signs
+    m = p.degree // 2
+    assert m < 2 * M and M <= m
+    ev = _evaluator(p, 128)
+    values = ev.grid_values(M)
+    ref, ref_budget = _dot_product_grid(p, 128, M)
+    assert len(values) == len(ref) == M + 1
+    for j, (v, w) in enumerate(zip(values, ref)):
+        assert abs((v << ev.prec) - w) <= (ev.budget << ev.prec) + ref_budget, j
+        assert _certified_sign(v, ev.budget) == _certified_sign(w, ref_budget), j
+
+
+@pytest.mark.parametrize("M", [8, 16, 20])
+def test_grid_values_reject_grid_at_most_half_m(M):
+    # at 2M <= m a node at stride 2M would hold two nonzero terms; P_40 at
+    # M = 16 gave the sign -1 at pi / 16, where M = 32 and M = 64 give +1
+    ev = _evaluator(build_P(40), 128)
+    with pytest.raises(DomainError, match=f"M = {M} .*m = 40"):
+        ev.grid_values(M)
+
+
 def _changes(signs):
     seq = [s for s in signs if s]
     return sum(a != b for a, b in zip(seq, seq[1:]))
@@ -1042,11 +1068,12 @@ def _changes(signs):
 
 @pytest.mark.parametrize("poly", [build_P(40), build_S(41)], ids=["P40", "S41-deflated"])
 def test_sign_count_doubling_path(poly, monkeypatch):
-    # a first grid a quarter of the usual size falls short of the count, so
-    # the grid doubles; a doubled grid keeps the coarse signs at even j, the
-    # endpoint pi included, and takes its odd j from its own transform
+    # a first grid half the usual size (still 2M > m, as the transform
+    # needs) falls short of the count, so the grid doubles; a doubled grid
+    # keeps the coarse signs at even j, the endpoint pi included, and takes
+    # its odd j from its own transform
     first_grid = signcount._first_grid
-    monkeypatch.setattr(signcount, "_first_grid", lambda m: first_grid(m) // 4)
+    monkeypatch.setattr(signcount, "_first_grid", lambda m: first_grid(m) // 2)
     grids = []
     grid_values = _TrigEvaluator.grid_values
 
@@ -1061,10 +1088,10 @@ def test_sign_count_doubling_path(poly, monkeypatch):
     p = _deflate(p) if p.degree % 2 else p
     m = p.degree // 2
     M0 = signcount._first_grid(m)
-    # m changes need m + 1 signs on [0, pi], so M >= m; both inputs (m = 40,
-    # eps = +1) certify on the first doubled grid that has that many
+    # m changes need m + 1 signs on [0, pi], so M >= m; both inputs (eps = +1,
+    # m = 40 and m = 20) certify on the first doubled grid that has that many
     doublings = next(d for d in range(6) if M0 << d >= m)
-    assert doublings >= 1   # the quartered grid is too small, so the path is taken
+    assert 2 * M0 > m and doublings >= 1   # the halved grid is too small, so the path is taken
     assert rep.certified and rep.zeros_on_circle == rep.degree_nontrivial
     assert rep.detail["grid"] == M0 << doublings
     assert rep.detail["evaluations"] == (M0 << doublings) - 1
@@ -1121,14 +1148,19 @@ def test_sign_count_eps_minus_one_forced_zeros_counted_once(coeffs, on_circle, m
 
 
 def test_sign_count_families_certify_on_first_grid():
-    # with the endpoint signs kept, no P, Q, W, Y or S count up to k = 60
-    # doubles its grid
+    # with the endpoint signs kept, of the P, Q, W, Y and S counts up to
+    # k = 60 only P_27 (m = 27, M = 32) doubles its grid, once
+    doubled = set()
     for fam in "PQWYS":
         for k in range(FAMILIES[fam].min_k, 61):
             rep = verify_by_sign_count(build_family(fam, k))
             m = rep.degree_nontrivial // 2
             assert rep.certified, (fam, k)
-            assert rep.detail["grid"] == (_first_grid(m) if m else 0), (fam, k)
+            first = _first_grid(m) if m else 0
+            if rep.detail["grid"] != first:
+                assert rep.detail["grid"] == 2 * first, (fam, k)
+                doubled.add(f"{fam}_{k}")
+    assert doubled == {"P_27"}
 
 
 def _full_half_dft(x, cos, prec):
@@ -1717,6 +1749,17 @@ def test_verify_by_roots_W2():
     assert rep.detail == {"n_roots": 4, "polished": 1, "passes": 2, "seeds": "grid", "bits": 128}
 
 
+def test_find_roots_sees_a_built_even_polynomial():
+    # z^4 + z^2 + 1 built as a FamilyPoly: its zero coefficients read as
+    # C = e = 0, so the integers prove it even and its four roots
+    # e^(+-i pi/3), e^(+-2i pi/3) are one orbit of conjugation and negation
+    p = _rational_poly(1, 1, 0, 1, 0, 1)
+    _, C, e = p.fixed_coefficients(160, 5)
+    assert (C[1], e[1], C[3], e[3]) == (0, 0, 0, 0) and e[0] == e[2] == e[4] == 1
+    roots = find_roots(p)
+    assert (len(roots), roots.polished, roots.seeds) == (4, 1, "grid")
+
+
 def test_verify_by_roots_unbalanced_seeds_fall_back(monkeypatch):
     # the lowest seed s gives way to an upper-half point x whose Newton step
     # lands on s: a root of (x - s) p'(x) - p(x).  With one upper seed more
@@ -2014,14 +2057,15 @@ def _zero_at_one_point(ev, M):
 @pytest.mark.parametrize("fam,k", [("P", 20), ("S", 41), ("P", 21)])
 @pytest.mark.parametrize("short", ["coarse-grid", "sign-zero"])
 def test_roots_short_bracket_count_falls_back_to_aberth(monkeypatch, fam, k, short):
-    # too coarse a grid for every bracket, or one grid point without a
-    # certified sign: the same polynomial takes Aberth, with the same outcome
+    # too coarse a grid for every bracket (M = 16 < m, m = 20 or 21, still
+    # 2M > m as the transform needs), or one grid point without a certified
+    # sign: the same polynomial takes Aberth, with the same outcome
     poly = build_family(fam, k)
     want = verify_by_roots(poly)
     assert want.detail["seeds"] == "grid"
     calls = _count_aberth(monkeypatch)
     if short == "coarse-grid":
-        monkeypatch.setattr(roots_mod, "_seed_grid", lambda m: 4)
+        monkeypatch.setattr(roots_mod, "_seed_grid", lambda m: 16)
     else:
         monkeypatch.setattr(_TrigEvaluator, "grid_values", _zero_at_one_point)
     rep = verify_by_roots(poly)
